@@ -9,6 +9,9 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "obs/chrome_trace.hpp"
+#include "obs/slo.hpp"
+#include "stream/service.hpp"
 
 namespace qec::bench {
 
@@ -78,14 +81,112 @@ inline void print_header(const char* title, const char* paper_ref) {
 /// Uniform "--foo-csv=FILE written" reporting: prints the success line or
 /// the cannot-write error. Returns `ok` so callers can fold it into their
 /// exit status (`if (!report_written(...)) return 1;`).
-inline bool report_written(bool ok, const char* what, const std::string& path) {
+inline bool report_written(bool ok, const std::string& what,
+                           const std::string& path) {
   if (!ok) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
-  std::printf("%s written to %s\n", what, path.c_str());
+  std::printf("%s written to %s\n", what.c_str(), path.c_str());
   return true;
 }
+
+// ---- observability flags of the streaming benches ----------------------
+
+/// --help lines for the flags ObsCli owns; benches append them to their
+/// own option list. Sweeps turn the flags on for every cell and write the
+/// files from the last cell.
+inline constexpr const char* kObsOptions =
+    "  --trace-json=FILE     event timeline as Chrome trace JSON (open in\n"
+    "                        Perfetto / chrome://tracing; ts = logical round)\n"
+    "  --trace-ring=16384    per-track event ring capacity (flight recorder:\n"
+    "                        oldest events drop once full)\n"
+    "  --metrics-csv=FILE    windowed metrics time-series CSV\n"
+    "  --metrics-window=64   rounds per metrics window\n"
+    "  --profile-csv=FILE    per-stage wall-clock self-profile CSV (enables\n"
+    "                        profiling; wall-clock values are explicitly\n"
+    "                        non-deterministic — docs/observability.md)\n"
+    "  --slo=SPEC            SLO burn-rate objectives, e.g.\n"
+    "                        'sojourn_p99<8,window=256' (implies windowed\n"
+    "                        metrics; verdicts are thread-count invariant)\n"
+    "  --slo-csv=FILE        per-window SLO verdict CSV\n"
+    "  --prom-snapshot=FILE  Prometheus text-exposition snapshot of the\n"
+    "                        final cumulative metrics (implies metrics)\n";
+
+/// The obs flag set every streaming bench shares (kObsOptions): parses the
+/// flags into a StreamObsConfig, keeps a run's obs objects, and writes the
+/// requested exports from them.
+class ObsCli {
+ public:
+  ObsCli(const CliArgs& args, StreamObsConfig& obs)
+      : trace_json_(args.get_or("trace-json", "")),
+        metrics_csv_(args.get_or("metrics-csv", "")),
+        profile_csv_(args.get_or("profile-csv", "")),
+        slo_csv_(args.get_or("slo-csv", "")),
+        prom_snapshot_(args.get_or("prom-snapshot", "")) {
+    obs.trace = !trace_json_.empty();
+    obs.trace_ring =
+        static_cast<int>(args.get_int_or("trace-ring", obs.trace_ring));
+    obs.metrics = !metrics_csv_.empty() || !prom_snapshot_.empty();
+    obs.metrics_window =
+        static_cast<int>(args.get_int_or("metrics-window", obs.metrics_window));
+    obs.profile = !profile_csv_.empty();
+    obs.slo = args.get_or("slo", "");
+  }
+
+  /// Keeps `outcome`'s obs objects for write(); a sweep keeps every cell,
+  /// so the last one is written.
+  void keep(const StreamOutcome& outcome) {
+    kept_.tracer = outcome.tracer;
+    kept_.metrics = outcome.metrics;
+    kept_.profiler = outcome.profiler;
+    kept_.slo = outcome.slo;
+  }
+
+  /// Writes every requested export of the kept run, appending `suffix` to
+  /// each report line. The exports run inside the kTraceExport profiler
+  /// stage, and the profile CSV is written last so it includes them.
+  /// Returns false at the first file that cannot be written.
+  bool write(const std::string& suffix = "") const {
+    const StreamOutcome& o = kept_;
+    {
+      obs::ScopedStage prof(o.profiler.get(), obs::Stage::kTraceExport);
+      if (!trace_json_.empty() && o.tracer &&
+          !report_written(
+              obs::write_chrome_trace(*o.tracer, trace_json_, o.profiler.get()),
+              "event trace (open in Perfetto)" + suffix, trace_json_)) {
+        return false;
+      }
+      if (!metrics_csv_.empty() && o.metrics &&
+          !report_written(o.metrics->write_csv(metrics_csv_),
+                          "windowed metrics" + suffix, metrics_csv_)) {
+        return false;
+      }
+      if (!slo_csv_.empty() &&
+          !report_written(o.slo && o.slo->write_csv(slo_csv_),
+                          "slo verdicts" + suffix, slo_csv_)) {
+        return false;
+      }
+      if (!prom_snapshot_.empty() && o.metrics &&
+          !report_written(obs::write_prom_snapshot(*o.metrics, o.slo.get(),
+                                                   prom_snapshot_),
+                          "prometheus snapshot" + suffix, prom_snapshot_)) {
+        return false;
+      }
+    }
+    return profile_csv_.empty() || !o.profiler ||
+           report_written(o.profiler->write_csv(profile_csv_),
+                          "wall-clock profile" + suffix, profile_csv_);
+  }
+
+ private:
+  std::string trace_json_;
+  std::string metrics_csv_;
+  std::string profile_csv_;
+  std::string slo_csv_;
+  std::string prom_snapshot_;
+  StreamOutcome kept_;  ///< obs objects only
+};
 
 // ---- machine-readable bench records (--json=FILE) ----------------------
 //

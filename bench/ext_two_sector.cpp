@@ -14,7 +14,7 @@
 #include "qecool/qecool_decoder.hpp"
 #include "sim/monte_carlo.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "ext_two_sector",
@@ -71,4 +71,6 @@ int main(int argc, char** argv) {
       "Y-error correlation does not break sector-independent decoding "
       "(footnote 2).\n");
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_failure("ext_two_sector", e);
 }

@@ -14,7 +14,7 @@
 #include "qecool/qecool_decoder.hpp"
 #include "sim/monte_carlo.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "fig4b_vertical_propagation",
@@ -76,4 +76,6 @@ int main(int argc, char** argv) {
   std::printf("\n=> matchings reaching dt >= 3 are negligible below p_th, so "
               "a Reg window of thv = 3 suffices (paper Section III-C).\n");
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_failure("fig4b_vertical_propagation", e);
 }

@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -35,7 +34,6 @@
 #include "bench_util.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/slo.hpp"
 #include "qecool/online_runner.hpp"
 #include "stream/admission.hpp"
@@ -98,27 +96,15 @@ constexpr const char* kOptions =
     "  --json=FILE           write a machine-readable run record to FILE\n"
     "                        (config, git revision, per-cell wall-clock and\n"
     "                        lane-rounds/s — same shape as lane_scaling's)\n"
-    "  --trace-json=FILE     Chrome-trace-event timeline of the LAST cell\n"
-    "                        (tracing is on for every cell; per-cell event\n"
-    "                        counts land in the --json obs block)\n"
-    "  --trace-ring=16384    per-track event ring capacity\n"
-    "  --metrics-csv=FILE    windowed metrics time series of the LAST cell\n"
-    "  --metrics-window=64   rounds per metrics window\n"
-    "  --profile-csv=FILE    per-stage wall-clock self-profile of the LAST\n"
-    "                        cell (enables profiling for every cell;\n"
-    "                        wall-clock values are non-deterministic)\n"
-    "  --slo=SPEC            SLO burn-rate objectives per cell, e.g.\n"
-    "                        'sojourn_p99<8' (implies windowed metrics;\n"
-    "                        per-cell compliance lands in the --json\n"
-    "                        record's slo block)\n"
-    "  --prom-snapshot=FILE  Prometheus snapshot of the LAST cell's final\n"
-    "                        cumulative metrics (implies metrics)\n";
+    "  (the obs flags below apply to every cell and write the LAST cell;\n"
+    "  per-cell event counts and SLO compliance land in the --json record)\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
-  if (qec::handle_help(args, "pool_scaling", kSummary, kOptions)) return 0;
+  const std::string options = kOptions + std::string(qec::bench::kObsOptions);
+  if (qec::handle_help(args, "pool_scaling", kSummary, options.c_str())) return 0;
   qec::StreamConfig base;
   base.lanes = static_cast<int>(args.get_int_or("lanes", 32));
   base.distance = static_cast<int>(args.get_int_or("d", 5));
@@ -130,18 +116,7 @@ int main(int argc, char** argv) {
   base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
   base.budget_w = args.get_double_or("budget-w", 0.0);
   base.threads = qec::threads_override(args, 1);
-  const std::string trace_json = args.get_or("trace-json", "");
-  const std::string metrics_csv = args.get_or("metrics-csv", "");
-  base.obs.trace = !trace_json.empty();
-  base.obs.trace_ring =
-      static_cast<int>(args.get_int_or("trace-ring", base.obs.trace_ring));
-  const std::string profile_csv = args.get_or("profile-csv", "");
-  const std::string prom_snapshot = args.get_or("prom-snapshot", "");
-  base.obs.metrics = !metrics_csv.empty() || !prom_snapshot.empty();
-  base.obs.metrics_window = static_cast<int>(
-      args.get_int_or("metrics-window", base.obs.metrics_window));
-  base.obs.profile = !profile_csv.empty();
-  base.obs.slo = args.get_or("slo", "");
+  qec::bench::ObsCli obs_cli(args, base.obs);
 
   qec::bench::print_header(
       "Pool scaling: K shared decoder engines serving N lanes",
@@ -208,10 +183,6 @@ int main(int argc, char** argv) {
 
     const std::string json_path = args.get_or("json", "");
     std::vector<std::string> json_cells;
-    std::shared_ptr<qec::obs::Tracer> last_tracer;
-    std::shared_ptr<qec::obs::MetricsRegistry> last_metrics;
-    std::shared_ptr<qec::obs::Profiler> last_profiler;
-    std::shared_ptr<qec::obs::SloEngine> last_slo;
 
     const std::string latency_path = args.get_or("latency-csv", "");
     qec::CsvWriter latency_csv(
@@ -366,10 +337,7 @@ int main(int argc, char** argv) {
               }
               json_cells.push_back(cell.str());
             }
-            last_tracer = outcome.tracer;
-            last_metrics = outcome.metrics;
-            last_profiler = outcome.profiler;
-            last_slo = outcome.slo;
+            obs_cli.keep(outcome);
             table.add_row({policy, admission, fmt(k_over_n),
                            fmt(mhz, "%.6g"), fmt(watts, "%.3g"),
                            std::to_string(outcome.failed_lanes) + "/" +
@@ -400,29 +368,7 @@ int main(int argc, char** argv) {
       std::printf("per-lane sojourn latency written to %s\n",
                   latency_path.c_str());
     }
-    using qec::bench::report_written;
-    if (!trace_json.empty() && last_tracer &&
-        !report_written(qec::obs::write_chrome_trace(*last_tracer, trace_json,
-                                                     last_profiler.get()),
-                        "event trace (last cell)", trace_json)) {
-      return 1;
-    }
-    if (!metrics_csv.empty() && last_metrics &&
-        !report_written(last_metrics->write_csv(metrics_csv),
-                        "windowed metrics (last cell)", metrics_csv)) {
-      return 1;
-    }
-    if (!profile_csv.empty() && last_profiler &&
-        !report_written(last_profiler->write_csv(profile_csv),
-                        "wall-clock profile (last cell)", profile_csv)) {
-      return 1;
-    }
-    if (!prom_snapshot.empty() && last_metrics &&
-        !report_written(qec::obs::write_prom_snapshot(
-                            *last_metrics, last_slo.get(), prom_snapshot),
-                        "prometheus snapshot (last cell)", prom_snapshot)) {
-      return 1;
-    }
+    if (!obs_cli.write(" (last cell)")) return 1;
     if (!json_path.empty()) {
       std::vector<std::string> policy_items, admission_items, pool_items;
       for (const auto& p : policies) {
@@ -461,7 +407,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "pool_scaling: %s\n", e.what());
-    return 1;
+    return qec::report_failure("pool_scaling", e);
   }
 }

@@ -25,7 +25,6 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "decoder/registry.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/slo.hpp"
 #include "qecool/decode_cache.hpp"
@@ -70,21 +69,6 @@ constexpr const char* kOptions =
     "  --latency-csv=FILE    per-lane end-to-end sojourn latency CSV\n"
     "  --trace-out=FILE      save the recorded syndrome trace ('QTRC')\n"
     "  --trace-in=FILE       replay a previously recorded trace\n"
-    "  --trace-json=FILE     event timeline as Chrome trace JSON (open in\n"
-    "                        Perfetto / chrome://tracing; ts = logical round)\n"
-    "  --trace-ring=16384    per-track event ring capacity (flight recorder:\n"
-    "                        oldest events drop once full)\n"
-    "  --metrics-csv=FILE    windowed metrics time-series CSV\n"
-    "  --metrics-window=64   rounds per metrics window\n"
-    "  --profile-csv=FILE    per-stage wall-clock self-profile CSV (enables\n"
-    "                        profiling; wall-clock values are explicitly\n"
-    "                        non-deterministic — docs/observability.md)\n"
-    "  --slo=SPEC            SLO burn-rate objectives, e.g.\n"
-    "                        'sojourn_p99<8,window=256' (implies windowed\n"
-    "                        metrics; verdicts are thread-count invariant)\n"
-    "  --slo-csv=FILE        per-window SLO verdict CSV\n"
-    "  --prom-snapshot=FILE  Prometheus text-exposition snapshot of the\n"
-    "                        final cumulative metrics (implies metrics)\n"
     "  --dump-obs-on-exit[=DIR]\n"
     "                        arm the postmortem flight recorder: dump the\n"
     "                        obs bundle to DIR (default obs_bundle) at\n"
@@ -94,7 +78,8 @@ constexpr const char* kOptions =
 
 int main(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
-  if (qec::handle_help(args, "stream_soak", kSummary, kOptions)) return 0;
+  const std::string options = kOptions + std::string(qec::bench::kObsOptions);
+  if (qec::handle_help(args, "stream_soak", kSummary, options.c_str())) return 0;
   qec::StreamConfig config;
   config.lanes = static_cast<int>(args.get_int_or("lanes", 64));
   config.distance = static_cast<int>(args.get_int_or("d", 7));
@@ -112,21 +97,9 @@ int main(int argc, char** argv) {
   config.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
   config.cache = args.get_or("cache", "");
   config.threads = qec::threads_override(args, 1);
-  const std::string trace_json = args.get_or("trace-json", "");
-  const std::string metrics_csv = args.get_or("metrics-csv", "");
-  config.obs.trace = !trace_json.empty();
-  config.obs.trace_ring =
-      static_cast<int>(args.get_int_or("trace-ring", config.obs.trace_ring));
-  const std::string profile_csv = args.get_or("profile-csv", "");
-  const std::string slo_csv = args.get_or("slo-csv", "");
-  const std::string prom_snapshot = args.get_or("prom-snapshot", "");
+  qec::bench::ObsCli obs_cli(args, config.obs);
   const auto dump_dir =
       qec::optional_value_flag(args, "dump-obs-on-exit", "obs_bundle");
-  config.obs.metrics = !metrics_csv.empty() || !prom_snapshot.empty();
-  config.obs.metrics_window = static_cast<int>(
-      args.get_int_or("metrics-window", config.obs.metrics_window));
-  config.obs.profile = !profile_csv.empty();
-  config.obs.slo = args.get_or("slo", "");
   if (dump_dir) {
     config.obs.dump_dir = *dump_dir;
     qec::obs::FlightRecorder::install_signal_handlers();
@@ -282,36 +255,9 @@ int main(int argc, char** argv) {
                           "sojourn latency report", latency_csv)) {
         return 1;
       }
-      if (!trace_json.empty() &&
-          !report_written(
-              qec::obs::write_chrome_trace(*outcome.tracer, trace_json,
-                                           outcome.profiler.get()),
-              "event trace (open in Perfetto)", trace_json)) {
-        return 1;
-      }
-      if (!metrics_csv.empty() &&
-          !report_written(outcome.metrics->write_csv(metrics_csv),
-                          "windowed metrics", metrics_csv)) {
-        return 1;
-      }
-      if (!slo_csv.empty() &&
-          !report_written(outcome.slo ? outcome.slo->write_csv(slo_csv) : false,
-                          "slo verdicts", slo_csv)) {
-        return 1;
-      }
-      if (!prom_snapshot.empty() &&
-          !report_written(
-              qec::obs::write_prom_snapshot(*outcome.metrics,
-                                            outcome.slo.get(), prom_snapshot),
-              "prometheus snapshot", prom_snapshot)) {
-        return 1;
-      }
     }
-    if (!profile_csv.empty() &&
-        !qec::bench::report_written(outcome.profiler->write_csv(profile_csv),
-                                    "wall-clock profile", profile_csv)) {
-      return 1;
-    }
+    obs_cli.keep(outcome);
+    if (!obs_cli.write()) return 1;
     if (dump_dir && qec::obs::FlightRecorder::instance().dump("exit")) {
       std::printf("obs bundle dumped to %s\n", dump_dir->c_str());
     }

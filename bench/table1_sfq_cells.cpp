@@ -6,7 +6,7 @@
 #include "common/table.hpp"
 #include "sfq/cell_library.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(args, "table1_sfq_cells",
                        "Table I: summary of the SFQ logic cells (JJs, bias, "
@@ -26,4 +26,6 @@ int main(int argc, char** argv) {
   }
   table.print();
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_failure("table1_sfq_cells", e);
 }

@@ -8,7 +8,7 @@
 #include "sfq/power.hpp"
 #include "sfq/unit_netlist.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(args, "table2_unit_breakdown",
                        "Table II: logic elements, JJs, area and bias current "
@@ -54,4 +54,6 @@ int main(int argc, char** argv) {
   std::printf("Fig 6 layout: 1770 um x 720 um = %.3f mm^2\n",
               1770.0 * 720.0 * 1e-6);
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_failure("table2_unit_breakdown", e);
 }

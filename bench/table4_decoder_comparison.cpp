@@ -49,7 +49,7 @@ std::string fmt_th(const std::optional<double>& th) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "table4_decoder_comparison",
@@ -151,4 +151,6 @@ int main(int argc, char** argv) {
   }
   ab.print();
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_failure("table4_decoder_comparison", e);
 }

@@ -13,7 +13,7 @@
 #include "qecool/online_runner.hpp"
 #include "surface_code/pauli_frame.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "online_memory",
@@ -97,4 +97,6 @@ int main(int argc, char** argv) {
                                            ? "LOST (logical error)"
                                            : "survived");
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_failure("online_memory", e);
 }

@@ -12,7 +12,7 @@
 #include "sfq/pulse_sim.hpp"
 #include "sfq/unit_netlist.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(args, "sfq_unit_demo",
                        "build the Unit's race-logic priority arbiter from "
@@ -72,4 +72,6 @@ int main(int argc, char** argv) {
                 dep.protectable_logical_qubits(qec::kFourKelvinBudgetW));
   }
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_failure("sfq_unit_demo", e);
 }

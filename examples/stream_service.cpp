@@ -129,7 +129,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "stream_service: %s\n", e.what());
-    return 1;
+    return qec::report_failure("stream_service", e);
   }
 }

@@ -106,6 +106,11 @@ std::optional<std::string> optional_value_flag(const CliArgs& args,
   return raw;
 }
 
+int report_failure(const char* program, const std::exception& error) {
+  std::fprintf(stderr, "%s: %s\n", program, error.what());
+  return 1;
+}
+
 std::int64_t trials_override(const CliArgs& args, std::int64_t fallback) {
   if (const auto v = args.get_int("trials")) return *v;
   if (const char* env = std::getenv("QECOOL_TRIALS")) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -67,6 +68,13 @@ bool handle_help(const CliArgs& args, const char* program,
 std::optional<std::string> optional_value_flag(const CliArgs& args,
                                                std::string_view name,
                                                std::string_view bare_value);
+
+/// The catch-and-report tail every CLI shares, so a tool fails with a
+/// message instead of std::terminate: prints "<program>: <what>" to
+/// stderr and returns exit status 1. Used as main's handler:
+///   int main(int argc, char** argv) try { ... }
+///   catch (const std::exception& e) { return qec::report_failure("x", e); }
+int report_failure(const char* program, const std::exception& error);
 
 /// Reads trial-count override from --trials or env QECOOL_TRIALS, falling
 /// back to `fallback`. Shared by every bench binary.

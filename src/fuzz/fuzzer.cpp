@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -44,8 +45,6 @@ std::vector<std::string> list_corpus(const std::string& dir) {
   return paths;
 }
 
-namespace {
-
 SyndromeTrace record_seed(const FuzzSeedSpec& spec) {
   StreamConfig config;
   config.lanes = spec.lanes;
@@ -55,6 +54,15 @@ SyndromeTrace record_seed(const FuzzSeedSpec& spec) {
   config.seed = spec.seed;
   return record_trace(config);
 }
+
+std::string seed_file_name(const FuzzSeedSpec& spec) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "seed-d%d-p%g-l%d-r%d.qtrc",
+                spec.distance, spec.p, spec.lanes, spec.rounds);
+  return name;
+}
+
+namespace {
 
 /// In-memory corpus entry: the trace plus its fitness when admitted.
 struct CorpusEntry {

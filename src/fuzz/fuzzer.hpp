@@ -40,6 +40,13 @@ struct FuzzSeedSpec {
 /// 3e-3}, two lanes each.
 std::vector<FuzzSeedSpec> default_seed_matrix();
 
+/// Records the seed's noise as a trace (record_trace over the spec).
+SyndromeTrace record_seed(const FuzzSeedSpec& spec);
+
+/// The corpus file name a recorded seed is saved under
+/// ("seed-d5-p0.0001-l2-r12.qtrc").
+std::string seed_file_name(const FuzzSeedSpec& spec);
+
 struct FuzzConfig {
   std::vector<FuzzSeedSpec> seeds;  ///< empty: default_seed_matrix()
   OracleConfig oracle;

@@ -49,12 +49,11 @@ struct Lane {
     if (depth < telemetry.depth_hist.size()) ++telemetry.depth_hist[depth];
   }
 
-  bool finished() const { return stepper.overflowed() || stepper.drained(); }
-
-  /// Finished test under admission control: a paused lane is never
-  /// finished (its clock is frozen mid-stream), and a lane with trace
-  /// layers still to consume is not done just because its queue drained.
-  bool finished_admission(int trace_rounds) const {
+  /// Done for good: overflowed, or drained with the whole trace consumed.
+  /// A paused lane is never finished (its clock is frozen mid-stream), and
+  /// a lane with trace layers still to consume is not done just because
+  /// its queue drained.
+  bool finished(int trace_rounds) const {
     if (stepper.overflowed()) return true;
     return !stepper.paused() && cursor >= trace_rounds && stepper.drained();
   }
@@ -72,8 +71,9 @@ struct Lane {
   /// scheduling thread in lane order.
   CodelControl codel;
 
-  /// Next trace layer this lane will consume (admission pause mode: a
-  /// paused lane's cursor freezes while the global round marches on).
+  /// Next trace layer this lane will consume. Equals the global round for
+  /// every live lane unless admission pauses it: a paused lane's cursor
+  /// freezes while the global round marches on.
   int cursor = 0;
 
   /// Observability (src/obs): the lane's event track, null when tracing
@@ -126,11 +126,13 @@ class PoolScheduler {
         metrics_(metrics),
         profiler_(profiler),
         engines_(engines),
-        // A shared cache shard makes per-lane hit counters sensitive to
-        // execution order, so the cache clamps the batch to 1 like a
-        // dynamic policy does — outcomes never depended on the batch;
-        // this keeps the cache CSV independent of it too.
-        batch_(policy.dynamic() || cache.enabled
+        // One round per dispatch whenever a round must see the state the
+        // previous one left: dynamic policies and pause/codel admission
+        // read fresh queue depths, and a shared cache shard makes per-lane
+        // hit counters sensitive to execution order (outcomes never
+        // depended on the batch; this keeps the cache CSV independent of
+        // it too).
+        batch_(policy.dynamic() || admission.pause() || cache.enabled
                    ? 1
                    : std::max(1, config.rounds_per_dispatch)) {
     telemetry_.engine_stats.resize(static_cast<std::size_t>(engines_));
@@ -187,13 +189,17 @@ class PoolScheduler {
 
   int batch() const { return batch_; }
 
-  /// Runs `count` rounds starting at global round `start`. Streaming
-  /// rounds (drain == false) push trace layer (start + r) into every lane
-  /// that has not overflowed; drain rounds push clean layers into every
-  /// unfinished lane.
-  void dispatch(std::int64_t start, int count, bool drain,
-                const SyndromeTrace* trace) {
+  /// Runs `count` rounds starting at global round `start`. Every lane that
+  /// is neither finished nor paused pushes trace layer (lane, cursor) while
+  /// its cursor is inside the trace and a clean layer after that; without
+  /// pausing, every live lane's cursor equals the global round. Under
+  /// admission=pause/codel (count == 1) the admission step runs before the
+  /// policy, and engines the policy leaves idle drain the paused lanes.
+  /// Every decision is made on the calling thread in lane order, so
+  /// outcomes stay a pure function of (trace, config).
+  void dispatch(std::int64_t start, int count, const SyndromeTrace& trace) {
     const int n = static_cast<int>(lanes_.size());
+    const int trace_rounds = trace.rounds();
     const auto slots = static_cast<std::size_t>(n) * static_cast<std::size_t>(count);
     grant_.assign(slots, -1);
     cycles_.assign(slots, 0);
@@ -211,14 +217,22 @@ class PoolScheduler {
       // not consulted.
       obs::ScopedStage prof(profiler_, obs::Stage::kDispatchAssign);
 
-      // Pre-round lane state for the policy. Fresh only when count == 1,
-      // which the constructor forces for dynamic policies; static policies
-      // never read it.
-      for (int i = 0; i < n; ++i) {
-        const Lane& lane = lanes_[static_cast<std::size_t>(i)];
-        depth_[static_cast<std::size_t>(i)] = lane.stepper.engine().stored_layers();
-        finished_[static_cast<std::size_t>(i)] =
-            (drain ? lane.finished() : lane.stepper.overflowed()) ? 1 : 0;
+      // Pre-round lane state, after the admission step, for dynamic
+      // policies and the drain grants (the constructor forces count == 1
+      // for both, so it is fresh). Static policies never read it, so a
+      // static overflow-mode run skips the scan.
+      if (policy_.dynamic() || admission_.pause()) {
+        for (int i = 0; i < n; ++i) {
+          const auto idx = static_cast<std::size_t>(i);
+          Lane& lane = lanes_[idx];
+          depth_[idx] = lane.stepper.engine().stored_layers();
+          bool finished = lane.finished(trace_rounds);
+          if (!finished && admission_.pause()) {
+            finished = admit(lane, start, depth_[idx], trace_rounds);
+          }
+          finished_[idx] = finished ? 1 : 0;
+          paused_[idx] = (!finished && lane.stepper.paused()) ? 1 : 0;
+        }
       }
 
       // Assignments for the whole batch, in round order on this thread.
@@ -230,6 +244,7 @@ class PoolScheduler {
       view.engines = engines_;
       view.depth = depth_.data();
       view.finished = finished_.data();
+      view.paused = paused_.data();
       view.grant_cycles = config_.cycles_per_round;
       for (int r = 0; r < count; ++r) {
         view.round = start + r;
@@ -256,6 +271,7 @@ class PoolScheduler {
           }
           slot = e;
         }
+        if (admission_.pause()) grant_paused(r, count);
       }
     }
 
@@ -268,52 +284,55 @@ class PoolScheduler {
       for (int r = 0; r < count; ++r) {
         const std::size_t idx = static_cast<std::size_t>(i) * count +
                                 static_cast<std::size_t>(r);
-        if (drain ? lane.finished() : lane.stepper.overflowed()) continue;
-        if (lane.track) lane.track->set_round(start + r);
-        // Backlog before this round's layer lands: the starvation test.
-        const bool backlog = lane.stepper.engine().stored_layers() > 0;
-        const bool pushed =
-            drain ? lane.stepper.push_clean()
-                  : lane.stepper.push(trace->layer(i, static_cast<int>(start) + r));
-        std::uint8_t flags = kActive;
-        if (pushed) {
-          flags |= kPushed;
-          if (lane.track) {
-            lane.track->emit(
-                obs::EventKind::kPush,
-                static_cast<std::uint64_t>(lane.stepper.engine().stored_layers()),
-                drain ? 0 : 1);
-          }
-          lane.qos.on_push(start + r, /*real=*/!drain);
-          if (drain) {
-            ++lane.telemetry.drain_rounds;
-          } else {
-            ++lane.telemetry.rounds_streamed;
-          }
-          if (grant_[idx] >= 0) {
-            cycles_[idx] = lane.stepper.spend(config_.cycles_per_round);
-            lane.qos.on_pops(lane.stepper.last_spend_pops(), start + r);
-            flags |= kServed;
-            ++lane.telemetry.served_rounds;
+        if (lane.finished(trace_rounds)) continue;
+        const std::int64_t round = start + r;
+        if (lane.track) lane.track->set_round(round);
+        std::uint8_t flags = kPaused;
+        if (lane.stepper.paused()) {
+          ++lane.telemetry.paused_rounds;
+          if (grant_[idx] >= 0) flags |= serve(lane, idx, round);
+        } else {
+          flags = kActive;
+          // Backlog before this round's layer lands: the starvation test.
+          const bool backlog = lane.stepper.engine().stored_layers() > 0;
+          const bool real = lane.cursor < trace_rounds;
+          if (real) flags |= kTrace;
+          // trace.layer() hands out PackedBits: this push is a word copy
+          // into the engine Reg, never a byte-per-bit repack.
+          const bool pushed =
+              real ? lane.stepper.push(trace.layer(i, lane.cursor))
+                   : lane.stepper.push_clean();
+          if (pushed) {
+            flags |= kPushed;
+            if (real) {
+              ++lane.cursor;
+              ++lane.telemetry.rounds_streamed;
+            } else {
+              ++lane.telemetry.drain_rounds;
+            }
             if (lane.track) {
-              lane.track->emit(obs::EventKind::kSpend, cycles_[idx]);
+              lane.track->emit(
+                  obs::EventKind::kPush,
+                  static_cast<std::uint64_t>(lane.stepper.engine().stored_layers()),
+                  real ? 1 : 0);
             }
-            if (metrics_) {
-              pops_[idx] = lane.stepper.last_spend_pops();
+            lane.qos.on_push(round, real);
+            if (grant_[idx] >= 0) {
+              flags |= serve(lane, idx, round);
+            } else if (backlog) {
+              flags |= kStarved;
+              ++lane.telemetry.starved_rounds;
+              if (lane.track) {
+                lane.track->emit(obs::EventKind::kStarve,
+                                 static_cast<std::uint64_t>(
+                                     lane.stepper.engine().stored_layers()));
+              }
             }
-          } else if (backlog) {
-            flags |= kStarved;
-            ++lane.telemetry.starved_rounds;
-            if (lane.track) {
-              lane.track->emit(obs::EventKind::kStarve,
-                               static_cast<std::uint64_t>(
-                                   lane.stepper.engine().stored_layers()));
-            }
+          } else if (lane.track) {
+            lane.track->emit(obs::EventKind::kOverflow,
+                             static_cast<std::uint64_t>(
+                                 lane.stepper.engine().stored_layers()));
           }
-        } else if (lane.track) {
-          lane.track->emit(obs::EventKind::kOverflow,
-                           static_cast<std::uint64_t>(
-                               lane.stepper.engine().stored_layers()));
         }
         lane.record_depth();
         depth_scratch_[idx] = lane.stepper.engine().stored_layers();
@@ -328,25 +347,34 @@ class PoolScheduler {
     // Reductions in fixed (round, lane/engine) order on this thread.
     obs::ScopedStage prof_reduce(profiler_, obs::Stage::kReduction);
     for (int r = 0; r < count; ++r) {
+      const std::int64_t round = start + r;
       RoundSample sample;
-      sample.round = start + r;
-      sample.drain = drain;
+      sample.round = round;
+      // A round is "drain" when no live lane tried to push a trace layer:
+      // a stream round in which every live lane overflows stays "stream".
+      sample.drain = true;
       for (int i = 0; i < n; ++i) {
         const std::size_t idx = static_cast<std::size_t>(i) * count +
                                 static_cast<std::size_t>(r);
         const std::uint8_t flags = flags_[idx];
-        if (!(flags & kActive)) continue;
-        ++sample.live_lanes;
+        if (flags & kActive) {
+          ++sample.live_lanes;
+          if (flags & kTrace) sample.drain = false;
+          if (flags & kStarved) ++sample.starved_lanes;
+          if (!(flags & kPushed)) ++overflowed_so_far_;
+        } else if (flags & kPaused) {
+          ++sample.paused_lanes;
+        } else {
+          continue;
+        }
         if (flags & kServed) ++sample.served_lanes;
-        if (flags & kStarved) ++sample.starved_lanes;
-        if (!(flags & kPushed)) ++overflowed_so_far_;
         sample.depth_sum += static_cast<std::uint64_t>(depth_scratch_[idx]);
         sample.depth_max = std::max(sample.depth_max, depth_scratch_[idx]);
         if (metrics_) {
-          if (flags & kPushed) {
-            metrics_->count(drain ? m_drain_pushes_ : m_pushes_);
-          } else {
-            metrics_->count(m_overflows_);
+          if (flags & kActive) {
+            metrics_->count(!(flags & kPushed) ? m_overflows_
+                            : (flags & kTrace) ? m_pushes_
+                                               : m_drain_pushes_);
           }
           if (flags & kServed) {
             metrics_->count(m_serves_);
@@ -362,12 +390,12 @@ class PoolScheduler {
         }
       }
       sample.overflowed_lanes = overflowed_so_far_;
-      // Rounds where every lane has already finished are scheduling
-      // artifacts (a batch outlives the fleet, or the trace outlives an
-      // all-overflow run): account nothing, so engine stats — like the
-      // timeline — cover exactly the rounds with live lanes and stay
-      // invariant under rounds_per_dispatch.
-      if (sample.live_lanes == 0) continue;
+      // Rounds in which no lane took part are scheduling artifacts (a
+      // batch outlives the fleet, or the last lanes finished at the
+      // admission step): account nothing, so engine stats — like the
+      // timeline — cover exactly the rounds with live or paused lanes and
+      // stay invariant under rounds_per_dispatch.
+      if (sample.live_lanes + sample.paused_lanes == 0) continue;
       if (tracer_) served_.assign(static_cast<std::size_t>(engines_), -1);
       for (int e = 0; e < engines_; ++e) {
         EngineTelemetry& stats = telemetry_.engine_stats[static_cast<std::size_t>(e)];
@@ -387,316 +415,16 @@ class PoolScheduler {
         }
       }
       telemetry_.timeline.push_back(sample);
-      if (tracer_) trace_round_schedule(*tracer_, start + r, served_, drain);
+      if (tracer_) trace_round_schedule(*tracer_, round, served_, sample.drain);
       if (metrics_) {
         obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
         metrics_->set_gauge(m_live_, sample.live_lanes);
         metrics_->set_gauge(m_paused_, sample.paused_lanes);
         metrics_->set_gauge(m_overflowed_, overflowed_so_far_);
         feed_profile();
-        metrics_->tick(start + r);
+        metrics_->tick(round);
       }
     }
-  }
-
-  /// One admission-controlled round (admission=pause). Differs from
-  /// dispatch() in three ways: every lane consumes the trace through its
-  /// own cursor (a paused lane's logical clock freezes while the global
-  /// round marches on), the admission controller pauses and re-admits
-  /// lanes around the watermarks before the policy runs, and engines the
-  /// policy leaves idle (or points at finished lanes) are granted to
-  /// paused lanes, deepest queue first, so a paused backlog always
-  /// eventually drains. All decisions are made on the calling thread in
-  /// lane order — outcomes stay a pure function of (trace, config).
-  /// Returns false once every lane has finished.
-  bool dispatch_admission(std::int64_t round, const SyndromeTrace& trace) {
-    const int n = static_cast<int>(lanes_.size());
-    const int trace_rounds = trace.rounds();
-    grant_.assign(static_cast<std::size_t>(n), -1);
-    cycles_.assign(static_cast<std::size_t>(n), 0);
-    flags_.assign(static_cast<std::size_t>(n), 0);
-    depth_scratch_.assign(static_cast<std::size_t>(n), 0);
-    if (metrics_) {
-      pops_.assign(static_cast<std::size_t>(n), 0);
-      samples_after_.assign(static_cast<std::size_t>(n), 0);
-      cache_after_.assign(static_cast<std::size_t>(n), DecodeCacheStats{});
-    }
-
-    std::unique_ptr<obs::ScopedStage> prof_assign;
-    if (profiler_) {
-      prof_assign = std::make_unique<obs::ScopedStage>(
-          profiler_, obs::Stage::kDispatchAssign);
-    }
-
-    // Pre-round state and admission transitions, in lane order. A paused
-    // lane re-admits once its backlog reaches the low-water mark; an
-    // admitted lane at or above the high-water mark is paused instead of
-    // being allowed to push toward overflow.
-    bool any_unfinished = false;
-    for (int i = 0; i < n; ++i) {
-      Lane& lane = lanes_[static_cast<std::size_t>(i)];
-      const int depth = lane.stepper.engine().stored_layers();
-      depth_[static_cast<std::size_t>(i)] = depth;
-      bool finished = lane.finished_admission(trace_rounds);
-      if (!finished) {
-        if (lane.stepper.paused()) {
-          // Codel re-admits when the standing latency dissolved (head
-          // sojourn back under target) or the backlog drained to the
-          // low-water mark — whichever comes first; pause mode uses the
-          // depth mark alone.
-          const bool readmit =
-              depth <= admission_.low_water ||
-              (admission_.codel() &&
-               lane.codel.should_resume(lane.qos.head_age(round), depth));
-          if (readmit) {
-            lane.stepper.resume();
-            ++lane.telemetry.resumes;
-            if (admission_.codel()) lane.codel.on_resume(round);
-            if (lane.track) trace_admission_resume(*lane.track, round, depth);
-            if (metrics_) metrics_->count(m_resumes_);
-            // A fully drained lane with no trace left finishes on resume.
-            finished = lane.finished_admission(trace_rounds);
-          }
-        } else {
-          bool freeze;
-          bool by_codel = false;
-          if (admission_.codel()) {
-            // The CoDel law observes every admitted round (the call arms
-            // and disarms its deadline); the depth high-water mark stays
-            // behind it as the overflow backstop, so codel never loses a
-            // lane that pause mode would have kept.
-            by_codel = lane.codel.should_pause(round, lane.qos.head_age(round),
-                                               depth);
-            freeze = by_codel || depth >= admission_.high_water;
-          } else {
-            freeze = depth >= admission_.high_water;
-          }
-          if (freeze) {
-            // checkpoint() freezes the clock; the returned patch snapshot
-            // is the host-offload view, which the service itself does not
-            // need — tests exercise it directly.
-            (void)lane.stepper.checkpoint();
-            ++lane.telemetry.pauses;
-            if (lane.track) {
-              trace_admission_pause(*lane.track, round, by_codel, depth);
-            }
-            if (metrics_) metrics_->count(m_pauses_);
-          }
-        }
-      }
-      finished_[static_cast<std::size_t>(i)] = finished ? 1 : 0;
-      paused_[static_cast<std::size_t>(i)] =
-          (!finished && lane.stepper.paused()) ? 1 : 0;
-      any_unfinished |= !finished;
-    }
-    if (!any_unfinished) return false;
-
-    // Policy assignment (paused lanes visible as non-schedulable).
-    ScheduleView view;
-    view.round = round;
-    view.lanes = n;
-    view.engines = engines_;
-    view.depth = depth_.data();
-    view.finished = finished_.data();
-    view.paused = paused_.data();
-    view.grant_cycles = config_.cycles_per_round;
-    std::fill(assignment_.begin(), assignment_.end(), -1);
-    policy_.assign(view, assignment_);
-    assignments_.assign(static_cast<std::size_t>(engines_), -1);
-    for (int e = 0; e < engines_; ++e) {
-      const int lane = assignment_[static_cast<std::size_t>(e)];
-      assignments_[static_cast<std::size_t>(e)] = lane;
-      if (lane < 0) continue;
-      if (lane >= n) {
-        throw std::logic_error("stream: policy assigned engine " +
-                               std::to_string(e) + " to nonexistent lane " +
-                               std::to_string(lane));
-      }
-      auto& slot = grant_[static_cast<std::size_t>(lane)];
-      if (slot >= 0) {
-        throw std::logic_error("stream: policy assigned two engines to lane " +
-                               std::to_string(lane) + " in one round");
-      }
-      slot = e;
-    }
-
-    // Admission drain grants: engines left idle or pointed at finished
-    // lanes serve the paused lanes' backlogs, deepest first (lane-index
-    // ties) — deterministic, and independent of the policy in use.
-    drainable_.clear();
-    for (int i = 0; i < n; ++i) {
-      if (paused_[static_cast<std::size_t>(i)] &&
-          grant_[static_cast<std::size_t>(i)] < 0) {
-        drainable_.push_back(i);
-      }
-    }
-    std::sort(drainable_.begin(), drainable_.end(), [this](int a, int b) {
-      const int da = depth_[static_cast<std::size_t>(a)];
-      const int db = depth_[static_cast<std::size_t>(b)];
-      return da != db ? da > db : a < b;
-    });
-    std::size_t next_drain = 0;
-    for (int e = 0; e < engines_ && next_drain < drainable_.size(); ++e) {
-      const int lane = assignments_[static_cast<std::size_t>(e)];
-      if (lane >= 0 && !finished_[static_cast<std::size_t>(lane)]) continue;
-      const int target = drainable_[next_drain++];
-      assignments_[static_cast<std::size_t>(e)] = target;
-      grant_[static_cast<std::size_t>(target)] = e;
-    }
-    prof_assign.reset();
-
-    // Lane-parallel execution; writes stay lane-local (shard-sequential
-    // when the decode cache is on: see for_lanes).
-    for_lanes(n, [&](int i) {
-      obs::ScopedStage prof(profiler_, obs::Stage::kLaneExecute);
-      Lane& lane = lanes_[static_cast<std::size_t>(i)];
-      const auto idx = static_cast<std::size_t>(i);
-      if (finished_[idx]) return;
-      if (lane.track) lane.track->set_round(round);
-      std::uint8_t flags = 0;
-      if (paused_[idx]) {
-        flags = kPausedF;
-        ++lane.telemetry.paused_rounds;
-        if (grant_[idx] >= 0) {
-          cycles_[idx] = lane.stepper.spend(config_.cycles_per_round);
-          lane.qos.on_pops(lane.stepper.last_spend_pops(), round);
-          flags |= kServed;
-          ++lane.telemetry.served_rounds;
-          if (lane.track) {
-            lane.track->emit(obs::EventKind::kSpend, cycles_[idx]);
-          }
-          if (metrics_) pops_[idx] = lane.stepper.last_spend_pops();
-        }
-      } else {
-        flags = kActive;
-        const bool backlog = lane.stepper.engine().stored_layers() > 0;
-        bool pushed = false;
-        if (lane.cursor < trace_rounds) {
-          // trace.layer() hands out PackedBits: this push is a word copy
-          // into the engine Reg, never a byte-per-bit repack.
-          pushed = lane.stepper.push(trace.layer(i, lane.cursor));
-          if (pushed) {
-            ++lane.cursor;
-            ++lane.telemetry.rounds_streamed;
-            lane.qos.on_push(round, /*real=*/true);
-            flags |= kRealPush;
-          }
-        } else {
-          pushed = lane.stepper.push_clean();
-          if (pushed) {
-            ++lane.telemetry.drain_rounds;
-            lane.qos.on_push(round, /*real=*/false);
-          }
-        }
-        if (pushed) {
-          flags |= kPushed;
-          if (lane.track) {
-            lane.track->emit(
-                obs::EventKind::kPush,
-                static_cast<std::uint64_t>(lane.stepper.engine().stored_layers()),
-                (flags & kRealPush) ? 1 : 0);
-          }
-          if (grant_[idx] >= 0) {
-            cycles_[idx] = lane.stepper.spend(config_.cycles_per_round);
-            lane.qos.on_pops(lane.stepper.last_spend_pops(), round);
-            flags |= kServed;
-            ++lane.telemetry.served_rounds;
-            if (lane.track) {
-              lane.track->emit(obs::EventKind::kSpend, cycles_[idx]);
-            }
-            if (metrics_) pops_[idx] = lane.stepper.last_spend_pops();
-          } else if (backlog) {
-            flags |= kStarved;
-            ++lane.telemetry.starved_rounds;
-            if (lane.track) {
-              lane.track->emit(obs::EventKind::kStarve,
-                               static_cast<std::uint64_t>(
-                                   lane.stepper.engine().stored_layers()));
-            }
-          }
-        } else if (lane.track) {
-          lane.track->emit(obs::EventKind::kOverflow,
-                           static_cast<std::uint64_t>(
-                               lane.stepper.engine().stored_layers()));
-        }
-      }
-      lane.record_depth();
-      depth_scratch_[idx] = lane.stepper.engine().stored_layers();
-      if (metrics_) {
-        samples_after_[idx] = lane.qos.samples().size();
-        cache_after_[idx] = lane.stepper.engine().cache_stats();
-      }
-      flags_[idx] = flags;
-    });
-
-    // Reductions in fixed lane/engine order on this thread.
-    obs::ScopedStage prof_reduce(profiler_, obs::Stage::kReduction);
-    RoundSample sample;
-    sample.round = round;
-    bool real_push = false;
-    for (int i = 0; i < n; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const std::uint8_t flags = flags_[idx];
-      if (!(flags & (kActive | kPausedF))) continue;
-      if (flags & kActive) {
-        ++sample.live_lanes;
-        if (flags & kRealPush) real_push = true;
-        if (flags & kStarved) ++sample.starved_lanes;
-        if (!(flags & kPushed)) ++overflowed_so_far_;
-        if (metrics_) {
-          if (flags & kPushed) {
-            metrics_->count((flags & kRealPush) ? m_pushes_ : m_drain_pushes_);
-          } else {
-            metrics_->count(m_overflows_);
-          }
-          if (flags & kStarved) metrics_->count(m_starves_);
-        }
-      } else {
-        ++sample.paused_lanes;
-      }
-      if (flags & kServed) {
-        ++sample.served_lanes;
-        if (metrics_) {
-          metrics_->count(m_serves_);
-          metrics_->count(m_pops_, static_cast<std::uint64_t>(pops_[idx]));
-        }
-      }
-      sample.depth_sum += static_cast<std::uint64_t>(depth_scratch_[idx]);
-      sample.depth_max = std::max(sample.depth_max, depth_scratch_[idx]);
-      if (metrics_) {
-        metrics_->observe(m_depth_,
-                          static_cast<std::uint64_t>(depth_scratch_[idx]));
-        consume_sojourn(lanes_[idx], samples_after_[idx]);
-        consume_cache(lanes_[idx], cache_after_[idx]);
-      }
-    }
-    sample.overflowed_lanes = overflowed_so_far_;
-    sample.drain = !real_push;
-    if (tracer_) served_.assign(static_cast<std::size_t>(engines_), -1);
-    for (int e = 0; e < engines_; ++e) {
-      EngineTelemetry& stats =
-          telemetry_.engine_stats[static_cast<std::size_t>(e)];
-      const int lane = assignments_[static_cast<std::size_t>(e)];
-      if (lane >= 0 && (flags_[static_cast<std::size_t>(lane)] & kServed)) {
-        ++stats.busy_rounds;
-        stats.cycles += cycles_[static_cast<std::size_t>(lane)];
-        sample.cycles += cycles_[static_cast<std::size_t>(lane)];
-        if (tracer_) served_[static_cast<std::size_t>(e)] = lane;
-      } else {
-        ++stats.idle_rounds;
-      }
-    }
-    telemetry_.timeline.push_back(sample);
-    if (tracer_) trace_round_schedule(*tracer_, round, served_, sample.drain);
-    if (metrics_) {
-      obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
-      metrics_->set_gauge(m_live_, sample.live_lanes);
-      metrics_->set_gauge(m_paused_, sample.paused_lanes);
-      metrics_->set_gauge(m_overflowed_, overflowed_so_far_);
-      feed_profile();
-      metrics_->tick(round);
-    }
-    return true;
   }
 
   /// Flushes the trailing partial metrics window (feeding it the last
@@ -709,6 +437,89 @@ class PoolScheduler {
   }
 
  private:
+  /// The admission step for one unfinished lane (pause/codel only), on the
+  /// calling thread in lane order. A paused lane re-admits once its
+  /// backlog reaches the low-water mark; an admitted lane at or above the
+  /// high-water mark is paused instead of being allowed to push toward
+  /// overflow. Returns whether the lane is finished afterwards.
+  bool admit(Lane& lane, std::int64_t round, int depth, int trace_rounds) {
+    if (lane.stepper.paused()) {
+      // Codel re-admits when the standing latency dissolved (head sojourn
+      // back under target) or the backlog drained to the low-water mark —
+      // whichever comes first; pause mode uses the depth mark alone.
+      const bool readmit =
+          depth <= admission_.low_water ||
+          (admission_.codel() &&
+           lane.codel.should_resume(lane.qos.head_age(round), depth));
+      if (!readmit) return false;
+      lane.stepper.resume();
+      ++lane.telemetry.resumes;
+      if (admission_.codel()) lane.codel.on_resume(round);
+      if (lane.track) trace_admission_resume(*lane.track, round, depth);
+      if (metrics_) metrics_->count(m_resumes_);
+      // A fully drained lane with no trace left finishes on resume.
+      return lane.finished(trace_rounds);
+    }
+    // The CoDel law observes every admitted round (the call arms and
+    // disarms its deadline); the depth high-water mark stays behind it as
+    // the overflow backstop, so codel never loses a lane that pause mode
+    // would have kept.
+    const bool by_codel =
+        admission_.codel() &&
+        lane.codel.should_pause(round, lane.qos.head_age(round), depth);
+    if (by_codel || depth >= admission_.high_water) {
+      // checkpoint() freezes the clock; the returned patch snapshot is the
+      // host-offload view, which the service itself does not need — tests
+      // exercise it directly.
+      (void)lane.stepper.checkpoint();
+      ++lane.telemetry.pauses;
+      if (lane.track) trace_admission_pause(*lane.track, round, by_codel, depth);
+      if (metrics_) metrics_->count(m_pauses_);
+    }
+    return false;
+  }
+
+  /// Admission drain grants for round r of a batch: engines left idle or
+  /// pointed at finished lanes serve the paused lanes' backlogs, deepest
+  /// first (lane-index ties) — deterministic, independent of the policy in
+  /// use, and the reason a paused backlog always eventually drains.
+  void grant_paused(int r, int count) {
+    const auto at = [count, r](int lane) {
+      return static_cast<std::size_t>(lane) * count + static_cast<std::size_t>(r);
+    };
+    drainable_.clear();
+    for (int i = 0; i < static_cast<int>(lanes_.size()); ++i) {
+      if (paused_[static_cast<std::size_t>(i)] && grant_[at(i)] < 0) {
+        drainable_.push_back(i);
+      }
+    }
+    std::sort(drainable_.begin(), drainable_.end(), [this](int a, int b) {
+      const int da = depth_[static_cast<std::size_t>(a)];
+      const int db = depth_[static_cast<std::size_t>(b)];
+      return da != db ? da > db : a < b;
+    });
+    std::size_t next = 0;
+    for (int e = 0; e < engines_ && next < drainable_.size(); ++e) {
+      int& lane = assignments_[static_cast<std::size_t>(r) * engines_ +
+                               static_cast<std::size_t>(e)];
+      if (lane >= 0 && !finished_[static_cast<std::size_t>(lane)]) continue;
+      lane = drainable_[next++];
+      grant_[at(lane)] = e;
+    }
+  }
+
+  /// Spends the lane's engine grant in `round` and returns kServed. Runs
+  /// in the lane-parallel region: writes only lane-local state and the
+  /// lane's own scratch slot `idx`.
+  std::uint8_t serve(Lane& lane, std::size_t idx, std::int64_t round) {
+    cycles_[idx] = lane.stepper.spend(config_.cycles_per_round);
+    lane.qos.on_pops(lane.stepper.last_spend_pops(), round);
+    ++lane.telemetry.served_rounds;
+    if (lane.track) lane.track->emit(obs::EventKind::kSpend, cycles_[idx]);
+    if (metrics_) pops_[idx] = lane.stepper.last_spend_pops();
+    return kServed;
+  }
+
   /// Feeds the lane's sojourn samples [obs_consumed, upto) to the windowed
   /// histogram. Called only from the reductions, in fixed (round, lane)
   /// order, so window attribution never depends on threads or batching.
@@ -769,12 +580,12 @@ class PoolScheduler {
     });
   }
 
-  static constexpr std::uint8_t kActive = 1;   ///< lane took part in the round
+  static constexpr std::uint8_t kActive = 1;   ///< lane pushed (or overflowed)
   static constexpr std::uint8_t kPushed = 2;   ///< layer accepted (no overflow)
   static constexpr std::uint8_t kServed = 4;   ///< consumed an engine grant
   static constexpr std::uint8_t kStarved = 8;  ///< backlogged, no grant
-  static constexpr std::uint8_t kPausedF = 16;   ///< frozen by admission
-  static constexpr std::uint8_t kRealPush = 32;  ///< pushed a trace layer
+  static constexpr std::uint8_t kPaused = 16;  ///< frozen by admission
+  static constexpr std::uint8_t kTrace = 32;   ///< tried to push a trace layer
 
   std::vector<Lane>& lanes_;
   SchedulerPolicy& policy_;
@@ -814,8 +625,8 @@ class PoolScheduler {
 
   std::vector<int> depth_;             // pre-round, for the policy view
   std::vector<std::uint8_t> finished_;
-  std::vector<std::uint8_t> paused_;   // pause mode: frozen this round
-  std::vector<int> drainable_;         // pause mode: ungranted paused lanes
+  std::vector<std::uint8_t> paused_;   // frozen by admission this round
+  std::vector<int> drainable_;         // admission: ungranted paused lanes
   std::vector<int> assignment_;        // one round, engine -> lane
   std::vector<int> assignments_;       // whole batch, [round][engine]
   std::vector<int> grant_;             // [lane][round]: engine or -1
@@ -1094,61 +905,40 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     }
   };
 
-  if (admission.pause()) {
-    // Admission-controlled run: one round at a time, per-lane cursors.
-    // Paused lanes lag behind the global round, so streaming and drain
-    // interleave per lane; the total round count is bounded by the trace
-    // length plus the drain budget, exactly like the two-phase loop.
-    const std::int64_t max_rounds =
-        static_cast<std::int64_t>(trace.rounds()) + config.max_drain_rounds;
-    for (std::int64_t t = 0; t < max_rounds; ++t) {
-      poll_dump_request();
-      if (!scheduler.dispatch_admission(t, trace)) break;
-    }
-  } else {
-    // Phase 1 — streaming: round t reaches every live lane before any lane
-    // sees round t+1, mirroring syndrome arrival in hardware; the policy
-    // grants engines round by round within each dispatch batch.
-    for (std::int64_t t = 0; t < trace.rounds();) {
-      poll_dump_request();
-      const int count = static_cast<int>(
-          std::min<std::int64_t>(scheduler.batch(), trace.rounds() - t));
-      scheduler.dispatch(t, count, /*drain=*/false, &trace);
-      t += count;
-    }
-
-    // Phase 2 — drain: clean layers until every lane overflowed or
-    // drained, bounded by max_drain_rounds (QEC never stops in hardware).
-    std::int64_t round = trace.rounds();
-    for (int budget = config.max_drain_rounds; budget > 0;) {
-      poll_dump_request();
-      bool any_active = false;
-      for (const auto& lane : lanes) any_active |= !lane.finished();
-      if (!any_active) break;
-      const int count = std::min(scheduler.batch(), budget);
-      scheduler.dispatch(round, count, /*drain=*/true, nullptr);
-      round += count;
-      budget -= count;
-    }
+  // One round loop for every admission mode: round t reaches every live
+  // lane before any lane sees round t+1, mirroring syndrome arrival in
+  // hardware. Clean layers follow each lane's trace until every lane
+  // overflowed or drained, bounded by max_drain_rounds (QEC never stops in
+  // hardware); a dispatch batch never crosses the stream/drain boundary.
+  const std::int64_t trace_rounds = trace.rounds();
+  const std::int64_t max_rounds = trace_rounds + config.max_drain_rounds;
+  const auto finished = [&trace](const Lane& lane) {
+    return lane.finished(trace.rounds());
+  };
+  for (std::int64_t t = 0; t < max_rounds;) {
+    poll_dump_request();
+    if (std::all_of(lanes.begin(), lanes.end(), finished)) break;
+    const std::int64_t end = t < trace_rounds ? trace_rounds : max_rounds;
+    const int count =
+        static_cast<int>(std::min<std::int64_t>(scheduler.batch(), end - t));
+    scheduler.dispatch(t, count, trace);
+    t += count;
   }
 
   // Finalize each lane (the logical scoring decodes nothing, but keep it
   // in the parallel region: it is per-lane work too).
-  const bool pause_mode = admission.pause();
   parallel_for(n, config.threads, [&](int i) {
     obs::ScopedStage prof(outcome.profiler.get(), obs::Stage::kLaneExecute);
     Lane& lane = lanes[static_cast<std::size_t>(i)];
     const OnlineResult result = lane.stepper.result();
     LaneTelemetry& t = lane.telemetry;
     t.overflow = result.overflow;
-    // Under admission pause a lane can exit the round bound mid-trace
-    // with an empty queue (it spent the tail paused): it never consumed
-    // the remaining syndrome layers, so it is NOT drained and must not
-    // be scored against the full-trace ground truth.
-    const bool drained =
-        result.drained &&
-        (!pause_mode ||
-         (lane.cursor >= trace.rounds() && !lane.stepper.paused()));
+    // A lane paused by admission can exit the round bound mid-trace with
+    // an empty queue: it never consumed the remaining syndrome layers, so
+    // it is NOT drained and must not be scored against the full-trace
+    // ground truth.
+    const bool drained = result.drained && lane.cursor >= trace.rounds() &&
+                         !lane.stepper.paused();
     t.drained = drained;
     // The drained event lands at the lane's last executed round (its
     // track cursor) — deterministic, since a lane participates in the

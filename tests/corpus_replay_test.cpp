@@ -1,12 +1,16 @@
-// Replays the checked-in fuzz corpus (tests/corpus/*.qtrc) through the
-// full differential-oracle battery, and runs the harness's mutation-
-// testing self-check: a deliberately planted engine bug (behind the
-// test-only QecoolConfig::test_fault flag) must be FOUND by the fuzzer and
-// shrunk to a small reproducer — otherwise the oracles are decorative.
+// Replays the fuzz corpus — the seed matrix `engine_fuzz --save-corpus`
+// writes, recorded here in-process, plus any minimized reproducers checked
+// into tests/corpus/ — through the full differential-oracle battery, and
+// runs the harness's mutation-testing self-check: a deliberately planted
+// engine bug (behind the test-only QecoolConfig::test_fault flag) must be
+// FOUND by the fuzzer and shrunk to a small reproducer — otherwise the
+// oracles are decorative.
 #include "fuzz/fuzzer.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -22,7 +26,33 @@
 namespace qec::fuzz {
 namespace {
 
-std::vector<std::string> corpus_paths() { return list_corpus(QEC_CORPUS_DIR); }
+/// A per-process temp directory, removed when the test binary exits.
+struct ScratchDir {
+  ScratchDir() { std::filesystem::create_directories(path); }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) /
+      ("corpus_replay_" + std::to_string(::getpid()));
+};
+
+/// The seed matrix saved under a ScratchDir, then every checked-in
+/// tests/corpus/*.qtrc. Recorded once per test binary.
+const std::vector<std::string>& corpus_paths() {
+  static const ScratchDir dir;
+  static const std::vector<std::string> paths = [] {
+    std::vector<std::string> out;
+    for (const FuzzSeedSpec& spec : default_seed_matrix()) {
+      out.push_back((dir.path / seed_file_name(spec)).string());
+      record_seed(spec).save(out.back());
+    }
+    for (auto& path : list_corpus(QEC_CORPUS_DIR)) out.push_back(path);
+    return out;
+  }();
+  return paths;
+}
 
 OracleConfig replay_config(double cycles) {
   OracleConfig config;
@@ -31,14 +61,15 @@ OracleConfig replay_config(double cycles) {
 }
 
 TEST(CorpusReplay, CorpusIsPresent) {
-  EXPECT_GE(corpus_paths().size(), 4u)
-      << "the seed corpus (engine_fuzz --save-corpus) must be checked in";
+  EXPECT_GE(corpus_paths().size(), default_seed_matrix().size())
+      << "the seed matrix must be recorded";
 }
 
 TEST(CorpusReplay, EveryEntryPassesAllOracles) {
   // The replay matrix: unconstrained and budgeted service rates. Every
   // arm disagreement — cache off/on, packed/unpacked, checkpoint/resume,
   // invariants, bit-op backends — fails the entry.
+  ASSERT_FALSE(corpus_paths().empty());
   for (const double cycles : {0.0, 4.0}) {
     const ReplayReport report =
         replay_corpus(corpus_paths(), replay_config(cycles), /*threads=*/1);
@@ -48,6 +79,7 @@ TEST(CorpusReplay, EveryEntryPassesAllOracles) {
 }
 
 TEST(CorpusReplay, ReportBytesIdenticalAcrossThreadCounts) {
+  ASSERT_FALSE(corpus_paths().empty());
   const OracleConfig config = replay_config(4.0);
   const ReplayReport one = replay_corpus(corpus_paths(), config, 1);
   const ReplayReport four = replay_corpus(corpus_paths(), config, 4);
@@ -63,7 +95,7 @@ TEST(CorpusReplay, ReplayDetectsPerturbedEntry) {
   // detection the harness owes us is for a perturbed ENGINE, which the
   // planted-fault tests below exercise. What replay must catch here is a
   // corpus file whose bytes no longer load (bit rot / bad checksum).
-  const auto paths = corpus_paths();
+  const auto& paths = corpus_paths();
   ASSERT_FALSE(paths.empty());
   const std::string victim = std::string(::testing::TempDir()) + "/rot.qtrc";
   {

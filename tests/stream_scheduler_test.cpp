@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/chrome_trace.hpp"
+#include "obs/slo.hpp"
 #include "stream/service.hpp"
 #include "surface_code/planar_lattice.hpp"
 
@@ -370,6 +372,264 @@ TEST(StreamScheduler, ScheduleAccountingIsConsistent) {
   const double fairness = t.fairness_index();
   EXPECT_GT(fairness, 1.0 / static_cast<double>(config.lanes) - 1e-12);
   EXPECT_LE(fairness, 1.0 + 1e-12);
+}
+
+// ---- export pins --------------------------------------------------------
+//
+// One matrix pins every export of the service: policy x admission x cache
+// on two scenarios — the bursty K < N fleet above, and a lone lane that
+// overflows mid-trace (a round where every live lane overflows). Each cell
+// runs at rounds_per_dispatch 1 (threads 1) and 8 (threads 4); both must
+// hash to the same pinned FNV-1a digests, one per export.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+template <typename Write>
+std::string export_digest(const char* name, Write&& write) {
+  const std::string path = temp_path(name);
+  EXPECT_TRUE(write(path)) << name;
+  const std::string bytes = read_all(path);
+  std::remove(path.c_str());
+  char hex[20];
+  std::snprintf(hex, sizeof hex, " %016llx",
+                static_cast<unsigned long long>(fnv1a(bytes)));
+  return hex;
+}
+
+/// The nine export digests of one run, in a fixed order: telemetry,
+/// schedule, timeline, latency and cache CSVs, metrics CSV, SLO CSV,
+/// Prometheus snapshot, Chrome trace JSON.
+std::string export_digests(const StreamOutcome& o) {
+  const StreamTelemetry& t = o.telemetry;
+  std::string out;
+  out += export_digest("pin_t.csv", [&](auto& p) { return t.write_csv(p); });
+  out += export_digest("pin_s.csv",
+                       [&](auto& p) { return t.write_schedule_csv(p); });
+  out += export_digest("pin_r.csv",
+                       [&](auto& p) { return t.write_timeline_csv(p); });
+  out += export_digest("pin_l.csv",
+                       [&](auto& p) { return t.write_latency_csv(p); });
+  out += export_digest("pin_c.csv",
+                       [&](auto& p) { return t.write_cache_csv(p); });
+  out += export_digest("pin_m.csv",
+                       [&](auto& p) { return o.metrics->write_csv(p); });
+  out += export_digest("pin_slo.csv",
+                       [&](auto& p) { return o.slo->write_csv(p); });
+  out += export_digest("pin_prom.txt", [&](auto& p) {
+    return obs::write_prom_snapshot(*o.metrics, o.slo.get(), p);
+  });
+  out += export_digest("pin_trace.json", [&](auto& p) {
+    return obs::write_chrome_trace(*o.tracer, p);
+  });
+  return out;
+}
+
+/// One line per (scenario, policy, admission, cache) cell.
+std::string export_matrix(int rounds_per_dispatch, int threads) {
+  StreamConfig bursty;
+  bursty.lanes = 4;
+  bursty.distance = 5;
+  bursty.cycles_per_round = 60;
+  bursty.max_drain_rounds = 400;
+  StreamConfig lone;
+  lone.lanes = 1;
+  lone.distance = 7;
+  lone.p = 0.03;
+  lone.rounds = 20;
+  lone.seed = 11;
+  lone.cycles_per_round = 4;
+  const struct {
+    const char* name;
+    StreamConfig config;
+    SyndromeTrace trace;
+  } scenarios[] = {{"bursty", bursty, bursty_trace(4, 40, 2)},
+                   {"lone", lone, record_trace(lone)}};
+
+  std::string text;
+  for (const auto& scenario : scenarios) {
+    for (const char* policy :
+         {"dedicated", "round_robin", "least_loaded", "fq"}) {
+      for (const char* admission : {"overflow", "pause", "codel"}) {
+        for (const char* cache : {"", "off"}) {
+          StreamConfig config = scenario.config;
+          config.policy = policy;
+          config.engines =
+              std::string(policy) == "dedicated" ? config.lanes : 1;
+          config.admission = admission;
+          config.cache = cache;
+          config.rounds_per_dispatch = rounds_per_dispatch;
+          config.threads = threads;
+          config.obs.trace = true;
+          config.obs.metrics = true;
+          config.obs.metrics_window = 8;
+          config.obs.slo = "sojourn_p99<4";
+          text += std::string(scenario.name) + " " + policy + " " +
+                  admission + " " + (*cache ? cache : "default") +
+                  export_digests(run_stream(scenario.trace, config)) + "\n";
+        }
+      }
+    }
+  }
+  return text;
+}
+
+constexpr const char* kPinnedExportDigests =
+    "bursty dedicated overflow default 4e5b0f149115843c"
+    " 6d0f7fc1a753332c 3c6ab17169a37c74 6ca5048791d9f20c facf397b9dbe7419"
+    " efdc355657743d36 43a6a39539b507a7 9d21fdba386e52e3 91330f4ab996e1df\n"
+    "bursty dedicated overflow off 4e5b0f149115843c"
+    " 6d0f7fc1a753332c 3c6ab17169a37c74 6ca5048791d9f20c 5abce3b2d48b32b5"
+    " fe7aca6ec68a4fae 43a6a39539b507a7 2a76a49ce2bc6f78 346c977bbf7cbf1c\n"
+    "bursty dedicated pause default 4e5b0f149115843c"
+    " 437eda8fa56b3676 3c6ab17169a37c74 a7a9e6e1557d7c9c facf397b9dbe7419"
+    " efdc355657743d36 43a6a39539b507a7 9d21fdba386e52e3 91330f4ab996e1df\n"
+    "bursty dedicated pause off 4e5b0f149115843c"
+    " 437eda8fa56b3676 3c6ab17169a37c74 a7a9e6e1557d7c9c 5abce3b2d48b32b5"
+    " fe7aca6ec68a4fae 43a6a39539b507a7 2a76a49ce2bc6f78 346c977bbf7cbf1c\n"
+    "bursty dedicated codel default 4e5b0f149115843c"
+    " e3c51e0f68032153 3c6ab17169a37c74 7d8a75544af6460b facf397b9dbe7419"
+    " efdc355657743d36 43a6a39539b507a7 9d21fdba386e52e3 a6a3ce86f97da549\n"
+    "bursty dedicated codel off 4e5b0f149115843c"
+    " e3c51e0f68032153 3c6ab17169a37c74 7d8a75544af6460b 5abce3b2d48b32b5"
+    " fe7aca6ec68a4fae 43a6a39539b507a7 2a76a49ce2bc6f78 6790c2ccef604785\n"
+    "bursty round_robin overflow default d586fbeaed671bf0"
+    " dc67a59c66e09cee 32fb4f19597864a0 eb6a163f4bdfe92e b339c2b948906f0e"
+    " f45ba046ea08f417 b22719a187678b75 fd324ab523f0eb52 48b2ad50bee58f66\n"
+    "bursty round_robin overflow off d586fbeaed671bf0"
+    " dc67a59c66e09cee 32fb4f19597864a0 eb6a163f4bdfe92e 065f9d361eeea1a2"
+    " 6133fc3adb4b62fd b22719a187678b75 bb0050c5cd0c3504 66d6cca3f0f9bc49\n"
+    "bursty round_robin pause default 78cd8b074aeca0ac"
+    " 321ce0c9eedf29dc b6462f48bb0a7818 47bd9d5c82918fe0 14926ee3d78cec5e"
+    " 6d272e51887f369e e2b18201a4f84c75 168baa5daa8e53b6 7f78443d6a1f03c4\n"
+    "bursty round_robin pause off 78cd8b074aeca0ac"
+    " 321ce0c9eedf29dc b6462f48bb0a7818 47bd9d5c82918fe0 8649884c91339804"
+    " fe180be229b3ebf5 e2b18201a4f84c75 16c89401d8a5c9e6 57cee8873cfcbe43\n"
+    "bursty round_robin codel default 5dc93bcdd5aab649"
+    " 500a1640cfc42548 7efca358f084e7cf 61bda9f9151bbe5c a88e9735f9fa41d2"
+    " adf6f56d8672b078 e83ac2cff9074891 d0459e6ce2ff2d3f f27a6031a64e611a\n"
+    "bursty round_robin codel off 5dc93bcdd5aab649"
+    " 500a1640cfc42548 7efca358f084e7cf 61bda9f9151bbe5c 8649884c91339804"
+    " 4cb2220da6f64ee8 e83ac2cff9074891 443fbd3c7315527a f3782659d606d7d9\n"
+    "bursty least_loaded overflow default d8fc69aeed94bcd5"
+    " 19833e6f64b282dd 1110d8b2c34dbf58 a5a3b3568798e174 32ce9bc34548d4f6"
+    " af0029c8c7406d34 53022b89fdf53683 5dc72e332d7891f3 8693111f8b69bef1\n"
+    "bursty least_loaded overflow off d8fc69aeed94bcd5"
+    " 19833e6f64b282dd 1110d8b2c34dbf58 a5a3b3568798e174 31eb9a8ef5e5a844"
+    " 7e20847e6e8526a1 53022b89fdf53683 1668fdab3c2a904d 3d4d18f364f3c5c9\n"
+    "bursty least_loaded pause default d8fc69aeed94bcd5"
+    " 8455f4eabab0a74f 1110d8b2c34dbf58 168d83d4bec9fe22 32ce9bc34548d4f6"
+    " af0029c8c7406d34 53022b89fdf53683 5dc72e332d7891f3 8693111f8b69bef1\n"
+    "bursty least_loaded pause off d8fc69aeed94bcd5"
+    " 8455f4eabab0a74f 1110d8b2c34dbf58 168d83d4bec9fe22 31eb9a8ef5e5a844"
+    " 7e20847e6e8526a1 53022b89fdf53683 1668fdab3c2a904d 3d4d18f364f3c5c9\n"
+    "bursty least_loaded codel default 18e27d2b11cfe8f2"
+    " 760e8ab01815111c ccebdadb46181541 80742d8c24a6e2d7 55a2a4342c77ff54"
+    " e10d68d63bf57c9e 2c498b3d35a54417 8be5c491b4f13058 ffcc1af83c699efb\n"
+    "bursty least_loaded codel off 18e27d2b11cfe8f2"
+    " 760e8ab01815111c ccebdadb46181541 80742d8c24a6e2d7 b40fbc6c0fe2ca38"
+    " b27c8cd380e9a06d 2c498b3d35a54417 aa1a83df92ee77d6 8fb3ad7f16b0e26e\n"
+    "bursty fq overflow default b3a579335c841367"
+    " 45a4a092b303174e a409fc9f95150520 45ca9c4531658e4d 9d8063c9bb922fda"
+    " 30795b885eeeeced 883ced938599b4de 900383d806d559ee e9bf8818e5e0dd7b\n"
+    "bursty fq overflow off b3a579335c841367"
+    " 45a4a092b303174e a409fc9f95150520 45ca9c4531658e4d 401d0f031938ecda"
+    " 0954a091fa75398b 883ced938599b4de d80d1397ada33870 efcaae2b1cf6544f\n"
+    "bursty fq pause default 508f173005885b5e"
+    " dc43d244b0904200 845ce21265f1b2bc 968732c8be5ad2f4 67209877ea7e6c95"
+    " 7a88ecb3ef9075cb 50fda57a3239c23f a4734d3fe0671639 accc2224b4ce5990\n"
+    "bursty fq pause off 508f173005885b5e"
+    " dc43d244b0904200 845ce21265f1b2bc 968732c8be5ad2f4 387acda07df54f99"
+    " 08db8a8afc12707d 50fda57a3239c23f 434398052ebfba48 e428d13ad49e11a5\n"
+    "bursty fq codel default 92e8d0d7b243543a"
+    " 2457d3f9f59f951f 268813065dd8dbfc cf80af6b7e4894e5 67209877ea7e6c95"
+    " 5dd8fb6b4c13ba28 e2c3408e81391088 29cb4b3242b34247 fc2287ab26d708b0\n"
+    "bursty fq codel off 92e8d0d7b243543a"
+    " 2457d3f9f59f951f 268813065dd8dbfc cf80af6b7e4894e5 387acda07df54f99"
+    " d9d1f2e734175136 e2c3408e81391088 b1f99dd3bccb256c 4204d30397b979c4\n"
+    "lone dedicated overflow default 767645f746712bba"
+    " 2482ba54455aacce d9dc20d15d1ed1cd a1bcf1ddac9dfabd c8f0dd290ea300ae"
+    " 3a979474ea6cdde8 8f8939be4477393a 424c6a57a21ba091 ed2f3f1c3dca6d5f\n"
+    "lone dedicated overflow off 767645f746712bba"
+    " 2482ba54455aacce d9dc20d15d1ed1cd a1bcf1ddac9dfabd dfd49e54b08fa8a2"
+    " b5201d4a545d57e4 8f8939be4477393a f64d1624f6c18f6d fda3337db95efe88\n"
+    "lone dedicated pause default 1c052db8e8a3b56a"
+    " f0159fe10012575d 5a580a3f04b0790d 0c567ddd318a4363 30b4faabb1418190"
+    " dfa168ada596becb 11a990cb20661d31 8a2f09003dd6686b c577c3a7126ab068\n"
+    "lone dedicated pause off 1c052db8e8a3b56a"
+    " f0159fe10012575d 5a580a3f04b0790d 0c567ddd318a4363 022c47f0fc1bd80c"
+    " 5f721660f0318084 11a990cb20661d31 f836db7d777b6a3f 8a9e929c62144cf1\n"
+    "lone dedicated codel default 38365e01ac1544a2"
+    " 15819f75a7a4359b a73e0f79242e8203 54bb2c951a9bfc01 001425d4337d3474"
+    " b67164a8a68e7c38 d3775ecf3fd28735 44877cd5af9c1089 68352ec03ab1a251\n"
+    "lone dedicated codel off 38365e01ac1544a2"
+    " 15819f75a7a4359b a73e0f79242e8203 54bb2c951a9bfc01 9a4248362310984e"
+    " 6fb5261d20ca25c8 d3775ecf3fd28735 aaf4e56df302afe0 c672dd9540daa1e0\n"
+    "lone round_robin overflow default 767645f746712bba"
+    " ae0135cfa71ecbdc d9dc20d15d1ed1cd 12186ff6d1e21165 c8f0dd290ea300ae"
+    " 3a979474ea6cdde8 8f8939be4477393a 424c6a57a21ba091 ed2f3f1c3dca6d5f\n"
+    "lone round_robin overflow off 767645f746712bba"
+    " ae0135cfa71ecbdc d9dc20d15d1ed1cd 12186ff6d1e21165 dfd49e54b08fa8a2"
+    " b5201d4a545d57e4 8f8939be4477393a f64d1624f6c18f6d fda3337db95efe88\n"
+    "lone round_robin pause default 1c052db8e8a3b56a"
+    " 0e8717b354bf5fbb 5a580a3f04b0790d a2e2169bcf47d227 30b4faabb1418190"
+    " dfa168ada596becb 11a990cb20661d31 8a2f09003dd6686b c577c3a7126ab068\n"
+    "lone round_robin pause off 1c052db8e8a3b56a"
+    " 0e8717b354bf5fbb 5a580a3f04b0790d a2e2169bcf47d227 022c47f0fc1bd80c"
+    " 5f721660f0318084 11a990cb20661d31 f836db7d777b6a3f 8a9e929c62144cf1\n"
+    "lone round_robin codel default 38365e01ac1544a2"
+    " f2aafb7c8e7284d9 a73e0f79242e8203 db6e1c6a41eb85d5 001425d4337d3474"
+    " b67164a8a68e7c38 d3775ecf3fd28735 44877cd5af9c1089 68352ec03ab1a251\n"
+    "lone round_robin codel off 38365e01ac1544a2"
+    " f2aafb7c8e7284d9 a73e0f79242e8203 db6e1c6a41eb85d5 9a4248362310984e"
+    " 6fb5261d20ca25c8 d3775ecf3fd28735 aaf4e56df302afe0 c672dd9540daa1e0\n"
+    "lone least_loaded overflow default 767645f746712bba"
+    " e3a5d5dea826baaa d9dc20d15d1ed1cd 197a2dd5c8672309 c8f0dd290ea300ae"
+    " 3a979474ea6cdde8 8f8939be4477393a 424c6a57a21ba091 ed2f3f1c3dca6d5f\n"
+    "lone least_loaded overflow off 767645f746712bba"
+    " e3a5d5dea826baaa d9dc20d15d1ed1cd 197a2dd5c8672309 dfd49e54b08fa8a2"
+    " b5201d4a545d57e4 8f8939be4477393a f64d1624f6c18f6d fda3337db95efe88\n"
+    "lone least_loaded pause default 1c052db8e8a3b56a"
+    " c27e9b638b0e1673 5a580a3f04b0790d 36748d6c930665b9 30b4faabb1418190"
+    " dfa168ada596becb 11a990cb20661d31 8a2f09003dd6686b c577c3a7126ab068\n"
+    "lone least_loaded pause off 1c052db8e8a3b56a"
+    " c27e9b638b0e1673 5a580a3f04b0790d 36748d6c930665b9 022c47f0fc1bd80c"
+    " 5f721660f0318084 11a990cb20661d31 f836db7d777b6a3f 8a9e929c62144cf1\n"
+    "lone least_loaded codel default 38365e01ac1544a2"
+    " afc2730ba54653cf a73e0f79242e8203 37bb50b91f5d252d 001425d4337d3474"
+    " b67164a8a68e7c38 d3775ecf3fd28735 44877cd5af9c1089 68352ec03ab1a251\n"
+    "lone least_loaded codel off 38365e01ac1544a2"
+    " afc2730ba54653cf a73e0f79242e8203 37bb50b91f5d252d 9a4248362310984e"
+    " 6fb5261d20ca25c8 d3775ecf3fd28735 aaf4e56df302afe0 c672dd9540daa1e0\n"
+    "lone fq overflow default 767645f746712bba"
+    " 4038448c1c3884f7 47cf042bea78947c 7bfbb3e9c8bb5c0d c8f0dd290ea300ae"
+    " 98bb163e6349a935 8f8939be4477393a 3397909927151d76 d18e73be093a9381\n"
+    "lone fq overflow off 767645f746712bba"
+    " 4038448c1c3884f7 47cf042bea78947c 7bfbb3e9c8bb5c0d dfd49e54b08fa8a2"
+    " 18b744416e9c0ba1 8f8939be4477393a 5e8dfdebf997404a 78335937ad4d6039\n"
+    "lone fq pause default 1c052db8e8a3b56a"
+    " d1b6c5817d86cd7a e93008f14eec9338 9c5d368e1abfe861 30b4faabb1418190"
+    " 4ff8366b4311ee86 11a990cb20661d31 82a88eb81a3d1b7e 1628cef3e3fc4712\n"
+    "lone fq pause off 1c052db8e8a3b56a"
+    " d1b6c5817d86cd7a e93008f14eec9338 9c5d368e1abfe861 022c47f0fc1bd80c"
+    " 013380514e7de2d1 11a990cb20661d31 b405cdc559a4f842 d4fbe5eae4ff470d\n"
+    "lone fq codel default 38365e01ac1544a2"
+    " 0987100375dc2296 498200e5aece2296 4a80bb94da91a6ed 001425d4337d3474"
+    " 61d44a395284f00f d3775ecf3fd28735 bb0061abbf707360 fd8107133267e61c\n"
+    "lone fq codel off 38365e01ac1544a2"
+    " 0987100375dc2296 498200e5aece2296 4a80bb94da91a6ed 9a4248362310984e"
+    " e1f8663c3e533c97 d3775ecf3fd28735 d70774c2ac779cdd a4ceec810a6810a2\n";
+
+TEST(StreamScheduler, EveryExportIsPinned) {
+  const std::string one = export_matrix(/*rounds_per_dispatch=*/1, 1);
+  EXPECT_EQ(one, kPinnedExportDigests);
+  EXPECT_EQ(export_matrix(/*rounds_per_dispatch=*/8, 4), one);
 }
 
 TEST(StreamScheduler, FairnessIndexFormula) {

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Validator for the checked-in fuzz reproducer corpus (stdlib only).
+"""Validator for the fuzz corpus (stdlib only).
 
-tests/corpus/*.qtrc are QTRC v1 traces: seeds recorded by `engine_fuzz
---save-corpus` plus minimized reproducers of any divergence the fuzzer
-ever found. corpus_replay_test replays them through the differential
-oracles on every CI run, so a rotted file would fail late and noisily;
+A corpus directory holds QTRC v1 traces: seeds recorded by `engine_fuzz
+--save-corpus=DIR` plus minimized reproducers of any divergence the fuzzer
+ever found (checked in under tests/corpus/). corpus_replay_test replays
+them through the differential oracles on every CI run, so a rotted file
+would fail late and noisily;
 this checker fails fast instead, and — unlike the C++ loader — runs
 without a build, so the docs/trace_format.md layout is independently
 cross-checked from a second implementation.

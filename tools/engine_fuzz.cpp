@@ -9,13 +9,15 @@
 //                     any --threads).
 //   --minimize=FILE   shrink a failing trace file with the delta-debugging
 //                     minimizer and write FILE.min.qtrc.
-//   --save-corpus=DIR record the seed matrix as .qtrc files (the checked-in
-//                     tests/corpus seeds come from this).
+//   --save-corpus=DIR record the seed matrix as .qtrc files into DIR
+//                     (created if missing; corpus_replay_test records the
+//                     same seeds in-process).
 //
 // CI runs: engine_fuzz --time-budget=30 --seed=1 (must find nothing) and
 // engine_fuzz --iters=N --inject-fault=cache-replay --expect-failure (the
 // harness self-check: a planted engine bug must be found).
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -24,7 +26,6 @@
 #include "fuzz/minimize.hpp"
 #include "fuzz/oracle.hpp"
 #include "qecool/config.hpp"
-#include "stream/service.hpp"
 #include "stream/trace.hpp"
 
 namespace {
@@ -163,44 +164,30 @@ int run_minimize(const qec::CliArgs& args, const std::string& path) {
 }
 
 int run_save_corpus(const qec::CliArgs& args, const std::string& dir) {
-  qec::fuzz::FuzzConfig config;
-  config.seeds = build_seeds(args);
-  // One oracle pass over each recorded seed (max_iterations=0 would throw;
-  // a single iteration keeps the run cheap and validates every seed).
-  config.oracle = build_oracle(args);
-  config.max_iterations = 1;
-  config.out_dir = dir;
-  int written = 0;
-  for (const auto& spec : config.seeds) {
-    qec::StreamConfig stream;
-    stream.lanes = spec.lanes;
-    stream.distance = spec.distance;
-    stream.p = spec.p;
-    stream.rounds = spec.rounds;
-    stream.seed = spec.seed;
-    const auto trace = qec::record_trace(stream);
-    const auto report = qec::fuzz::run_oracles(trace, config.oracle);
+  // One oracle pass over each recorded seed validates it before saving.
+  const auto oracle = build_oracle(args);
+  const auto seeds = build_seeds(args);
+  std::filesystem::create_directories(dir);
+  for (const auto& spec : seeds) {
+    const auto trace = qec::fuzz::record_seed(spec);
+    const auto report = qec::fuzz::run_oracles(trace, oracle);
     if (!report.ok()) {
       std::fprintf(stderr, "engine_fuzz: seed d=%d p=%g diverges: %s\n",
                    spec.distance, spec.p,
                    qec::fuzz::summarize_report(report).c_str());
       return 1;
     }
-    char name[64];
-    std::snprintf(name, sizeof(name), "seed-d%d-p%g-l%d-r%d.qtrc",
-                  spec.distance, spec.p, spec.lanes, spec.rounds);
-    std::string out = dir;
-    if (!out.empty() && out.back() != '/') out += '/';
-    trace.save(out + name);
-    std::printf("wrote %s%s\n", out.c_str(), name);
-    ++written;
+    const std::string out =
+        (std::filesystem::path(dir) / qec::fuzz::seed_file_name(spec)).string();
+    trace.save(out);
+    std::printf("wrote %s\n", out.c_str());
   }
-  return written > 0 ? 0 : 1;
+  return seeds.empty() ? 1 : 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(args, "engine_fuzz", kSummary, kOptions)) return 0;
 
@@ -259,4 +246,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return stats.found_failure() ? 1 : 0;
+} catch (const std::exception& e) {
+  return qec::report_failure("engine_fuzz", e);
 }
