@@ -22,7 +22,6 @@
 #include "common/table.hpp"
 #include "decoder/registry.hpp"
 #include "obs/slo.hpp"
-#include "qecool/decode_cache.hpp"
 #include "qecool/online_runner.hpp"
 #include "stream/scheduler.hpp"
 #include "stream/service.hpp"
@@ -40,9 +39,7 @@ constexpr const char* kOptions =
     "  --lanes=64,256,1024,4096   lane counts to sweep (list)\n"
     "  --mhz=10,40,160       decoder clocks to sweep (MHz, list)\n"
     "  --d=5                 code distance\n"
-    "  --p=0.01              physical error rates to sweep (list) — the\n"
-    "                        decode-cache hit rate is a strong function of\n"
-    "                        p, so sweeping p charts where memoization pays\n"
+    "  --p=0.01              physical error rates to sweep (list)\n"
     "  --rounds=64           noisy rounds per lane\n"
     "  --engines=0           pool size K (0 = one engine per lane)\n"
     "  --policy=dedicated    scheduling policy spec: dedicated |\n"
@@ -51,11 +48,7 @@ constexpr const char* kOptions =
     "  --dispatch=1          rounds per scheduling dispatch (static "
     "policies)\n"
     "  --engine=qecool       lane engine spec\n"
-    "  --cache=SPEC|ab       decode-cache override: off | on |\n"
-    "                        clock[:entries=N,shards=S], or \"ab\" to run\n"
-    "                        every cell twice (cache off, then on) and\n"
-    "                        report the speedup + the p crossover where\n"
-    "                        memoization starts paying for itself\n"
+
     "  --seed=2021           trace RNG seed\n"
     "  --drain=1000          max drain rounds after the trace ends\n"
     "  --threads=1           worker threads (0 = all cores; never changes "
@@ -104,17 +97,6 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("--lanes entries must be integers >= 1");
       }
     }
-    // Cache variants per cell: one configured spec, or off-then-on (A/B).
-    const std::string cache_arg = args.get_or("cache", "");
-    const bool cache_ab = cache_arg == "ab";
-    std::vector<std::string> cache_variants;
-    if (cache_ab) {
-      cache_variants = {"off", "on"};
-    } else {
-      if (!cache_arg.empty()) qec::parse_decode_cache_spec(cache_arg);
-      cache_variants = {cache_arg};
-    }
-
     const std::string csv_path = args.get_or("csv", "");
     const std::string json_path = args.get_or("json", "");
     std::vector<std::string> json_cells;
@@ -128,188 +110,127 @@ int main(int argc, char** argv) {
                         "cache_evictions", "cache_zero_rounds",
                         "cache_zero_pushes", "cache_bypasses"});
 
-    qec::TextTable table({"lanes", "p", "mhz", "K", "cache", "replay ms",
-                          "us/lane-round", "lane-rounds/s", "hit%",
-                          "failed"});
-    // A/B crossover bookkeeping: per p, the off- and on-variant
-    // throughput summed over cells (lanes x mhz share the p axis).
-    struct AbPoint {
-      double p = 0.0;
-      double off_rps = 0.0;
-      double on_rps = 0.0;
-      double hit_rate = 0.0;
-    };
-    std::vector<AbPoint> ab_points;
+    qec::TextTable table({"lanes", "p", "mhz", "K", "replay ms",
+                          "us/lane-round", "lane-rounds/s", "failed"});
     for (const double p : p_list) {
-      AbPoint ab;
-      ab.p = p;
       for (const double lanes : lane_counts) {
         for (const double mhz : clocks_mhz) {
-          qec::StreamConfig record_config = base;
-          record_config.p = p;
-          record_config.lanes = static_cast<int>(lanes);
-          record_config.cycles_per_round =
-              qec::cycles_per_microsecond(mhz * 1e6);
+          qec::StreamConfig config = base;
+          config.p = p;
+          config.lanes = static_cast<int>(lanes);
+          config.cycles_per_round = qec::cycles_per_microsecond(mhz * 1e6);
 
           const auto record_start = std::chrono::steady_clock::now();
-          const qec::SyndromeTrace trace = qec::record_trace(record_config);
+          const qec::SyndromeTrace trace = qec::record_trace(config);
           const double record_ms =
               std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - record_start)
                   .count();
 
-          for (const std::string& variant : cache_variants) {
-            qec::StreamConfig config = record_config;
-            config.cache = variant;
+          const auto replay_start = std::chrono::steady_clock::now();
+          const qec::StreamOutcome outcome = qec::run_stream(trace, config);
+          const double replay_ms =
+              std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - replay_start)
+                  .count();
 
-            const auto replay_start = std::chrono::steady_clock::now();
-            const qec::StreamOutcome outcome = qec::run_stream(trace, config);
-            const double replay_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - replay_start)
-                    .count();
+          const auto all = outcome.telemetry.aggregate();
+          const std::int64_t lane_rounds =
+              static_cast<std::int64_t>(all.rounds_streamed) +
+              all.drain_rounds;
+          const double us_per_round =
+              lane_rounds ? replay_ms * 1e3 / static_cast<double>(lane_rounds)
+                          : 0.0;
+          const double rounds_per_sec =
+              replay_ms > 0
+                  ? static_cast<double>(lane_rounds) / (replay_ms * 1e-3)
+                  : 0.0;
+          const double failed_frac =
+              static_cast<double>(outcome.failed_lanes) /
+              static_cast<double>(outcome.lanes);
+          // The service attaches no decode cache: only the all-zero
+          // fast-path counters move; the rest keep the CSV/JSON schema.
+          const qec::DecodeCacheStats& cs = all.cache;
 
-            const auto all = outcome.telemetry.aggregate();
-            const std::int64_t lane_rounds =
-                static_cast<std::int64_t>(all.rounds_streamed) +
-                all.drain_rounds;
-            const double us_per_round =
-                lane_rounds
-                    ? replay_ms * 1e3 / static_cast<double>(lane_rounds)
-                    : 0.0;
-            const double rounds_per_sec =
-                replay_ms > 0
-                    ? static_cast<double>(lane_rounds) / (replay_ms * 1e-3)
-                    : 0.0;
-            const double failed_frac =
-                static_cast<double>(outcome.failed_lanes) /
-                static_cast<double>(outcome.lanes);
-            const qec::DecodeCacheStats& cs = all.cache;
-            const std::string& resolved = outcome.telemetry.cache;
-            if (cache_ab) {
-              if (variant == "off") {
-                ab.off_rps += rounds_per_sec;
-              } else {
-                ab.on_rps += rounds_per_sec;
-                ab.hit_rate = cs.hit_rate();
-              }
-            }
-
-            if (csv.ok()) {
-              csv.add_row(
-                  {std::to_string(outcome.lanes),
-                   std::to_string(base.distance), fmt(p, "%.6g"),
-                   fmt(mhz, "%.6g"),
-                   std::to_string(outcome.telemetry.engines), base.policy,
-                   std::to_string(trace.rounds()), resolved,
-                   fmt(record_ms, "%.3f"), fmt(replay_ms, "%.3f"),
-                   std::to_string(lane_rounds), fmt(us_per_round, "%.4f"),
-                   fmt(rounds_per_sec, "%.6g"),
-                   std::to_string(outcome.overflow_lanes),
-                   std::to_string(outcome.failed_lanes), fmt(failed_frac),
-                   std::to_string(cs.hits), std::to_string(cs.misses),
-                   fmt(cs.hit_rate(), "%.4f"), std::to_string(cs.installs),
-                   std::to_string(cs.evictions),
-                   std::to_string(cs.zero_rounds),
-                   std::to_string(cs.zero_pushes),
-                   std::to_string(cs.bypasses)});
-              csv.flush();
-            }
-            table.add_row({std::to_string(outcome.lanes), fmt(p, "%.4g"),
-                           fmt(mhz, "%.6g"),
-                           std::to_string(outcome.telemetry.engines),
-                           resolved == "off" ? "off" : "on",
-                           fmt(replay_ms, "%.1f"), fmt(us_per_round, "%.3f"),
-                           fmt(rounds_per_sec, "%.4g"),
-                           fmt(cs.hit_rate() * 100.0, "%.1f"),
-                           std::to_string(outcome.failed_lanes) + "/" +
-                               std::to_string(outcome.lanes)});
-            if (!json_path.empty()) {
-              qec::bench::JsonObject cell;
-              cell.add("lanes", outcome.lanes)
-                  .add("p", p)
-                  .add("mhz", mhz)
-                  .add("engines", outcome.telemetry.engines)
-                  .add("rounds", trace.rounds())
-                  .add("record_ms", record_ms)
-                  .add("replay_ms", replay_ms)
-                  .add("streamed_lane_rounds",
-                       static_cast<std::int64_t>(lane_rounds))
-                  .add("us_per_lane_round", us_per_round)
-                  .add("lane_rounds_per_sec", rounds_per_sec)
-                  .add("overflow_lanes", outcome.overflow_lanes)
-                  .add("failed_lanes", outcome.failed_lanes)
-                  .add("failed_frac", failed_frac);
-              cell.add_raw(
-                  "cache",
-                  qec::bench::JsonObject()
-                      .add("spec", resolved)
-                      .add("hits", static_cast<std::int64_t>(cs.hits))
-                      .add("misses", static_cast<std::int64_t>(cs.misses))
-                      .add("hit_rate", cs.hit_rate())
-                      .add("installs", static_cast<std::int64_t>(cs.installs))
-                      .add("evictions",
-                           static_cast<std::int64_t>(cs.evictions))
-                      .add("zero_rounds",
-                           static_cast<std::int64_t>(cs.zero_rounds))
-                      .add("zero_pushes",
-                           static_cast<std::int64_t>(cs.zero_pushes))
-                      .add("bypasses", static_cast<std::int64_t>(cs.bypasses))
-                      .str());
-              if (outcome.tracer) {
-                const auto emitted = outcome.tracer->emitted();
-                cell.add_raw(
-                    "obs",
-                    qec::bench::JsonObject()
-                        .add("events", static_cast<std::int64_t>(emitted))
-                        .add("dropped", static_cast<std::int64_t>(
-                                            outcome.tracer->dropped()))
-                        .add("events_per_lane_round",
-                             lane_rounds ? static_cast<double>(emitted) /
-                                               static_cast<double>(lane_rounds)
-                                         : 0.0)
-                        .str());
-              }
-              if (outcome.slo) {
-                cell.add_raw("slo", outcome.slo->summary_json());
-              }
-              json_cells.push_back(cell.str());
-            }
-            obs_cli.keep(outcome);
+          if (csv.ok()) {
+            csv.add_row(
+                {std::to_string(outcome.lanes), std::to_string(base.distance),
+                 fmt(p, "%.6g"), fmt(mhz, "%.6g"),
+                 std::to_string(outcome.telemetry.engines), base.policy,
+                 std::to_string(trace.rounds()), outcome.telemetry.cache,
+                 fmt(record_ms, "%.3f"), fmt(replay_ms, "%.3f"),
+                 std::to_string(lane_rounds), fmt(us_per_round, "%.4f"),
+                 fmt(rounds_per_sec, "%.6g"),
+                 std::to_string(outcome.overflow_lanes),
+                 std::to_string(outcome.failed_lanes), fmt(failed_frac),
+                 std::to_string(cs.hits), std::to_string(cs.misses),
+                 fmt(cs.hit_rate(), "%.4f"), std::to_string(cs.installs),
+                 std::to_string(cs.evictions), std::to_string(cs.zero_rounds),
+                 std::to_string(cs.zero_pushes), std::to_string(cs.bypasses)});
+            csv.flush();
           }
+          table.add_row({std::to_string(outcome.lanes), fmt(p, "%.4g"),
+                         fmt(mhz, "%.6g"),
+                         std::to_string(outcome.telemetry.engines),
+                         fmt(replay_ms, "%.1f"), fmt(us_per_round, "%.3f"),
+                         fmt(rounds_per_sec, "%.4g"),
+                         std::to_string(outcome.failed_lanes) + "/" +
+                             std::to_string(outcome.lanes)});
+          if (!json_path.empty()) {
+            qec::bench::JsonObject cell;
+            cell.add("lanes", outcome.lanes)
+                .add("p", p)
+                .add("mhz", mhz)
+                .add("engines", outcome.telemetry.engines)
+                .add("rounds", trace.rounds())
+                .add("record_ms", record_ms)
+                .add("replay_ms", replay_ms)
+                .add("streamed_lane_rounds",
+                     static_cast<std::int64_t>(lane_rounds))
+                .add("us_per_lane_round", us_per_round)
+                .add("lane_rounds_per_sec", rounds_per_sec)
+                .add("overflow_lanes", outcome.overflow_lanes)
+                .add("failed_lanes", outcome.failed_lanes)
+                .add("failed_frac", failed_frac);
+            cell.add_raw(
+                "cache",
+                qec::bench::JsonObject()
+                    .add("spec", outcome.telemetry.cache)
+                    .add("hits", static_cast<std::int64_t>(cs.hits))
+                    .add("misses", static_cast<std::int64_t>(cs.misses))
+                    .add("hit_rate", cs.hit_rate())
+                    .add("installs", static_cast<std::int64_t>(cs.installs))
+                    .add("evictions", static_cast<std::int64_t>(cs.evictions))
+                    .add("zero_rounds",
+                         static_cast<std::int64_t>(cs.zero_rounds))
+                    .add("zero_pushes",
+                         static_cast<std::int64_t>(cs.zero_pushes))
+                    .add("bypasses", static_cast<std::int64_t>(cs.bypasses))
+                    .str());
+            if (outcome.tracer) {
+              const auto emitted = outcome.tracer->emitted();
+              cell.add_raw(
+                  "obs",
+                  qec::bench::JsonObject()
+                      .add("events", static_cast<std::int64_t>(emitted))
+                      .add("dropped", static_cast<std::int64_t>(
+                                          outcome.tracer->dropped()))
+                      .add("events_per_lane_round",
+                           lane_rounds ? static_cast<double>(emitted) /
+                                             static_cast<double>(lane_rounds)
+                                       : 0.0)
+                      .str());
+            }
+            if (outcome.slo) {
+              cell.add_raw("slo", outcome.slo->summary_json());
+            }
+            json_cells.push_back(cell.str());
+          }
+          obs_cli.keep(outcome);
         }
       }
-      if (cache_ab) ab_points.push_back(ab);
     }
     table.print();
-    if (cache_ab && !ab_points.empty()) {
-      // Where does memoization pay for itself? The hit rate falls with p
-      // (busier windows repeat less), so the speedup crosses 1.0 at some
-      // p — report the measured curve and the crossover bracket.
-      std::printf("\ncache A/B (speedup = lane-rounds/s on / off):\n");
-      double last_paying_p = -1.0;
-      double first_losing_p = -1.0;
-      for (const auto& point : ab_points) {
-        const double speedup =
-            point.off_rps > 0 ? point.on_rps / point.off_rps : 0.0;
-        std::printf("  p=%-8g speedup %.3fx  hit-rate %.1f%%\n", point.p,
-                    speedup, point.hit_rate * 100.0);
-        if (speedup >= 1.0) {
-          last_paying_p = point.p;
-        } else if (first_losing_p < 0) {
-          first_losing_p = point.p;
-        }
-      }
-      if (last_paying_p >= 0 && first_losing_p >= 0) {
-        std::printf("  cache pays for itself up to p=%g; crossover before "
-                    "p=%g\n",
-                    last_paying_p, first_losing_p);
-      } else if (last_paying_p >= 0) {
-        std::printf("  cache pays for itself across the whole sweep\n");
-      } else {
-        std::printf("  cache never pays at these settings\n");
-      }
-    }
     std::printf("\n(--threads=%d, --dispatch=%d; outcomes are unaffected by "
                 "either)\n",
                 base.threads, base.rounds_per_dispatch);
@@ -325,7 +246,6 @@ int main(int argc, char** argv) {
               .add("rounds", base.rounds)
               .add("seed", static_cast<std::int64_t>(base.seed))
               .add("engine", base.engine)
-              .add("cache", cache_arg)
               .add("policy", base.policy)
               .add("engines", base.engines)
               .add("dispatch", base.rounds_per_dispatch)

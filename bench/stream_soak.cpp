@@ -27,7 +27,6 @@
 #include "decoder/registry.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/slo.hpp"
-#include "qecool/decode_cache.hpp"
 #include "qecool/online_runner.hpp"
 #include "stream/admission.hpp"
 #include "stream/scheduler.hpp"
@@ -54,10 +53,9 @@ constexpr const char* kOptions =
     "                        pause[:high=H,low=L] |\n"
     "                        codel[:target=T,interval=I] (rounds)\n"
     "  --budget-w=0          4-K power budget in watts; > 0 caps K\n"
-    "  --cache=SPEC          decode-window cache: off | on |\n"
-    "                        clock[:entries=N,shards=S,max_defects=M]\n"
-    "                        ('' = engine-spec / built-in default)\n"
-    "  --cache-csv=FILE      per-lane decode-cache counter CSV\n"
+    "  --cache-csv=FILE      per-lane decode-cache counter CSV (all-zero\n"
+    "                        fast-path counters; the service attaches no\n"
+    "                        cache)\n"
     "  --dispatch=1          rounds per scheduling dispatch (static policies)\n"
     "  --seed=2021           trace RNG seed\n"
     "  --drain=1000          max drain rounds after the trace ends\n"
@@ -95,7 +93,6 @@ int main(int argc, char** argv) {
   config.admission = args.get_or("admission", "overflow");
   config.budget_w = args.get_double_or("budget-w", 0.0);
   config.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
-  config.cache = args.get_or("cache", "");
   config.threads = qec::threads_override(args, 1);
   qec::bench::ObsCli obs_cli(args, config.obs);
   const auto dump_dir =
@@ -115,7 +112,6 @@ int main(int argc, char** argv) {
     qec::online_engine_config(config.engine);
     qec::make_scheduler_policy(config.policy);
     qec::parse_admission_spec(config.admission);
-    if (!config.cache.empty()) qec::parse_decode_cache_spec(config.cache);
     if (!config.obs.slo.empty()) qec::obs::parse_slo_spec(config.obs.slo);
 
     qec::SyndromeTrace trace;
@@ -148,17 +144,9 @@ int main(int argc, char** argv) {
                    std::to_string(outcome.telemetry.engines) + " / " +
                        config.policy});
     table.add_row({"admission", config.admission});
-    table.add_row({"decode cache", outcome.telemetry.cache});
-    if (outcome.telemetry.cache != "off") {
-      table.add_row(
-          {"cache hits / misses / bypasses",
-           std::to_string(all.cache.hits) + " / " +
-               std::to_string(all.cache.misses) + " / " +
-               std::to_string(all.cache.bypasses)});
-      table.add_row({"cache zero rounds / pushes",
-                     std::to_string(all.cache.zero_rounds) + " / " +
-                         std::to_string(all.cache.zero_pushes)});
-    }
+    table.add_row({"all-zero rounds / pushes",
+                   std::to_string(all.cache.zero_rounds) + " / " +
+                       std::to_string(all.cache.zero_pushes)});
     if (outcome.telemetry.watts > 0) {
       std::string watts = qec::TextTable::fmt(outcome.telemetry.watts * 1e6, 3) + " uW";
       if (config.budget_w > 0) {

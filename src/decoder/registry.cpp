@@ -1,6 +1,8 @@
 #include "decoder/registry.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -24,7 +26,7 @@ namespace {
 /// errors so one error message shows the full vocabulary.
 constexpr const char* kQecoolOptionsHint =
     " (engine options: reg_depth, thv, nlimit, deprioritize_boundary, "
-    "start_at_max_hop; cache options: cache, cache_entries, cache_shards, "
+    "start_at_max_hop; cache options: cache, cache_entries, "
     "cache_max_defects)";
 
 QecoolConfig qecool_config(const DecoderOptions& options) {
@@ -37,16 +39,13 @@ QecoolConfig qecool_config(const DecoderOptions& options) {
   config.start_at_max_hop =
       options.get_bool("start_at_max_hop", config.start_at_max_hop);
   // Decode-window memoization (qecool/decode_cache.hpp): cache=off|on|clock
-  // plus the bounded-size / shard-count knobs.
+  // plus the bounded-size and sparsity-gate knobs.
   const std::string cache = options.get_string("cache", "");
   if (!cache.empty()) config.cache = parse_decode_cache_spec(cache);
   config.cache.entries = options.get_int("cache_entries", config.cache.entries);
-  config.cache.shards = options.get_int("cache_shards", config.cache.shards);
   config.cache.max_defects =
       options.get_int("cache_max_defects", config.cache.max_defects);
-  if (config.cache.entries < 0 || config.cache.shards < 0) {
-    bad_spec("cache_entries and cache_shards must be >= 0");
-  }
+  if (config.cache.entries < 0) bad_spec("cache_entries must be >= 0");
   return config;
 }
 
@@ -114,12 +113,21 @@ std::string DecoderOptions::take(std::string_view key) const {
 }
 
 int DecoderOptions::get_int(std::string_view key, int fallback) const {
+  return get_int(key).value_or(fallback);
+}
+
+std::optional<int> DecoderOptions::get_int(std::string_view key) const {
   const std::string raw = take(key);
-  if (raw.empty()) return fallback;
+  if (raw.empty()) return std::nullopt;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(raw.c_str(), &end, 10);
   if (end == raw.c_str() || *end != '\0') {
     bad_spec("option '" + std::string(key) + "' is not an integer: " + raw);
+  }
+  if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    bad_spec("option '" + std::string(key) + "' is out of int range: " + raw);
   }
   return static_cast<int>(v);
 }

@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,9 +30,12 @@ class DecoderOptions {
   /// malformed input (empty key, missing '=').
   static DecoderOptions parse(std::string_view text);
 
-  /// Typed getters; consume the key. Throw std::invalid_argument when the
-  /// value does not parse as the requested type.
+  /// Typed getters; consume the key. Throw std::invalid_argument naming
+  /// the key when the value does not parse as the requested type (for
+  /// integers: also when it lies outside the int range).
   int get_int(std::string_view key, int fallback) const;
+  /// get_int without a fallback: nullopt when the key is absent.
+  std::optional<int> get_int(std::string_view key) const;
   double get_double(std::string_view key, double fallback) const;
   bool get_bool(std::string_view key, bool fallback) const;
   std::string get_string(std::string_view key, std::string fallback) const;

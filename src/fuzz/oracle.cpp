@@ -356,9 +356,8 @@ OracleReport run_oracles(const SyndromeTrace& trace,
   const DecodeCacheConfig& cache_config = config.online.engine.cache;
   const bool cache_arm = config.arm_cache && cache_config.enabled &&
                          cache_config.entries > 0;
-  // One cache shared by every lane, lanes executed in order — the same
-  // shard-sequential discipline the streaming service uses, so cross-lane
-  // hits are exercised and the run stays deterministic.
+  // One cache shared by every lane, lanes executed in order, so
+  // cross-lane hits are exercised and the run stays deterministic.
   std::unique_ptr<DecodeCache> cache =
       cache_arm ? std::make_unique<DecodeCache>(cache_config.entries)
                 : nullptr;
@@ -384,7 +383,7 @@ OracleReport run_oracles(const SyndromeTrace& trace,
                                           &report.features);
       compare(with_cache, Arm::kCache);
       // Guaranteed-recurrence pass: the same lane again against the same
-      // shard replays every window the first pass just installed (same
+      // cache replays every window the first pass just installed (same
       // push sequence => same keys), so replay correctness is exercised
       // on every input — random mutation alone rarely recreates a window
       // bit-for-bit, and a replay bug that only corrupts hits would

@@ -88,7 +88,7 @@ struct OracleReport {
 
 /// Runs the full oracle battery over `trace`. Deterministic: a pure
 /// function of (trace, config). Lanes run sequentially in lane order; the
-/// cache arm shares one cache across lanes (lane order = shard order).
+/// cache arm shares one cache across lanes, in lane order.
 OracleReport run_oracles(const SyndromeTrace& trace,
                          const OracleConfig& config);
 

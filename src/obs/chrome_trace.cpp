@@ -71,12 +71,6 @@ std::string event_args(const TraceEvent& event) {
       return "{}";
     case EventKind::kGrant:
       return "{\"lane\": " + u64(event.payload) + "}";
-    case EventKind::kCache:
-      return "{\"cycles\": " + u64(event.payload) + ", \"outcome\": \"" +
-             (event.arg == kCacheHit
-                  ? "hit"
-                  : (event.arg == kCacheZero ? "zero" : "miss")) +
-             "\"}";
     case EventKind::kSloState:
       return "{\"objective\": " + u64(event.payload) + ", \"state\": \"" +
              slo_state_arg_name(event.arg) + "\"}";

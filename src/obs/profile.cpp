@@ -19,7 +19,6 @@ const char* stage_name(Stage stage) {
     case Stage::kDispatchAssign: return "dispatch_assign";
     case Stage::kLaneExecute: return "lane_execute";
     case Stage::kReduction: return "reduction";
-    case Stage::kCache: return "cache";
     case Stage::kTelemetryClose: return "telemetry_close";
     case Stage::kTraceExport: return "trace_export";
   }

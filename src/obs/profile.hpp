@@ -1,7 +1,6 @@
 // Scoped wall-clock self-profiler for the streaming decode service: where
 // does the wall-clock actually go — dispatch/assignment, lane execution,
-// reduction, the decode-cache probe/install path, telemetry window closes,
-// or trace export?
+// reduction, telemetry window closes, or trace export?
 //
 // This is the one obs component that is *explicitly outside* the
 // determinism contract (DESIGN.md section 12): it measures wall time, so
@@ -37,19 +36,18 @@
 
 namespace qec::obs {
 
-/// The fixed stage taxonomy. Stages may nest (kCache runs inside
-/// kLaneExecute; kTelemetryClose inside kReduction), so per-stage totals
-/// are not disjoint shares of the run — they answer "how much wall time
-/// was spent under this label", Perfetto-slice style.
+/// The fixed stage taxonomy. Stages may nest (kTelemetryClose runs inside
+/// kReduction), so per-stage totals are not disjoint shares of the run —
+/// they answer "how much wall time was spent under this label",
+/// Perfetto-slice style.
 enum class Stage : std::uint8_t {
   kDispatchAssign = 0,  ///< pre-round lane state + policy assignment
   kLaneExecute,         ///< the lane-parallel region (per-lane body)
   kReduction,           ///< fixed-order reductions on the scheduling thread
-  kCache,               ///< decode-cache probe + install (engine hot path)
   kTelemetryClose,      ///< metrics feed, window close, finish
   kTraceExport,         ///< serializing traces/CSVs after the run
 };
-inline constexpr int kStageCount = 6;
+inline constexpr int kStageCount = 5;
 
 /// Stable lowercase stage name (CSV rows, trace slice labels).
 const char* stage_name(Stage stage);

@@ -18,7 +18,6 @@ const char* event_name(EventKind kind) {
     case EventKind::kCodelDisarm: return "codel_disarm";
     case EventKind::kDrained: return "drained";
     case EventKind::kGrant: return "grant";
-    case EventKind::kCache: return "cache";
     case EventKind::kSloState: return "slo";
   }
   return "unknown";

@@ -49,8 +49,6 @@ enum class EventKind : std::uint16_t {
   kCodelDisarm,   ///< lane: sojourn dipped below target before the deadline
   kDrained,       ///< lane: backlog fully consumed (operational success)
   kGrant,         ///< engine: grant consumed by a lane; payload = lane
-  kCache,         ///< lane: decode-cache outcome; payload = cycles,
-                  ///< arg = 0 miss / 1 hit / 2 all-zero fast path
   kSloState,      ///< control: SLO burn-rate state at a window close;
                   ///< payload = objective index, arg = 0 ok / 1 warning / 2 page
 };
@@ -59,12 +57,6 @@ enum class EventKind : std::uint16_t {
 inline constexpr std::uint16_t kSloOk = 0;
 inline constexpr std::uint16_t kSloWarning = 1;
 inline constexpr std::uint16_t kSloPage = 2;
-
-/// kCache `arg` values: how the engine resolved the run.
-inline constexpr std::uint16_t kCacheMiss = 0;
-inline constexpr std::uint16_t kCacheHit = 1;
-inline constexpr std::uint16_t kCacheZero = 2;
-inline constexpr std::uint16_t kCacheBypass = 3;
 
 /// kPause `arg` values: which law froze the lane.
 inline constexpr std::uint16_t kPauseByDepth = 0;

@@ -22,22 +22,16 @@ struct CycleModel {
 /// Decode-window memoization knobs (src/qecool/decode_cache.hpp, DESIGN.md
 /// section 13). The cache is engine-external — QecoolEngine only holds a
 /// non-owning pointer — so this config rides along wherever an engine is
-/// built (run_online, BatchQecoolDecoder, the streaming service) and each
-/// owner decides how many shards to materialize.
+/// built. The single-engine owners (run_online, BatchQecoolDecoder)
+/// attach a cache when it is enabled; the streaming service ignores it
+/// (DESIGN.md section 13.2).
 struct DecodeCacheConfig {
   /// Master switch: false reproduces the uncached engine byte for byte
-  /// (no lookups, no installs, no cache trace events).
+  /// (no lookups, no installs).
   bool enabled = true;
 
-  /// Entries per cache shard; 0 behaves like enabled = false.
+  /// Cache entries; 0 behaves like enabled = false.
   int entries = 4096;
-
-  /// Cache shards for the streaming service's lane pool. Lanes are split
-  /// into `shards` contiguous blocks, each block sharing one shard and
-  /// executing sequentially on whichever worker claims it — so cache
-  /// contents never depend on --threads. <= 0 picks one shard per 256
-  /// lanes (capped at 16). Single-engine owners ignore this.
-  int shards = 0;
 
   /// Sparsity gate: windows carrying more than this many defect bits
   /// across all resident layers bypass the cache (no probe, no install —

@@ -1,7 +1,9 @@
 #include "qecool/decode_cache.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace qec {
@@ -14,10 +16,14 @@ namespace {
 int parse_cache_int(std::string_view key, std::string_view raw) {
   const std::string text(raw);
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || v < 0) {
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE || v < 0 ||
+      v > std::numeric_limits<int>::max()) {
     bad_cache_spec("option '" + std::string(key) +
-                   "' is not a non-negative integer: " + text);
+                   "' is not an integer in [0, " +
+                   std::to_string(std::numeric_limits<int>::max()) +
+                   "]: " + text);
   }
   return static_cast<int>(v);
 }
@@ -141,7 +147,7 @@ DecodeCacheConfig parse_decode_cache_spec(std::string_view spec) {
   }
   if (policy != "on" && policy != "clock") {
     bad_cache_spec("unknown cache policy '" + std::string(policy) +
-                   "' (expected off, on, or clock[:entries=N,shards=S])");
+                   "' (expected off, on, or clock[:entries=N,max_defects=M])");
   }
 
   while (!opts.empty()) {
@@ -157,31 +163,15 @@ DecodeCacheConfig parse_decode_cache_spec(std::string_view spec) {
     const std::string_view value = item.substr(eq + 1);
     if (key == "entries") {
       config.entries = parse_cache_int(key, value);
-    } else if (key == "shards") {
-      config.shards = parse_cache_int(key, value);
     } else if (key == "max_defects") {
       config.max_defects = parse_cache_int(key, value);
     } else {
       bad_cache_spec("cache '" + std::string(policy) +
                      "' does not understand '" + std::string(key) +
-                     "' (cache options: entries, shards, max_defects)");
+                     "' (cache options: entries, max_defects)");
     }
   }
   return config;
-}
-
-std::string decode_cache_spec_string(const DecodeCacheConfig& config) {
-  if (!config.enabled || config.entries <= 0) return "off";
-  return "clock:entries=" + std::to_string(config.entries) +
-         ",shards=" + std::to_string(config.shards) +
-         ",max_defects=" + std::to_string(std::max(config.max_defects, 0));
-}
-
-int decode_cache_shard_count(const DecodeCacheConfig& config, int lanes) {
-  const int n = std::max(lanes, 1);
-  int shards = config.shards > 0 ? config.shards
-                                 : std::clamp((n + 255) / 256, 1, 16);
-  return std::min(shards, n);
 }
 
 }  // namespace qec

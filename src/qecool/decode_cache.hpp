@@ -17,10 +17,9 @@
 // as misses, never as wrong answers), so cached and uncached runs are
 // bit-identical in every outcome: correction, cycle accounting, per-layer
 // attribution, match statistics, and pop trace events. Only the cache's
-// own counters and kCache trace events distinguish the two. The streaming
-// service shards the cache over contiguous lane blocks executed
-// sequentially (service.cpp), so cache *contents* — and therefore the
-// hit/miss counters — are also independent of the worker thread count.
+// own counters distinguish the two. A cache belongs to one owner that
+// drives its engines sequentially (run_online, BatchQecoolDecoder); the
+// streaming service attaches none (DESIGN.md section 13.2).
 //
 // Eviction is CLOCK / second-chance: each slot carries a reference bit
 // set on hit and install; the clock hand sweeps, clearing reference bits,
@@ -29,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -38,9 +36,8 @@
 
 namespace qec {
 
-/// Counters of one cache (or one engine's view of a shared shard; the
-/// engine counts its own lookups, so per-lane telemetry stays meaningful
-/// even when lanes share a shard).
+/// One engine's view of its cache: the engine counts its own lookups, so
+/// the counters stay meaningful when engines share a cache.
 struct DecodeCacheStats {
   std::uint64_t hits = 0;        ///< window replayed from the cache
   std::uint64_t misses = 0;      ///< scan ran; an install followed
@@ -115,9 +112,9 @@ inline std::uint64_t hash_key_words(const std::uint64_t* words,
   return h;
 }
 
-/// One bounded window->outcome map. Not thread-safe by design: the
-/// streaming service guarantees single-threaded access per shard via
-/// shard-sequential lane execution, so the hot path takes no locks.
+/// One bounded window->outcome map. Not thread-safe by design: its owner
+/// drives the engines sharing it sequentially, so the hot path takes no
+/// locks.
 class DecodeCache {
  public:
   /// `capacity` entries; 0 disables (lookup always misses, install drops).
@@ -178,17 +175,9 @@ class DecodeCache {
 };
 
 /// Parses a cache spec: "" (defaults), "off" / "none", or "on" / "clock"
-/// optionally followed by ":entries=N,shards=S". Throws
-/// std::invalid_argument naming the offending key on unknown options.
+/// optionally followed by ":entries=N,max_defects=M". Throws
+/// std::invalid_argument naming the offending key on unknown options and
+/// on values outside [0, INT_MAX].
 DecodeCacheConfig parse_decode_cache_spec(std::string_view spec);
-
-/// Canonical echo of a config ("off" or "clock:entries=N,shards=S") for
-/// telemetry CSV context columns.
-std::string decode_cache_spec_string(const DecodeCacheConfig& config);
-
-/// Shards the streaming service materializes for `lanes` lanes under
-/// `config`: config.shards when positive, else one shard per 256 lanes,
-/// clamped to [1, 16] — and never more shards than lanes.
-int decode_cache_shard_count(const DecodeCacheConfig& config, int lanes);
 
 }  // namespace qec

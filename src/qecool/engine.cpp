@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "qecool/probe.hpp"
 
@@ -379,11 +378,7 @@ std::uint64_t QecoolEngine::run_dispatch(std::uint64_t budget) {
     // All resident layers clean: the scan would only skip rows and pop —
     // emulate those charges analytically, no hashing, no lookup.
     ++cache_stats_.zero_rounds;
-    const std::uint64_t consumed = run_all_clear(budget);
-    if (obs_track_ && cache_ != nullptr) {
-      obs_track_->emit(obs::EventKind::kCache, consumed, obs::kCacheZero);
-    }
-    return consumed;
+    return run_all_clear(budget);
   }
 
   // Idle when no work can make progress (the scan's loop-entry check):
@@ -397,29 +392,13 @@ std::uint64_t QecoolEngine::run_dispatch(std::uint64_t budget) {
   // no probe, no install, only the bypass counter.
   if (limit > 0 && defects > limit) {
     ++cache_stats_.bypasses;
-    const std::uint64_t consumed = run_scan(budget);
-    if (obs_track_) {
-      obs_track_->emit(obs::EventKind::kCache, consumed, obs::kCacheBypass);
-    }
-    return consumed;
+    return run_scan(budget);
   }
 
-  std::uint64_t hash = 0;
-  const DecodeOutcome* outcome = nullptr;
-  {
-    // The cache probe is the first half of the profiler's kCache stage
-    // (the second is the install below); a null profiler costs one branch.
-    obs::ScopedStage probe_scope(profiler_, obs::Stage::kCache);
-    hash = build_cache_key(budget);
-    outcome = cache_->lookup(hash, key_);
-  }
-  if (outcome != nullptr) {
+  const std::uint64_t hash = build_cache_key(budget);
+  if (const DecodeOutcome* outcome = cache_->lookup(hash, key_)) {
     ++cache_stats_.hits;
-    const std::uint64_t consumed = replay(*outcome);
-    if (obs_track_) {
-      obs_track_->emit(obs::EventKind::kCache, consumed, obs::kCacheHit);
-    }
-    return consumed;
+    return replay(*outcome);
   }
 
   ++cache_stats_.misses;
@@ -431,15 +410,9 @@ std::uint64_t QecoolEngine::run_dispatch(std::uint64_t budget) {
   const std::uint64_t consumed = run_scan(budget);
   recording_ = false;
   ++cache_stats_.installs;
-  {
-    obs::ScopedStage install_scope(profiler_, obs::Stage::kCache);
-    build_outcome(consumed);
-    if (cache_->install(hash, key_, outcome_scratch_)) {
-      ++cache_stats_.evictions;
-    }
-  }
-  if (obs_track_) {
-    obs_track_->emit(obs::EventKind::kCache, consumed, obs::kCacheMiss);
+  build_outcome(consumed);
+  if (cache_->install(hash, key_, outcome_scratch_)) {
+    ++cache_stats_.evictions;
   }
   return consumed;
 }

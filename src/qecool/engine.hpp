@@ -52,8 +52,7 @@ namespace qec {
 class EngineProbe;  // qecool/probe.hpp — invariant hook for the fuzz build
 
 namespace obs {
-class Track;     // obs/trace.hpp — the engine never includes the obs layer
-class Profiler;  // obs/profile.hpp — wall-clock hook, same arrangement
+class Track;  // obs/trace.hpp — the engine never includes the obs layer
 }
 
 /// One matching event, recorded when QecoolConfig::record_trace is set.
@@ -128,12 +127,6 @@ class QecoolEngine {
   /// The track's current round is maintained by the caller; disabled
   /// tracing costs the pop path one branch.
   void set_obs_track(obs::Track* track) { obs_track_ = track; }
-
-  /// Wall-clock profiling hook (src/obs/profile.hpp): when set, the
-  /// decode-cache probe/install regions of run() are timed under
-  /// Stage::kCache. Null disables; a disabled profiler costs the cache
-  /// path one branch, matching the obs hook precedent.
-  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
 
   /// Invariant/coverage hook (qecool/probe.hpp): when set, every push,
   /// pop, and run() fires the probe. Null disables; a disabled probe
@@ -235,7 +228,6 @@ class QecoolEngine {
   int row_ = 0;  // next row to scan in the current pass
 
   obs::Track* obs_track_ = nullptr;  ///< kPop sink; null = tracing off
-  obs::Profiler* profiler_ = nullptr;  ///< kCache stage timer; null = off
   EngineProbe* probe_ = nullptr;     ///< invariant hook; null = disabled
   std::uint64_t cycles_ = 0;
   std::uint64_t last_pop_cycles_ = 0;

@@ -138,14 +138,10 @@ class OnlineStepper {
   /// engine so popped layers emit kPop events. Null disables tracing.
   void set_obs_track(obs::Track* track) { engine_.set_obs_track(track); }
 
-  /// Wall-clock profiling hook: forwards the profiler to the engine so the
-  /// decode-cache probe/install path is timed under Stage::kCache.
-  void set_profiler(obs::Profiler* profiler) { engine_.set_profiler(profiler); }
-
   /// Decode-window memoization hook: forwards a (possibly shared) cache
-  /// shard to the engine. The owner guarantees single-threaded access —
-  /// the streaming service does so by executing each shard's lane block
-  /// sequentially. Null disables memoization.
+  /// to the engine. The owner guarantees single-threaded access by
+  /// driving every stepper that shares it sequentially. Null disables
+  /// memoization.
   void set_decode_cache(DecodeCache* cache) { engine_.set_decode_cache(cache); }
 
   /// Invariant/coverage hook (qecool/probe.hpp): forwards the probe to the

@@ -1,7 +1,6 @@
 #include "stream/admission.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -15,12 +14,6 @@ namespace {
 [[noreturn]] void bad_spec(const std::string& what) {
   throw std::invalid_argument("admission spec: " + what);
 }
-
-/// DecoderOptions has no "was this key given" query; an implausible
-/// fallback distinguishes an absent key from an explicit value, so a
-/// typo like high=0 or low=-2 fails loudly instead of silently selecting
-/// the automatic watermark.
-constexpr int kAbsent = std::numeric_limits<int>::min();
 
 }  // namespace
 
@@ -36,25 +29,26 @@ AdmissionConfig parse_admission_spec(std::string_view spec) {
     config.mode = AdmissionConfig::Mode::kOverflow;
   } else if (name == "pause") {
     config.mode = AdmissionConfig::Mode::kPause;
-    if (const int high = options.get_int("high", kAbsent); high != kAbsent) {
-      if (high < 1) bad_spec("high-water mark must be >= 1");
-      config.high_water = high;
+    // An explicit value is validated, never mistaken for an absent key: a
+    // typo like high=0 or low=-2 fails loudly instead of silently
+    // selecting the automatic watermark.
+    if (const auto high = options.get_int("high")) {
+      if (*high < 1) bad_spec("high-water mark must be >= 1");
+      config.high_water = *high;
     }
-    if (const int low = options.get_int("low", kAbsent); low != kAbsent) {
-      if (low < 0) bad_spec("low-water mark must be >= 0");
-      config.low_water = low;
+    if (const auto low = options.get_int("low")) {
+      if (*low < 0) bad_spec("low-water mark must be >= 0");
+      config.low_water = *low;
     }
   } else if (name == "codel") {
     config.mode = AdmissionConfig::Mode::kCodel;
-    if (const int target = options.get_int("target", kAbsent);
-        target != kAbsent) {
-      if (target < 1) bad_spec("codel target must be >= 1 round");
-      config.target = target;
+    if (const auto target = options.get_int("target")) {
+      if (*target < 1) bad_spec("codel target must be >= 1 round");
+      config.target = *target;
     }
-    if (const int interval = options.get_int("interval", kAbsent);
-        interval != kAbsent) {
-      if (interval < 1) bad_spec("codel interval must be >= 1 round");
-      config.interval = interval;
+    if (const auto interval = options.get_int("interval")) {
+      if (*interval < 1) bad_spec("codel interval must be >= 1 round");
+      config.interval = *interval;
     }
   } else {
     bad_spec("unknown mode '" + std::string(name) +

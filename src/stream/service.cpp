@@ -8,7 +8,6 @@
 
 #include "decoder/registry.hpp"
 #include "obs/postmortem.hpp"
-#include "qecool/decode_cache.hpp"
 #include "qecool/online_runner.hpp"
 #include "sim/executor.hpp"
 #include "stream/admission.hpp"
@@ -88,20 +87,26 @@ struct Lane {
   /// windowed histogram is invariant under threads and batching.
   std::size_t obs_consumed = 0;
 
-  /// Decode-cache counters already fed to the metrics registry (same
-  /// cumulative-snapshot / consume-delta pattern as obs_consumed).
+  /// All-zero fast-path counters already fed to the metrics registry
+  /// (same cumulative-snapshot / consume-delta pattern as obs_consumed).
   DecodeCacheStats cache_consumed;
 };
 
-/// How the decode cache is sharded over the lane fleet: lanes
-/// [s * block, (s + 1) * block) share shard s and execute sequentially on
-/// whichever worker claims the shard, so cache contents are a pure
-/// function of (trace, config) — independent of the worker thread count.
-struct CacheLayout {
-  bool enabled = false;
-  int shards = 0;
-  int block = 0;  ///< lanes per shard (last shard may be short)
-};
+/// The lane-parallel region: lanes split into contiguous blocks, one
+/// parallel_for task per block, each block's lanes run in lane order. One
+/// block per 256 lanes (at most 16) keeps the per-task hand-off off the
+/// per-lane path; a per-lane parallel_for was measured ~54% more CPU per
+/// lane-round on the shared pool (DESIGN.md section 7.1). Every write a lane
+/// makes is lane-local, so the block shape never changes an outcome.
+template <typename Body>
+void for_lanes(int n, int threads, const Body& body) {
+  const int blocks = std::clamp((n + 255) / 256, 1, 16);
+  const int block = (n + blocks - 1) / blocks;
+  parallel_for(blocks, threads, [&](int b) {
+    const int last = std::min(n, (b + 1) * block);
+    for (int i = b * block; i < last; ++i) body(i);
+  });
+}
 
 /// Orchestrates the shared engine pool over one run: per dispatch it asks
 /// the policy for up to `batch` rounds of engine->lane assignments (on the
@@ -113,14 +118,13 @@ class PoolScheduler {
  public:
   PoolScheduler(std::vector<Lane>& lanes, SchedulerPolicy& policy, int engines,
                 const StreamConfig& config, const AdmissionConfig& admission,
-                const CacheLayout& cache, StreamTelemetry& telemetry,
+                StreamTelemetry& telemetry,
                 obs::Tracer* tracer, obs::MetricsRegistry* metrics,
                 obs::Profiler* profiler)
       : lanes_(lanes),
         policy_(policy),
         config_(config),
         admission_(admission),
-        cache_(cache),
         telemetry_(telemetry),
         tracer_(tracer),
         metrics_(metrics),
@@ -128,11 +132,8 @@ class PoolScheduler {
         engines_(engines),
         // One round per dispatch whenever a round must see the state the
         // previous one left: dynamic policies and pause/codel admission
-        // read fresh queue depths, and a shared cache shard makes per-lane
-        // hit counters sensitive to execution order (outcomes never
-        // depended on the batch; this keeps the cache CSV independent of
-        // it too).
-        batch_(policy.dynamic() || admission.pause() || cache.enabled
+        // read fresh queue depths.
+        batch_(policy.dynamic() || admission.pause()
                    ? 1
                    : std::max(1, config.rounds_per_dispatch)) {
     telemetry_.engine_stats.resize(static_cast<std::size_t>(engines_));
@@ -160,16 +161,16 @@ class PoolScheduler {
       m_depth_ = metrics_->add_histogram("depth");
       m_sojourn_ = metrics_->add_histogram("sojourn");
       // Decode-cache counters append after the PR 7 instruments so the
-      // established column order is untouched. They stay registered (all
-      // zero except the fast-path counters) when the cache is off, so the
-      // metrics CSV header does not depend on the cache spec.
-      m_cache_hits_ = metrics_->add_counter("cache_hits");
-      m_cache_misses_ = metrics_->add_counter("cache_misses");
-      m_cache_installs_ = metrics_->add_counter("cache_installs");
-      m_cache_evictions_ = metrics_->add_counter("cache_evictions");
+      // established column order is untouched. The service attaches no
+      // cache, so only the all-zero fast-path counters move; the others
+      // stay registered (at zero) to keep the CSV schema.
+      for (const char* name : {"cache_hits", "cache_misses", "cache_installs",
+                               "cache_evictions"}) {
+        metrics_->add_counter(name);
+      }
       m_cache_zero_rounds_ = metrics_->add_counter("cache_zero_rounds");
       m_cache_zero_pushes_ = metrics_->add_counter("cache_zero_pushes");
-      m_cache_bypasses_ = metrics_->add_counter("cache_bypasses");
+      metrics_->add_counter("cache_bypasses");
       // Wall-clock profile feed: registered only when profiling is on, so
       // the default metrics CSV schema is untouched — and these columns
       // are the ONE part of the CSV exempt from the byte-identical
@@ -180,9 +181,8 @@ class PoolScheduler {
         m_prof_[0] = metrics_->add_counter("prof_dispatch_ns");
         m_prof_[1] = metrics_->add_counter("prof_lane_ns");
         m_prof_[2] = metrics_->add_counter("prof_reduce_ns");
-        m_prof_[3] = metrics_->add_counter("prof_cache_ns");
-        m_prof_[4] = metrics_->add_counter("prof_telemetry_ns");
-        m_prof_[5] = metrics_->add_counter("prof_export_ns");
+        m_prof_[3] = metrics_->add_counter("prof_telemetry_ns");
+        m_prof_[4] = metrics_->add_counter("prof_export_ns");
       }
     }
   }
@@ -276,9 +276,8 @@ class PoolScheduler {
     }
 
     // Lane-parallel execution; every write below lands in lane-local
-    // state or the lane's own scratch slots. (Shard-sequential when the
-    // decode cache is on: see for_lanes.)
-    for_lanes(n, [&](int i) {
+    // state or the lane's own scratch slots.
+    for_lanes(n, config_.threads, [&](int i) {
       obs::ScopedStage prof(profiler_, obs::Stage::kLaneExecute);
       Lane& lane = lanes_[static_cast<std::size_t>(i)];
       for (int r = 0; r < count; ++r) {
@@ -531,21 +530,16 @@ class PoolScheduler {
     lane.obs_consumed = upto;
   }
 
-  /// Feeds the delta between the lane's cumulative decode-cache counters
-  /// and what was already consumed to the metrics registry. Same fixed
-  /// reduction order as consume_sojourn, so window attribution never
+  /// Feeds the delta between the lane's cumulative all-zero fast-path
+  /// counters and what was already consumed to the metrics registry. Same
+  /// fixed reduction order as consume_sojourn, so window attribution never
   /// depends on threads or batching.
   void consume_cache(Lane& lane, const DecodeCacheStats& after) {
     const DecodeCacheStats& before = lane.cache_consumed;
-    metrics_->count(m_cache_hits_, after.hits - before.hits);
-    metrics_->count(m_cache_misses_, after.misses - before.misses);
-    metrics_->count(m_cache_installs_, after.installs - before.installs);
-    metrics_->count(m_cache_evictions_, after.evictions - before.evictions);
     metrics_->count(m_cache_zero_rounds_,
                     after.zero_rounds - before.zero_rounds);
     metrics_->count(m_cache_zero_pushes_,
                     after.zero_pushes - before.zero_pushes);
-    metrics_->count(m_cache_bypasses_, after.bypasses - before.bypasses);
     lane.cache_consumed = after;
   }
 
@@ -562,24 +556,6 @@ class PoolScheduler {
     }
   }
 
-  /// The lane-parallel region: a plain parallel_for over lanes, unless the
-  /// decode cache is on — then the unit of parallelism is the cache shard
-  /// and the lanes sharing a shard run sequentially in lane order, so
-  /// shard contents (and every hit/miss counter) are independent of the
-  /// worker-thread count.
-  template <typename Body>
-  void for_lanes(int n, Body&& body) {
-    if (!cache_.enabled) {
-      parallel_for(n, config_.threads, body);
-      return;
-    }
-    parallel_for(cache_.shards, config_.threads, [&](int s) {
-      const int first = s * cache_.block;
-      const int last = std::min(n, first + cache_.block);
-      for (int i = first; i < last; ++i) body(i);
-    });
-  }
-
   static constexpr std::uint8_t kActive = 1;   ///< lane pushed (or overflowed)
   static constexpr std::uint8_t kPushed = 2;   ///< layer accepted (no overflow)
   static constexpr std::uint8_t kServed = 4;   ///< consumed an engine grant
@@ -591,7 +567,6 @@ class PoolScheduler {
   SchedulerPolicy& policy_;
   const StreamConfig& config_;
   const AdmissionConfig admission_;
-  const CacheLayout cache_;
   StreamTelemetry& telemetry_;
   obs::Tracer* const tracer_ = nullptr;            ///< null = tracing off
   obs::MetricsRegistry* const metrics_ = nullptr;  ///< null = metrics off
@@ -614,13 +589,8 @@ class PoolScheduler {
   int m_overflowed_ = -1;
   int m_depth_ = -1;
   int m_sojourn_ = -1;
-  int m_cache_hits_ = -1;
-  int m_cache_misses_ = -1;
-  int m_cache_installs_ = -1;
-  int m_cache_evictions_ = -1;
   int m_cache_zero_rounds_ = -1;
   int m_cache_zero_pushes_ = -1;
-  int m_cache_bypasses_ = -1;
   std::array<int, obs::kStageCount> m_prof_{};  ///< per-stage nanos counters
 
   std::vector<int> depth_;             // pre-round, for the policy view
@@ -679,7 +649,6 @@ std::string stream_config_json(const StreamConfig& config, int trace_rounds,
          std::to_string(config.rounds_per_dispatch);
   out += ", \"admission\": " + json_string(config.admission);
   out += ", \"budget_w\": " + json_double(config.budget_w);
-  out += ", \"cache\": " + json_string(config.cache);
   out += ", \"threads\": " + std::to_string(config.threads);
   out += ", \"obs\": {";
   out += "\"trace\": ";
@@ -748,18 +717,6 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   const bool slo_enabled = !config.obs.slo.empty();
   obs::SloConfig slo_config;
   if (slo_enabled) slo_config = obs::parse_slo_spec(config.obs.slo);
-  // Decode-window memoization: config.cache overrides the engine spec's
-  // cache block when present (also validated eagerly, before any lane
-  // exists). record_trace engines bypass the cache, so treat that as off.
-  DecodeCacheConfig cache_cfg = engine_config.cache;
-  if (!config.cache.empty()) cache_cfg = parse_decode_cache_spec(config.cache);
-  CacheLayout cache_layout;
-  cache_layout.enabled = cache_cfg.enabled && cache_cfg.entries > 0 &&
-                         !engine_config.record_trace;
-  if (cache_layout.enabled) {
-    cache_layout.shards = decode_cache_shard_count(cache_cfg, n);
-    cache_layout.block = (n + cache_layout.shards - 1) / cache_layout.shards;
-  }
   int engines = config.engines <= 0 ? n : config.engines;
 
   // The pool size is ultimately a watts decision: a positive budget_w
@@ -806,22 +763,6 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     }
   }
 
-  // Cache shards: lanes [s * block, (s + 1) * block) share shard s. The
-  // shard count is a pure function of the config (never of --threads), so
-  // which windows collide in a shard — and thus every hit/miss counter —
-  // is reproducible across machines.
-  std::vector<DecodeCache> cache_shards;
-  if (cache_layout.enabled) {
-    cache_shards.reserve(static_cast<std::size_t>(cache_layout.shards));
-    for (int s = 0; s < cache_layout.shards; ++s) {
-      cache_shards.emplace_back(cache_cfg.entries);
-    }
-    for (int i = 0; i < n; ++i) {
-      lanes[static_cast<std::size_t>(i)].stepper.set_decode_cache(
-          &cache_shards[static_cast<std::size_t>(i / cache_layout.block)]);
-    }
-  }
-
   StreamOutcome outcome;
   if (config.obs.trace) {
     outcome.tracer = std::make_shared<obs::Tracer>(
@@ -842,9 +783,6 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   if (config.obs.profile) {
     outcome.profiler = std::make_shared<obs::Profiler>(
         static_cast<std::size_t>(std::max(1, config.obs.profile_ring)));
-    for (auto& lane : lanes) {
-      lane.stepper.set_profiler(outcome.profiler.get());  // kCache stage
-    }
   }
   outcome.telemetry.distance = static_cast<int>(trace.header().distance);
   outcome.telemetry.p = trace.header().p_data;
@@ -853,13 +791,6 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   outcome.telemetry.engine = config.engine;
   outcome.telemetry.policy = config.policy;
   outcome.telemetry.admission = config.admission;
-  if (cache_layout.enabled) {
-    DecodeCacheConfig resolved = cache_cfg;
-    resolved.shards = cache_layout.shards;
-    outcome.telemetry.cache = decode_cache_spec_string(resolved);
-  } else {
-    outcome.telemetry.cache = "off";
-  }
   outcome.telemetry.engines = engines;
   outcome.telemetry.budget_w = config.budget_w;
   if (freq_hz > 0) {
@@ -870,7 +801,7 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   }
 
   PoolScheduler scheduler(lanes, *policy, engines, config, admission,
-                          cache_layout, outcome.telemetry,
+                          outcome.telemetry,
                           outcome.tracer.get(), outcome.metrics.get(),
                           outcome.profiler.get());
 
@@ -927,7 +858,7 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
 
   // Finalize each lane (the logical scoring decodes nothing, but keep it
   // in the parallel region: it is per-lane work too).
-  parallel_for(n, config.threads, [&](int i) {
+  for_lanes(n, config.threads, [&](int i) {
     obs::ScopedStage prof(outcome.profiler.get(), obs::Stage::kLaneExecute);
     Lane& lane = lanes[static_cast<std::size_t>(i)];
     const OnlineResult result = lane.stepper.result();

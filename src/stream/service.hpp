@@ -93,7 +93,9 @@ struct StreamConfig {
   std::uint64_t seed = 2021;
 
   /// Lane engine spec, resolved via online_engine_config() — e.g.
-  /// "qecool" or "qecool:reg_depth=4,thv=3".
+  /// "qecool" or "qecool:reg_depth=4,thv=3". The service attaches no
+  /// decode cache, so the spec's cache options are ignored here (they
+  /// apply to single-engine owners: run_online, BatchQecoolDecoder).
   std::string engine = "qecool";
 
   /// Decoder cycles granted per measurement interval (fractional budgets
@@ -116,10 +118,9 @@ struct StreamConfig {
 
   /// Rounds executed per scheduling dispatch (one parallel_for barrier).
   /// Static policies amortize the per-round barrier over this many rounds
-  /// without changing any outcome; dynamic policies (least_loaded) need
-  /// fresh queue depths every round and clamp it to 1. <= 1 means one
-  /// round per dispatch. Admission pause mode also clamps to 1: pause and
-  /// resume decisions need fresh queue depths every round.
+  /// without changing any outcome. Dynamic policies (least_loaded) and
+  /// pause/codel admission need fresh queue depths every round and clamp
+  /// it to 1. <= 1 means one round per dispatch.
   int rounds_per_dispatch = 1;
 
   /// Admission control spec, resolved via parse_admission_spec():
@@ -137,18 +138,6 @@ struct StreamConfig {
   /// positive cycles_per_round (the clock sets the watts); throws when
   /// not even one engine fits. <= 0 leaves K uncapped.
   double budget_w = 0.0;
-
-  /// Decode-window memoization spec override, resolved via
-  /// parse_decode_cache_spec(): "" defers to the engine spec (whose
-  /// default is on), "off" disables (byte-identical to the uncached
-  /// engine), "on" / "clock[:entries=N,shards=S]" configures the bounded
-  /// CLOCK cache. Lanes are split into `shards` contiguous blocks, each
-  /// sharing one shard and executing sequentially, so cache contents —
-  /// and the cache CSV — never depend on --threads. With the cache on,
-  /// rounds_per_dispatch clamps to 1 for the same reason (outcomes never
-  /// depend on it; shared-shard hit counters would). See
-  /// qecool/decode_cache.hpp and DESIGN.md section 13.
-  std::string cache;
 
   /// Worker threads (<= 0: all hardware threads). Never changes results.
   int threads = 1;

@@ -67,9 +67,9 @@ struct LaneTelemetry {
   /// spent frozen by admission control (stream/qos.hpp LatencyTracker).
   std::vector<std::uint64_t> sojourn_rounds;
   MatchStats matches;
-  /// The lane engine's decode-window memoization counters (its own
-  /// lookups, meaningful even when lanes share a cache shard; all zero
-  /// except zero_rounds/zero_pushes when the cache is off).
+  /// The lane engine's decode-cache counters. The service attaches no
+  /// cache, so only the all-zero fast-path counters (zero_rounds,
+  /// zero_pushes) move; the rest read 0 and keep the export schema.
   DecodeCacheStats cache;
 
   /// A lane fails when it overflowed, failed to drain, or drained to a
@@ -141,8 +141,8 @@ struct StreamTelemetry {
   std::string engine = "qecool";
   std::string policy = "dedicated";
   std::string admission = "overflow";  ///< admission spec (PR 4)
-  /// Resolved decode-cache spec ("off" or "clock:entries=N,shards=S" with
-  /// the shard count the service materialized).
+  /// Decode-cache column of the cache CSV: always "off" (the service
+  /// attaches no cache; the column keeps the export schema).
   std::string cache = "off";
   int engines = 0;   ///< pool size K
   double watts = 0.0;     ///< modelled pool dissipation (0: clock unknown)
@@ -195,8 +195,9 @@ struct StreamTelemetry {
   bool write_latency_csv(const std::string& path) const;
 
   /// Decode-cache report: one row per lane plus a final "all" aggregate
-  /// row with hit/miss/install/evict counters, the hit rate, and the
-  /// all-zero fast-path counters (which advance even with the cache off).
+  /// row with hit/miss/install/evict counters (0 in the service), the hit
+  /// rate, and the all-zero fast-path counters, which advance without a
+  /// cache.
   /// write_csv's column set is frozen, so the cache columns live here.
   bool write_cache_csv(const std::string& path) const;
 };

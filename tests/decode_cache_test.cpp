@@ -1,17 +1,15 @@
 // Tests for the decode-window memoization cache (qecool/decode_cache):
 // unit-level CLOCK eviction and collision safety, bit-exact equivalence
-// of cached and uncached decoding across a p x d grid (online and
-// streaming), thread-count invariance of the cache CSV, the all-zero
-// fast-path counters, and the spec grammar.
+// of cached and uncached decoding across a p x d grid and across lanes
+// sharing one cache, the all-zero fast-path counters the streaming
+// service still reports without a cache, and the spec grammar.
 #include "qecool/decode_cache.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "decoder/registry.hpp"
 #include "noise/phenomenological.hpp"
@@ -22,17 +20,6 @@
 
 namespace qec {
 namespace {
-
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
-std::string read_all(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 DecodeOutcome outcome_with(std::uint64_t consumed) {
   DecodeOutcome outcome;
@@ -194,155 +181,107 @@ TEST(DecodeCacheOnline, OnOffIdenticalAcrossPAndD) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Stream level: CSV byte-equality, shards, threads, fast-path counters.
+TEST(DecodeCacheOnline, SingleEntrySharedCacheStaysExact) {
+  // One entry shared by several lanes' steppers, driven in lane order
+  // round by round: constant eviction pressure and maximal cross-lane
+  // interleaving. Every lane's outcome must still equal its uncached run.
+  // Lanes come in pairs with one history, so the second of a pair replays
+  // the window its neighbour just installed.
+  const PlanarLattice lat(5);
+  OnlineConfig online;
+  online.cycles_per_round = 300;
+  constexpr int kLanes = 6;
+  std::vector<SyndromeHistory> histories;
+  for (int lane = 0; lane < kLanes; ++lane) {
+    Xoshiro256ss rng(static_cast<std::uint64_t>(11 + lane / 2));
+    histories.push_back(sample_history(lat, {0.02, 0.02, 16}, rng));
+  }
 
-StreamConfig stream_config() {
+  DecodeCache shared(1);
+  std::vector<OnlineStepper> plain;
+  std::vector<OnlineStepper> cached;
+  plain.reserve(kLanes);
+  cached.reserve(kLanes);
+  for (int lane = 0; lane < kLanes; ++lane) {
+    plain.emplace_back(lat, online);
+    cached.emplace_back(lat, online);
+    cached.back().set_decode_cache(&shared);
+  }
+  const auto round = [&](std::vector<OnlineStepper>& steppers, int lane,
+                         const BitVec* layer) {
+    OnlineStepper& s = steppers[static_cast<std::size_t>(lane)];
+    if (s.overflowed()) return;
+    if (layer ? s.push(*layer) : s.push_clean()) {
+      s.spend(online.cycles_per_round);
+    }
+  };
+  const std::size_t layers = histories.front().difference.size();
+  for (std::size_t r = 0; r < layers + 64; ++r) {
+    for (int lane = 0; lane < kLanes; ++lane) {
+      const auto& diff = histories[static_cast<std::size_t>(lane)].difference;
+      const BitVec* layer = r < diff.size() ? &diff[r] : nullptr;
+      round(plain, lane, layer);
+      round(cached, lane, layer);
+    }
+  }
+
+  DecodeCacheStats stats;
+  for (int lane = 0; lane < kLanes; ++lane) {
+    const OnlineResult a = plain[static_cast<std::size_t>(lane)].result();
+    const OnlineResult b = cached[static_cast<std::size_t>(lane)].result();
+    EXPECT_EQ(a.overflow, b.overflow) << "lane " << lane;
+    EXPECT_EQ(a.drained, b.drained) << "lane " << lane;
+    EXPECT_EQ(a.correction, b.correction) << "lane " << lane;
+    EXPECT_EQ(a.total_cycles, b.total_cycles) << "lane " << lane;
+    EXPECT_EQ(a.layer_cycles, b.layer_cycles) << "lane " << lane;
+    expect_same_matches(a.matches, b.matches);
+    stats.merge(cached[static_cast<std::size_t>(lane)].engine().cache_stats());
+  }
+  EXPECT_GT(stats.hits, 0u) << "paired lanes must share windows";
+  EXPECT_GT(stats.evictions, 0u) << "one entry must churn";
+}
+
+// ---------------------------------------------------------------------------
+// Stream level: the service attaches no cache; the fast path still counts.
+
+TEST(DecodeCacheStream, CleanStreamRidesTheZeroFastPathWithoutACache) {
   StreamConfig config;
   config.lanes = 8;
   config.distance = 5;
-  config.p = 0.02;
+  config.p = 0.0;
   config.rounds = 16;
   config.seed = 11;
   config.cycles_per_round = 300;
-  return config;
-}
-
-std::string stream_csv(const SyndromeTrace& trace, const StreamConfig& config,
-                       const char* name) {
-  const auto outcome = run_stream(trace, config);
-  const std::string path = temp_path(name);
-  EXPECT_TRUE(outcome.telemetry.write_csv(path));
-  const std::string text = read_all(path);
-  std::remove(path.c_str());
-  return text;
-}
-
-TEST(DecodeCacheStream, OnOffByteIdenticalTelemetry) {
-  StreamConfig config = stream_config();
-  const auto trace = record_trace(config);
-  config.cache = "off";
-  const std::string off = stream_csv(trace, config, "cache_off.csv");
-  config.cache = "on";
-  const std::string on = stream_csv(trace, config, "cache_on.csv");
-  EXPECT_EQ(off, on) << "cache must never change a decode outcome";
-}
-
-TEST(DecodeCacheStream, SingleEntrySharedShardStaysExact) {
-  // entries=1 with one shard shared by all lanes: constant eviction
-  // pressure and maximal cross-lane interleaving — outcomes still exact.
-  StreamConfig config = stream_config();
-  const auto trace = record_trace(config);
-  config.cache = "off";
-  const std::string off = stream_csv(trace, config, "cache1_off.csv");
-  config.cache = "clock:entries=1,shards=1";
-  const std::string tiny = stream_csv(trace, config, "cache1_on.csv");
-  EXPECT_EQ(off, tiny);
-}
-
-TEST(DecodeCacheStream, ThreadCountNeverChangesCacheCsv) {
-  StreamConfig config = stream_config();
-  config.lanes = 12;
-  config.cache = "clock:entries=64,shards=3";
-  const auto trace = record_trace(config);
-
-  const auto run_with = [&](int threads, const char* name, const char* cname) {
-    StreamConfig c = config;
-    c.threads = threads;
-    const auto outcome = run_stream(trace, c);
-    const std::string path = temp_path(name);
-    const std::string cache_path = temp_path(cname);
-    EXPECT_TRUE(outcome.telemetry.write_csv(path));
-    EXPECT_TRUE(outcome.telemetry.write_cache_csv(cache_path));
-    const auto result =
-        std::make_pair(read_all(path), read_all(cache_path));
-    std::remove(path.c_str());
-    std::remove(cache_path.c_str());
-    return result;
-  };
-
-  const auto serial = run_with(1, "ct1.csv", "ct1_cache.csv");
-  const auto parallel = run_with(4, "ct4.csv", "ct4_cache.csv");
-  EXPECT_EQ(serial.first, parallel.first);
-  EXPECT_EQ(serial.second, parallel.second)
-      << "shard-sequential execution must make hit/miss counters "
-         "independent of --threads";
-}
-
-TEST(DecodeCacheStream, CleanStreamRidesTheZeroFastPath) {
-  StreamConfig config = stream_config();
-  config.p = 0.0;
-  const auto outcome = run_stream(config);
-  const DecodeCacheStats stats = outcome.telemetry.aggregate().cache;
-  EXPECT_GT(stats.zero_rounds, 0u);
-  EXPECT_GT(stats.zero_pushes, 0u);
-  // The all-clear path never probes the cache.
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(outcome.failed_lanes, 0);
-}
-
-TEST(DecodeCacheStream, ZeroCountersAdvanceEvenWithCacheOff) {
-  StreamConfig config = stream_config();
-  config.p = 0.0;
-  config.cache = "off";
   const auto outcome = run_stream(config);
   EXPECT_EQ(outcome.telemetry.cache, "off");
   const DecodeCacheStats stats = outcome.telemetry.aggregate().cache;
   EXPECT_GT(stats.zero_rounds, 0u);
   EXPECT_GT(stats.zero_pushes, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.installs, 0u);
-}
-
-TEST(DecodeCacheStream, TelemetryEchoesTheResolvedSpec) {
-  StreamConfig config = stream_config();
-  config.cache = "on";
-  // An eager engine (no thv aging gate) decodes single-layer windows,
-  // which repeat across lanes — so this small run demonstrably hits.
-  config.engine = "qecool:thv=-1";
-  const auto outcome = run_stream(config);
-  // 8 lanes -> one shard under the one-per-256-lanes default.
-  EXPECT_EQ(outcome.telemetry.cache,
-            "clock:entries=4096,shards=1,max_defects=6");
-  EXPECT_GT(outcome.telemetry.aggregate().cache.misses, 0u);
-  EXPECT_GT(outcome.telemetry.aggregate().cache.hits, 0u);
+  EXPECT_EQ(outcome.failed_lanes, 0);
 }
 
 // ---------------------------------------------------------------------------
 // Spec grammar and error messages.
 
-TEST(DecodeCacheSpec, ParsesAndEchoes) {
+TEST(DecodeCacheSpec, Parses) {
   const DecodeCacheConfig off = parse_decode_cache_spec("off");
   EXPECT_FALSE(off.enabled);
-  EXPECT_EQ(decode_cache_spec_string(off), "off");
 
   const DecodeCacheConfig on = parse_decode_cache_spec("on");
   EXPECT_TRUE(on.enabled);
   EXPECT_EQ(on.entries, 4096);
 
   const DecodeCacheConfig tuned =
-      parse_decode_cache_spec("clock:entries=128,shards=2,max_defects=9");
+      parse_decode_cache_spec("clock:entries=128,max_defects=9");
   EXPECT_TRUE(tuned.enabled);
   EXPECT_EQ(tuned.entries, 128);
-  EXPECT_EQ(tuned.shards, 2);
   EXPECT_EQ(tuned.max_defects, 9);
-  EXPECT_EQ(decode_cache_spec_string(tuned),
-            "clock:entries=128,shards=2,max_defects=9");
 
   // max_defects=0 turns the sparsity gate off: every window is probed.
   EXPECT_EQ(parse_decode_cache_spec("on:max_defects=0").max_defects, 0);
-}
-
-TEST(DecodeCacheSpec, ShardCountDefaultsOnePer256Lanes) {
-  DecodeCacheConfig config;
-  EXPECT_EQ(decode_cache_shard_count(config, 8), 1);
-  EXPECT_EQ(decode_cache_shard_count(config, 256), 1);
-  EXPECT_EQ(decode_cache_shard_count(config, 257), 2);
-  EXPECT_EQ(decode_cache_shard_count(config, 4096), 16);
-  EXPECT_EQ(decode_cache_shard_count(config, 100000), 16);  // capped
-  config.shards = 5;
-  EXPECT_EQ(decode_cache_shard_count(config, 4096), 5);
-  EXPECT_EQ(decode_cache_shard_count(config, 3), 3);  // never > lanes
 }
 
 TEST(DecodeCacheSpec, ErrorsNameTheOptionFamily) {
@@ -351,9 +290,23 @@ TEST(DecodeCacheSpec, ErrorsNameTheOptionFamily) {
     parse_decode_cache_spec("clock:banana=1");
     FAIL() << "unknown cache option must throw";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("entries, shards"),
+    EXPECT_NE(std::string(e.what()).find("entries, max_defects"),
               std::string::npos)
         << e.what();
+  }
+  // `shards` is not a cache option.
+  EXPECT_THROW(parse_decode_cache_spec("clock:shards=2"),
+               std::invalid_argument);
+  // Values outside int are rejected, naming the key, never wrapped.
+  for (const char* spec :
+       {"clock:entries=4294967297", "clock:max_defects=99999999999999999999"}) {
+    try {
+      parse_decode_cache_spec(spec);
+      ADD_FAILURE() << spec << " must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("option '"), std::string::npos)
+          << e.what();
+    }
   }
   try {
     online_engine_config("qecool:cache_banana=1");
@@ -366,10 +319,9 @@ TEST(DecodeCacheSpec, ErrorsNameTheOptionFamily) {
 
 TEST(DecodeCacheSpec, EngineSpecCarriesCacheOptions) {
   const QecoolConfig config =
-      online_engine_config("qecool:cache=clock,cache_entries=32,cache_shards=2");
+      online_engine_config("qecool:cache=clock,cache_entries=32");
   EXPECT_TRUE(config.cache.enabled);
   EXPECT_EQ(config.cache.entries, 32);
-  EXPECT_EQ(config.cache.shards, 2);
   const QecoolConfig off = online_engine_config("qecool:cache=off");
   EXPECT_FALSE(off.cache.enabled);
 }

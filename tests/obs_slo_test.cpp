@@ -285,7 +285,7 @@ TEST(Profiler, RecordsScopesAndWritesCsv) {
   obs::Profiler profiler(/*sample_ring=*/16);
   {
     obs::ScopedStage scope(&profiler, obs::Stage::kDispatchAssign);
-    obs::ScopedStage inner(&profiler, obs::Stage::kCache);
+    obs::ScopedStage inner(&profiler, obs::Stage::kReduction);
   }
   { obs::ScopedStage scope(&profiler, obs::Stage::kDispatchAssign); }
   // A null profiler is a safe no-op (the disabled hot path).
@@ -293,7 +293,7 @@ TEST(Profiler, RecordsScopesAndWritesCsv) {
 
   const auto totals = profiler.totals();
   EXPECT_EQ(totals[0].calls, 2u);  // dispatch_assign
-  EXPECT_EQ(totals[3].calls, 1u);  // cache
+  EXPECT_EQ(totals[2].calls, 1u);  // reduction
   EXPECT_EQ(totals[1].calls, 0u);  // lane_execute untouched
   EXPECT_EQ(profiler.threads(), 1);
 
@@ -304,7 +304,7 @@ TEST(Profiler, RecordsScopesAndWritesCsv) {
   const auto samples = profiler.thread_samples(0);
   ASSERT_EQ(samples.size(), 3u);
   // Sorted by start time: the outer dispatch scope precedes its nested
-  // cache scope even though the inner one closed (recorded) first.
+  // reduction scope even though the inner one closed (recorded) first.
   EXPECT_LE(samples[0].start_ns, samples[1].start_ns);
   EXPECT_EQ(samples[0].stage, obs::Stage::kDispatchAssign);
 

@@ -213,13 +213,12 @@ TEST(ObsIntegration, GoldenEventPrefixOfSmallBurstyRun) {
   const auto merged = outcome.tracer->merged();
   EXPECT_EQ(outcome.tracer->dropped(), 0u);
   EXPECT_EQ(outcome.tracer->emitted(), merged.size());
-  EXPECT_EQ(outcome.tracer->emitted(), 695u);
+  EXPECT_EQ(outcome.tracer->emitted(), 579u);
   // The first three rounds, verbatim: round 0 lands the first layer on
   // every lane before any engine has work to grant; from round 1 on the
   // two fq engines serve two lanes per round while the other four starve
-  // and build depth. Served lanes also emit one cache event per run (the
-  // decode cache is on by default). Format: "ts track kind payload arg".
-  EXPECT_EQ(render_events(merged, 30),
+  // and build depth. Format: "ts track kind payload arg".
+  EXPECT_EQ(render_events(merged, 29),
             "0 ctl dispatch 0 0\n"
             "0 L0 push 1 1\n"
             "0 L1 push 1 1\n"
@@ -232,7 +231,6 @@ TEST(ObsIntegration, GoldenEventPrefixOfSmallBurstyRun) {
             "1 L0 serve 0 0\n"
             "1 L1 push 2 1\n"
             "1 L1 pop 7 0\n"
-            "1 L1 cache 7 0\n"
             "1 L1 serve 7 0\n"
             "1 L2 push 2 1\n"
             "1 L2 starve 2 0\n"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "decoder/registry.hpp"
 #include "mwpm/mwpm_decoder.hpp"
@@ -39,6 +40,37 @@ TEST(Registry, MalformedOptionsThrow) {
   EXPECT_THROW(make_decoder("qecool:thv=abc"), std::invalid_argument);
   EXPECT_THROW(make_decoder("qecool:start_at_max_hop=maybe"),
                std::invalid_argument);
+}
+
+/// The message of the invalid_argument `fn` throws ("" if it does not).
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Registry, OutOfRangeIntegersThrowNamingTheKey) {
+  // A long that does not fit an int must not wrap: 4294967303 would read
+  // as 7 and 2147483648 as INT_MIN. strtol's own overflow (ERANGE) too.
+  for (const char* spec :
+       {"qecool:reg_depth=4294967303", "qecool:thv=2147483648",
+        "qecool:nlimit=-2147483649", "qecool:cache_entries=99999999999999999999",
+        "windowed-mwpm:window=4294967297"}) {
+    const std::string what = error_of([&] { make_decoder(spec); });
+    EXPECT_NE(what.find("out of int range"), std::string::npos) << spec;
+  }
+  EXPECT_NE(error_of([] { make_decoder("qecool:reg_depth=4294967303"); })
+                .find("'reg_depth'"),
+            std::string::npos);
+  // The int range's own edges still parse.
+  const auto parsed = DecoderOptions::parse("a=2147483647,b=-2147483648");
+  EXPECT_EQ(parsed.get_int("a", 0), 2147483647);
+  EXPECT_EQ(parsed.get_int("b", 0), -2147483647 - 1);
+  EXPECT_FALSE(parsed.get_int("absent").has_value());
 }
 
 TEST(Registry, OptionsReachTheDecoder) {

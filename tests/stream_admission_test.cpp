@@ -86,6 +86,27 @@ TEST(Admission, SpecParsing) {
   EXPECT_THROW(parse_admission_spec("pause:high=0"), std::invalid_argument);
   EXPECT_THROW(parse_admission_spec("pause:high=-3"), std::invalid_argument);
   EXPECT_THROW(parse_admission_spec("pause:low=-2"), std::invalid_argument);
+  // Values outside int neither wrap (4294967303 would read as high=7) nor
+  // land on an "absent" sentinel (2147483648 would read as INT_MIN); an
+  // explicit INT_MIN is a value like any other, so it fails the >= 1 check.
+  const struct {
+    const char* spec;
+    const char* key;
+  } out_of_range[] = {{"pause:high=4294967303", "high"},
+                      {"pause:high=2147483648", "high"},
+                      {"pause:low=-2147483649", "low"},
+                      {"codel:target=99999999999999999999", "target"},
+                      {"codel:interval=4294967297", "interval"},
+                      {"pause:high=-2147483648", "high"}};
+  for (const auto& c : out_of_range) {
+    try {
+      parse_admission_spec(c.spec);
+      ADD_FAILURE() << c.spec << " must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << c.spec << ": " << e.what();
+    }
+  }
 }
 
 TEST(Admission, ResolveValidatesAgainstRegDepth) {
