@@ -125,7 +125,7 @@ class Shrinker {
           SyndromeTrace candidate = current_;
           PackedBits layer = candidate.layer(lane, round);
           layer.set_word(w, 0);
-          candidate.set_layer(lane, round, std::move(layer));
+          candidate.set_layer(lane, round, layer);
           shrunk |= attempt(std::move(candidate));
         }
       }
@@ -147,7 +147,7 @@ class Shrinker {
           SyndromeTrace candidate = current_;
           PackedBits layer = candidate.layer(lane, round);
           layer.reset(bit);
-          candidate.set_layer(lane, round, std::move(layer));
+          candidate.set_layer(lane, round, layer);
           shrunk |= attempt(std::move(candidate));
         }
       }

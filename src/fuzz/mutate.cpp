@@ -47,7 +47,7 @@ void TraceMutator::flip(SyndromeTrace& trace, int lane, int round,
                         std::size_t check) {
   PackedBits layer = trace.layer(lane, round);
   layer.flip(check);
-  trace.set_layer(lane, round, std::move(layer));
+  trace.set_layer(lane, round, layer);
 }
 
 MutationOp TraceMutator::mutate(SyndromeTrace& trace) {
@@ -97,7 +97,7 @@ void TraceMutator::apply(SyndromeTrace& trace, MutationOp op) {
           layer.flip(static_cast<std::size_t>(row * grid.cols + col));
         }
       }
-      trace.set_layer(lane, round, std::move(layer));
+      trace.set_layer(lane, round, layer);
       break;
     }
 
@@ -114,7 +114,7 @@ void TraceMutator::apply(SyndromeTrace& trace, MutationOp op) {
       for (int round = start; round < std::min(rounds, start + len); ++round) {
         PackedBits layer = trace.layer(lane, round);
         layer.set(check);
-        trace.set_layer(lane, round, std::move(layer));
+        trace.set_layer(lane, round, layer);
       }
       break;
     }
@@ -133,7 +133,7 @@ void TraceMutator::apply(SyndromeTrace& trace, MutationOp op) {
       for (int row = start; row < std::min(grid.rows, start + len); ++row) {
         layer.set(static_cast<std::size_t>(row * grid.cols + col));
       }
-      trace.set_layer(lane, round, std::move(layer));
+      trace.set_layer(lane, round, layer);
       break;
     }
 

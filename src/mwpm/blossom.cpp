@@ -13,14 +13,31 @@ constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 BlossomMatcher::BlossomMatcher(int n) : n_(n) {
   if (n < 0) throw std::invalid_argument("negative vertex count");
   n_total_ = n + n / 2 + 2;
-  input_weight_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                       0);
+  // The input weights live in the working graph itself (solve() rewrites
+  // them in place), so no second n^2 copy is ever alive.
+  g_.assign(static_cast<std::size_t>(n_total_),
+            std::vector<Edge>(static_cast<std::size_t>(n_total_)));
+  for (int u = 1; u <= n_; ++u) {
+    for (int v = 1; v <= n_; ++v) g_[u][v] = Edge{u, v, 0};
+  }
+  for (int u = n_ + 1; u < n_total_; ++u) {
+    for (int v = 0; v < n_total_; ++v) {
+      g_[u][v] = Edge{u, v, 0};
+      g_[v][u] = Edge{v, u, 0};
+    }
+  }
 }
 
 void BlossomMatcher::set_weight(int u, int v, std::int64_t weight) {
   assert(u >= 0 && u < n_ && v >= 0 && v < n_ && u != v && weight >= 0);
-  input_weight_[static_cast<std::size_t>(u) * n_ + v] = weight;
-  input_weight_[static_cast<std::size_t>(v) * n_ + u] = weight;
+  assert(!solved_);
+  g_[u + 1][v + 1].w = weight;
+  g_[v + 1][u + 1].w = weight;
+}
+
+int& BlossomMatcher::flower_from(int b, int x) {
+  assert(b > n_ && b < n_total_ && x >= 0 && x <= n_);
+  return flower_from_[static_cast<std::size_t>(b - n_ - 1) * (n_ + 1) + x];
 }
 
 std::int64_t BlossomMatcher::edge_delta(const Edge& e) const {
@@ -71,7 +88,7 @@ void BlossomMatcher::set_match(int u, int v) {
   match_[u] = g_[u][v].v;
   if (u > n_) {
     const Edge e = g_[u][v];
-    const int xr = flower_from_[u][e.u];
+    const int xr = flower_from(u, e.u);
     const int pr = get_pr(u, xr);
     for (int i = 0; i < pr; ++i) {
       set_match(flower_[u][i], flower_[u][i ^ 1]);
@@ -126,7 +143,7 @@ void BlossomMatcher::add_blossom(int u, int lca, int v) {
   }
   set_st(b, b);
   for (int x = 1; x <= n_x_; ++x) g_[b][x].w = g_[x][b].w = 0;
-  for (int x = 1; x <= n_; ++x) flower_from_[b][x] = 0;
+  for (int x = 1; x <= n_; ++x) flower_from(b, x) = 0;
   for (int xs : flower_[b]) {
     for (int x = 1; x <= n_x_; ++x) {
       if (g_[b][x].w == 0 || edge_delta(g_[xs][x]) < edge_delta(g_[b][x])) {
@@ -134,8 +151,12 @@ void BlossomMatcher::add_blossom(int u, int lca, int v) {
         g_[x][b] = g_[x][xs];
       }
     }
-    for (int x = 1; x <= n_; ++x) {
-      if (flower_from_[xs][x]) flower_from_[b][x] = xs;
+    if (xs <= n_) {
+      flower_from(b, xs) = xs;  // an original vertex contains only itself
+    } else {
+      for (int x = 1; x <= n_; ++x) {
+        if (flower_from(xs, x)) flower_from(b, x) = xs;
+      }
     }
   }
   set_slack(b);
@@ -143,7 +164,7 @@ void BlossomMatcher::add_blossom(int u, int lca, int v) {
 
 void BlossomMatcher::expand_blossom(int b) {
   for (int sub : flower_[b]) set_st(sub, sub);
-  const int xr = flower_from_[b][g_[b][pa_[b]].u];
+  const int xr = flower_from(b, g_[b][pa_[b]].u);
   const int pr = get_pr(b, xr);
   for (int i = 0; i < pr; i += 2) {
     const int xs = flower_[b][i];
@@ -260,6 +281,8 @@ bool BlossomMatcher::matching_phase() {
 }
 
 std::vector<int> BlossomMatcher::solve() {
+  if (solved_) throw std::logic_error("BlossomMatcher::solve() runs once");
+  solved_ = true;
   matching_weight_ = 0;
   if (n_ == 0) return {};
   if (n_ % 2 != 0) {
@@ -270,25 +293,13 @@ std::vector<int> BlossomMatcher::solve() {
   // uses w > 0 as the edge-existence test) and minimising Sum(w) over
   // perfect matchings equals maximising Sum(w').
   std::int64_t w_max = 0;
-  for (std::int64_t w : input_weight_) w_max = std::max(w_max, w);
+  for (int u = 1; u <= n_; ++u) {
+    for (int v = 1; v <= n_; ++v) w_max = std::max(w_max, g_[u][v].w);
+  }
   const std::int64_t offset = w_max + 1;
-
-  g_.assign(static_cast<std::size_t>(n_total_),
-            std::vector<Edge>(static_cast<std::size_t>(n_total_)));
   for (int u = 1; u <= n_; ++u) {
     for (int v = 1; v <= n_; ++v) {
-      std::int64_t w = 0;
-      if (u != v) {
-        w = offset -
-            input_weight_[static_cast<std::size_t>(u - 1) * n_ + (v - 1)];
-      }
-      g_[u][v] = Edge{u, v, w};
-    }
-  }
-  for (int u = n_ + 1; u < n_total_; ++u) {
-    for (int v = 0; v < n_total_; ++v) {
-      g_[u][v] = Edge{u, v, 0};
-      g_[v][u] = Edge{v, u, 0};
+      if (u != v) g_[u][v].w = offset - g_[u][v].w;
     }
   }
 
@@ -300,17 +311,13 @@ std::vector<int> BlossomMatcher::solve() {
   s_.assign(static_cast<std::size_t>(n_total_), -1);
   vis_.assign(static_cast<std::size_t>(n_total_), 0);
   flower_.assign(static_cast<std::size_t>(n_total_), {});
-  flower_from_.assign(static_cast<std::size_t>(n_total_),
-                      std::vector<int>(static_cast<std::size_t>(n_ + 1), 0));
+  flower_from_.assign(static_cast<std::size_t>(n_total_ - n_ - 1) *
+                          static_cast<std::size_t>(n_ + 1),
+                      0);
   lca_timer_ = 0;
 
   n_x_ = n_;
   for (int u = 0; u <= n_; ++u) st_[u] = u;
-  for (int u = 1; u <= n_; ++u) {
-    for (int v = 1; v <= n_; ++v) {
-      flower_from_[u][v] = (u == v) ? u : 0;
-    }
-  }
   for (int u = 1; u <= n_; ++u) lab_[u] = offset;  // max transformed weight
 
   while (matching_phase()) {
@@ -321,9 +328,9 @@ std::vector<int> BlossomMatcher::solve() {
     if (match_[u]) {
       mate[u - 1] = match_[u] - 1;
       if (match_[u] < u) {
-        matching_weight_ +=
-            input_weight_[static_cast<std::size_t>(u - 1) * n_ +
-                          (match_[u] - 1)];
+        // The matching phases never rewrite an original-vertex edge
+        // (blossoms get their own rows): offset - w is the input weight.
+        matching_weight_ += offset - g_[u][match_[u]].w;
       }
     }
   }

@@ -28,7 +28,9 @@ class BlossomMatcher {
 
   /// Solves minimum-weight perfect matching. Returns mate[v] for every
   /// vertex (0-indexed). Requires every pair to have been given a weight
-  /// (or relies on the default, which is 0).
+  /// (or relies on the default, which is 0). Runs once per matcher: it
+  /// rewrites the weights in place, and a second call throws
+  /// std::logic_error.
   std::vector<int> solve();
 
   /// Total weight of the matching found by the last solve().
@@ -54,6 +56,10 @@ class BlossomMatcher {
   void expand_blossom(int b);
   bool on_found_edge(const Edge& e);
   bool matching_phase();
+  /// The sub-blossom of blossom `b` (> n_) that holds original vertex `x`,
+  /// or 0. Only blossom ids have rows: an original vertex holds only
+  /// itself.
+  int& flower_from(int b, int x);
 
   int n_ = 0;        // real vertices (1-indexed internally)
   int n_total_ = 0;  // capacity incl. blossom ids
@@ -62,11 +68,11 @@ class BlossomMatcher {
   std::vector<std::int64_t> lab_;
   std::vector<int> match_, slack_, st_, pa_, s_, vis_;
   std::vector<std::vector<int>> flower_;
-  std::vector<std::vector<int>> flower_from_;
+  std::vector<int> flower_from_;  // flower_from() rows, flat
   std::vector<int> queue_;
   std::size_t queue_head_ = 0;
-  std::vector<std::int64_t> input_weight_;  // row-major, minimisation weights
   std::int64_t matching_weight_ = 0;
+  bool solved_ = false;
   int lca_timer_ = 0;
 };
 

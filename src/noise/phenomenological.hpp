@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "surface_code/packed_bits.hpp"
 #include "surface_code/pauli_frame.hpp"
 #include "surface_code/planar_lattice.hpp"
 
@@ -44,7 +45,63 @@ struct SyndromeHistory {
   BitVec final_error;
 };
 
-/// Samples one memory-experiment history.
+/// The phenomenological sampler: streams one history round by round in
+/// packed form. Each error channel is a Bernoulli(p) sequence over its
+/// flattened (round, position) index space, sampled by geometric skipping:
+/// one RNG draw per flip (plus one per channel to start), not one per bit,
+/// so a round costs O(p·n) draws (DESIGN.md §4). Data flips XOR the
+/// qubit's <= 2 check bits into a running packed syndrome; each round's
+/// difference layer is meas_t ^ meas_{t-1}, word by word.
+///
+/// Draw order, which defines the RNG stream: the constructor draws the
+/// first data gap, then the first measurement gap; round t then walks its
+/// data flips, then its measurement flips, each flip drawing the next gap
+/// of its own channel. p = 0 and p = 1 draw nothing (no flip / every
+/// position flips).
+class PhenomenologicalSampler {
+ public:
+  /// Throws std::invalid_argument naming the field when p_data or p_meas
+  /// is outside [0, 1] (NaN included) or rounds < 1.
+  PhenomenologicalSampler(const PlanarLattice& lattice,
+                          const NoiseParams& params, Xoshiro256ss& rng);
+
+  /// Stored rounds: params.rounds noisy rounds plus the final perfect one.
+  int total_rounds() const { return rounds_ + 1; }
+
+  /// Samples the next stored round and returns its difference layer (the
+  /// returned reference is overwritten by the next call). Call exactly
+  /// total_rounds() times; the last call is the final perfect round.
+  const PackedBits& next();
+
+  /// Measured syndrome of the round next() last returned.
+  const PackedBits& measured() const { return measured_; }
+  /// Accumulated data error so far (the ground truth after the last round).
+  const PackedBits& data_error() const { return data_error_; }
+
+ private:
+  /// One Bernoulli(p) channel over a flattened index space: `next` is the
+  /// index of its next flip.
+  struct Channel {
+    double p = 0.0;
+    double log_q = 0.0;  ///< ln(1 - p)
+    std::uint64_t next = 0;
+    void advance(std::uint64_t from, Xoshiro256ss& rng);
+  };
+
+  const PlanarLattice& lattice_;
+  Xoshiro256ss& rng_;
+  int rounds_;
+  int round_ = 0;
+  Channel data_;
+  Channel meas_;
+  PackedBits data_error_;
+  PackedBits syndrome_;  ///< true syndrome of data_error_
+  PackedBits measured_;
+  PackedBits difference_;
+};
+
+/// Samples one memory-experiment history (PhenomenologicalSampler unpacked
+/// into the byte-per-bit shapes the Monte Carlo decoders take).
 SyndromeHistory sample_history(const PlanarLattice& lattice,
                                const NoiseParams& params, Xoshiro256ss& rng);
 
@@ -59,21 +116,9 @@ std::vector<BitVec> difference_syndromes(const std::vector<BitVec>& measured);
 std::vector<BitVec> accumulate_differences(
     const std::vector<BitVec>& difference);
 
-// Packed (word-parallel) counterparts: the streamed datapath keeps
-// difference layers in PackedBits form end-to-end (trace payload ->
-// engine Reg), so generation and accumulation run one XOR per 64 checks.
-
 /// Packs a byte-per-bit layer sequence (the bridge from sample_history
 /// output into the packed trace payload).
 std::vector<PackedBits> packed_layers(const std::vector<BitVec>& layers);
-
-/// Difference layers of a packed measured-syndrome sequence.
-std::vector<PackedBits> difference_syndromes(
-    const std::vector<PackedBits>& measured);
-
-/// Running XOR of packed difference layers (inverse of the above).
-std::vector<PackedBits> accumulate_differences(
-    const std::vector<PackedBits>& difference);
 
 /// Total number of defects (set difference-syndrome bits) in a history.
 int defect_count(const SyndromeHistory& history);

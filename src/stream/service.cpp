@@ -16,12 +16,9 @@
 #include "surface_code/planar_lattice.hpp"
 
 namespace qec {
-namespace {
 
-/// Lane k's noise stream: the seed mixed with the lane index and every
-/// structural parameter through SplitMix64 avalanches (the experiment_rng
-/// recipe), so streams are independent per lane and stable under changes
-/// to lane count, thread count, or scheduling.
+// The seed mixed with the lane index and every structural parameter
+// through SplitMix64 avalanches (the experiment_rng recipe).
 Xoshiro256ss lane_rng(const StreamConfig& config, int lane, int rounds) {
   std::uint64_t state = config.seed;
   const auto feed = [&state](std::uint64_t value) {
@@ -34,6 +31,8 @@ Xoshiro256ss lane_rng(const StreamConfig& config, int lane, int rounds) {
   feed(std::bit_cast<std::uint64_t>(config.p));
   return Xoshiro256ss(state);
 }
+
+namespace {
 
 struct Lane {
   Lane(const PlanarLattice& lattice, const OnlineConfig& online, int id,
@@ -669,13 +668,19 @@ std::string stream_config_json(const StreamConfig& config, int trace_rounds,
 
 SyndromeTrace record_trace(const StreamConfig& config) {
   if (config.lanes < 1) throw std::invalid_argument("stream: lanes must be >= 1");
+  if (!(config.p >= 0.0 && config.p <= 1.0)) {  // NaN fails both comparisons
+    throw std::invalid_argument("stream: p must be in [0, 1]");
+  }
+  if (config.rounds < 0) {
+    throw std::invalid_argument("stream: rounds must be >= 0 (0 = distance)");
+  }
   const int noisy_rounds = config.rounds > 0 ? config.rounds : config.distance;
   const PlanarLattice lattice(config.distance);
 
   TraceHeader header;
   header.distance = static_cast<std::uint32_t>(config.distance);
   header.lanes = static_cast<std::uint32_t>(config.lanes);
-  // Stored rounds include the final perfect round sample_history appends.
+  // Stored rounds include the sampler's final perfect round.
   header.rounds = static_cast<std::uint32_t>(noisy_rounds + 1);
   header.checks = static_cast<std::uint32_t>(lattice.num_checks());
   header.data_qubits = static_cast<std::uint32_t>(lattice.num_data());
@@ -685,10 +690,15 @@ SyndromeTrace record_trace(const StreamConfig& config) {
 
   SyndromeTrace trace(header);
   parallel_for(config.lanes, config.threads, [&](int lane) {
+    // Packed layers go straight into this lane's slots (disjoint from
+    // every other lane's): no SyndromeHistory, no per-round allocation.
     Xoshiro256ss rng = lane_rng(config, lane, noisy_rounds);
-    const auto history =
-        sample_history(lattice, {config.p, config.p, noisy_rounds}, rng);
-    trace.set_lane(lane, history);  // disjoint slots: no cross-lane writes
+    PhenomenologicalSampler sampler(lattice, {config.p, config.p, noisy_rounds},
+                                    rng);
+    for (int t = 0; t < sampler.total_rounds(); ++t) {
+      trace.set_layer(lane, t, sampler.next());
+    }
+    trace.set_final_error(lane, sampler.data_error().to_bits());
   });
   return trace;
 }

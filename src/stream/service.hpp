@@ -89,7 +89,7 @@ struct StreamConfig {
   int lanes = 8;        ///< concurrent logical-qubit streams
   int distance = 5;
   double p = 0.01;      ///< p_data = p_meas (the paper's setting)
-  int rounds = 0;       ///< noisy rounds per lane; <= 0 means `distance`
+  int rounds = 0;       ///< noisy rounds per lane; 0 means `distance`
   std::uint64_t seed = 2021;
 
   /// Lane engine spec, resolved via online_engine_config() — e.g.
@@ -168,10 +168,17 @@ struct StreamOutcome {
   std::shared_ptr<obs::SloEngine> slo;
 };
 
-/// Samples one memory-experiment history per lane (independent per-lane
-/// RNG streams derived from config.seed — lane k's stream never depends on
-/// lane count or thread count) and packs them into a trace. This is the
-/// "record" half: the returned trace fully determines any later run.
+/// Lane `lane`'s noise stream for `rounds` noisy rounds, derived from
+/// config.seed, config.distance and config.p: independent per lane and
+/// never dependent on lane count, thread count, or scheduling.
+Xoshiro256ss lane_rng(const StreamConfig& config, int lane, int rounds);
+
+/// Samples one memory-experiment history per lane from its lane_rng()
+/// stream with PhenomenologicalSampler, writing the packed difference
+/// layers straight into the trace. This is the "record" half: the returned
+/// trace fully determines any later run. Throws std::invalid_argument when
+/// lanes < 1, p is outside [0, 1] (NaN included), or rounds < 0 (0 means
+/// `distance` noisy rounds).
 SyndromeTrace record_trace(const StreamConfig& config);
 
 /// The "replay" half: streams every lane of `trace` through its own

@@ -80,9 +80,9 @@ const PackedBits& SyndromeTrace::layer(int lane, int round) const {
   return layers_.at(layer_index(lane, round));
 }
 
-void SyndromeTrace::set_layer(int lane, int round, PackedBits layer) {
+void SyndromeTrace::set_layer(int lane, int round, const PackedBits& layer) {
   if (layer.size() != header_.checks) bad_trace("layer size mismatch");
-  layers_.at(layer_index(lane, round)) = std::move(layer);
+  layers_.at(layer_index(lane, round)).copy_from(layer);
 }
 
 void SyndromeTrace::set_layer(int lane, int round, const BitVec& layer) {

@@ -75,7 +75,8 @@ class SyndromeTrace {
   /// Difference layer streamed to `lane` in round `round` (sized checks).
   /// Packed — OnlineStepper::push() consumes it without unpacking.
   const PackedBits& layer(int lane, int round) const;
-  void set_layer(int lane, int round, PackedBits layer);
+  /// Word-copies into the existing slot (no reallocation).
+  void set_layer(int lane, int round, const PackedBits& layer);
   void set_layer(int lane, int round, const BitVec& layer);
 
   /// Ground-truth accumulated data error of `lane` (sized data_qubits).

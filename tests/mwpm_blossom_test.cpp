@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -80,6 +81,8 @@ TEST(Blossom, TwoVertices) {
   EXPECT_EQ(mate[0], 1);
   EXPECT_EQ(mate[1], 0);
   EXPECT_EQ(matcher.matching_weight(), 7);
+  // solve() rewrites the weights in place, so it runs once per matcher.
+  EXPECT_THROW(matcher.solve(), std::logic_error);
 }
 
 TEST(Blossom, FourVerticesPicksCheaperPairing) {

@@ -24,6 +24,7 @@
 #include "qecool/online_runner.hpp"
 #include "stream/service.hpp"
 #include "surface_code/planar_lattice.hpp"
+#include "trace_fixture.hpp"
 
 namespace qec {
 namespace {
@@ -156,7 +157,8 @@ TEST(SloEngine, GoldenVerdictSequenceOnBurstyRun) {
   StreamConfig config = bursty_config();
   config.obs.trace = true;
   config.obs.slo = "sojourn_p99<20,window=4,fast=2,slow=4";
-  const auto outcome = run_stream(config);
+  const auto outcome =
+      run_stream(load_trace_fixture("bursty.qtrc", config), config);
   ASSERT_TRUE(outcome.slo);
   ASSERT_TRUE(outcome.metrics);
   // The slo window= option overrides the metrics window.

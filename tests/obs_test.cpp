@@ -25,6 +25,7 @@
 #include "qecool/online_runner.hpp"
 #include "stream/service.hpp"
 #include "surface_code/planar_lattice.hpp"
+#include "trace_fixture.hpp"
 
 namespace qec {
 namespace {
@@ -208,7 +209,9 @@ std::string render_events(const std::vector<obs::MergedEvent>& events,
 }
 
 TEST(ObsIntegration, GoldenEventPrefixOfSmallBurstyRun) {
-  const auto outcome = run_stream(bursty_config());
+  const StreamConfig config = bursty_config();
+  const auto outcome =
+      run_stream(load_trace_fixture("bursty.qtrc", config), config);
   ASSERT_TRUE(outcome.tracer);
   const auto merged = outcome.tracer->merged();
   EXPECT_EQ(outcome.tracer->dropped(), 0u);

@@ -17,6 +17,7 @@
 #include "qecool/online_runner.hpp"
 #include "stream/service.hpp"
 #include "surface_code/planar_lattice.hpp"
+#include "trace_fixture.hpp"
 
 namespace qec {
 namespace {
@@ -420,7 +421,9 @@ TEST(Admission, OverflowModeStaysByteIdenticalToPr3Goldens) {
   config.seed = 7;
   config.cycles_per_round = 60;
   config.admission = "overflow";  // spelled out, parsed through the spec
-  EXPECT_EQ(csv_of(run_stream(config), "adm_golden.csv"), kGoldenPr2Csv);
+  EXPECT_EQ(csv_of(run_stream(load_trace_fixture("golden.qtrc", config), config),
+                   "adm_golden.csv"),
+            kGoldenPr2Csv);
 }
 
 TEST(Admission, PauseOutcomesThreadCountInvariant) {

@@ -23,6 +23,7 @@
 #include "stream/admission.hpp"
 #include "stream/scheduler.hpp"
 #include "stream/service.hpp"
+#include "trace_fixture.hpp"
 
 namespace qec {
 namespace {
@@ -371,7 +372,8 @@ TEST(QosDeterminism, OverflowDedicatedStaysByteIdenticalToPr4Goldens) {
   config.cycles_per_round = 60;
   config.policy = "dedicated";
   config.admission = "overflow";
-  EXPECT_EQ(csv_of(run_stream(config), "qos_golden.csv",
+  EXPECT_EQ(csv_of(run_stream(load_trace_fixture("golden.qtrc", config), config),
+                   "qos_golden.csv",
                    &StreamTelemetry::write_csv),
             kGoldenPr2Csv);
 }

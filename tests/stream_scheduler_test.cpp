@@ -18,6 +18,7 @@
 #include "obs/slo.hpp"
 #include "stream/service.hpp"
 #include "surface_code/planar_lattice.hpp"
+#include "trace_fixture.hpp"
 
 namespace qec {
 namespace {
@@ -121,12 +122,14 @@ StreamConfig golden_config() {
 
 TEST(StreamScheduler, DedicatedFullPoolMatchesPr2ByteForByte) {
   StreamConfig config = golden_config();
-  EXPECT_EQ(csv_of(run_stream(config), "golden.csv"), kGoldenPr2Csv);
+  const SyndromeTrace trace = load_trace_fixture("golden.qtrc", config);
+  EXPECT_EQ(csv_of(run_stream(trace, config), "golden.csv"), kGoldenPr2Csv);
 
   // Explicit K == N spelled out behaves the same as the engines<=0 default.
   config.engines = config.lanes;
   config.policy = "dedicated";
-  EXPECT_EQ(csv_of(run_stream(config), "golden_explicit.csv"), kGoldenPr2Csv);
+  EXPECT_EQ(csv_of(run_stream(trace, config), "golden_explicit.csv"),
+            kGoldenPr2Csv);
 
   StreamConfig starved;
   starved.lanes = 5;
@@ -135,7 +138,9 @@ TEST(StreamScheduler, DedicatedFullPoolMatchesPr2ByteForByte) {
   starved.rounds = 20;
   starved.seed = 11;
   starved.cycles_per_round = 4;
-  EXPECT_EQ(csv_of(run_stream(starved), "golden_starved.csv"),
+  EXPECT_EQ(csv_of(run_stream(load_trace_fixture("starved.qtrc", starved),
+                               starved),
+                    "golden_starved.csv"),
             kGoldenPr2StarvedCsv);
 }
 
@@ -145,7 +150,9 @@ TEST(StreamScheduler, RoundRobinFullPoolEqualsDedicated) {
   StreamConfig config = golden_config();
   config.policy = "round_robin";
   config.engines = config.lanes;
-  EXPECT_EQ(csv_of(run_stream(config), "rr_full.csv"), kGoldenPr2Csv);
+  EXPECT_EQ(csv_of(run_stream(load_trace_fixture("golden.qtrc", config), config),
+                   "rr_full.csv"),
+            kGoldenPr2Csv);
 }
 
 TEST(StreamScheduler, LeastLoadedOutcomesThreadCountInvariant) {
@@ -450,7 +457,7 @@ std::string export_matrix(int rounds_per_dispatch, int threads) {
     StreamConfig config;
     SyndromeTrace trace;
   } scenarios[] = {{"bursty", bursty, bursty_trace(4, 40, 2)},
-                   {"lone", lone, record_trace(lone)}};
+                   {"lone", lone, load_trace_fixture("lone.qtrc", lone)}};
 
   std::string text;
   for (const auto& scenario : scenarios) {

@@ -1,12 +1,13 @@
 // Tests for the streaming decode service: lane determinism (thread count
 // never changes outcomes or the telemetry CSV), record/replay fidelity,
-// telemetry accounting, and engine-spec validation.
+// telemetry accounting, and engine-spec and noise-parameter validation.
 #include "stream/service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -188,6 +189,32 @@ TEST(StreamService, RejectsNonOnlineEngineSpecs) {
   EXPECT_THROW(run_stream(config), std::invalid_argument);
   config.engine = "qecool:reg_depth=4";
   EXPECT_NO_THROW(run_stream(config));
+}
+
+TEST(StreamService, RecordRejectsBadNoiseParametersNamingTheField) {
+  const auto message = [](StreamConfig config) -> std::string {
+    try {
+      record_trace(config);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  for (const double bad :
+       {1.5, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    StreamConfig config = base_config();
+    config.p = bad;
+    EXPECT_NE(message(config).find("p must be in [0, 1]"), std::string::npos)
+        << bad;
+  }
+  StreamConfig config = base_config();
+  config.rounds = -3;
+  EXPECT_NE(message(config).find("rounds"), std::string::npos);
+  // rounds = 0 keeps meaning `distance` noisy rounds (+1 perfect round).
+  config.rounds = 0;
+  EXPECT_EQ(record_trace(config).rounds(), config.distance + 1);
+  config.p = 1.0;
+  EXPECT_EQ(message(config), "no exception");
 }
 
 TEST(StreamService, RegDepthSpecShapesDepthHistogram) {
