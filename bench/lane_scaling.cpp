@@ -234,8 +234,9 @@ int main(int argc, char** argv) {
     std::printf("\n(--threads=%d, --dispatch=%d; outcomes are unaffected by "
                 "either)\n",
                 base.threads, base.rounds_per_dispatch);
-    if (!csv_path.empty()) {
-      std::printf("scaling curve written to %s\n", csv_path.c_str());
+    if (!csv_path.empty() &&
+        !qec::bench::report_written(csv.flush(), "scaling curve", csv_path)) {
+      return 1;
     }
     if (!obs_cli.write(" (last cell)")) return 1;
     if (!json_path.empty()) {

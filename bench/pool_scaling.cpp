@@ -246,11 +246,6 @@ int main(int argc, char** argv) {
                 static_cast<int>(outcome.telemetry.lanes.size()) -
                 outcome.drained_lanes - outcome.overflow_lanes;
             const double fairness = outcome.telemetry.fairness_index();
-            const std::uint64_t soj_max =
-                all.sojourn_rounds.empty()
-                    ? 0
-                    : *std::max_element(all.sojourn_rounds.begin(),
-                                        all.sojourn_rounds.end());
 
             if (csv.ok()) {
               csv.add_row(
@@ -266,28 +261,24 @@ int main(int argc, char** argv) {
                    fmt(util), fmt(fairness),
                    std::to_string(all.starved_rounds),
                    std::to_string(all.paused_rounds),
-                   std::to_string(all.sojourn_percentile(50)),
-                   std::to_string(all.sojourn_percentile(95)),
-                   std::to_string(all.sojourn_percentile(99)),
-                   std::to_string(soj_max)});
+                   std::to_string(all.sojourn_rounds.percentile(50)),
+                   std::to_string(all.sojourn_rounds.percentile(95)),
+                   std::to_string(all.sojourn_rounds.percentile(99)),
+                   std::to_string(all.sojourn_rounds.max())});
               csv.flush();
             }
             if (!latency_path.empty() && latency_csv.ok()) {
               const auto emit_latency = [&](const qec::LaneTelemetry& t,
                                             const std::string& label) {
-                const std::uint64_t lane_max =
-                    t.sojourn_rounds.empty()
-                        ? 0
-                        : *std::max_element(t.sojourn_rounds.begin(),
-                                            t.sojourn_rounds.end());
+                const qec::ValueCounts& soj = t.sojourn_rounds;
                 latency_csv.add_row(
                     {policy, admission, std::to_string(outcome.lanes),
                      std::to_string(ran_engines), fmt(mhz, "%.6g"), label,
-                     std::to_string(t.sojourn_rounds.size()),
-                     std::to_string(t.sojourn_percentile(50)),
-                     std::to_string(t.sojourn_percentile(95)),
-                     std::to_string(t.sojourn_percentile(99)),
-                     std::to_string(lane_max)});
+                     std::to_string(soj.total()),
+                     std::to_string(soj.percentile(50)),
+                     std::to_string(soj.percentile(95)),
+                     std::to_string(soj.percentile(99)),
+                     std::to_string(soj.max())});
               };
               for (const auto& lane : outcome.telemetry.lanes) {
                 emit_latency(lane, std::to_string(lane.lane));
@@ -344,7 +335,7 @@ int main(int argc, char** argv) {
                                std::to_string(outcome.lanes),
                            std::to_string(outcome.overflow_lanes),
                            std::to_string(all.paused_rounds),
-                           std::to_string(all.sojourn_percentile(99)),
+                           std::to_string(all.sojourn_rounds.percentile(99)),
                            fmt(fairness), fmt(util)});
           }
         }
@@ -361,12 +352,14 @@ int main(int argc, char** argv) {
     }
     std::printf("\nwall-clock %.1f ms (--threads=%d, --dispatch=%d)\n", ms,
                 base.threads, base.rounds_per_dispatch);
-    if (!csv_path.empty()) {
-      std::printf("sweep written to %s\n", csv_path.c_str());
+    using qec::bench::report_written;
+    if (!csv_path.empty() && !report_written(csv.flush(), "sweep", csv_path)) {
+      return 1;
     }
-    if (!latency_path.empty()) {
-      std::printf("per-lane sojourn latency written to %s\n",
-                  latency_path.c_str());
+    if (!latency_path.empty() &&
+        !report_written(latency_csv.flush(), "per-lane sojourn latency",
+                        latency_path)) {
+      return 1;
     }
     if (!obs_cli.write(" (last cell)")) return 1;
     if (!json_path.empty()) {

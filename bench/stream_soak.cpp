@@ -166,13 +166,13 @@ int main(int argc, char** argv) {
                    std::to_string(outcome.failed_lanes)});
     table.add_row({"popped layers (all lanes)", std::to_string(all.popped_layers)});
     table.add_row({"layer cycles p50/p95/p99",
-                   std::to_string(all.cycle_percentile(50)) + " / " +
-                       std::to_string(all.cycle_percentile(95)) + " / " +
-                       std::to_string(all.cycle_percentile(99))});
+                   std::to_string(all.layer_cycles.percentile(50)) + " / " +
+                       std::to_string(all.layer_cycles.percentile(95)) + " / " +
+                       std::to_string(all.layer_cycles.percentile(99))});
     table.add_row({"sojourn rounds p50/p95/p99",
-                   std::to_string(all.sojourn_percentile(50)) + " / " +
-                       std::to_string(all.sojourn_percentile(95)) + " / " +
-                       std::to_string(all.sojourn_percentile(99))});
+                   std::to_string(all.sojourn_rounds.percentile(50)) + " / " +
+                       std::to_string(all.sojourn_rounds.percentile(95)) + " / " +
+                       std::to_string(all.sojourn_rounds.percentile(99))});
     table.add_row({"queue depth mean / max",
                    qec::TextTable::fmt(all.mean_depth(), 3) + " / " +
                        std::to_string(all.max_depth())});

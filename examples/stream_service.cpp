@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
                      std::to_string(lane.served_rounds) + " / " +
                          std::to_string(lane.starved_rounds) + " / " +
                          std::to_string(lane.paused_rounds),
-                     std::to_string(lane.cycle_percentile(50)) + " / " +
-                         std::to_string(lane.cycle_percentile(99)),
+                     std::to_string(lane.layer_cycles.percentile(50)) + " / " +
+                         std::to_string(lane.layer_cycles.percentile(99)),
                      qec::TextTable::fmt(lane.mean_depth(), 2) + " / " +
                          std::to_string(lane.max_depth())});
     }

@@ -8,30 +8,43 @@ CsvWriter::CsvWriter(const std::string& path,
                      std::vector<std::string> header)
     : out_(path), columns_(header.size()) {
   if (!out_) return;
-  std::vector<std::string> row(header.begin(), header.end());
-  add_row(row);
+  add_row(header);
 }
 
-std::string CsvWriter::escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string escaped = "\"";
-  for (char ch : field) {
-    if (ch == '"') escaped += '"';
-    escaped += ch;
+CsvWriter& CsvWriter::append(std::string_view text) {
+  if (fields_++) line_ += ',';
+  line_ += text;
+  return *this;
+}
+
+CsvWriter& CsvWriter::operator<<(std::string_view field) {
+  if (field.find_first_of(",\"\n") == std::string_view::npos) {
+    return append(field);
   }
-  escaped += '"';
-  return escaped;
+  if (fields_++) line_ += ',';
+  line_ += '"';
+  for (char ch : field) {
+    if (ch == '"') line_ += '"';
+    line_ += ch;
+  }
+  line_ += '"';
+  return *this;
+}
+
+void CsvWriter::end_row() {
+  // Pad short rows so every line has the header's column count.
+  for (std::size_t i = fields_; i < columns_; ++i) line_ += ',';
+  line_ += '\n';
+  if (out_) {
+    out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  }
+  line_.clear();
+  fields_ = 0;
 }
 
 void CsvWriter::add_row(const std::vector<std::string>& row) {
-  if (!out_) return;
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << escape(row[i]);
-  }
-  // Pad short rows so every line has the header's column count.
-  for (std::size_t i = row.size(); i < columns_; ++i) out_ << ',';
-  out_ << '\n';
+  for (const std::string& field : row) *this << field;
+  end_row();
 }
 
 void CsvWriter::add_row(const std::vector<double>& row) {

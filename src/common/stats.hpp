@@ -71,4 +71,49 @@ BinomialInterval wilson_interval(std::uint64_t k, std::uint64_t n,
 std::uint64_t percentile_nearest_rank(std::vector<std::uint64_t> samples,
                                       double q);
 
+/// Exact multiset of unsigned samples, stored as (value, count) runs in
+/// ascending value order: O(distinct values) memory, whatever the values'
+/// magnitude. percentile() is percentile_nearest_rank over the samples the
+/// table was built from, so order statistics read off counts are the same
+/// observed values a sort would give, never interpolated.
+class ValueCounts {
+ public:
+  struct Run {
+    std::uint64_t value = 0;
+    std::uint64_t count = 0;
+    bool operator==(const Run&) const = default;
+  };
+
+  ValueCounts() = default;
+  /// Counts `samples` (any order).
+  explicit ValueCounts(const std::vector<std::uint64_t>& samples);
+
+  /// The counts of all `tables` together, in one pass over their runs:
+  /// O(runs + value span) when the values span a narrow range, as they do
+  /// for an aggregate over thousands of lanes.
+  static ValueCounts sum(const std::vector<const ValueCounts*>& tables);
+
+  /// Number of samples.
+  std::uint64_t total() const { return total_; }
+  bool empty() const { return total_ == 0; }
+  /// Smallest / largest sample (0 when empty).
+  std::uint64_t min() const { return runs_.empty() ? 0 : runs_.front().value; }
+  std::uint64_t max() const { return runs_.empty() ? 0 : runs_.back().value; }
+  /// Arithmetic mean of the samples (0.0 when empty).
+  double mean() const;
+  /// Nearest-rank percentile, q in [0, 100] (0 when empty).
+  std::uint64_t percentile(double q) const;
+
+  /// Adds every sample of `other` (the counts of the concatenation);
+  /// sum() of the two tables.
+  void merge(const ValueCounts& other);
+
+  const std::vector<Run>& runs() const { return runs_; }
+  bool operator==(const ValueCounts&) const = default;
+
+ private:
+  std::vector<Run> runs_;
+  std::uint64_t total_ = 0;
+};
+
 }  // namespace qec

@@ -188,16 +188,14 @@ bool MetricsRegistry::write_csv(const std::string& path) const {
   CsvWriter csv(path, header());
   if (!csv.ok()) return false;
   for (const auto& row : rows_) csv.add_row(row);
-  csv.flush();
-  return true;
+  return csv.flush();
 }
 
 bool MetricsRegistry::write_last_window_csv(const std::string& path) const {
   CsvWriter csv(path, header());
   if (!csv.ok()) return false;
   if (!rows_.empty()) csv.add_row(rows_.back());
-  csv.flush();
-  return true;
+  return csv.flush();
 }
 
 }  // namespace qec::obs

@@ -158,7 +158,8 @@ class MetricsRegistry {
   }
 
   /// The time series: header + one row per closed window. Returns false
-  /// when the file cannot be opened (mirroring the telemetry writers).
+  /// when the file cannot be opened or a write fails (mirroring the
+  /// telemetry writers).
   bool write_csv(const std::string& path) const;
 
   /// Header + the most recent closed window only — the postmortem

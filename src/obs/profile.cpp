@@ -146,8 +146,10 @@ bool Profiler::write_csv(const std::string& path) const {
                  static_cast<unsigned long long>(agg[i].calls), agg[i].threads,
                  static_cast<unsigned long long>(agg[i].nanos), mean);
   }
-  std::fclose(f);
-  return true;
+  // fclose flushes: a full disk surfaces there or in the stream's error
+  // flag, never as a silent success.
+  const bool written = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && written;
 }
 
 }  // namespace qec::obs

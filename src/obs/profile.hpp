@@ -106,8 +106,8 @@ class Profiler {
   std::uint64_t thread_dropped(int tid) const;
 
   /// Per-stage profile CSV: stage,calls,threads,total_ns,mean_ns.
-  /// Returns false when the file cannot be opened (mirroring the
-  /// telemetry writers). Wall-clock values: not deterministic.
+  /// Returns false when the file cannot be opened or a write fails
+  /// (mirroring the telemetry writers). Wall-clock values: not deterministic.
   bool write_csv(const std::string& path) const;
 
  private:

@@ -345,8 +345,7 @@ bool SloEngine::write_csv(const std::string& path) const {
                  std::to_string(verdict.slow_bad), std::to_string(config_.slow),
                  slo_state_name(verdict.state)});
   }
-  csv.flush();
-  return true;
+  return csv.flush();
 }
 
 std::string SloEngine::summary_json() const {
@@ -427,8 +426,8 @@ bool write_prom_snapshot(const MetricsRegistry& metrics, const SloEngine* slo,
                    summary.spec.c_str(), static_cast<int>(summary.state));
     }
   }
-  std::fclose(f);
-  return true;
+  const bool written = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && written;
 }
 
 }  // namespace qec::obs

@@ -143,7 +143,7 @@ class SloEngine {
 /// counters, final gauges, merged histogram summaries (quantile labels,
 /// _sum/_count), plus qec_slo_state per objective when `slo` is non-null.
 /// Integer-valued throughout, so the file is byte-identical at any thread
-/// count. Returns false when the file cannot be opened.
+/// count. Returns false when the file cannot be opened or a write fails.
 bool write_prom_snapshot(const MetricsRegistry& metrics, const SloEngine* slo,
                          const std::string& path);
 

@@ -86,7 +86,7 @@ bool SweepResult::write_csv(const std::string& path) const {
   CsvWriter csv(path, csv_header());
   if (!csv.ok()) return false;
   for (const SweepCell& cell : cells) csv_append(csv, cell);
-  return true;
+  return csv.flush();
 }
 
 SweepResult run_sweep(const SweepGrid& grid, const std::string& csv_path,
@@ -136,6 +136,9 @@ SweepResult run_sweep(const SweepGrid& grid, const std::string& csv_path,
         if (progress) progress(result.cells.back());
       }
     }
+  }
+  if (csv && !csv->flush()) {
+    throw std::runtime_error("sweep: write to " + csv_path + " failed");
   }
   return result;
 }

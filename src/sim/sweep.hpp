@@ -96,7 +96,7 @@ class SweepResult {
 
   /// Writes all cells as CSV (variant, decoder, distance, rounds, p,
   /// trials, failures, operational_failures, pl, ci_lower, ci_upper).
-  /// Returns false when the file could not be opened.
+  /// Returns false when the file could not be opened or a write failed.
   bool write_csv(const std::string& path) const;
 };
 
@@ -106,7 +106,8 @@ using SweepProgress = std::function<void(const SweepCell&)>;
 /// Runs every (variant, distance, p) cell of the grid. Throws
 /// std::invalid_argument for unknown decoder specs (validated before any
 /// simulation starts). When `csv_path` is non-empty the result is also
-/// written there.
+/// written there, row by row; std::runtime_error if the file cannot be
+/// opened (before any simulation) or a write failed (at the end).
 SweepResult run_sweep(const SweepGrid& grid, const std::string& csv_path = "",
                       const SweepProgress& progress = nullptr);
 

@@ -112,9 +112,6 @@ class LatencyTracker {
     return percentile_nearest_rank(samples_, q);
   }
 
-  /// Moves the samples out (telemetry finalization).
-  std::vector<std::uint64_t> take_samples() { return std::move(samples_); }
-
  private:
   struct InFlight {
     std::int64_t round = 0;

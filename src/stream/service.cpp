@@ -887,8 +887,12 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     if (drained && lane.track) lane.track->emit(obs::EventKind::kDrained);
     t.popped_layers = static_cast<int>(result.layer_cycles.size());
     t.total_cycles = result.total_cycles;
-    t.layer_cycles = result.layer_cycles;
-    t.sojourn_rounds = lane.qos.take_samples();
+    // Count tables are built here, in the parallel region, so the export
+    // only reads them. The sojourn samples stay with the lane and go with
+    // it: freeing them here, from the worker threads, measured costlier
+    // than building both tables.
+    t.layer_cycles = ValueCounts(result.layer_cycles);
+    t.sojourn_rounds = ValueCounts(lane.qos.samples());
     t.matches = result.matches;
     t.cache = lane.stepper.engine().cache_stats();
     if (!result.overflow && drained) {

@@ -1,7 +1,6 @@
 #include "stream/telemetry.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "common/csv.hpp"
@@ -34,38 +33,40 @@ int LaneTelemetry::max_depth() const {
   return 0;
 }
 
-void LaneTelemetry::merge(const LaneTelemetry& other) {
-  overflow |= other.overflow;
-  drained &= other.drained;
-  logical_failure |= other.logical_failure;
-  rounds_streamed += other.rounds_streamed;
-  drain_rounds += other.drain_rounds;
-  served_rounds += other.served_rounds;
-  starved_rounds += other.starved_rounds;
-  paused_rounds += other.paused_rounds;
-  pauses += other.pauses;
-  resumes += other.resumes;
-  popped_layers += other.popped_layers;
-  total_cycles += other.total_cycles;
-  if (depth_hist.size() < other.depth_hist.size()) {
-    depth_hist.resize(other.depth_hist.size(), 0);
-  }
-  for (std::size_t k = 0; k < other.depth_hist.size(); ++k) {
-    depth_hist[k] += other.depth_hist[k];
-  }
-  layer_cycles.insert(layer_cycles.end(), other.layer_cycles.begin(),
-                      other.layer_cycles.end());
-  sojourn_rounds.insert(sojourn_rounds.end(), other.sojourn_rounds.begin(),
-                        other.sojourn_rounds.end());
-  matches.merge(other.matches);
-  cache.merge(other.cache);
-}
-
 LaneTelemetry StreamTelemetry::aggregate() const {
   LaneTelemetry all;
   all.lane = -1;
   all.drained = !lanes.empty();
-  for (const auto& lane : lanes) all.merge(lane);
+  std::vector<const ValueCounts*> cycles, sojourns;
+  cycles.reserve(lanes.size());
+  sojourns.reserve(lanes.size());
+  for (const auto& lane : lanes) {
+    all.overflow |= lane.overflow;
+    all.drained &= lane.drained;
+    all.logical_failure |= lane.logical_failure;
+    all.rounds_streamed += lane.rounds_streamed;
+    all.drain_rounds += lane.drain_rounds;
+    all.served_rounds += lane.served_rounds;
+    all.starved_rounds += lane.starved_rounds;
+    all.paused_rounds += lane.paused_rounds;
+    all.pauses += lane.pauses;
+    all.resumes += lane.resumes;
+    all.popped_layers += lane.popped_layers;
+    all.total_cycles += lane.total_cycles;
+    if (all.depth_hist.size() < lane.depth_hist.size()) {
+      all.depth_hist.resize(lane.depth_hist.size(), 0);
+    }
+    for (std::size_t k = 0; k < lane.depth_hist.size(); ++k) {
+      all.depth_hist[k] += lane.depth_hist[k];
+    }
+    cycles.push_back(&lane.layer_cycles);
+    sojourns.push_back(&lane.sojourn_rounds);
+    all.matches.merge(lane.matches);
+    all.cache.merge(lane.cache);
+  }
+  // One pass over every lane's runs per table, not a merge per lane.
+  all.layer_cycles = ValueCounts::sum(cycles);
+  all.sojourn_rounds = ValueCounts::sum(sojourns);
   return all;
 }
 
@@ -130,45 +131,23 @@ bool StreamTelemetry::write_csv(const std::string& path) const {
   CsvWriter csv(path, header);
   if (!csv.ok()) return false;
 
+  const std::string run_p = fmt_double(p);
+  const std::string run_budget = fmt_double(cycles_per_round);
   const auto emit = [&](const LaneTelemetry& t, const std::string& label,
                         std::uint64_t overflow_count,
                         std::uint64_t drained_count,
                         std::uint64_t logical_count) {
-    // One sorted copy serves all three percentile columns and the max.
-    std::vector<std::uint64_t> sorted = t.layer_cycles;
-    std::sort(sorted.begin(), sorted.end());
-    const auto pct = [&sorted](double q) -> std::uint64_t {
-      if (sorted.empty()) return 0;
-      auto rank = static_cast<std::size_t>(
-          std::ceil(q / 100.0 * static_cast<double>(sorted.size())));
-      rank = std::clamp<std::size_t>(rank, 1, sorted.size());
-      return sorted[rank - 1];
-    };
-    const std::uint64_t cyc_max = sorted.empty() ? 0 : sorted.back();
-    std::vector<std::string> row = {
-        label,
-        std::to_string(distance),
-        fmt_double(p),
-        engine,
-        fmt_double(cycles_per_round),
-        std::to_string(overflow_count),
-        std::to_string(drained_count),
-        std::to_string(logical_count),
-        std::to_string(t.rounds_streamed),
-        std::to_string(t.drain_rounds),
-        std::to_string(t.popped_layers),
-        std::to_string(t.total_cycles),
-        std::to_string(pct(50)),
-        std::to_string(pct(95)),
-        std::to_string(pct(99)),
-        std::to_string(cyc_max),
-        fmt_double(t.mean_depth(), "%.4f"),
-        std::to_string(t.max_depth())};
+    const ValueCounts& cyc = t.layer_cycles;
+    csv << label << distance << run_p << engine << run_budget
+        << overflow_count << drained_count << logical_count
+        << t.rounds_streamed << t.drain_rounds << t.popped_layers
+        << t.total_cycles << cyc.percentile(50) << cyc.percentile(95)
+        << cyc.percentile(99) << cyc.max()
+        << fmt_double(t.mean_depth(), "%.4f") << t.max_depth();
     for (std::size_t k = 0; k < depth_bins; ++k) {
-      row.push_back(std::to_string(
-          k < t.depth_hist.size() ? t.depth_hist[k] : std::uint64_t{0}));
+      csv << (k < t.depth_hist.size() ? t.depth_hist[k] : std::uint64_t{0});
     }
-    csv.add_row(row);
+    csv.end_row();
   };
 
   for (const auto& lane : lanes) {
@@ -180,8 +159,7 @@ bool StreamTelemetry::write_csv(const std::string& path) const {
        static_cast<std::uint64_t>(std::count_if(
            lanes.begin(), lanes.end(),
            [](const auto& l) { return l.logical_failure; })));
-  csv.flush();
-  return true;
+  return csv.flush();
 }
 
 bool StreamTelemetry::write_schedule_csv(const std::string& path) const {
@@ -222,8 +200,7 @@ bool StreamTelemetry::write_schedule_csv(const std::string& path) const {
                std::to_string(all.resumes), std::to_string(cycles),
                fmt_double(pool_utilization(), "%.4f"),
                fmt_double(fairness_index(), "%.4f")});
-  csv.flush();
-  return true;
+  return csv.flush();
 }
 
 bool StreamTelemetry::write_latency_csv(const std::string& path) const {
@@ -233,38 +210,20 @@ bool StreamTelemetry::write_latency_csv(const std::string& path) const {
                        "soj_p99", "soj_max", "soj_mean"});
   if (!csv.ok()) return false;
 
-  const std::string pool_engines = std::to_string(engines);
+  const std::string run_p = fmt_double(p);
+  const std::string run_budget = fmt_double(cycles_per_round);
   const auto emit = [&](const LaneTelemetry& t, const std::string& label) {
-    // One sorted copy serves the percentiles, the max, and the mean.
-    std::vector<std::uint64_t> sorted = t.sojourn_rounds;
-    std::sort(sorted.begin(), sorted.end());
-    const auto pct = [&sorted](double q) -> std::uint64_t {
-      if (sorted.empty()) return 0;
-      auto rank = static_cast<std::size_t>(
-          std::ceil(q / 100.0 * static_cast<double>(sorted.size())));
-      rank = std::clamp<std::size_t>(rank, 1, sorted.size());
-      return sorted[rank - 1];
-    };
-    std::uint64_t sum = 0;
-    for (const std::uint64_t s : sorted) sum += s;
-    const double mean =
-        sorted.empty() ? 0.0
-                       : static_cast<double>(sum) /
-                             static_cast<double>(sorted.size());
-    csv.add_row({label, std::to_string(distance), fmt_double(p), engine,
-                 policy, admission, pool_engines,
-                 fmt_double(cycles_per_round), std::to_string(t.pauses),
-                 std::to_string(t.paused_rounds),
-                 std::to_string(sorted.size()), std::to_string(pct(50)),
-                 std::to_string(pct(95)), std::to_string(pct(99)),
-                 std::to_string(sorted.empty() ? 0 : sorted.back()),
-                 fmt_double(mean, "%.4f")});
+    const ValueCounts& soj = t.sojourn_rounds;
+    csv << label << distance << run_p << engine << policy << admission
+        << engines << run_budget << t.pauses << t.paused_rounds
+        << soj.total() << soj.percentile(50) << soj.percentile(95)
+        << soj.percentile(99) << soj.max() << fmt_double(soj.mean(), "%.4f");
+    csv.end_row();
   };
 
   for (const auto& lane : lanes) emit(lane, std::to_string(lane.lane));
   emit(aggregate(), "all");
-  csv.flush();
-  return true;
+  return csv.flush();
 }
 
 bool StreamTelemetry::write_cache_csv(const std::string& path) const {
@@ -283,8 +242,7 @@ bool StreamTelemetry::write_cache_csv(const std::string& path) const {
 
   for (const auto& lane : lanes) emit(lane.cache, std::to_string(lane.lane));
   emit(aggregate().cache, "all");
-  csv.flush();
-  return true;
+  return csv.flush();
 }
 
 bool StreamTelemetry::write_timeline_csv(const std::string& path) const {
@@ -304,8 +262,7 @@ bool StreamTelemetry::write_timeline_csv(const std::string& path) const {
                  std::to_string(s.depth_max), std::to_string(s.cycles),
                  watts_col});
   }
-  csv.flush();
-  return true;
+  return csv.flush();
 }
 
 }  // namespace qec

@@ -10,7 +10,9 @@
 //                   ended with k layers resident, k in [0, reg_depth].
 //  - layer latency  working cycles the engine attributed to each popped
 //                   layer (QecoolEngine::layer_cycles()); p50/p95/p99 are
-//                   exact nearest-rank percentiles over those samples.
+//                   exact nearest-rank percentiles read off the lane's
+//                   count table (common/stats.hpp ValueCounts), which
+//                   holds one (value, count) run per distinct sample.
 //  - overflow       the lane pushed a layer into a full Reg queue; the
 //                   lane stops immediately (terminal, as in Fig 7).
 //  - drained        every Reg bit clear and no stored layers by run end.
@@ -25,10 +27,12 @@
 //                   the run's clock (stream/admission.hpp); 0 when the
 //                   cycle budget is unconstrained (clock unknown).
 //
-// Everything here is assembled on the calling thread in lane order, so
-// every CSV is byte-identical for any --threads value. write_csv keeps the
-// pre-pool column set (the dedicated K == N contract); the pool views are
-// separate files (write_schedule_csv, write_timeline_csv).
+// Each lane's count tables are built in the service's lane-parallel
+// finalize from that lane's samples alone; everything else is assembled on
+// the calling thread in lane order (the aggregate row merges the tables),
+// so every CSV is byte-identical for any --threads value. write_csv keeps
+// the pre-pool column set (the dedicated K == N contract); the pool views
+// are separate files (write_schedule_csv, write_timeline_csv).
 #pragma once
 
 #include <cstdint>
@@ -60,12 +64,13 @@ struct LaneTelemetry {
 
   /// depth_hist[k] = rounds that ended with k stored layers.
   std::vector<std::uint64_t> depth_hist;
-  /// Per-popped-layer working cycles (the latency percentile samples).
-  std::vector<std::uint64_t> layer_cycles;
+  /// Working cycles of every popped layer, as exact counts (the latency
+  /// percentile samples; total() == popped_layers).
+  ValueCounts layer_cycles;
   /// End-to-end round latency of every decoded trace layer: global pop
-  /// round - push round + 1, in pop order, including rounds the lane
-  /// spent frozen by admission control (stream/qos.hpp LatencyTracker).
-  std::vector<std::uint64_t> sojourn_rounds;
+  /// round - push round + 1, including rounds the lane spent frozen by
+  /// admission control (stream/qos.hpp LatencyTracker), as exact counts.
+  ValueCounts sojourn_rounds;
   MatchStats matches;
   /// The lane engine's decode-cache counters. The service attaches no
   /// cache, so only the all-zero fast-path counters (zero_rounds,
@@ -78,16 +83,6 @@ struct LaneTelemetry {
 
   double mean_depth() const;
   int max_depth() const;
-  std::uint64_t cycle_percentile(double q) const {
-    return percentile_nearest_rank(layer_cycles, q);
-  }
-  /// Exact nearest-rank percentile of the end-to-end sojourn samples.
-  std::uint64_t sojourn_percentile(double q) const {
-    return percentile_nearest_rank(sojourn_rounds, q);
-  }
-
-  /// Folds another lane in (the aggregate row).
-  void merge(const LaneTelemetry& other);
 };
 
 /// Accounting of one pool engine across the run. An engine is busy in a
@@ -152,8 +147,9 @@ struct StreamTelemetry {
   std::vector<EngineTelemetry> engine_stats;  ///< one per pool engine
   std::vector<RoundSample> timeline;          ///< per-round aggregates
 
-  /// All lanes merged, in lane order; counters sum, percentiles recompute
-  /// over the pooled samples.
+  /// All lanes merged, in lane order; counters and count tables sum, so
+  /// the aggregate percentiles are those of the pooled samples. The
+  /// operational flags fold as any-overflow / all-drained / any-logical.
   LaneTelemetry aggregate() const;
 
   int overflow_lanes() const;
@@ -173,8 +169,9 @@ struct StreamTelemetry {
 
   /// One row per lane plus a final "all" aggregate row, where the
   /// overflow/drained/logical_failure columns hold lane *counts*. Returns
-  /// false when the file could not be opened. Column set is frozen: a
-  /// dedicated K == N run emits the same bytes as the pre-pool service.
+  /// false when the file could not be opened or a write failed (every
+  /// write_* here does the same). Column set is frozen: a dedicated
+  /// K == N run emits the same bytes as the pre-pool service.
   bool write_csv(const std::string& path) const;
 
   /// Pool scheduling report: one row per engine (kind "engine":

@@ -167,6 +167,7 @@ void SyndromeTrace::save(const std::string& path) const {
   if (!out) bad_trace("cannot open '" + path + "' for writing");
   out.write(reinterpret_cast<const char*>(blob.data()),
             static_cast<std::streamsize>(blob.size()));
+  out.flush();
   if (!out) bad_trace("short write to '" + path + "'");
 }
 

@@ -1,8 +1,11 @@
 // Tests for common utilities: RNG, statistics, CLI parsing, table printing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/rng.hpp"
@@ -109,6 +112,130 @@ TEST(Stats, MergeWithEmpty) {
   b.merge(a);
   EXPECT_EQ(b.count(), 2u);
   EXPECT_DOUBLE_EQ(b.mean(), 2.0);
+}
+
+constexpr double kQuantiles[] = {0.0, 0.1, 50.0, 95.0, 99.0, 100.0};
+
+/// Every ValueCounts answer against the sort-based reference.
+void expect_counts_match(const ValueCounts& counts,
+                         const std::vector<std::uint64_t>& samples) {
+  EXPECT_EQ(counts.total(), samples.size());
+  EXPECT_EQ(counts.empty(), samples.empty());
+  for (const double q : kQuantiles) {
+    EXPECT_EQ(counts.percentile(q), percentile_nearest_rank(samples, q))
+        << "q=" << q << " n=" << samples.size();
+  }
+  if (samples.empty()) {
+    EXPECT_EQ(counts.min(), 0u);
+    EXPECT_EQ(counts.max(), 0u);
+    EXPECT_EQ(counts.mean(), 0.0);
+    return;
+  }
+  EXPECT_EQ(counts.min(), *std::min_element(samples.begin(), samples.end()));
+  EXPECT_EQ(counts.max(), *std::max_element(samples.begin(), samples.end()));
+  std::uint64_t sum = 0;
+  for (const std::uint64_t s : samples) sum += s;
+  // Same integer sum, same division: bit-identical to a sample loop.
+  EXPECT_EQ(counts.mean(),
+            static_cast<double>(sum) / static_cast<double>(samples.size()));
+}
+
+/// n samples drawn as base + below(span): span controls the tie density.
+std::vector<std::uint64_t> draw(Xoshiro256ss& rng, int n, std::uint64_t base,
+                                std::uint64_t span) {
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(n));
+  for (auto& v : out) v = base + rng.below(span);
+  return out;
+}
+
+TEST(ValueCounts, EmptyAndSingleSample) {
+  expect_counts_match(ValueCounts(), {});
+  expect_counts_match(ValueCounts(std::vector<std::uint64_t>{}), {});
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{7},
+                                std::uint64_t{1} << 40}) {
+    const ValueCounts one(std::vector<std::uint64_t>{v});
+    expect_counts_match(one, {v});
+    ASSERT_EQ(one.runs().size(), 1u);
+    EXPECT_EQ(one.runs()[0], (ValueCounts::Run{v, 1}));
+  }
+}
+
+TEST(ValueCounts, MatchesNearestRankOnRandomSamples) {
+  Xoshiro256ss rng(2021);
+  // Small cycle-like values, values straddling 2^32, full-width values up
+  // to 2^40 (every run distinct), and a span that is counted densely or
+  // sorted depending on the sample count.
+  const std::uint64_t bases[] = {0, (std::uint64_t{1} << 32) - 50, 0, 7};
+  const std::uint64_t spans[] = {400, 100, std::uint64_t{1} << 40, 1500};
+  for (int trial = 0; trial < 80; ++trial) {
+    const int n = 1 + static_cast<int>(rng.below(600));
+    const auto samples = draw(rng, n, bases[trial % 4], spans[trial % 4]);
+    expect_counts_match(ValueCounts(samples), samples);
+  }
+}
+
+TEST(ValueCounts, HeavyTiesStoreOneRunPerDistinctValue) {
+  Xoshiro256ss rng(7);
+  const auto samples = draw(rng, 5000, 1, 3);  // values 1..3 only
+  const ValueCounts counts(samples);
+  expect_counts_match(counts, samples);
+  ASSERT_EQ(counts.runs().size(), 3u);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < counts.runs().size(); ++i) {
+    EXPECT_EQ(counts.runs()[i].value, i + 1);  // ascending
+    total += counts.runs()[i].count;
+  }
+  EXPECT_EQ(total, 5000u);
+  // All samples equal: every percentile is that value.
+  expect_counts_match(ValueCounts(std::vector<std::uint64_t>(100, 9)),
+                      std::vector<std::uint64_t>(100, 9));
+  // Ties far apart (a span no counting pass should cover): still one run
+  // per distinct value.
+  std::vector<std::uint64_t> wide;
+  for (int i = 0; i < 300; ++i) {
+    wide.push_back(i % 3 == 0 ? std::uint64_t{1} << 40 : 5);
+  }
+  const ValueCounts wide_counts(wide);
+  expect_counts_match(wide_counts, wide);
+  EXPECT_EQ(wide_counts.runs(),
+            (std::vector<ValueCounts::Run>{{5, 200}, {std::uint64_t{1} << 40, 100}}));
+}
+
+TEST(ValueCounts, MergeEqualsCountsOfConcatenation) {
+  Xoshiro256ss rng(11);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto a = draw(rng, static_cast<int>(rng.below(200)), 0, 60);
+    const auto b = draw(rng, static_cast<int>(rng.below(200)), 30, 90);
+    std::vector<std::uint64_t> both = a;
+    both.insert(both.end(), b.begin(), b.end());
+
+    ValueCounts merged(a);
+    merged.merge(ValueCounts(b));
+    EXPECT_EQ(merged, ValueCounts(both));
+    expect_counts_match(merged, both);
+
+    // Merge is symmetric, and the empty table is its identity.
+    ValueCounts reversed(b);
+    reversed.merge(ValueCounts(a));
+    EXPECT_EQ(reversed, merged);
+    ValueCounts from_empty;
+    from_empty.merge(merged);
+    from_empty.merge(ValueCounts());
+    EXPECT_EQ(from_empty, merged);
+
+    // sum() over many tables, one of them wide enough to leave the dense
+    // counting pass, equals the counts of everything concatenated.
+    const auto wide = draw(rng, static_cast<int>(rng.below(50)), 0,
+                           std::uint64_t{1} << 40);
+    std::vector<std::uint64_t> all = both;
+    all.insert(all.end(), wide.begin(), wide.end());
+    const ValueCounts ca(a), cb(b), cw(wide), none;
+    EXPECT_EQ(ValueCounts::sum({&ca, &none, &cb}), merged);
+    const ValueCounts summed = ValueCounts::sum({&ca, &cw, &cb, &none});
+    EXPECT_EQ(summed, ValueCounts(all));
+    expect_counts_match(summed, all);
+  }
+  EXPECT_EQ(ValueCounts::sum({}), ValueCounts());
 }
 
 TEST(Wilson, BracketsPointEstimate) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -47,6 +48,33 @@ TEST_F(CsvTest, PadsShortRows) {
     csv.add_row(std::vector<std::string>{"1"});
   }
   EXPECT_EQ(slurp(path_), "a,b,c\n1,,\n");
+}
+
+TEST_F(CsvTest, StreamedFieldsMatchAddRow) {
+  // Integers print as std::to_string does; text fields escape as in
+  // add_row; end_row pads like a short add_row.
+  const std::int64_t negative = -42;
+  const std::uint64_t huge = ~std::uint64_t{0};
+  {
+    CsvWriter csv(path_, {"a", "b", "c", "d"});
+    csv << negative << huge << "x,y";
+    csv.end_row();
+    csv.add_row(std::vector<std::string>{std::to_string(negative),
+                                         std::to_string(huge), "x,y"});
+  }
+  const std::string row = "-42,18446744073709551615,\"x,y\",\n";
+  EXPECT_EQ(slurp(path_), "a,b,c,d\n" + row + row);
+}
+
+TEST(CsvFailure, FullDeviceReportsFailure) {
+  // /dev/full accepts the open and fails every write with ENOSPC: a
+  // buffered writer only learns that when it flushes.
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  CsvWriter csv("/dev/full", {"a", "b"});
+  ASSERT_TRUE(csv.ok());
+  csv.add_row(std::vector<std::string>{"1", "2"});
+  EXPECT_FALSE(csv.flush());
+  EXPECT_FALSE(csv.ok());
 }
 
 TEST(CsvFailure, UnwritablePathIsNoop) {

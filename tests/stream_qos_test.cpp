@@ -427,15 +427,25 @@ TEST(QosDeterminism, SojournAccountingIsConsistent) {
   for (const auto& lane : outcome.telemetry.lanes) {
     // Every decoded trace layer produced exactly one sample; a drained
     // lane decoded them all. Sojourns count at least the arrival round.
-    EXPECT_LE(lane.sojourn_rounds.size(),
-              static_cast<std::size_t>(lane.rounds_streamed));
+    const ValueCounts& soj = lane.sojourn_rounds;
+    EXPECT_LE(soj.total(), static_cast<std::uint64_t>(lane.rounds_streamed));
     if (lane.drained) {
-      EXPECT_EQ(lane.sojourn_rounds.size(),
-                static_cast<std::size_t>(lane.rounds_streamed));
+      EXPECT_EQ(soj.total(), static_cast<std::uint64_t>(lane.rounds_streamed));
     }
-    for (const std::uint64_t s : lane.sojourn_rounds) EXPECT_GE(s, 1u);
-    EXPECT_LE(lane.sojourn_percentile(50), lane.sojourn_percentile(99));
+    if (!soj.empty()) EXPECT_GE(soj.min(), 1u);
+    EXPECT_LE(soj.percentile(50), soj.percentile(99));
+    EXPECT_EQ(lane.layer_cycles.total(),
+              static_cast<std::uint64_t>(lane.popped_layers));
   }
+  // The aggregate tables are the per-lane tables summed.
+  const auto all = outcome.telemetry.aggregate();
+  std::uint64_t sojourn_samples = 0, cycle_samples = 0;
+  for (const auto& lane : outcome.telemetry.lanes) {
+    sojourn_samples += lane.sojourn_rounds.total();
+    cycle_samples += lane.layer_cycles.total();
+  }
+  EXPECT_EQ(all.sojourn_rounds.total(), sojourn_samples);
+  EXPECT_EQ(all.layer_cycles.total(), cycle_samples);
 }
 
 /// The acceptance scenario: a shared pool at K < N under real sampled
@@ -466,7 +476,8 @@ TEST(QosAcceptance, CodelP99SojournNoWorseThanPauseAtKLessThanN) {
 
   const auto pause_all = pause.telemetry.aggregate();
   const auto codel_all = codel.telemetry.aggregate();
-  EXPECT_LE(codel_all.sojourn_percentile(99), pause_all.sojourn_percentile(99));
+  EXPECT_LE(codel_all.sojourn_rounds.percentile(99),
+            pause_all.sojourn_rounds.percentile(99));
   EXPECT_LE(codel.failed_lanes, pause.failed_lanes);
 
   // The latency CSV reports every lane — paused lanes included — plus the
@@ -478,7 +489,7 @@ TEST(QosAcceptance, CodelP99SojournNoWorseThanPauseAtKLessThanN) {
   EXPECT_EQ(lines, static_cast<std::size_t>(config.lanes) + 2);  // header + lanes + all
   for (const auto& lane : codel.telemetry.lanes) {
     if (lane.pauses > 0) {
-      EXPECT_GT(lane.sojourn_rounds.size(), 0u)
+      EXPECT_GT(lane.sojourn_rounds.total(), 0u)
           << "paused lane " << lane.lane
           << " must still report its latency distribution";
     }

@@ -69,9 +69,11 @@ bool same_outcomes(const StreamTelemetry& a, const StreamTelemetry& b) {
         la.drain_rounds != lb.drain_rounds ||
         la.served_rounds != lb.served_rounds ||
         la.starved_rounds != lb.starved_rounds ||
+        la.popped_layers != lb.popped_layers ||
         la.total_cycles != lb.total_cycles ||
         la.depth_hist != lb.depth_hist ||
-        la.layer_cycles != lb.layer_cycles) {
+        la.layer_cycles != lb.layer_cycles ||
+        la.sojourn_rounds != lb.sojourn_rounds) {
       return false;
     }
   }

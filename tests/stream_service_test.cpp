@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -150,7 +151,10 @@ TEST(StreamService, MatchesSingleLaneRunOnline) {
     EXPECT_EQ(direct.overflow, t.overflow);
     EXPECT_EQ(direct.drained, t.drained);
     EXPECT_EQ(direct.total_cycles, t.total_cycles);
-    EXPECT_EQ(direct.layer_cycles, t.layer_cycles);
+    // Per-pop order is pinned by online_runner_test; the service keeps
+    // the counts of the same per-pop samples.
+    EXPECT_EQ(static_cast<int>(direct.layer_cycles.size()), t.popped_layers);
+    EXPECT_EQ(ValueCounts(direct.layer_cycles), t.layer_cycles);
   }
 }
 
@@ -162,6 +166,8 @@ TEST(StreamService, TelemetryAccountingIsConsistent) {
   for (const auto c : all.depth_hist) depth_rounds += c;
   std::uint64_t expected = 0;
   std::uint64_t cycles = 0;
+  std::uint64_t cycle_samples = 0, sojourn_samples = 0, cycle_max = 0;
+  ValueCounts pooled;
   for (const auto& lane : outcome.telemetry.lanes) {
     // Every streamed or drain round records exactly one depth sample
     // (overflow rounds record one too, without counting as streamed).
@@ -169,16 +175,36 @@ TEST(StreamService, TelemetryAccountingIsConsistent) {
                 static_cast<std::uint64_t>(lane.drain_rounds) +
                 (lane.overflow ? 1 : 0);
     cycles += lane.total_cycles;
-    EXPECT_EQ(static_cast<int>(lane.layer_cycles.size()), lane.popped_layers);
+    // The cycle table holds exactly one sample per popped layer.
+    EXPECT_EQ(lane.layer_cycles.total(),
+              static_cast<std::uint64_t>(lane.popped_layers));
+    // One sojourn sample per decoded trace layer, each at least the
+    // arrival round; a drained lane decoded its whole trace.
+    EXPECT_LE(lane.sojourn_rounds.total(),
+              static_cast<std::uint64_t>(lane.rounds_streamed));
+    if (lane.drained) {
+      EXPECT_EQ(lane.sojourn_rounds.total(),
+                static_cast<std::uint64_t>(lane.rounds_streamed));
+    }
+    if (!lane.sojourn_rounds.empty()) EXPECT_GE(lane.sojourn_rounds.min(), 1u);
+    cycle_samples += lane.layer_cycles.total();
+    sojourn_samples += lane.sojourn_rounds.total();
+    cycle_max = std::max(cycle_max, lane.layer_cycles.max());
+    pooled.merge(lane.layer_cycles);
   }
   EXPECT_EQ(depth_rounds, expected);
   EXPECT_EQ(all.total_cycles, cycles);
+  // The aggregate tables are the per-lane tables summed.
+  EXPECT_EQ(all.layer_cycles.total(), cycle_samples);
+  EXPECT_EQ(all.layer_cycles.total(),
+            static_cast<std::uint64_t>(all.popped_layers));
+  EXPECT_EQ(all.sojourn_rounds.total(), sojourn_samples);
+  EXPECT_EQ(all.layer_cycles, pooled);
   // Percentiles are order statistics of the pooled samples.
-  const auto p50 = all.cycle_percentile(50);
-  const auto p99 = all.cycle_percentile(99);
+  const auto p50 = all.layer_cycles.percentile(50);
+  const auto p99 = all.layer_cycles.percentile(99);
   EXPECT_LE(p50, p99);
-  EXPECT_EQ(all.cycle_percentile(100),
-            percentile_nearest_rank(all.layer_cycles, 100));
+  EXPECT_EQ(all.layer_cycles.percentile(100), cycle_max);
 }
 
 TEST(StreamService, RejectsNonOnlineEngineSpecs) {
