@@ -29,7 +29,9 @@ BlossomMatcher::BlossomMatcher(int n) : n_(n) {
 }
 
 void BlossomMatcher::set_weight(int u, int v, std::int64_t weight) {
-  assert(u >= 0 && u < n_ && v >= 0 && v < n_ && u != v && weight >= 0);
+  if (u < 0 || u >= n_ || v < 0 || v >= n_ || u == v || weight < 0) {
+    throw std::invalid_argument("set_weight needs u != v in [0, n), w >= 0");
+  }
   assert(!solved_);
   g_[u + 1][v + 1].w = weight;
   g_[v + 1][u + 1].w = weight;

@@ -8,8 +8,8 @@
 // graphs (see tests/mwpm_blossom_test.cpp).
 //
 // The matcher works on a COMPLETE graph: every pair of distinct vertices
-// must carry a weight. The space-time matching graph of mwpm/matching_graph
-// arranges this with a large sentinel weight on forbidden pairs.
+// carries a weight. MwpmDecoder::match_defects builds one on the defects
+// themselves (plus one shared boundary vertex when their count is odd).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,8 @@ class BlossomMatcher {
   /// complete graph n must be even.
   explicit BlossomMatcher(int n);
 
-  /// Sets the (symmetric) weight of edge {u, v}; u != v, weight >= 0.
+  /// Sets the (symmetric) weight of edge {u, v}; u != v in [0, n) and
+  /// weight >= 0, else throws std::invalid_argument.
   void set_weight(int u, int v, std::int64_t weight);
 
   /// Solves minimum-weight perfect matching. Returns mate[v] for every

@@ -1,11 +1,8 @@
 // Space-time matching graph for matching-based decoders.
 //
-// Defects are the set bits of the difference syndromes. The standard
-// boundary construction [Fowler 2015] pairs each defect with a private
-// virtual boundary node: defect-defect edges weigh the L1 space-time
-// distance, defect-to-own-boundary edges weigh the hop distance to the
-// nearest rough boundary, and boundary-boundary edges are free, so unused
-// boundary nodes pair off among themselves at zero cost.
+// Defects are the set bits of the difference syndromes. Two defects match
+// at their L1 space-time distance, a defect and its nearest rough boundary
+// at their hop distance; MwpmDecoder::match_defects builds on these.
 #pragma once
 
 #include <cstdint>

@@ -14,8 +14,8 @@ class MwpmDecoder final : public Decoder {
   DecodeResult decode(const PlanarLattice& lattice,
                       const SyndromeHistory& history) override;
 
-  /// Exposed for tests: matches an arbitrary defect list on a lattice and
-  /// returns the matched pairs chosen by exact MWPM.
+  /// Matches an arbitrary defect list on a lattice (also each window of
+  /// WindowedMwpmDecoder) and returns the pairs chosen by exact MWPM.
   static std::vector<MatchedPair> match_defects(
       const PlanarLattice& lattice, const std::vector<Defect>& defects);
 };

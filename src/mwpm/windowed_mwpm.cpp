@@ -25,33 +25,25 @@ DecodeResult WindowedMwpmDecoder::decode(const PlanarLattice& lattice,
     ++last_windows_;
     const auto pairs = MwpmDecoder::match_defects(lattice, pending);
     const int commit_before = newest_layer - config_.guard;
-    std::vector<std::uint8_t> consumed(pending.size(), 0);
+    std::vector<Defect> done;
     for (const auto& pair : pairs) {
       const int latest = pair.to_boundary ? pair.a.t
                                           : std::max(pair.a.t, pair.b.t);
       if (!final_flush && latest >= commit_before) continue;
       committed.push_back(pair);
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (consumed[i]) continue;
-        if (pending[i] == pair.a || (!pair.to_boundary && pending[i] == pair.b)) {
-          consumed[i] = 1;
-        }
-      }
+      done.push_back(pair.a);
+      if (!pair.to_boundary) done.push_back(pair.b);
     }
-    std::vector<Defect> rest;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (!consumed[i]) rest.push_back(pending[i]);
-    }
-    pending = std::move(rest);
+    std::erase_if(pending, [&](const Defect& d) {
+      return std::find(done.begin(), done.end(), d) != done.end();
+    });
   };
 
   for (int t = 0; t < total; ++t) {
-    const auto& layer = history.difference[static_cast<std::size_t>(t)];
-    for (int chk = 0; chk < lattice.num_checks(); ++chk) {
-      if (layer[static_cast<std::size_t>(chk)]) {
-        const CheckCoord c = lattice.check_coord(chk);
-        pending.push_back(Defect{c.row, c.col, t});
-      }
+    for (Defect d : collect_defects(
+             lattice, {history.difference[static_cast<std::size_t>(t)]})) {
+      d.t = t;
+      pending.push_back(d);
     }
     if (t + 1 >= config_.window && !pending.empty()) {
       run_window(t, /*final_flush=*/false);

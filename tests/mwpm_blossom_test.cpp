@@ -9,39 +9,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "brute_force_matching.hpp"
 #include "common/rng.hpp"
 
 namespace qec {
 namespace {
-
-// Exhaustive min-weight perfect matching over all pairings (DP over subsets).
-std::int64_t brute_force_min(const std::vector<std::vector<std::int64_t>>& w) {
-  const int n = static_cast<int>(w.size());
-  const std::size_t full = std::size_t{1} << n;
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
-  std::vector<std::int64_t> dp(full, kInf);
-  dp[0] = 0;
-  for (std::size_t mask = 0; mask < full; ++mask) {
-    if (dp[mask] == kInf) continue;
-    int first = -1;
-    for (int i = 0; i < n; ++i) {
-      if (!(mask & (std::size_t{1} << i))) {
-        first = i;
-        break;
-      }
-    }
-    if (first < 0) continue;
-    for (int j = first + 1; j < n; ++j) {
-      if (mask & (std::size_t{1} << j)) continue;
-      const std::size_t next =
-          mask | (std::size_t{1} << first) | (std::size_t{1} << j);
-      const std::int64_t cand = dp[mask] + w[static_cast<std::size_t>(first)]
-                                            [static_cast<std::size_t>(j)];
-      if (cand < dp[next]) dp[next] = cand;
-    }
-  }
-  return dp[full - 1];
-}
 
 std::vector<std::vector<std::int64_t>> random_weights(int n, std::int64_t maxw,
                                                       Xoshiro256ss& rng) {

@@ -2,6 +2,8 @@
 // never crash, spin, or produce syndrome-inconsistent corrections.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "decoder/decoder.hpp"
 #include "mwpm/blossom.hpp"
 #include "noise/phenomenological.hpp"
@@ -25,6 +27,14 @@ TEST(BlossomEdge, ZeroVerticesIsEmpty) {
 
 TEST(BlossomEdge, NegativeCountThrows) {
   EXPECT_THROW(BlossomMatcher(-1), std::invalid_argument);
+}
+
+TEST(BlossomEdge, BadSetWeightThrows) {
+  BlossomMatcher matcher(4);
+  EXPECT_THROW(matcher.set_weight(-1, 2, 1), std::invalid_argument);
+  EXPECT_THROW(matcher.set_weight(0, 4, 1), std::invalid_argument);
+  EXPECT_THROW(matcher.set_weight(2, 2, 1), std::invalid_argument);
+  EXPECT_THROW(matcher.set_weight(0, 1, -1), std::invalid_argument);
 }
 
 TEST(EngineFuzz, RandomPushesAndBudgetsNeverBreakInvariants) {
