@@ -41,18 +41,8 @@ QecoolEngine::QecoolEngine(const PlanarLattice& lattice,
   c_ = config_.start_at_max_hop ? nlimit_ : 1;
   const auto units = static_cast<std::size_t>(rows_ * cols_);
   reg_.assign(static_cast<std::size_t>(reg_capacity_), PackedBits(units));
-  occupancy_ = PackedBits(units);
   correction_ = PackedBits(static_cast<std::size_t>(lattice.num_data()));
   corr_before_ = PackedBits(static_cast<std::size_t>(lattice.num_data()));
-  // unit -> (row, col) lookup: best_candidate() decodes every defect's
-  // coordinates on each spike fan-in; a table beats div/mod by the
-  // non-constant cols_.
-  row_of_.resize(units);
-  col_of_.resize(units);
-  for (std::size_t u = 0; u < units; ++u) {
-    row_of_[u] = static_cast<std::int16_t>(u / static_cast<std::size_t>(cols_));
-    col_of_[u] = static_cast<std::int16_t>(u % static_cast<std::size_t>(cols_));
-  }
 
   // Cache-key seed: a digest of everything that shapes a run's outcome
   // besides the dynamic state, so engines with different geometry or
@@ -78,8 +68,9 @@ QecoolEngine::QecoolEngine(const PlanarLattice& lattice,
 }
 
 bool QecoolEngine::push_layer(const PackedBits& difference_layer) {
-  assert(difference_layer.size() ==
-         static_cast<std::size_t>(rows_ * cols_));
+  if (difference_layer.size() != static_cast<std::size_t>(rows_ * cols_)) {
+    throw std::invalid_argument("push_layer: layer size != num_checks");
+  }
   if (m_ == reg_capacity_) {  // buffer overflow
     if (probe_) probe_->on_push(false, m_, reg_capacity_);
     return false;
@@ -99,7 +90,9 @@ bool QecoolEngine::push_layer(const PackedBits& difference_layer) {
 }
 
 bool QecoolEngine::push_layer(const BitVec& difference_layer) {
-  assert(static_cast<int>(difference_layer.size()) == rows_ * cols_);
+  if (difference_layer.size() != static_cast<std::size_t>(rows_ * cols_)) {
+    throw std::invalid_argument("push_layer: layer size != num_checks");
+  }
   if (m_ == reg_capacity_) {  // buffer overflow
     if (probe_) probe_->on_push(false, m_, reg_capacity_);
     return false;
@@ -121,17 +114,6 @@ bool QecoolEngine::reg_bit(int row, int col, int depth) const {
   assert(depth >= 0 && depth < m_);
   return reg_[static_cast<std::size_t>(depth)].test(
       static_cast<std::size_t>(unit_index(row, col)));
-}
-
-bool QecoolEngine::row_has_any_bit(int row) const {
-  const auto first = static_cast<std::size_t>(row * cols_);
-  const auto count = static_cast<std::size_t>(cols_);
-  for (int t = 0; t < m_; ++t) {
-    if (reg_[static_cast<std::size_t>(t)].any_in_range(first, count)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 int QecoolEngine::next_occupied_row(int from) const {
@@ -161,14 +143,6 @@ bool QecoolEngine::base_layer_clear() const {
   return m_ > 0 && reg_[0].none();
 }
 
-int QecoolEngine::first_set_depth(int unit, int from_depth) const {
-  const auto u = static_cast<std::size_t>(unit);
-  for (int t = from_depth; t < m_; ++t) {
-    if (reg_[static_cast<std::size_t>(t)].test(u)) return t;
-  }
-  return -1;
-}
-
 bool QecoolEngine::has_eligible_base() const {
   for (int b = 0; b < m_; ++b) {
     if (m_ - b <= config_.thv) continue;
@@ -184,60 +158,54 @@ std::optional<QecoolEngine::Candidate> QecoolEngine::best_candidate(
     if (!best || cand < *best) best = cand;
   };
 
-  const int sink = unit_index(sink_row, sink_col);
-  // Time-like candidate inside the sink Unit itself (Algorithm 1, sink loop
-  // over t): a later set bit at depth t arrives after t - base cycles.
-  const int self_t = first_set_depth(sink, base + 1);
-  if (self_t >= 0 && self_t - base <= hop_limit) {
-    consider(Candidate{2 * static_cast<std::int64_t>(self_t - base), kPortSelf,
-                       self_t, sink_row, sink_col, Candidate::Kind::Self});
-  }
-
-  // Spatial candidates: only Units with a resident defect at depth >= base
-  // can answer, each at its *first* set depth. Walk the layers upward from
-  // the base, visiting only bits not claimed by a shallower layer — that
-  // yields every unit's first depth in one sweep instead of a per-defect
-  // depth scan (the spike fan-in is sparse at any physical error rate
-  // worth decoding). occupancy_ accumulates the claimed units.
-  const std::size_t words = reg_[0].num_words();
-  occupancy_.clear_all();
-  for (int t = base; t < m_; ++t) {
-    const PackedBits& layer = reg_[static_cast<std::size_t>(t)];
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t fresh = layer.word(w) & ~occupancy_.word(w);
-      occupancy_.xor_word(w, fresh);  // fresh is disjoint from occupancy_
-      while (fresh) {
-        const std::size_t u =
-            (w << 6) + static_cast<std::size_t>(qec_countr_zero64(fresh));
-        fresh &= fresh - 1;
-        if (static_cast<int>(u) == sink) continue;
-        const int r = row_of_[u];
-        const int c = col_of_[u];
-        const int spatial =
-            std::abs(r - sink_row) + std::abs(c - sink_col);
-        const int arrival = spatial + (t - base);
-        if (arrival > hop_limit) continue;
-        int port;
-        if (c != sink_col) {
-          port = c < sink_col ? kPortWest : kPortEast;
-        } else {
-          port = r < sink_row ? kPortNorth : kPortSouth;
-        }
-        consider(Candidate{2 * static_cast<std::int64_t>(arrival), port, t, r,
-                           c, Candidate::Kind::Unit});
-      }
-    }
-  }
-
   // Boundary Units always answer a requestSpike(); the nearer side wins.
   const int bdist = lattice_.boundary_distance(sink_col);
   if (bdist <= hop_limit) {
     const bool left_nearer = sink_col + 1 <= lattice_.distance() - 1 - sink_col;
-    Candidate cand{2 * static_cast<std::int64_t>(bdist) +
-                       (config_.deprioritize_boundary ? 1 : 0),
-                   left_nearer ? kPortWest : kPortEast, base, sink_row,
-                   sink_col, Candidate::Kind::Boundary};
-    consider(cand);
+    best = Candidate{2 * static_cast<std::int64_t>(bdist) +
+                         (config_.deprioritize_boundary ? 1 : 0),
+                     left_nearer ? kPortWest : kPortEast, base, sink_row,
+                     sink_col, Candidate::Kind::Boundary};
+  }
+
+  // Unit spikes in arrival order, the way the race-logic wavefront
+  // expands: level a holds the sink's own bit at depth base + a (Self,
+  // Algorithm 1's sink loop over t) and every Unit s hops away at depth
+  // base + a - s. The first level with a hit decides the race: each hit
+  // there is at its Unit's first set depth >= base (a shallower bit would
+  // have arrived at an earlier level), and no later level can beat it.
+  // The boundary's half-cycle arrival2 keeps the stop rule exact.
+  const int sink = unit_index(sink_row, sink_col);
+  for (int a = 1; a <= hop_limit; ++a) {
+    const std::int64_t arrival2 = 2 * static_cast<std::int64_t>(a);
+    if (best && best->arrival2 < arrival2) break;
+    if (base + a < m_ && reg_[static_cast<std::size_t>(base + a)].test(
+                             static_cast<std::size_t>(sink))) {
+      consider(Candidate{arrival2, kPortSelf, base + a, sink_row, sink_col,
+                         Candidate::Kind::Self});
+    }
+    // Depths past the resident layers hold nothing: s > base + a - m_.
+    for (int s = std::max(1, base + a - m_ + 1); s <= a; ++s) {
+      const int t = base + a - s;
+      const PackedBits& layer = reg_[static_cast<std::size_t>(t)];
+      const int r_end = std::min(rows_ - 1, sink_row + s);
+      for (int r = std::max(0, sink_row - s); r <= r_end; ++r) {
+        const int dc = s - std::abs(r - sink_row);
+        for (const int c : {sink_col - dc, sink_col + dc}) {
+          if (c < 0 || c >= cols_) continue;
+          if (layer.test(static_cast<std::size_t>(unit_index(r, c)))) {
+            int port;
+            if (dc != 0) {
+              port = c < sink_col ? kPortWest : kPortEast;
+            } else {
+              port = r < sink_row ? kPortNorth : kPortSouth;
+            }
+            consider(Candidate{arrival2, port, t, r, c, Candidate::Kind::Unit});
+          }
+          if (dc == 0) break;  // the column itself: one Unit, not two
+        }
+      }
+    }
   }
   return best;
 }
@@ -556,8 +524,7 @@ std::uint64_t QecoolEngine::run_scan(std::uint64_t budget) {
   const std::uint64_t skip = config_.cycles.row_skip;
 
   // The stop conditions below depend only on Reg contents and the (m_, b_)
-  // position, so they are invariant across bulk row skips — they need
-  // re-evaluation only after a processed row or an end-of-pass step.
+  // position, so they need re-evaluation only after an end-of-pass step.
   bool recheck = true;
   while (spent < budget) {
     if (recheck) {
@@ -624,8 +591,11 @@ std::uint64_t QecoolEngine::run_scan(std::uint64_t budget) {
           from = u + 1;
         }
       }
+      // No recheck: a processed row cannot make the stop conditions true.
+      // The gate is open, so layer 0 is eligible too (m - 0 >= m - b >
+      // thv): after any matches the base layer is either clean or an
+      // eligible layer that still holds bits.
       ++row_;
-      recheck = true;  // matches may have cleared Reg bits
       continue;
     }
 

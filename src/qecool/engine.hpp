@@ -23,13 +23,15 @@
 //
 // Datapath representation: each Reg depth slot is one PackedBits layer (64
 // Units per word), mirroring the SFQ shift registers — occupancy scans
-// (all_clear, row gating, thv eligibility) are word-parallel, layer pops
-// are O(depth) moves instead of O(units x depth) byte shuffles, and the
-// match path walks only the *set* bits of the occupancy mask instead of
-// scanning the full grid. The accumulated correction is packed too. The
-// cycle accounting and match selection are bit-identical to the byte-per-
-// bit implementation: the same candidates are considered and the same
-// deterministic comparator picks the winner.
+// (all_clear, row gating, thv eligibility) are word-parallel, and layer
+// pops are O(depth) moves instead of O(units x depth) byte shuffles. The
+// spike search expands the sink's hop ball level by level in arrival
+// order and stops at the first level with a hit, so its cost scales with
+// the hop limit, not with the defect load. The accumulated correction is
+// packed too. The cycle accounting and match selection are
+// bit-identical to the byte-per-bit implementation: the winning arrival
+// level holds the same candidates and the same deterministic comparator
+// picks the winner.
 //
 // The engine is resumable: run(budget) consumes at most `budget` cycles and
 // can be continued later, which is how the on-line runner models a decoder
@@ -74,9 +76,10 @@ class QecoolEngine {
 
   /// Appends one difference-syndrome layer to every Unit's Reg. Returns
   /// false when the Reg queues are full (buffer overflow — the failure mode
-  /// of Fig 7); the layer is dropped in that case. The packed overload is
-  /// the streamed hot path (one word copy per 64 Units); the byte-per-bit
-  /// overload packs and delegates.
+  /// of Fig 7); the layer is dropped in that case. Throws
+  /// std::invalid_argument when the layer size is not num_checks(). The
+  /// packed overload is the streamed hot path (one word copy per 64
+  /// Units); the byte-per-bit overload packs the layer into its slot.
   bool push_layer(const PackedBits& difference_layer);
   bool push_layer(const BitVec& difference_layer);
 
@@ -134,7 +137,7 @@ class QecoolEngine {
   void set_probe(EngineProbe* probe) { probe_ = probe; }
 
   /// The resolved maximum hop limit (config nlimit, or the automatic
-  /// 2(d-1) + reg_depth + 1 bound) — the invariant probe's range check.
+  /// 2(d-1) + reg_depth bound) — the invariant probe's range check.
   int hop_limit_bound() const { return nlimit_; }
 
   /// Attaches a decode-window memoization cache (non-owning; see
@@ -168,12 +171,13 @@ class QecoolEngine {
     return row * cols_ + col;
   }
 
-  bool row_has_any_bit(int row) const;
   /// First row at or after `from` with a bit in any resident layer;
   /// rows_ when the rest of the pass is clean.
   int next_occupied_row(int from) const;
   bool base_layer_clear() const;
-  int first_set_depth(int unit, int from_depth) const;
+  /// The winning spike of a requestSpike() from the sink at hop limit C =
+  /// `hop_limit`, or nullopt on timeout. O(min(C, boundary distance)^3)
+  /// bit tests, independent of the defect load.
   std::optional<Candidate> best_candidate(int sink_row, int sink_col,
                                           int base, int hop_limit) const;
 
@@ -214,12 +218,6 @@ class QecoolEngine {
   std::vector<PackedBits> reg_;
   int m_ = 0;                      // stored layers
   PackedBits correction_;
-  /// Scratch for best_candidate(): OR of the resident layers at or above
-  /// the base depth — the units that could answer a requestSpike().
-  mutable PackedBits occupancy_;
-  /// unit -> (row, col) lookup tables (avoid div/mod on the spike fan-in).
-  std::vector<std::int16_t> row_of_;
-  std::vector<std::int16_t> col_of_;
   std::vector<int> path_scratch_;  ///< match-path qubits (reused, no alloc)
 
   // Resumable controller position.

@@ -88,8 +88,9 @@ class OnlineStepper {
   /// Pushes one difference layer without spending any decode cycles.
   /// Returns false when the Reg queues overflow — a terminal state; later
   /// calls are no-ops returning false. Throws std::logic_error while
-  /// paused: a frozen logical clock produces no layers. The packed
-  /// overload is the streamed hot path (the trace hands out packed
+  /// paused: a frozen logical clock produces no layers. Throws
+  /// std::invalid_argument when the layer size is not num_checks(). The
+  /// packed overload is the streamed hot path (the trace hands out packed
   /// layers); the byte-per-bit overload serves the offline loop and tests.
   bool push(const PackedBits& layer);
   bool push(const BitVec& layer);

@@ -1,6 +1,8 @@
 #include "surface_code/packed_bits.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace qec {
 
@@ -28,9 +30,29 @@ void PackedBits::clear_all() { std::fill(words_.begin(), words_.end(), 0); }
 
 void PackedBits::assign_bits(std::span<const std::uint8_t> bits) {
   assert(bits.size() == bits_);
-  clear_all();
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) set(i);
+  // One word per 64 bytes, branch-free; the short last word leaves its
+  // tail bits zero. On little-endian hosts eight bytes at a time: fold
+  // each byte's bits into its lowest bit (any nonzero byte reads as 1),
+  // then one multiply gathers byte k's bit into bit k of the top byte.
+  constexpr bool kLittle = std::endian::native == std::endian::little;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    const std::uint8_t* src = bits.data() + w * 64;
+    const std::size_t count = std::min<std::size_t>(64, bits_ - w * 64);
+    std::uint64_t word = 0;
+    std::size_t j = 0;
+    for (; kLittle && j + 8 <= count; j += 8) {
+      std::uint64_t x;
+      std::memcpy(&x, src + j, sizeof x);
+      x |= x >> 4;
+      x |= x >> 2;
+      x |= x >> 1;
+      x &= 0x0101010101010101ULL;
+      word |= ((x * 0x0102040810204080ULL) >> 56) << j;
+    }
+    for (; j < count; ++j) {
+      word |= static_cast<std::uint64_t>(src[j] != 0) << j;
+    }
+    words_[w] = word;
   }
 }
 
@@ -50,26 +72,6 @@ int PackedBits::popcount() const {
   int count = 0;
   for (const std::uint64_t w : words_) count += qec_popcount64(w);
   return count;
-}
-
-bool PackedBits::any_in_range(std::size_t first, std::size_t count) const {
-  assert(first + count <= bits_);
-  if (count == 0) return false;
-  const std::size_t last = first + count - 1;
-  std::size_t w = first >> 6;
-  const std::size_t w_last = last >> 6;
-  // Mask off bits below `first` in the first word and above `last` in the
-  // last word; whole words in between are tested unmasked.
-  std::uint64_t mask = ~std::uint64_t{0} << (first & 63);
-  for (; w <= w_last; ++w, mask = ~std::uint64_t{0}) {
-    std::uint64_t bits = words_[w] & mask;
-    if (w == w_last) {
-      const std::size_t rem = last & 63;
-      if (rem != 63) bits &= (std::uint64_t{1} << (rem + 1)) - 1;
-    }
-    if (bits) return true;
-  }
-  return false;
 }
 
 PackedBits& PackedBits::operator^=(const PackedBits& other) {

@@ -143,8 +143,6 @@ class PackedBits {
   bool none() const { return !any(); }
   /// Set entries — the packed weight().
   int popcount() const;
-  /// Any set bit in [first, first + count)? The engine's per-row Reg scan.
-  bool any_in_range(std::size_t first, std::size_t count) const;
 
   /// XOR/OR/AND with a same-sized operand, word-parallel.
   PackedBits& operator^=(const PackedBits& other);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -47,6 +48,30 @@ TEST(PackedBits, RoundTripsByteVectorsAtAwkwardSizes) {
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(packed.test(i), ref[i] != 0) << "size " << n << " bit " << i;
       }
+    }
+  }
+}
+
+TEST(PackedBits, AssignBitsReadsEveryNonzeroByteAsOne) {
+  // assign_bits packs eight bytes per step: each single-bit byte value,
+  // at every lane of the step and across word tails, must read as 1,
+  // and must not leak into its neighbours.
+  std::mt19937 rng(5);
+  for (std::size_t n : kSizes) {
+    PackedBits packed(n);
+    for (int trial = 0; trial < 20; ++trial) {
+      BitVec raw = random_bits(n, rng, 0.3);
+      for (auto& b : raw) {
+        if (b) b = static_cast<std::uint8_t>(1u << (rng() % 8));
+      }
+      if (trial == 0) std::fill(raw.begin(), raw.end(), 0xff);
+      packed.assign_bits(raw);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(packed.test(i), raw[i] != 0) << "size " << n << " bit " << i;
+      }
+      EXPECT_EQ(packed.popcount(),
+                static_cast<int>(std::count_if(raw.begin(), raw.end(),
+                                               [](auto b) { return b != 0; })));
     }
   }
 }
@@ -90,24 +115,6 @@ TEST(PackedBits, BitwiseOpsMatchReference) {
       // XOR must also preserve the tail-zero invariant observables.
       EXPECT_EQ(px.popcount(), reference_weight(rx));
       EXPECT_EQ(px == PackedBits::from_bits(rx), true);
-    }
-  }
-}
-
-TEST(PackedBits, AnyInRangeMatchesReferenceOnAllSubranges) {
-  std::mt19937 rng(17);
-  for (std::size_t n : {std::size_t{1}, std::size_t{72}, std::size_t{130}}) {
-    const BitVec ref = random_bits(n, rng, 0.1);
-    const PackedBits packed = PackedBits::from_bits(ref);
-    for (std::size_t first = 0; first < n; ++first) {
-      for (std::size_t count = 0; count <= n - first; ++count) {
-        bool expect = false;
-        for (std::size_t i = first; i < first + count; ++i) {
-          if (ref[i]) expect = true;
-        }
-        ASSERT_EQ(packed.any_in_range(first, count), expect)
-            << "size " << n << " [" << first << ", " << first + count << ")";
-      }
     }
   }
 }

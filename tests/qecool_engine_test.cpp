@@ -6,6 +6,7 @@
 
 #include "decoder/decoder.hpp"
 #include "noise/phenomenological.hpp"
+#include "qecool/online_runner.hpp"
 #include "qecool/qecool_decoder.hpp"
 #include "surface_code/pauli_frame.hpp"
 
@@ -208,6 +209,211 @@ TEST(QecoolEngine, RejectsBadRegDepth) {
   QecoolConfig config;
   config.reg_depth = 0;
   EXPECT_THROW(QecoolEngine(lat, config), std::invalid_argument);
+}
+
+// --- Spike-race comparator facets -------------------------------------------
+// Hand-built windows around the sink (4,4) of a d = 9 grid (9 x 8 Units;
+// the sink is 4 hops from its nearer wall, so the boundary never answers
+// at the hop limits used here). Each pins one rule of the race: which
+// candidate wins, at which depth it answers, and what a timeout costs.
+
+/// Pushes `layers` (one coordinate list per depth) into a batch engine
+/// that records its match trace, then runs it to completion.
+QecoolEngine run_window(const PlanarLattice& lat,
+                        const std::vector<std::vector<CheckCoord>>& layers,
+                        QecoolConfig config) {
+  config.thv = -1;
+  config.reg_depth = static_cast<int>(layers.size());
+  config.record_trace = true;
+  QecoolEngine engine(lat, config);
+  for (const auto& coords : layers) engine.push_layer(layer_with(lat, coords));
+  engine.run(QecoolEngine::kUnlimited);
+  return engine;
+}
+
+TEST(SpikeRace, EqualArrivalResolvesWestEastNorthSouth) {
+  // Sink (4,4) at depth 0; its neighbours sit one layer deeper, so every
+  // one of them arrives at C = 2 and only the port priority decides.
+  const PlanarLattice lat(9);
+  const CheckCoord west{4, 3}, east{4, 5}, north{3, 4}, south{5, 4};
+  const std::vector<std::pair<std::vector<CheckCoord>, CheckCoord>> cases = {
+      {{west, east, north, south}, west},
+      {{east, north, south}, east},
+      {{north, south}, north},
+      {{south}, south},
+  };
+  for (const auto& [neighbours, winner] : cases) {
+    const auto engine = run_window(lat, {{{4, 4}}, neighbours}, {});
+    ASSERT_FALSE(engine.trace().empty());
+    const MatchEvent& first = engine.trace().front();
+    EXPECT_EQ(first.kind, MatchEvent::Kind::Pair);
+    EXPECT_EQ(first.sink_row, 4);
+    EXPECT_EQ(first.sink_col, 4);
+    EXPECT_EQ(first.hop_limit, 2);
+    EXPECT_EQ(first.source_row, winner.row);
+    EXPECT_EQ(first.source_col, winner.col);
+    EXPECT_EQ(first.source_depth, 1);
+  }
+}
+
+TEST(SpikeRace, ShallowerDepthWinsOnOnePort) {
+  // Both candidates arrive at 2 through the South port: (5,4) one hop
+  // away one layer up, (6,4) two hops away at the base depth.
+  const PlanarLattice lat(9);
+  const auto engine = run_window(lat, {{{4, 4}, {6, 4}}, {{5, 4}}}, {});
+  ASSERT_FALSE(engine.trace().empty());
+  const MatchEvent& first = engine.trace().front();
+  EXPECT_EQ(first.kind, MatchEvent::Kind::Pair);
+  EXPECT_EQ(first.sink_row, 4);
+  EXPECT_EQ(first.hop_limit, 2);
+  EXPECT_EQ(first.source_row, 6);
+  EXPECT_EQ(first.source_col, 4);
+  EXPECT_EQ(first.source_depth, 0);
+}
+
+TEST(SpikeRace, SelfBeatsUnitAtEqualArrival) {
+  // The sink's own next-layer bit and its South neighbour both arrive at 1.
+  const PlanarLattice lat(9);
+  const auto engine = run_window(lat, {{{4, 4}, {5, 4}}, {{4, 4}}}, {});
+  ASSERT_FALSE(engine.trace().empty());
+  const MatchEvent& first = engine.trace().front();
+  EXPECT_EQ(first.kind, MatchEvent::Kind::Self);
+  EXPECT_EQ(first.sink_row, 4);
+  EXPECT_EQ(first.sink_col, 4);
+  EXPECT_EQ(first.source_depth, 1);
+  EXPECT_EQ(first.hop_limit, 1);
+}
+
+TEST(SpikeRace, UnitAnswersAtItsFirstSetDepth) {
+  // (5,4) holds bits at depths 1 and 2. The race starts at C = 4 so the
+  // sink sees it before (5,4) self-matches; it must answer from depth 1
+  // and keep its depth-2 bit.
+  const PlanarLattice lat(9);
+  QecoolConfig config;
+  config.nlimit = 4;
+  config.start_at_max_hop = true;
+  const auto engine =
+      run_window(lat, {{{4, 4}}, {{5, 4}}, {{5, 4}}}, config);
+  ASSERT_GE(engine.trace().size(), 2u);
+  const MatchEvent& first = engine.trace()[0];
+  EXPECT_EQ(first.kind, MatchEvent::Kind::Pair);
+  EXPECT_EQ(first.sink_row, 4);
+  EXPECT_EQ(first.source_row, 5);
+  EXPECT_EQ(first.source_col, 4);
+  EXPECT_EQ(first.source_depth, 1);
+  // The depth-2 bit survives and later goes to the wall on its own.
+  EXPECT_EQ(engine.trace()[1].kind, MatchEvent::Kind::Boundary);
+  EXPECT_EQ(engine.trace()[1].sink_row, 5);
+  EXPECT_EQ(engine.trace()[1].sink_col, 4);
+}
+
+TEST(SpikeRace, TimeoutChargesRequestPlusHopLimitAndClearsNothing) {
+  // Lone sink (4,4); its only partner (8,4) is 4 hops away, as is the
+  // wall. Rows 0-3 are skipped (4 cycles), row 4 costs 8 token hops plus
+  // the timed-out request: request + C.
+  const PlanarLattice lat(9);
+  for (int hop_limit = 1; hop_limit <= 3; ++hop_limit) {
+    QecoolConfig config = batch_config(1);
+    config.nlimit = hop_limit;
+    config.start_at_max_hop = true;
+    QecoolEngine engine(lat, config);
+    engine.push_layer(layer_with(lat, {{4, 4}, {8, 4}}));
+    const std::uint64_t consumed = engine.run(5);  // stops after row 4
+    EXPECT_EQ(consumed, 4u + 8u + 1u + static_cast<std::uint64_t>(hop_limit))
+        << "C = " << hop_limit;
+    EXPECT_EQ(engine.match_stats().total(), 0u);
+    EXPECT_TRUE(engine.reg_bit(4, 4, 0));
+    EXPECT_TRUE(engine.reg_bit(8, 4, 0));
+    EXPECT_TRUE(is_zero(engine.correction()));
+  }
+}
+
+// --- Pinned outputs ---------------------------------------------------------
+
+/// FNV-style fold with a final avalanche per word.
+void mix_into(std::uint64_t& digest, std::uint64_t value) {
+  digest ^= value;
+  digest *= 0x9e3779b97f4a7c15ULL;
+  digest ^= digest >> 29;
+}
+
+// Every engine output over a grid of geometries, error rates and control
+// knobs, at a constrained (37 cycles/round) and an unlimited budget. The
+// expected digest was computed once and is never edited: a change to
+// match selection, cycle accounting, the correction, the trace, or cache
+// replay changes it.
+TEST(QecoolEngineDigest, OutputsPinnedAcrossConfigs) {
+  constexpr int kHistories = 200;
+  DecodeCache cache(256);
+  std::uint64_t digest = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t seed = 0;
+  for (const int d : {3, 5, 7, 9, 13}) {
+    const PlanarLattice lat(d);
+    for (const double p : {0.002, 0.01, 0.03, 0.06}) {
+      for (const int thv : {-1, 0, 3}) {
+        for (const bool deprioritize : {false, true}) {
+          for (const bool max_hop : {false, true}) {
+            Xoshiro256ss rng(++seed);
+            for (int trial = 0; trial < kHistories; ++trial) {
+              const auto h = sample_history(lat, {p, p, d}, rng);
+              for (const double budget : {37.0, 0.0}) {
+                OnlineConfig config;
+                config.cycles_per_round = budget;
+                config.engine.thv = thv;
+                config.engine.reg_depth = thv < 0 ? h.total_rounds() : 7;
+                config.engine.deprioritize_boundary = deprioritize;
+                config.engine.start_at_max_hop = max_hop;
+                config.engine.record_trace = trial % 7 == 0;
+                OnlineStepper stepper(lat, config);
+                if (trial % 2 == 1) stepper.set_decode_cache(&cache);
+                for (const auto& layer : h.difference) {
+                  if (!stepper.step(layer)) break;
+                }
+                for (int extra = 0; extra < config.max_drain_rounds &&
+                                    !stepper.overflowed() &&
+                                    !stepper.drained();
+                     ++extra) {
+                  stepper.step_clean();
+                }
+                const OnlineResult r = stepper.result();
+                mix_into(digest, r.overflow ? 1 : 0);
+                mix_into(digest, r.drained ? 1 : 0);
+                mix_into(digest, r.total_cycles);
+                mix_into(digest, r.layer_cycles.size());
+                for (const std::uint64_t c : r.layer_cycles) {
+                  mix_into(digest, c);
+                }
+                for (std::size_t q = 0; q < r.correction.size(); ++q) {
+                  if (r.correction[q]) mix_into(digest, q);
+                }
+                mix_into(digest, r.matches.pair_matches);
+                mix_into(digest, r.matches.self_matches);
+                mix_into(digest, r.matches.boundary_matches);
+                mix_into(digest, r.matches.vertical_ge3);
+                mix_into(digest, r.matches.vertical_hist.size());
+                for (const std::uint64_t n : r.matches.vertical_hist) {
+                  mix_into(digest, n);
+                }
+                for (const MatchEvent& e : stepper.engine().trace()) {
+                  mix_into(digest, static_cast<std::uint64_t>(e.kind));
+                  for (const int field :
+                       {e.sink_row, e.sink_col, e.base_depth, e.source_row,
+                        e.source_col, e.source_depth, e.hop_limit}) {
+                    mix_into(digest, static_cast<std::uint64_t>(field));
+                  }
+                  mix_into(digest, e.cycle);
+                }
+                hits += stepper.engine().cache_stats().hits;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(digest, 0xe9f0f16161324dabULL);
 }
 
 TEST(MatchStatsTest, RecordAndMerge) {

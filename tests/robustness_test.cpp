@@ -37,6 +37,36 @@ TEST(BlossomEdge, BadSetWeightThrows) {
   EXPECT_THROW(matcher.set_weight(0, 1, -1), std::invalid_argument);
 }
 
+TEST(EnginePush, WrongSizeLayerThrows) {
+  // A d = 9 layer pushed into a d = 5 engine (and a short one) must be
+  // rejected in every build type, not copied past the Reg slot.
+  const PlanarLattice lat(5);
+  const PlanarLattice big(9);
+  QecoolConfig config;
+  config.thv = -1;
+  QecoolEngine engine(lat, config);
+  const auto checks = static_cast<std::size_t>(lat.num_checks());
+  const auto big_checks = static_cast<std::size_t>(big.num_checks());
+  for (const std::size_t size : {big_checks, checks - 1, std::size_t{0}}) {
+    EXPECT_THROW(engine.push_layer(PackedBits(size)), std::invalid_argument);
+    EXPECT_THROW(engine.push_layer(BitVec(size, 1)), std::invalid_argument);
+  }
+  EXPECT_EQ(engine.stored_layers(), 0);
+
+  OnlineConfig online;
+  OnlineStepper stepper(lat, online);
+  EXPECT_THROW(stepper.push(PackedBits(big_checks)), std::invalid_argument);
+  EXPECT_THROW(stepper.push(BitVec(big_checks, 1)), std::invalid_argument);
+  EXPECT_EQ(stepper.rounds_stepped(), 0);
+  EXPECT_FALSE(stepper.overflowed());
+
+  // Right-sized layers still go in.
+  EXPECT_TRUE(engine.push_layer(PackedBits(checks)));
+  EXPECT_TRUE(engine.push_layer(BitVec(checks, 0)));
+  EXPECT_TRUE(stepper.push(BitVec(checks, 0)));
+  EXPECT_EQ(engine.stored_layers(), 2);
+}
+
 TEST(EngineFuzz, RandomPushesAndBudgetsNeverBreakInvariants) {
   Xoshiro256ss rng(31415);
   for (int iteration = 0; iteration < 60; ++iteration) {
