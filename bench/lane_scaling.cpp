@@ -148,8 +148,8 @@ int main(int argc, char** argv) {
           const double failed_frac =
               static_cast<double>(outcome.failed_lanes) /
               static_cast<double>(outcome.lanes);
-          // The service attaches no decode cache: only the all-zero
-          // fast-path counters move; the rest keep the CSV/JSON schema.
+          // Only the all-zero fast-path counters move; the rest keep the
+          // CSV/JSON schema.
           const qec::DecodeCacheStats& cs = all.cache;
 
           if (csv.ok()) {

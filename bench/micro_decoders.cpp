@@ -7,7 +7,6 @@
 #include "aqec/aqec_decoder.hpp"
 #include "mwpm/mwpm_decoder.hpp"
 #include "noise/phenomenological.hpp"
-#include "qecool/decode_cache.hpp"
 #include "qecool/online_runner.hpp"
 #include "qecool/qecool_decoder.hpp"
 #include "sfq/pulse_sim.hpp"
@@ -83,59 +82,6 @@ void BM_OnlineQecoolRun(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlineQecoolRun)->Arg(5)->Arg(9)->Arg(13)->Unit(
     benchmark::kMicrosecond);
-
-// Decode-window memoization A/B on the on-line engine (DESIGN.md section
-// 13): cache off (arg 1 = 0) vs on (arg 1 = 1) across the same physical
-// error rates as the decode benches, at the paper's d = 9 under a tight
-// 160-cycle round budget. One cache persists across iterations — the
-// streaming-service shape, where a lane block shares a warm shard — so
-// this measures steady-state behaviour, not cold-start misses. At low p
-// most windows are sparse and repeat, so the cached variant should pull
-// ahead; at high p the max_defects gate bypasses dense windows and the
-// two variants converge — the crossover bench/lane_scaling's --p sweep
-// pins down at scale. The `hit_rate` counter reports hits / lookups.
-void BM_OnlineQecoolCache(benchmark::State& state) {
-  const int d = static_cast<int>(state.range(0));
-  const double p = static_cast<double>(state.range(1)) * 1e-3;
-  const bool cached = state.range(2) != 0;
-  const qec::PlanarLattice lat(d);
-  const auto hs = histories(lat, p, 16);
-  qec::OnlineConfig config;
-  config.cycles_per_round = 160;
-  config.engine.cache.enabled = false;  // we attach our own persistent cache
-  qec::DecodeCache cache(config.engine.cache.entries);
-  std::uint64_t hits = 0;
-  std::uint64_t lookups = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    qec::OnlineStepper stepper(lat, config);
-    if (cached) stepper.set_decode_cache(&cache);
-    const auto& h = hs[i % hs.size()];
-    for (const auto& layer : h.difference) {
-      if (!stepper.step(layer)) break;
-    }
-    if (!stepper.overflowed()) {
-      for (int extra = 0; extra < config.max_drain_rounds; ++extra) {
-        if (stepper.drained()) break;
-        if (!stepper.step_clean()) break;
-      }
-    }
-    const auto& cs = stepper.engine().cache_stats();
-    hits += cs.hits;
-    lookups += cs.hits + cs.misses;
-    benchmark::DoNotOptimize(stepper.engine().total_cycles());
-    ++i;
-  }
-  if (cached && lookups > 0) {
-    state.counters["hit_rate"] =
-        static_cast<double>(hits) / static_cast<double>(lookups);
-  }
-  state.SetLabel("d=" + std::to_string(d) + " p=" + std::to_string(p) +
-                 (cached ? " cache=on" : " cache=off"));
-}
-BENCHMARK(BM_OnlineQecoolCache)
-    ->ArgsProduct({{5, 9, 13}, {1, 5, 10}, {0, 1}})
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_PulseSimArbiter(benchmark::State& state) {
   for (auto _ : state) {

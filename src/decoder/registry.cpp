@@ -9,7 +9,6 @@
 
 #include "aqec/aqec_decoder.hpp"
 #include "decoder/ml_decoder.hpp"
-#include "qecool/decode_cache.hpp"
 #include "mwpm/mwpm_decoder.hpp"
 #include "mwpm/windowed_mwpm.hpp"
 #include "qecool/qecool_decoder.hpp"
@@ -22,12 +21,11 @@ namespace {
   throw std::invalid_argument("decoder spec: " + what);
 }
 
-/// The option families a qecool spec understands, echoed in unknown-key
-/// errors so one error message shows the full vocabulary.
+/// The options a qecool spec understands, echoed in unknown-key errors so
+/// one error message shows the full vocabulary.
 constexpr const char* kQecoolOptionsHint =
     " (engine options: reg_depth, thv, nlimit, deprioritize_boundary, "
-    "start_at_max_hop; cache options: cache, cache_entries, "
-    "cache_max_defects)";
+    "start_at_max_hop)";
 
 QecoolConfig qecool_config(const DecoderOptions& options) {
   QecoolConfig config;
@@ -38,14 +36,6 @@ QecoolConfig qecool_config(const DecoderOptions& options) {
       options.get_bool("deprioritize_boundary", config.deprioritize_boundary);
   config.start_at_max_hop =
       options.get_bool("start_at_max_hop", config.start_at_max_hop);
-  // Decode-window memoization (qecool/decode_cache.hpp): cache=off|on|clock
-  // plus the bounded-size and sparsity-gate knobs.
-  const std::string cache = options.get_string("cache", "");
-  if (!cache.empty()) config.cache = parse_decode_cache_spec(cache);
-  config.cache.entries = options.get_int("cache_entries", config.cache.entries);
-  config.cache.max_defects =
-      options.get_int("cache_max_defects", config.cache.max_defects);
-  if (config.cache.entries < 0) bad_spec("cache_entries must be >= 0");
   return config;
 }
 
@@ -149,12 +139,6 @@ bool DecoderOptions::get_bool(std::string_view key, bool fallback) const {
   if (raw == "1" || raw == "true") return true;
   if (raw == "0" || raw == "false") return false;
   bad_spec("option '" + std::string(key) + "' is not a bool: " + raw);
-}
-
-std::string DecoderOptions::get_string(std::string_view key,
-                                       std::string fallback) const {
-  const std::string raw = take(key);
-  return raw.empty() ? fallback : raw;
 }
 
 std::vector<std::string> DecoderOptions::unconsumed() const {

@@ -38,7 +38,6 @@ class DecoderOptions {
   std::optional<int> get_int(std::string_view key) const;
   double get_double(std::string_view key, double fallback) const;
   bool get_bool(std::string_view key, bool fallback) const;
-  std::string get_string(std::string_view key, std::string fallback) const;
 
   /// Keys never consumed by any getter (set after factory construction).
   std::vector<std::string> unconsumed() const;

@@ -108,8 +108,6 @@ FuzzStats run_fuzzer(const FuzzConfig& config) {
   const auto ingest = [&](SyndromeTrace trace, int iteration) -> bool {
     OracleReport report = run_oracles(trace, config.oracle);
     ++stats.oracle_runs;
-    stats.cache_hits += report.cache_hits;
-    stats.cache_misses += report.cache_misses;
     if (!report.ok()) {
       FuzzFailure failure;
       failure.summary = summarize_report(report);

@@ -79,8 +79,8 @@ void TraceMutator::apply(SyndromeTrace& trace, MutationOp op) {
 
     case MutationOp::kBurst: {
       // Dense defect cluster in one round: every check within Chebyshev
-      // radius r of a random centre flips with probability 3/4. Drives the
-      // window defect count across the cache's sparsity gate.
+      // radius r of a random centre flips with probability 3/4. Drives
+      // dense windows through the matcher.
       const int lane = pick_lane();
       const int round = pick_round();
       const int r = 1 + static_cast<int>(rng_.below(3));
@@ -139,8 +139,8 @@ void TraceMutator::apply(SyndromeTrace& trace, MutationOp op) {
 
     case MutationOp::kWindowCluster: {
       // Defects straddling a window boundary: rounds {b-1, b, b+1} around a
-      // multiple of the Reg depth (or of thv), where pop eligibility and
-      // cache keys change shape.
+      // multiple of the Reg depth (or of thv), where pop eligibility
+      // changes shape.
       const int lane = pick_lane();
       const int stride =
           (rng_.below(2) == 0 && config_.thv > 0) ? config_.thv

@@ -2,16 +2,9 @@
 // on-line engine several ways that are contractually bit-identical, and
 // reports any disagreement (DESIGN.md section 14, docs/fuzzing.md).
 //
-// Oracles:
-//   cache       cache=off vs cache=on outcomes must match bit for bit
-//               (correction, overflow/drained, cycle accounting, per-layer
-//               attribution, match statistics, per-round pop sequence) —
-//               the decode-cache determinism contract of section 13. A
-//               second cache pass per lane ("cache-replay") reruns the
-//               lane against the same shared cache, so every window the
-//               first pass installed is *replayed* — replay-path bugs are
-//               detectable on every input instead of only when random
-//               mutation happens to make a window recur.
+// Oracles (each arm must match the baseline lane run bit for bit:
+// correction, overflow/drained, cycle accounting, per-layer attribution,
+// match statistics, per-round pop sequence):
 //   checkpoint  a checkpoint()/resume() pair with no intervening activity
 //               is a perfect no-op (the admission-control contract of
 //               section 9), and every checkpoint snapshot must agree with
@@ -31,7 +24,6 @@
 // features (fuzz/coverage.hpp) that drive the fuzzer's feedback loop.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,17 +35,15 @@ namespace qec::fuzz {
 
 /// One oracle disagreement or invariant violation.
 struct Divergence {
-  std::string oracle;  ///< "cache", "cache-replay", "checkpoint",
-                       ///< "unpacked", "bitops", "invariant"
+  std::string oracle;  ///< "checkpoint", "unpacked", "bitops",
+                       ///< "invariant"
   int lane = -1;       ///< -1 for trace-level oracles (bitops)
   std::string detail;
 };
 
 struct OracleConfig {
   /// Engine knobs, per-round cycle budget (<= 0 unconstrained), and drain
-  /// bound shared by every arm. online.engine.cache configures the cache
-  /// arm (enabled=false or entries<=0 skips that oracle); the baseline arm
-  /// never attaches a cache regardless.
+  /// bound shared by every arm.
   OnlineConfig online;
 
   /// Occupancy at which the checkpoint arm inserts a checkpoint()/resume()
@@ -61,7 +51,6 @@ struct OracleConfig {
   /// transitions show up in coverage. <= 0 pairs on every round.
   int checkpoint_min_depth = 2;
 
-  bool arm_cache = true;
   bool arm_checkpoint = true;
   bool arm_unpacked = true;
   bool arm_bitops = true;
@@ -79,21 +68,17 @@ struct OracleReport {
   /// Engine-state features the run touched (baseline + arms).
   FeatureSet features;
   int lanes = 0;
-  /// Cache-arm counters, aggregated over lanes (reporting only).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
 
   bool ok() const { return divergences.empty(); }
 };
 
 /// Runs the full oracle battery over `trace`. Deterministic: a pure
-/// function of (trace, config). Lanes run sequentially in lane order; the
-/// cache arm shares one cache across lanes, in lane order.
+/// function of (trace, config). Lanes run sequentially in lane order.
 OracleReport run_oracles(const SyndromeTrace& trace,
                          const OracleConfig& config);
 
 /// One-line summary of a report ("ok, 17 features" or "3 divergences:
-/// cache@lane2 ..."), for tool output.
+/// checkpoint@lane2 ..."), for tool output.
 std::string summarize_report(const OracleReport& report);
 
 }  // namespace qec::fuzz

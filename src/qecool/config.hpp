@@ -19,29 +19,6 @@ struct CycleModel {
   std::uint32_t pop = 1;            ///< SHIFTREG broadcast.
 };
 
-/// Decode-window memoization knobs (src/qecool/decode_cache.hpp, DESIGN.md
-/// section 13). The cache is engine-external — QecoolEngine only holds a
-/// non-owning pointer — so this config rides along wherever an engine is
-/// built. The single-engine owners (run_online, BatchQecoolDecoder)
-/// attach a cache when it is enabled; the streaming service ignores it
-/// (DESIGN.md section 13.2).
-struct DecodeCacheConfig {
-  /// Master switch: false reproduces the uncached engine byte for byte
-  /// (no lookups, no installs).
-  bool enabled = true;
-
-  /// Cache entries; 0 behaves like enabled = false.
-  int entries = 4096;
-
-  /// Sparsity gate: windows carrying more than this many defect bits
-  /// across all resident layers bypass the cache (no probe, no install —
-  /// counted in DecodeCacheStats::bypasses). Dense backlogged windows
-  /// are near-unique, so probing them only buys key-build and install
-  /// churn; the small windows that actually recur sit well under this
-  /// bound. <= 0 disables the gate (every eligible window is probed).
-  int max_defects = 6;
-};
-
 struct QecoolConfig {
   /// Reg queue capacity per Unit. The paper's hardware uses 7 (Section
   /// IV-A: "at least three measurement values ... 7-bit with some margin");
@@ -75,10 +52,14 @@ struct QecoolConfig {
 
   CycleModel cycles;
 
-  /// Decode-window memoization (attached by the engine's owner; the
-  /// record_trace path bypasses it because MatchEvent cycle stamps depend
-  /// on absolute engine time, which replay does not reproduce).
-  DecodeCacheConfig cache;
+  /// Inert residue of the removed decode-window cache (DESIGN.md section
+  /// 13), kept only so perfbench/ still builds: nothing in src/ reads it.
+  /// The follow-up benchmark change removes it with DecodeCache and
+  /// OnlineStepper::set_decode_cache.
+  struct {
+    bool enabled = false;
+    int entries = 0;
+  } cache;
 
   /// Test-only fault injection for the fuzz harness's mutation-testing
   /// self-check (src/fuzz, docs/fuzzing.md): a deliberately planted engine
@@ -88,10 +69,10 @@ struct QecoolConfig {
   int test_fault = kFaultNone;
 
   static constexpr int kFaultNone = 0;
-  /// Cache replay drops the correction XOR delta — a cache-coherence bug
-  /// only the cache-off vs cache-on differential oracle can see, and only
-  /// on a window that both recurs (a hit) and carries a correction.
-  static constexpr int kFaultCacheReplay = 1;
+  /// OnlineStepper::checkpoint()'s snapshot drops the deepest resident
+  /// layer from its stored-layer count — a cold-path bug only the
+  /// checkpoint arm's snapshot-vs-engine comparison can see.
+  static constexpr int kFaultCheckpointSnapshot = 1;
   /// run() under-reports consumed cycles by one whenever it did work — an
   /// accounting bug the invariant probe's conservation check catches.
   static constexpr int kFaultCycleReport = 2;

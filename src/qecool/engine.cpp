@@ -42,29 +42,6 @@ QecoolEngine::QecoolEngine(const PlanarLattice& lattice,
   const auto units = static_cast<std::size_t>(rows_ * cols_);
   reg_.assign(static_cast<std::size_t>(reg_capacity_), PackedBits(units));
   correction_ = PackedBits(static_cast<std::size_t>(lattice.num_data()));
-  corr_before_ = PackedBits(static_cast<std::size_t>(lattice.num_data()));
-
-  // Cache-key seed: a digest of everything that shapes a run's outcome
-  // besides the dynamic state, so engines with different geometry or
-  // knobs sharing one cache shard can never replay each other's entries
-  // (the full-key compare would still catch it; the digest keeps such
-  // cross-config probes from even colliding in practice).
-  const std::uint64_t digest[] = {
-      static_cast<std::uint64_t>(rows_),
-      static_cast<std::uint64_t>(cols_),
-      static_cast<std::uint64_t>(reg_capacity_),
-      static_cast<std::uint64_t>(nlimit_),
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(config_.thv)),
-      static_cast<std::uint64_t>(config_.deprioritize_boundary ? 1 : 0) |
-          (config_.start_at_max_hop ? 2u : 0u),
-      static_cast<std::uint64_t>(config_.cycles.row_skip) |
-          (static_cast<std::uint64_t>(config_.cycles.token_hop) << 32),
-      static_cast<std::uint64_t>(config_.cycles.request) |
-          (static_cast<std::uint64_t>(config_.cycles.correct) << 32),
-      static_cast<std::uint64_t>(config_.cycles.pass_overhead) |
-          (static_cast<std::uint64_t>(config_.cycles.pop) << 32),
-  };
-  cache_seed_ = hash_key_words(digest, std::size(digest), 0);
 }
 
 bool QecoolEngine::push_layer(const PackedBits& difference_layer) {
@@ -251,9 +228,6 @@ std::uint64_t QecoolEngine::process_unit(int row, int col) {
           static_cast<std::size_t>(sink));
       ++stats_.self_matches;
       stats_.record(dt);
-      if (recording_) {
-        match_scratch_.push_back((1u << 30) | static_cast<std::uint32_t>(dt));
-      }
       break;
     }
     case Candidate::Kind::Unit: {
@@ -272,9 +246,6 @@ std::uint64_t QecoolEngine::process_unit(int row, int col) {
           unit_index(winner->row, winner->col)));
       ++stats_.pair_matches;
       stats_.record(dt);
-      if (recording_) {
-        match_scratch_.push_back(static_cast<std::uint32_t>(dt));
-      }
       break;
     }
     case Candidate::Kind::Boundary: {
@@ -286,7 +257,6 @@ std::uint64_t QecoolEngine::process_unit(int row, int col) {
       reg_[static_cast<std::size_t>(b_)].reset(static_cast<std::size_t>(sink));
       ++stats_.boundary_matches;
       stats_.record(0);
-      if (recording_) match_scratch_.push_back(2u << 30);
       break;
     }
   }
@@ -306,16 +276,23 @@ void QecoolEngine::pop_layer() {
   --m_;
   layer_cycles_.push_back(cycles_ - last_pop_cycles_);
   last_pop_cycles_ = cycles_;
-  if (recording_) {
-    pop_offsets_scratch_.push_back(cycles_ - run_start_cycles_);
-  }
   if (obs_track_) {
     obs_track_->emit(obs::EventKind::kPop, layer_cycles_.back());
   }
 }
 
 std::uint64_t QecoolEngine::run(std::uint64_t budget) {
-  std::uint64_t consumed = run_dispatch(budget);
+  std::uint64_t consumed = 0;
+  if (budget > 0 && m_ > 0) {
+    if (all_clear()) {
+      // All resident layers clean: the scan would only skip rows and pop —
+      // emulate those charges analytically.
+      ++cache_stats_.zero_rounds;
+      consumed = run_all_clear(budget);
+    } else {
+      consumed = run_scan(budget);
+    }
+  }
   // Planted accounting bug for the fuzz self-check (docs/fuzzing.md): the
   // cycle counter advanced by `consumed` but the caller is told one less.
   // The invariant probe's conservation check must flag the discrepancy.
@@ -324,63 +301,6 @@ std::uint64_t QecoolEngine::run(std::uint64_t budget) {
   }
   if (probe_) {
     probe_->on_run(budget, consumed, cycles_, m_, b_, c_, row_);
-  }
-  return consumed;
-}
-
-std::uint64_t QecoolEngine::run_dispatch(std::uint64_t budget) {
-  if (budget == 0 || m_ == 0) return 0;
-
-  // One pass over the resident layers serves both the all-clear test and
-  // the cache's sparsity gate: count defect bits, stopping as soon as the
-  // window is provably dense (or, with the gate off, provably non-empty).
-  const bool cached = cache_ != nullptr && !config_.record_trace;
-  const int limit =
-      cached && config_.cache.max_defects > 0 ? config_.cache.max_defects : 0;
-  int defects = 0;
-  for (int t = 0; t < m_ && defects <= limit; ++t) {
-    defects += static_cast<int>(reg_[static_cast<std::size_t>(t)].popcount());
-  }
-
-  if (defects == 0) {
-    // All resident layers clean: the scan would only skip rows and pop —
-    // emulate those charges analytically, no hashing, no lookup.
-    ++cache_stats_.zero_rounds;
-    return run_all_clear(budget);
-  }
-
-  // Idle when no work can make progress (the scan's loop-entry check):
-  // the base layer is dirty and nothing is old enough under thv.
-  if (!base_layer_clear() && !has_eligible_base()) return 0;
-
-  if (!cached) return run_scan(budget);
-
-  // Sparsity gate: dense windows are near-unique, so probing them only
-  // buys key-build and install churn — hand them straight to the scan,
-  // no probe, no install, only the bypass counter.
-  if (limit > 0 && defects > limit) {
-    ++cache_stats_.bypasses;
-    return run_scan(budget);
-  }
-
-  const std::uint64_t hash = build_cache_key(budget);
-  if (const DecodeOutcome* outcome = cache_->lookup(hash, key_)) {
-    ++cache_stats_.hits;
-    return replay(*outcome);
-  }
-
-  ++cache_stats_.misses;
-  recording_ = true;
-  run_start_cycles_ = cycles_;
-  pop_offsets_scratch_.clear();
-  match_scratch_.clear();
-  corr_before_.copy_from(correction_);
-  const std::uint64_t consumed = run_scan(budget);
-  recording_ = false;
-  ++cache_stats_.installs;
-  build_outcome(consumed);
-  if (cache_->install(hash, key_, outcome_scratch_)) {
-    ++cache_stats_.evictions;
   }
   return consumed;
 }
@@ -416,103 +336,6 @@ std::uint64_t QecoolEngine::run_all_clear(std::uint64_t budget) {
     b_ = 0;
   }
   return spent;
-}
-
-std::uint64_t QecoolEngine::build_cache_key(std::uint64_t budget) {
-  key_.clear();
-  key_.push_back((static_cast<std::uint64_t>(m_) << 48) |
-                 (static_cast<std::uint64_t>(b_ & 0xffff) << 32) |
-                 (static_cast<std::uint64_t>(c_ & 0xffff) << 16) |
-                 static_cast<std::uint64_t>(row_ & 0xffff));
-  key_.push_back(budget);
-  const std::size_t words = reg_[0].num_words();
-  for (int t = 0; t < m_; ++t) {
-    const PackedBits& layer = reg_[static_cast<std::size_t>(t)];
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t word = layer.word(w);
-      if (word != 0) {
-        key_.push_back(static_cast<std::uint64_t>(t) * words + w);
-        key_.push_back(word);
-      }
-    }
-  }
-  return hash_key_words(key_.data(), key_.size(), cache_seed_);
-}
-
-std::uint64_t QecoolEngine::replay(const DecodeOutcome& outcome) {
-  const std::size_t words = reg_[0].num_words();
-  for (int t = 0; t < m_; ++t) {
-    reg_[static_cast<std::size_t>(t)].clear_all();
-  }
-  for (const auto& [tag, word] : outcome.reg_words) {
-    reg_[tag / words].set_word(tag % words, word);
-  }
-  // Planted cache-coherence bug for the fuzz self-check (docs/fuzzing.md):
-  // replay silently drops the correction delta, so a hit on a window that
-  // carries a correction diverges from the cache-off arm.
-  if (config_.test_fault != QecoolConfig::kFaultCacheReplay) {
-    for (const auto& [w, mask] : outcome.corr_words) {
-      correction_.xor_word(w, mask);
-    }
-  }
-  for (const std::uint32_t record : outcome.match_records) {
-    const std::uint32_t kind = record >> 30;
-    const int dt = static_cast<int>(record & ((1u << 30) - 1));
-    if (kind == 0) {
-      ++stats_.pair_matches;
-    } else if (kind == 1) {
-      ++stats_.self_matches;
-    } else {
-      ++stats_.boundary_matches;
-    }
-    stats_.record(dt);
-  }
-  const std::uint64_t run_start = cycles_;
-  for (const std::uint64_t offset : outcome.pop_offsets) {
-    const std::uint64_t at = run_start + offset;
-    layer_cycles_.push_back(at - last_pop_cycles_);
-    last_pop_cycles_ = at;
-    if (obs_track_) {
-      obs_track_->emit(obs::EventKind::kPop, layer_cycles_.back());
-    }
-  }
-  m_ = outcome.m_after;
-  b_ = outcome.b_after;
-  c_ = outcome.c_after;
-  row_ = outcome.row_after;
-  cycles_ = run_start + outcome.consumed;
-  return outcome.consumed;
-}
-
-void QecoolEngine::build_outcome(std::uint64_t consumed) {
-  DecodeOutcome& outcome = outcome_scratch_;
-  outcome.reg_words.clear();
-  outcome.corr_words.clear();
-  outcome.consumed = consumed;
-  outcome.m_after = m_;
-  outcome.b_after = b_;
-  outcome.c_after = c_;
-  outcome.row_after = row_;
-  const std::size_t words = reg_[0].num_words();
-  for (int t = 0; t < m_; ++t) {
-    const PackedBits& layer = reg_[static_cast<std::size_t>(t)];
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t word = layer.word(w);
-      if (word != 0) {
-        outcome.reg_words.emplace_back(
-            static_cast<std::uint32_t>(static_cast<std::size_t>(t) * words + w),
-            word);
-      }
-    }
-  }
-  for (std::size_t w = 0; w < correction_.num_words(); ++w) {
-    const std::uint64_t delta = correction_.word(w) ^ corr_before_.word(w);
-    if (delta != 0) {
-      outcome.corr_words.emplace_back(static_cast<std::uint32_t>(w), delta);
-    }
-  }
-  outcome.pop_offsets = pop_offsets_scratch_;
-  outcome.match_records = match_scratch_;
 }
 
 std::uint64_t QecoolEngine::run_scan(std::uint64_t budget) {

@@ -140,18 +140,9 @@ class QecoolEngine {
   /// 2(d-1) + reg_depth bound) — the invariant probe's range check.
   int hop_limit_bound() const { return nlimit_; }
 
-  /// Attaches a decode-window memoization cache (non-owning; see
-  /// decode_cache.hpp and DESIGN.md section 13). run() then replays
-  /// cached outcomes on window hits — bit-identical to the uncached scan
-  /// — and installs outcomes on misses. Null detaches. Ignored while
-  /// QecoolConfig::record_trace is set (MatchEvent cycle stamps depend on
-  /// absolute engine time, which replay does not reproduce).
-  void set_decode_cache(DecodeCache* cache) { cache_ = cache; }
-
-  /// This engine's own cache counters: hits/misses/installs/evictions of
-  /// its lookups (meaningful per lane even when lanes share a shard),
-  /// plus the all-zero fast-path counters, which advance with or without
-  /// an attached cache.
+  /// The all-zero fast-path counters (zero_rounds, zero_pushes) in the
+  /// export schema of the removed decode cache; its hit/miss/install/
+  /// eviction/bypass fields stay 0 (decode_cache.hpp).
   const DecodeCacheStats& cache_stats() const { return cache_stats_; }
 
  private:
@@ -188,23 +179,11 @@ class QecoolEngine {
   /// True if any base layer is eligible for decoding under thv.
   bool has_eligible_base() const;
 
-  /// run() body (zero fast path, sparsity gate, cache probe, scan); the
-  /// public run() wraps it with the probe hook and fault injection.
-  std::uint64_t run_dispatch(std::uint64_t budget);
-  /// The token/match scan loop (the pre-cache run() body).
+  /// The token/match scan loop.
   std::uint64_t run_scan(std::uint64_t budget);
   /// Analytic emulation of run_scan when every resident layer is clear:
   /// bulk row skips and pops, identical charges, no per-word Reg scans.
   std::uint64_t run_all_clear(std::uint64_t budget);
-  /// Canonicalizes (controller position, budget, sparse Reg words) into
-  /// key_ and returns its hash.
-  std::uint64_t build_cache_key(std::uint64_t budget);
-  /// Applies a cached outcome: state, correction delta, match stats,
-  /// per-layer cycle attribution, and kPop events. Returns cycles spent.
-  std::uint64_t replay(const DecodeOutcome& outcome);
-  /// Packages the just-recorded run into outcome_scratch_ for install()
-  /// (a reused member, so steady-state misses allocate nothing).
-  void build_outcome(std::uint64_t consumed);
 
   const PlanarLattice& lattice_;
   QecoolConfig config_;
@@ -232,18 +211,7 @@ class QecoolEngine {
   std::vector<std::uint64_t> layer_cycles_;
   MatchStats stats_;
   std::vector<MatchEvent> trace_;
-
-  // Decode-window memoization (DESIGN.md section 13).
-  DecodeCache* cache_ = nullptr;  ///< non-owning; null = memoization off
-  DecodeCacheStats cache_stats_;
-  std::uint64_t cache_seed_ = 0;  ///< config digest folded into every hash
-  bool recording_ = false;        ///< run_scan feeding the install scratch
-  std::uint64_t run_start_cycles_ = 0;
-  std::vector<std::uint64_t> key_;  ///< canonical key scratch (reused)
-  PackedBits corr_before_;          ///< pre-run correction snapshot
-  std::vector<std::uint64_t> pop_offsets_scratch_;
-  std::vector<std::uint32_t> match_scratch_;
-  DecodeOutcome outcome_scratch_;   ///< install staging (reused)
+  DecodeCacheStats cache_stats_;  ///< all-zero fast-path counters
 };
 
 }  // namespace qec

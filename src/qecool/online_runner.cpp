@@ -1,6 +1,5 @@
 #include "qecool/online_runner.hpp"
 
-#include <memory>
 #include <stdexcept>
 
 namespace qec {
@@ -9,7 +8,8 @@ OnlineStepper::OnlineStepper(const PlanarLattice& lattice,
                              const OnlineConfig& config)
     : engine_(lattice, config.engine),
       clean_(static_cast<std::size_t>(lattice.num_checks())),
-      per_round_(config.cycles_per_round) {}
+      per_round_(config.cycles_per_round),
+      test_fault_(config.engine.test_fault) {}
 
 bool OnlineStepper::note_push(bool accepted) {
   if (!accepted) {
@@ -83,6 +83,13 @@ StepperCheckpoint OnlineStepper::checkpoint() {
   cp.correction = engine_.correction();
   cp.rounds_accepted = rounds_;
   cp.stored_layers = engine_.stored_layers();
+  // Planted snapshot bug for the fuzz self-check (docs/fuzzing.md): the
+  // snapshot drops the deepest resident layer. Only the checkpoint arm
+  // compares a snapshot against the live engine.
+  if (test_fault_ == QecoolConfig::kFaultCheckpointSnapshot &&
+      cp.stored_layers > 0) {
+    --cp.stored_layers;
+  }
   cp.popped_layers = engine_.popped_layers();
   cp.total_cycles = engine_.total_cycles();
   return cp;
@@ -110,11 +117,6 @@ OnlineResult run_online(const PlanarLattice& lattice,
                         const SyndromeHistory& history,
                         const OnlineConfig& config) {
   OnlineStepper stepper(lattice, config);
-  std::unique_ptr<DecodeCache> cache;
-  if (config.engine.cache.enabled && config.engine.cache.entries > 0) {
-    cache = std::make_unique<DecodeCache>(config.engine.cache.entries);
-    stepper.set_decode_cache(cache.get());
-  }
   for (const auto& layer : history.difference) {
     if (!stepper.step(layer)) break;
   }

@@ -139,11 +139,9 @@ class OnlineStepper {
   /// engine so popped layers emit kPop events. Null disables tracing.
   void set_obs_track(obs::Track* track) { engine_.set_obs_track(track); }
 
-  /// Decode-window memoization hook: forwards a (possibly shared) cache
-  /// to the engine. The owner guarantees single-threaded access by
-  /// driving every stepper that shares it sequentially. Null disables
-  /// memoization.
-  void set_decode_cache(DecodeCache* cache) { engine_.set_decode_cache(cache); }
+  /// Inert residue of the removed decode-window cache, kept only so
+  /// perfbench/ still builds (see DecodeCache). Does nothing.
+  void set_decode_cache(DecodeCache*) {}
 
   /// Invariant/coverage hook (qecool/probe.hpp): forwards the probe to the
   /// engine. The fuzz oracle harness attaches one per lane. Null disables.
@@ -176,6 +174,7 @@ class OnlineStepper {
   bool paused_ = false;     ///< logical clock frozen by admission control.
   int rounds_ = 0;
   int last_spend_pops_ = 0;  ///< layers popped by the most recent spend().
+  int test_fault_ = QecoolConfig::kFaultNone;  ///< fuzz self-check only
 };
 
 /// Streams `history` through an on-line engine and returns the outcome.

@@ -14,15 +14,6 @@ DecodeResult BatchQecoolDecoder::decode(const PlanarLattice& lattice,
   QecoolConfig config = config_;
   config.reg_depth = history.total_rounds();
   QecoolEngine engine(lattice, config);
-  if (config.cache.enabled && config.cache.entries > 0) {
-    // The cache persists across decode() calls; reg_depth varies with the
-    // history, but the engine folds it into every key, so stale entries
-    // can only waste capacity, never replay wrongly.
-    if (!cache_ || cache_->capacity() != config.cache.entries) {
-      cache_ = std::make_unique<DecodeCache>(config.cache.entries);
-    }
-    engine.set_decode_cache(cache_.get());
-  }
   for (const auto& layer : history.difference) {
     if (!engine.push_layer(layer)) {
       throw std::logic_error("batch engine sized to hold all layers");

@@ -4,11 +4,8 @@
 // round it is also the "QECOOL 2-D" entry of Table IV.
 #pragma once
 
-#include <memory>
-
 #include "decoder/decoder.hpp"
 #include "qecool/config.hpp"
-#include "qecool/decode_cache.hpp"
 #include "qecool/engine.hpp"
 
 namespace qec {
@@ -32,9 +29,6 @@ class BatchQecoolDecoder final : public Decoder {
  private:
   QecoolConfig config_;
   MatchStats last_stats_;
-  /// Decode-window memoization across decode() calls (decoder instances
-  /// are per-worker-thread, so no locking; see decode_cache.hpp).
-  std::unique_ptr<DecodeCache> cache_;
 };
 
 }  // namespace qec

@@ -160,9 +160,9 @@ class PoolScheduler {
       m_depth_ = metrics_->add_histogram("depth");
       m_sojourn_ = metrics_->add_histogram("sojourn");
       // Decode-cache counters append after the PR 7 instruments so the
-      // established column order is untouched. The service attaches no
-      // cache, so only the all-zero fast-path counters move; the others
-      // stay registered (at zero) to keep the CSV schema.
+      // established column order is untouched. Only the all-zero
+      // fast-path counters move; the others stay registered (at zero) to
+      // keep the CSV schema.
       for (const char* name : {"cache_hits", "cache_misses", "cache_installs",
                                "cache_evictions"}) {
         metrics_->add_counter(name);

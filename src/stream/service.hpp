@@ -93,9 +93,7 @@ struct StreamConfig {
   std::uint64_t seed = 2021;
 
   /// Lane engine spec, resolved via online_engine_config() — e.g.
-  /// "qecool" or "qecool:reg_depth=4,thv=3". The service attaches no
-  /// decode cache, so the spec's cache options are ignored here (they
-  /// apply to single-engine owners: run_online, BatchQecoolDecoder).
+  /// "qecool" or "qecool:reg_depth=4,thv=3".
   std::string engine = "qecool";
 
   /// Decoder cycles granted per measurement interval (fractional budgets

@@ -72,9 +72,8 @@ struct LaneTelemetry {
   /// admission control (stream/qos.hpp LatencyTracker), as exact counts.
   ValueCounts sojourn_rounds;
   MatchStats matches;
-  /// The lane engine's decode-cache counters. The service attaches no
-  /// cache, so only the all-zero fast-path counters (zero_rounds,
-  /// zero_pushes) move; the rest read 0 and keep the export schema.
+  /// The lane engine's fast-path counters in the decode-cache export
+  /// schema: only zero_rounds and zero_pushes move; the rest read 0.
   DecodeCacheStats cache;
 
   /// A lane fails when it overflowed, failed to drain, or drained to a
@@ -136,8 +135,8 @@ struct StreamTelemetry {
   std::string engine = "qecool";
   std::string policy = "dedicated";
   std::string admission = "overflow";  ///< admission spec (PR 4)
-  /// Decode-cache column of the cache CSV: always "off" (the service
-  /// attaches no cache; the column keeps the export schema).
+  /// Decode-cache column of the cache CSV: always "off" (there is no
+  /// cache; the column keeps the export schema).
   std::string cache = "off";
   int engines = 0;   ///< pool size K
   double watts = 0.0;     ///< modelled pool dissipation (0: clock unknown)
@@ -192,9 +191,8 @@ struct StreamTelemetry {
   bool write_latency_csv(const std::string& path) const;
 
   /// Decode-cache report: one row per lane plus a final "all" aggregate
-  /// row with hit/miss/install/evict counters (0 in the service), the hit
-  /// rate, and the all-zero fast-path counters, which advance without a
-  /// cache.
+  /// row with hit/miss/install/evict counters (always 0), the hit rate,
+  /// and the all-zero fast-path counters.
   /// write_csv's column set is frozen, so the cache columns live here.
   bool write_cache_csv(const std::string& path) const;
 };

@@ -98,19 +98,12 @@ class PackedBits {
   std::size_t num_words() const { return words_.size(); }
   std::uint64_t word(std::size_t w) const { return words_[w]; }
 
-  /// Whole-word mutators (the decode-cache replay path writes Reg layers
-  /// and correction deltas word-at-a-time). The value must respect the
-  /// tail-zero invariant — callers pass words read from a same-sized
-  /// PackedBits.
+  /// Whole-word mutator. The value must respect the tail-zero invariant —
+  /// callers pass words read from a same-sized PackedBits (or zero).
   void set_word(std::size_t w, std::uint64_t value) {
     assert(w < words_.size());
     assert(w + 1 < words_.size() || (value & ~tail_mask()) == 0);
     words_[w] = value;
-  }
-  void xor_word(std::size_t w, std::uint64_t value) {
-    assert(w < words_.size());
-    assert(w + 1 < words_.size() || (value & ~tail_mask()) == 0);
-    words_[w] ^= value;
   }
 
   bool test(std::size_t i) const {

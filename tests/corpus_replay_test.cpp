@@ -67,7 +67,7 @@ TEST(CorpusReplay, CorpusIsPresent) {
 
 TEST(CorpusReplay, EveryEntryPassesAllOracles) {
   // The replay matrix: unconstrained and budgeted service rates. Every
-  // arm disagreement — cache off/on, packed/unpacked, checkpoint/resume,
+  // arm disagreement — packed/unpacked, checkpoint/resume,
   // invariants, bit-op backends — fails the entry.
   ASSERT_FALSE(corpus_paths().empty());
   for (const double cycles : {0.0, 4.0}) {
@@ -135,22 +135,25 @@ FuzzConfig self_check_config(int fault) {
   return config;
 }
 
-TEST(FuzzSelfCheck, PlantedCacheReplayBugIsFoundAndShrunk) {
-  // kFaultCacheReplay drops the correction delta when a decode window
-  // replays from the cache — invisible to everything except the cache
-  // differential oracles. The fuzzer must find a violating trace within
-  // a bounded run and the minimizer must shrink it hard.
+TEST(FuzzSelfCheck, PlantedCheckpointSnapshotBugIsFoundAndShrunk) {
+  // kFaultCheckpointSnapshot makes checkpoint()'s snapshot drop the
+  // deepest resident layer — a cold-path bug invisible to everything
+  // except the checkpoint arm, the one oracle that compares a snapshot
+  // against the live engine. The fuzzer must find a violating trace
+  // within a bounded run and the minimizer must shrink it hard.
   const FuzzStats stats =
-      run_fuzzer(self_check_config(QecoolConfig::kFaultCacheReplay));
+      run_fuzzer(self_check_config(QecoolConfig::kFaultCheckpointSnapshot));
   ASSERT_TRUE(stats.found_failure())
-      << "the oracle battery cannot see a planted cache-replay bug";
+      << "the oracle battery cannot see a planted checkpoint bug";
   const FuzzFailure& failure = stats.failures.front();
+  EXPECT_NE(failure.summary.find("checkpoint"), std::string::npos)
+      << failure.summary;
   EXPECT_LE(failure.minimized.lanes(), 2);
   EXPECT_LE(failure.minimized.rounds(), 8);
 
   // The reproducer is real: it fails with the fault, passes without.
   OracleConfig with_fault = replay_config(4.0);
-  with_fault.fault = QecoolConfig::kFaultCacheReplay;
+  with_fault.fault = QecoolConfig::kFaultCheckpointSnapshot;
   EXPECT_FALSE(run_oracles(failure.minimized, with_fault).ok());
   EXPECT_TRUE(run_oracles(failure.minimized, replay_config(4.0)).ok());
 }

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "decoder/registry.hpp"
 #include "mwpm/mwpm_decoder.hpp"
@@ -58,7 +59,7 @@ TEST(Registry, OutOfRangeIntegersThrowNamingTheKey) {
   // as 7 and 2147483648 as INT_MIN. strtol's own overflow (ERANGE) too.
   for (const char* spec :
        {"qecool:reg_depth=4294967303", "qecool:thv=2147483648",
-        "qecool:nlimit=-2147483649", "qecool:cache_entries=99999999999999999999",
+        "qecool:nlimit=-2147483649", "qecool:thv=99999999999999999999",
         "windowed-mwpm:window=4294967297"}) {
     const std::string what = error_of([&] { make_decoder(spec); });
     EXPECT_NE(what.find("out of int range"), std::string::npos) << spec;
@@ -71,6 +72,20 @@ TEST(Registry, OutOfRangeIntegersThrowNamingTheKey) {
   EXPECT_EQ(parsed.get_int("a", 0), 2147483647);
   EXPECT_EQ(parsed.get_int("b", 0), -2147483647 - 1);
   EXPECT_FALSE(parsed.get_int("absent").has_value());
+}
+
+TEST(Registry, StaleCacheKeysThrowNamingTheKey) {
+  // The decode-window cache and its spec keys are gone; a spec that still
+  // sets one must fail loudly, never be silently accepted.
+  for (const auto& [spec, key] :
+       {std::pair{"qecool:cache=on", "'cache'"},
+        std::pair{"qecool:cache_entries=8", "'cache_entries'"},
+        std::pair{"qecool:cache_max_defects=6", "'cache_max_defects'"}}) {
+    const std::string decoder = error_of([&] { make_decoder(spec); });
+    EXPECT_NE(decoder.find(key), std::string::npos) << spec << ": " << decoder;
+    const std::string online = error_of([&] { online_engine_config(spec); });
+    EXPECT_NE(online.find(key), std::string::npos) << spec << ": " << online;
+  }
 }
 
 TEST(Registry, OptionsReachTheDecoder) {

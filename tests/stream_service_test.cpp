@@ -253,5 +253,24 @@ TEST(StreamService, RegDepthSpecShapesDepthHistogram) {
   }
 }
 
+TEST(DecodeCacheStream, CleanStreamRidesTheZeroFastPathWithoutACache) {
+  StreamConfig config;
+  config.lanes = 8;
+  config.distance = 5;
+  config.p = 0.0;
+  config.rounds = 16;
+  config.seed = 11;
+  config.cycles_per_round = 300;
+  const auto outcome = run_stream(config);
+  EXPECT_EQ(outcome.telemetry.cache, "off");
+  const DecodeCacheStats stats = outcome.telemetry.aggregate().cache;
+  EXPECT_GT(stats.zero_rounds, 0u);
+  EXPECT_GT(stats.zero_pushes, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.installs, 0u);
+  EXPECT_EQ(outcome.failed_lanes, 0);
+}
+
 }  // namespace
 }  // namespace qec

@@ -14,8 +14,8 @@
 //                     same seeds in-process).
 //
 // CI runs: engine_fuzz --time-budget=30 --seed=1 (must find nothing) and
-// engine_fuzz --iters=N --inject-fault=cache-replay --expect-failure (the
-// harness self-check: a planted engine bug must be found).
+// engine_fuzz --iters=N --inject-fault=checkpoint-snapshot --expect-failure
+// (the harness self-check: a planted bug must be found).
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -43,13 +43,11 @@ constexpr const char* kOptions =
     "  --rounds=12          noisy rounds per seed trace\n"
     "  --cycles=4           per-round cycle budget of the oracle arms\n"
     "                       (0: unconstrained)\n"
-    "  --cache=clock        decode-cache arm: clock | off\n"
-    "  --thv=3              engine vertical threshold (-1: eager decode —\n"
-    "                       single-layer windows recur, so the cache hits)\n"
+    "  --thv=3              engine vertical threshold (-1: eager decode)\n"
     "  --corpus=DIR         extra seed traces (*.qtrc) to start from\n"
     "  --out=DIR            write failing inputs + minimized reproducers here\n"
     "  --no-minimize        keep failing inputs unshrunk\n"
-    "  --inject-fault=NAME  plant a test-only engine bug: cache-replay |\n"
+    "  --inject-fault=NAME  plant a test-only bug: checkpoint-snapshot |\n"
     "                       cycle-report (harness self-check)\n"
     "  --expect-failure     exit 0 iff the fuzz run FOUND a failure\n"
     "  --replay=DIR         replay mode: run every *.qtrc in DIR\n"
@@ -74,7 +72,9 @@ std::vector<double> parse_doubles(const std::string& csv) {
 
 int parse_fault(const std::string& name) {
   if (name.empty() || name == "none") return qec::QecoolConfig::kFaultNone;
-  if (name == "cache-replay") return qec::QecoolConfig::kFaultCacheReplay;
+  if (name == "checkpoint-snapshot") {
+    return qec::QecoolConfig::kFaultCheckpointSnapshot;
+  }
   if (name == "cycle-report") return qec::QecoolConfig::kFaultCycleReport;
   std::fprintf(stderr, "engine_fuzz: unknown --inject-fault=%s\n",
                name.c_str());
@@ -106,13 +106,6 @@ qec::fuzz::OracleConfig build_oracle(const qec::CliArgs& args) {
   qec::fuzz::OracleConfig oracle;
   oracle.online.cycles_per_round = args.get_double_or("cycles", 4.0);
   oracle.online.engine.thv = static_cast<int>(args.get_int_or("thv", 3));
-  const std::string cache = args.get_or("cache", "clock");
-  if (cache == "off") {
-    oracle.online.engine.cache.enabled = false;
-  } else if (cache != "clock" && cache != "on") {
-    std::fprintf(stderr, "engine_fuzz: unknown --cache=%s\n", cache.c_str());
-    std::exit(2);
-  }
   oracle.fault = parse_fault(args.get_or("inject-fault", ""));
   return oracle;
 }
@@ -216,11 +209,10 @@ int main(int argc, char** argv) try {
   const auto stats = qec::fuzz::run_fuzzer(config);
   std::printf(
       "fuzz: %d iterations in %.1fs, %llu oracle runs, corpus %d, "
-      "%d coverage cells, cache %llu hits / %llu misses\n",
+      "%d coverage cells\n",
       stats.iterations, stats.elapsed_s,
       static_cast<unsigned long long>(stats.oracle_runs), stats.corpus_size,
-      stats.coverage_cells, static_cast<unsigned long long>(stats.cache_hits),
-      static_cast<unsigned long long>(stats.cache_misses));
+      stats.coverage_cells);
   for (const auto& failure : stats.failures) {
     std::printf("FAILURE (iteration %d): %s\n", failure.iteration,
                 failure.summary.c_str());
