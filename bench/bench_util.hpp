@@ -2,7 +2,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -188,86 +187,12 @@ class ObsCli {
   StreamOutcome kept_;  ///< obs objects only
 };
 
-// ---- machine-readable bench records (--json=FILE) ----------------------
-//
-// Every perf claim in this repo is pinned to a JSON run record (see
-// BENCH_lane_scaling.json): the exact config, the git revision the binary
-// was built from, and the measured per-cell numbers. The emitter is
-// deliberately tiny — objects and arrays are composed as strings — because
-// the records are flat and the only consumers are tools/check_bench_json.py
-// and a human with a diff.
-
-inline std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Incremental JSON object: add() accepts strings (quoted + escaped),
-/// numbers, and raw JSON fragments (nested objects/arrays).
-class JsonObject {
- public:
-  JsonObject& add(const std::string& key, const std::string& value) {
-    return add_raw(key, "\"" + json_escape(value) + "\"");
-  }
-  JsonObject& add(const std::string& key, const char* value) {
-    return add(key, std::string(value));
-  }
-  JsonObject& add(const std::string& key, double value) {
-    return add_raw(key, fmt(value, "%.10g"));
-  }
-  JsonObject& add(const std::string& key, std::int64_t value) {
-    return add_raw(key, std::to_string(value));
-  }
-  JsonObject& add(const std::string& key, int value) {
-    return add_raw(key, std::to_string(value));
-  }
-  JsonObject& add_raw(const std::string& key, const std::string& raw_json) {
-    if (!body_.empty()) body_ += ", ";
-    body_ += "\"" + json_escape(key) + "\": " + raw_json;
-    return *this;
-  }
-  std::string str() const { return "{" + body_ + "}"; }
-
- private:
-  std::string body_;
-};
-
-/// Joins raw JSON fragments into an array.
-inline std::string json_array(const std::vector<std::string>& items) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += ", ";
-    out += items[i];
-  }
-  return out + "]";
-}
-
-inline std::string json_array(const std::vector<double>& values) {
-  std::vector<std::string> items;
-  items.reserve(values.size());
-  for (const double v : values) items.push_back(fmt(v, "%.10g"));
-  return json_array(items);
-}
+/// The one JSON string escaper (obs/chrome_trace.hpp), under the name
+/// perfbench's result writer calls.
+using obs::json_escape;
 
 /// HEAD revision of the repo the bench runs from, or "unknown" outside a
-/// work tree — provenance for pinned perf records.
+/// work tree — provenance for perfbench results.
 inline std::string git_revision() {
   std::string rev;
 #if defined(_WIN32)
@@ -289,19 +214,6 @@ inline std::string git_revision() {
       rev.size() == 40 &&
       rev.find_first_not_of("0123456789abcdef") == std::string::npos;
   return plausible ? rev : "unknown";
-}
-
-/// Writes one JSON document to `path`; throws std::runtime_error on I/O
-/// failure (a silently missing perf record is worse than a failed bench).
-inline void write_json_file(const std::string& path,
-                            const std::string& json) {
-  FILE* out = std::fopen(path.c_str(), "w");
-  if (!out) throw std::runtime_error("cannot open '" + path + "' for writing");
-  const bool ok = std::fputs(json.c_str(), out) >= 0 &&
-                  std::fputc('\n', out) != EOF;
-  if (std::fclose(out) != 0 || !ok) {
-    throw std::runtime_error("short write to '" + path + "'");
-  }
 }
 
 }  // namespace qec::bench

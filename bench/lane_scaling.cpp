@@ -54,12 +54,7 @@ constexpr const char* kOptions =
     "  --threads=1           worker threads (0 = all cores; never changes "
     "results)\n"
     "  --csv=FILE            write the scaling CSV to FILE\n"
-    "  --json=FILE           write a machine-readable run record to FILE\n"
-    "                        (config, git revision, wall-clock and\n"
-    "                        lane-rounds/s per cell — the format pinned in\n"
-    "                        BENCH_lane_scaling.json)\n"
-    "  (the obs flags below apply to every cell and write the LAST cell;\n"
-    "  per-cell event counts and SLO compliance land in the --json record)\n";
+    "  (the obs flags below apply to every cell and write the LAST cell)\n";
 
 }  // namespace
 
@@ -98,17 +93,14 @@ int main(int argc, char** argv) {
       }
     }
     const std::string csv_path = args.get_or("csv", "");
-    const std::string json_path = args.get_or("json", "");
-    std::vector<std::string> json_cells;
+    qec::reject_unread(args);
     qec::CsvWriter csv(csv_path.empty() ? "/dev/null" : csv_path,
                        {"lanes", "d", "p", "mhz", "engines", "policy",
-                        "rounds", "cache", "record_ms", "replay_ms",
+                        "rounds", "record_ms", "replay_ms",
                         "streamed_lane_rounds", "us_per_lane_round",
                         "lane_rounds_per_sec", "overflow_lanes",
-                        "failed_lanes", "failed_frac", "cache_hits",
-                        "cache_misses", "cache_hit_rate", "cache_installs",
-                        "cache_evictions", "cache_zero_rounds",
-                        "cache_zero_pushes", "cache_bypasses"});
+                        "failed_lanes", "failed_frac", "cache_zero_rounds",
+                        "cache_zero_pushes"});
 
     qec::TextTable table({"lanes", "p", "mhz", "K", "replay ms",
                           "us/lane-round", "lane-rounds/s", "failed"});
@@ -148,25 +140,19 @@ int main(int argc, char** argv) {
           const double failed_frac =
               static_cast<double>(outcome.failed_lanes) /
               static_cast<double>(outcome.lanes);
-          // Only the all-zero fast-path counters move; the rest keep the
-          // CSV/JSON schema.
-          const qec::DecodeCacheStats& cs = all.cache;
 
           if (csv.ok()) {
             csv.add_row(
                 {std::to_string(outcome.lanes), std::to_string(base.distance),
                  fmt(p, "%.6g"), fmt(mhz, "%.6g"),
                  std::to_string(outcome.telemetry.engines), base.policy,
-                 std::to_string(trace.rounds()), outcome.telemetry.cache,
-                 fmt(record_ms, "%.3f"), fmt(replay_ms, "%.3f"),
-                 std::to_string(lane_rounds), fmt(us_per_round, "%.4f"),
-                 fmt(rounds_per_sec, "%.6g"),
+                 std::to_string(trace.rounds()), fmt(record_ms, "%.3f"),
+                 fmt(replay_ms, "%.3f"), std::to_string(lane_rounds),
+                 fmt(us_per_round, "%.4f"), fmt(rounds_per_sec, "%.6g"),
                  std::to_string(outcome.overflow_lanes),
                  std::to_string(outcome.failed_lanes), fmt(failed_frac),
-                 std::to_string(cs.hits), std::to_string(cs.misses),
-                 fmt(cs.hit_rate(), "%.4f"), std::to_string(cs.installs),
-                 std::to_string(cs.evictions), std::to_string(cs.zero_rounds),
-                 std::to_string(cs.zero_pushes), std::to_string(cs.bypasses)});
+                 std::to_string(all.cache.zero_rounds),
+                 std::to_string(all.cache.zero_pushes)});
             csv.flush();
           }
           table.add_row({std::to_string(outcome.lanes), fmt(p, "%.4g"),
@@ -176,56 +162,6 @@ int main(int argc, char** argv) {
                          fmt(rounds_per_sec, "%.4g"),
                          std::to_string(outcome.failed_lanes) + "/" +
                              std::to_string(outcome.lanes)});
-          if (!json_path.empty()) {
-            qec::bench::JsonObject cell;
-            cell.add("lanes", outcome.lanes)
-                .add("p", p)
-                .add("mhz", mhz)
-                .add("engines", outcome.telemetry.engines)
-                .add("rounds", trace.rounds())
-                .add("record_ms", record_ms)
-                .add("replay_ms", replay_ms)
-                .add("streamed_lane_rounds",
-                     static_cast<std::int64_t>(lane_rounds))
-                .add("us_per_lane_round", us_per_round)
-                .add("lane_rounds_per_sec", rounds_per_sec)
-                .add("overflow_lanes", outcome.overflow_lanes)
-                .add("failed_lanes", outcome.failed_lanes)
-                .add("failed_frac", failed_frac);
-            cell.add_raw(
-                "cache",
-                qec::bench::JsonObject()
-                    .add("spec", outcome.telemetry.cache)
-                    .add("hits", static_cast<std::int64_t>(cs.hits))
-                    .add("misses", static_cast<std::int64_t>(cs.misses))
-                    .add("hit_rate", cs.hit_rate())
-                    .add("installs", static_cast<std::int64_t>(cs.installs))
-                    .add("evictions", static_cast<std::int64_t>(cs.evictions))
-                    .add("zero_rounds",
-                         static_cast<std::int64_t>(cs.zero_rounds))
-                    .add("zero_pushes",
-                         static_cast<std::int64_t>(cs.zero_pushes))
-                    .add("bypasses", static_cast<std::int64_t>(cs.bypasses))
-                    .str());
-            if (outcome.tracer) {
-              const auto emitted = outcome.tracer->emitted();
-              cell.add_raw(
-                  "obs",
-                  qec::bench::JsonObject()
-                      .add("events", static_cast<std::int64_t>(emitted))
-                      .add("dropped", static_cast<std::int64_t>(
-                                          outcome.tracer->dropped()))
-                      .add("events_per_lane_round",
-                           lane_rounds ? static_cast<double>(emitted) /
-                                             static_cast<double>(lane_rounds)
-                                       : 0.0)
-                      .str());
-            }
-            if (outcome.slo) {
-              cell.add_raw("slo", outcome.slo->summary_json());
-            }
-            json_cells.push_back(cell.str());
-          }
           obs_cli.keep(outcome);
         }
       }
@@ -238,34 +174,7 @@ int main(int argc, char** argv) {
         !qec::bench::report_written(csv.flush(), "scaling curve", csv_path)) {
       return 1;
     }
-    if (!obs_cli.write(" (last cell)")) return 1;
-    if (!json_path.empty()) {
-      const std::string config_json =
-          qec::bench::JsonObject()
-              .add("d", base.distance)
-              .add_raw("p", qec::bench::json_array(p_list))
-              .add("rounds", base.rounds)
-              .add("seed", static_cast<std::int64_t>(base.seed))
-              .add("engine", base.engine)
-              .add("policy", base.policy)
-              .add("engines", base.engines)
-              .add("dispatch", base.rounds_per_dispatch)
-              .add("threads", base.threads)
-              .add("slo", base.obs.slo)
-              .add("profile", base.obs.profile ? 1 : 0)
-              .add_raw("lanes", qec::bench::json_array(lane_counts))
-              .add_raw("mhz", qec::bench::json_array(clocks_mhz))
-              .str();
-      qec::bench::write_json_file(
-          json_path, qec::bench::JsonObject()
-                         .add("bench", "lane_scaling")
-                         .add("git_rev", qec::bench::git_revision())
-                         .add_raw("config", config_json)
-                         .add_raw("cells", qec::bench::json_array(json_cells))
-                         .str());
-      std::printf("run record written to %s\n", json_path.c_str());
-    }
-    return 0;
+    return obs_cli.write(" (last cell)") ? 0 : 1;
   } catch (const std::exception& e) {
     return qec::report_failure("lane_scaling", e);
   }

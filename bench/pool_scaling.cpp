@@ -93,11 +93,7 @@ constexpr const char* kOptions =
     "results)\n"
     "  --csv=FILE            write the sweep CSV to FILE\n"
     "  --latency-csv=FILE    per-lane sojourn latency rows for every cell\n"
-    "  --json=FILE           write a machine-readable run record to FILE\n"
-    "                        (config, git revision, per-cell wall-clock and\n"
-    "                        lane-rounds/s — same shape as lane_scaling's)\n"
-    "  (the obs flags below apply to every cell and write the LAST cell;\n"
-    "  per-cell event counts and SLO compliance land in the --json record)\n";
+    "  (the obs flags below apply to every cell and write the LAST cell)\n";
 
 }  // namespace
 
@@ -127,23 +123,28 @@ int main(int argc, char** argv) {
     const auto policies =
         split_specs(args.get_or("policies", "round_robin,least_loaded"));
     const auto admissions = split_specs(args.get_or("admission", "overflow"));
+    const std::string csv_path = args.get_or("csv", "");
+    const std::string latency_path = args.get_or("latency-csv", "");
 
-    // Pool sizes: a single --engines=K, or the K/N fraction grid.
+    // Pool sizes: a single --engines=K, or the K/N fraction grid. The grid
+    // is read either way: --engines overrides it, it is not unknown.
+    const std::string fractions =
+        args.get_or("fractions", "0.125,0.25,0.375,0.5,0.75,1");
     std::vector<int> pool_sizes;
     if (const auto fixed = args.get_int("engines")) {
       pool_sizes.push_back(static_cast<int>(*fixed));
     } else {
-      for (const double f : split_doubles(
-               args.get_or("fractions", "0.125,0.25,0.375,0.5,0.75,1"))) {
+      for (const double f : split_doubles(fractions)) {
         const int k = std::clamp(
             static_cast<int>(std::lround(f * base.lanes)), 1, base.lanes);
         if (pool_sizes.empty() || pool_sizes.back() != k) pool_sizes.push_back(k);
       }
     }
 
-    // Validate every policy and admission spec — and the power budget's
-    // affordability at every clock — before the first (possibly long)
-    // cell, so nothing throws mid-sweep leaving a partial CSV.
+    // Validate every flag, policy and admission spec — and the power
+    // budget's affordability at every clock — before the first (possibly
+    // long) cell, so nothing throws mid-sweep leaving a partial CSV.
+    qec::reject_unread(args);
     for (const auto& policy : policies) qec::make_scheduler_policy(policy);
     for (const auto& admission : admissions) {
       qec::parse_admission_spec(admission);
@@ -171,7 +172,6 @@ int main(int argc, char** argv) {
                 trace.lanes(), base.distance, trace.rounds(), base.p,
                 static_cast<unsigned long long>(base.seed));
 
-    const std::string csv_path = args.get_or("csv", "");
     qec::CsvWriter csv(csv_path.empty() ? "/dev/null" : csv_path,
                        {"policy", "admission", "lanes", "engines", "k_over_n",
                         "mhz", "budget", "watts", "budget_w",
@@ -181,10 +181,6 @@ int main(int argc, char** argv) {
                         "fairness", "starved_rounds", "paused_rounds",
                         "soj_p50", "soj_p95", "soj_p99", "soj_max"});
 
-    const std::string json_path = args.get_or("json", "");
-    std::vector<std::string> json_cells;
-
-    const std::string latency_path = args.get_or("latency-csv", "");
     qec::CsvWriter latency_csv(
         latency_path.empty() ? "/dev/null" : latency_path,
         {"policy", "admission", "lanes", "engines", "mhz", "lane", "samples",
@@ -222,12 +218,7 @@ int main(int argc, char** argv) {
             config.admission = admission;
             config.engines = engines;
             config.cycles_per_round = qec::cycles_per_microsecond(mhz * 1e6);
-            const auto cell_start = std::chrono::steady_clock::now();
             const qec::StreamOutcome outcome = qec::run_stream(trace, config);
-            const double replay_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - cell_start)
-                    .count();
 
             // run_stream may have shed K to fit --budget-w; chart what ran.
             const int ran_engines = outcome.telemetry.engines;
@@ -286,48 +277,6 @@ int main(int argc, char** argv) {
               emit_latency(all, "all");
               latency_csv.flush();
             }
-            if (!json_path.empty()) {
-              const std::int64_t lane_rounds =
-                  static_cast<std::int64_t>(all.rounds_streamed) +
-                  all.drain_rounds;
-              qec::bench::JsonObject cell;
-              cell.add("policy", policy)
-                  .add("admission", admission)
-                  .add("lanes", outcome.lanes)
-                  .add("engines", ran_engines)
-                  .add("mhz", mhz)
-                  .add("replay_ms", replay_ms)
-                  .add("streamed_lane_rounds", lane_rounds)
-                  .add("us_per_lane_round",
-                       lane_rounds ? replay_ms * 1e3 /
-                                         static_cast<double>(lane_rounds)
-                                   : 0.0)
-                  .add("lane_rounds_per_sec",
-                       replay_ms > 0 ? static_cast<double>(lane_rounds) /
-                                           (replay_ms * 1e-3)
-                                     : 0.0)
-                  .add("failed_lanes", outcome.failed_lanes)
-                  .add("failed_frac", failed_frac)
-                  .add("watts", watts);
-              if (outcome.tracer) {
-                const auto emitted = outcome.tracer->emitted();
-                cell.add_raw(
-                    "obs",
-                    qec::bench::JsonObject()
-                        .add("events", static_cast<std::int64_t>(emitted))
-                        .add("dropped", static_cast<std::int64_t>(
-                                            outcome.tracer->dropped()))
-                        .add("events_per_lane_round",
-                             lane_rounds ? static_cast<double>(emitted) /
-                                               static_cast<double>(lane_rounds)
-                                         : 0.0)
-                        .str());
-              }
-              if (outcome.slo) {
-                cell.add_raw("slo", outcome.slo->summary_json());
-              }
-              json_cells.push_back(cell.str());
-            }
             obs_cli.keep(outcome);
             table.add_row({policy, admission, fmt(k_over_n),
                            fmt(mhz, "%.6g"), fmt(watts, "%.3g"),
@@ -361,44 +310,7 @@ int main(int argc, char** argv) {
                         latency_path)) {
       return 1;
     }
-    if (!obs_cli.write(" (last cell)")) return 1;
-    if (!json_path.empty()) {
-      std::vector<std::string> policy_items, admission_items, pool_items;
-      for (const auto& p : policies) {
-        policy_items.push_back("\"" + qec::bench::json_escape(p) + "\"");
-      }
-      for (const auto& a : admissions) {
-        admission_items.push_back("\"" + qec::bench::json_escape(a) + "\"");
-      }
-      for (const int k : pool_sizes) pool_items.push_back(std::to_string(k));
-      const std::string config_json =
-          qec::bench::JsonObject()
-              .add("lanes", base.lanes)
-              .add("d", base.distance)
-              .add("p", base.p)
-              .add("rounds", base.rounds)
-              .add("seed", static_cast<std::int64_t>(base.seed))
-              .add("engine", base.engine)
-              .add("dispatch", base.rounds_per_dispatch)
-              .add("threads", base.threads)
-              .add("budget_w", base.budget_w)
-              .add("slo", base.obs.slo)
-              .add("profile", base.obs.profile ? 1 : 0)
-              .add_raw("policies", qec::bench::json_array(policy_items))
-              .add_raw("admissions", qec::bench::json_array(admission_items))
-              .add_raw("engines", qec::bench::json_array(pool_items))
-              .add_raw("mhz", qec::bench::json_array(clocks_mhz))
-              .str();
-      qec::bench::write_json_file(
-          json_path, qec::bench::JsonObject()
-                         .add("bench", "pool_scaling")
-                         .add("git_rev", qec::bench::git_revision())
-                         .add_raw("config", config_json)
-                         .add_raw("cells", qec::bench::json_array(json_cells))
-                         .str());
-      std::printf("run record written to %s\n", json_path.c_str());
-    }
-    return 0;
+    return obs_cli.write(" (last cell)") ? 0 : 1;
   } catch (const std::exception& e) {
     return qec::report_failure("pool_scaling", e);
   }

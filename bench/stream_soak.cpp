@@ -107,15 +107,22 @@ int main(int argc, char** argv) {
       "Fig 7 scaled out — per-lane overflow/drain under sustained load");
 
   try {
-    // Validate the engine, policy, and admission specs before recording a
-    // trace, so a typo costs nothing.
+    // Validate every flag and the engine, policy, and admission specs
+    // before recording a trace, so a typo costs nothing.
+    const std::string trace_in = args.get_or("trace-in", "");
+    const std::string trace_out = args.get_or("trace-out", "");
+    const std::string csv = args.get_or("csv", "");
+    const std::string sched_csv = args.get_or("sched-csv", "");
+    const std::string timeline_csv = args.get_or("timeline-csv", "");
+    const std::string cache_csv = args.get_or("cache-csv", "");
+    const std::string latency_csv = args.get_or("latency-csv", "");
+    qec::reject_unread(args);
     qec::online_engine_config(config.engine);
     qec::make_scheduler_policy(config.policy);
     qec::parse_admission_spec(config.admission);
     if (!config.obs.slo.empty()) qec::obs::parse_slo_spec(config.obs.slo);
 
     qec::SyndromeTrace trace;
-    const std::string trace_in = args.get_or("trace-in", "");
     if (!trace_in.empty()) {
       trace = qec::SyndromeTrace::load(trace_in);
       std::printf("replaying %s: %d lanes, d=%u, %d rounds, p=%g\n\n",
@@ -131,7 +138,6 @@ int main(int argc, char** argv) {
                           std::chrono::steady_clock::now() - start)
                           .count();
 
-    const std::string trace_out = args.get_or("trace-out", "");
     if (!trace_out.empty()) {
       trace.save(trace_out);
       std::printf("trace recorded to %s\n", trace_out.c_str());
@@ -214,30 +220,25 @@ int main(int argc, char** argv) {
       qec::obs::ScopedStage prof(outcome.profiler.get(),
                                  qec::obs::Stage::kTraceExport);
       using qec::bench::report_written;
-      const std::string csv = args.get_or("csv", "");
       if (!csv.empty() &&
           !report_written(outcome.telemetry.write_csv(csv), "telemetry", csv)) {
         return 1;
       }
-      const std::string sched_csv = args.get_or("sched-csv", "");
       if (!sched_csv.empty() &&
           !report_written(outcome.telemetry.write_schedule_csv(sched_csv),
                           "schedule report", sched_csv)) {
         return 1;
       }
-      const std::string timeline_csv = args.get_or("timeline-csv", "");
       if (!timeline_csv.empty() &&
           !report_written(outcome.telemetry.write_timeline_csv(timeline_csv),
                           "round timeline", timeline_csv)) {
         return 1;
       }
-      const std::string cache_csv = args.get_or("cache-csv", "");
       if (!cache_csv.empty() &&
           !report_written(outcome.telemetry.write_cache_csv(cache_csv),
                           "decode-cache report", cache_csv)) {
         return 1;
       }
-      const std::string latency_csv = args.get_or("latency-csv", "");
       if (!latency_csv.empty() &&
           !report_written(outcome.telemetry.write_latency_csv(latency_csv),
                           "sojourn latency report", latency_csv)) {
@@ -251,7 +252,7 @@ int main(int argc, char** argv) {
     }
     return outcome.overflow_lanes == outcome.lanes ? 2 : 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "stream_soak: %s\n", e.what());
+    const int status = qec::report_failure("stream_soak", e);
     // Best-effort postmortem: armed only when --dump-obs-on-exit was given
     // and run_stream got far enough to attach the obs objects.
     if (qec::obs::FlightRecorder::instance().dump(
@@ -259,6 +260,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "obs bundle dumped to %s\n",
                    qec::obs::FlightRecorder::instance().dir().c_str());
     }
-    return 1;
+    return status;
   }
 }

@@ -1,8 +1,10 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace qec {
 
@@ -30,13 +32,39 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
       flags_.emplace_back(std::string(arg), "");
     }
   }
+  read_.assign(flags_.size(), false);
 }
 
 std::optional<std::string> CliArgs::get(std::string_view name) const {
-  for (const auto& [key, value] : flags_) {
-    if (key == name) return value;
+  std::optional<std::string> found;
+  for (std::size_t i = 0; i < flags_.size(); ++i) {
+    if (flags_[i].first != name) continue;
+    read_[i] = true;
+    if (!found) found = flags_[i].second;
   }
-  return std::nullopt;
+  return found;
+}
+
+std::vector<std::string> CliArgs::unread() const {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < flags_.size(); ++i) {
+    const std::string name = "--" + flags_[i].first;
+    if (!read_[i] &&
+        std::find(names.begin(), names.end(), name) == names.end()) {
+      names.push_back(name);
+    }
+  }
+  return names;
+}
+
+void reject_unread(const CliArgs& args) {
+  const auto names = args.unread();
+  if (names.empty()) return;
+  std::string message = "unknown option";
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    message += (i == 0 ? " " : ", ") + names[i];
+  }
+  throw std::invalid_argument(message);
 }
 
 std::optional<std::int64_t> CliArgs::get_int(std::string_view name) const {

@@ -2,7 +2,8 @@
 //
 // Supports "--name=value" and "--name value" forms plus boolean "--name".
 // Unrecognised arguments are kept for the caller (so google-benchmark flags
-// pass through untouched).
+// pass through untouched); a binary that owns its whole command line asks
+// unread() for the flags it never queried and rejects them.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +33,20 @@ class CliArgs {
   /// Arguments that did not look like --flags, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Flags given on the command line that no getter has queried yet, as
+  /// "--name", in command-line order (a repeated flag is listed once).
+  std::vector<std::string> unread() const;
+
  private:
   std::vector<std::pair<std::string, std::string>> flags_;
+  mutable std::vector<bool> read_;  ///< per flags_ entry: queried by name
   std::vector<std::string> positional_;
 };
+
+/// Throws std::invalid_argument naming every flag in args.unread()
+/// ("unknown option --json, --jsn"); a no-op when all were queried. Call
+/// it once every flag has been read, before any work starts.
+void reject_unread(const CliArgs& args);
 
 /// Prints the uniform usage banner every bench/example binary shares:
 ///

@@ -115,6 +115,28 @@ std::string metadata_line(const char* what, int pid, int tid,
 
 }  // namespace
 
+std::string json_escape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 bool write_chrome_trace(const Tracer& tracer, const std::string& path,
                         const Profiler* profiler) {
   std::vector<MergedEvent> events = tracer.merged();

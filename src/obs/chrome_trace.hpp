@@ -25,6 +25,11 @@ namespace qec::obs {
 
 class Profiler;
 
+/// Escapes `text` for the inside of a JSON string literal: quote,
+/// backslash, and every control byte below 0x20 (\n and \t by name, the
+/// rest as \u00XX). The one string escaper of every JSON writer here.
+std::string json_escape(const std::string& text);
+
 /// Writes `tracer`'s merged events to `path` as Chrome trace JSON.
 /// Unmatched pause-begin events are closed with a synthetic end at the
 /// track's final timestamp so viewers never see a dangling span. A

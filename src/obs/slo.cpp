@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/csv.hpp"
+#include "obs/chrome_trace.hpp"
 
 namespace qec::obs {
 
@@ -53,28 +54,6 @@ std::string join(const std::vector<std::string>& items, const char* sep) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i > 0) out += sep;
     out += items[i];
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
   return out;
 }

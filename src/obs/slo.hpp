@@ -113,7 +113,7 @@ class SloEngine {
   bool write_csv(const std::string& path) const;
 
   /// Compliance summary as a self-contained JSON object (the `slo` block
-  /// of the benches' --json run records and the postmortem manifest).
+  /// of the postmortem manifest).
   std::string summary_json() const;
 
  private:

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "decoder/registry.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/postmortem.hpp"
 #include "qecool/online_runner.hpp"
 #include "sim/executor.hpp"
@@ -610,15 +611,8 @@ class PoolScheduler {
 
 std::string json_string(const std::string& text) {
   std::string out = "\"";
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += "\"";
+  out += obs::json_escape(text);
+  out += '"';
   return out;
 }
 

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -287,6 +289,28 @@ TEST(Cli, MalformedNumbersReturnNullopt) {
   CliArgs args(2, argv);
   EXPECT_FALSE(args.get_int("d").has_value());
   EXPECT_EQ(args.get_int_or("d", 5), 5);
+}
+
+TEST(Cli, UnreadFlagsAreListed) {
+  const char* argv[] = {"prog", "--d=7", "--json=x.json", "--jsn=y",
+                        "--json=z", "file"};
+  CliArgs args(6, argv);
+  EXPECT_EQ(args.get_int_or("d", 0), 7);
+  EXPECT_FALSE(args.get("rounds").has_value());
+  EXPECT_EQ(args.unread(), (std::vector<std::string>{"--json", "--jsn"}));
+  try {
+    reject_unread(args);
+    ADD_FAILURE() << "reject_unread accepted unread flags";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown option --json, --jsn");
+  }
+
+  // Querying a flag marks every occurrence of it as read.
+  EXPECT_EQ(args.get_or("json", ""), "x.json");
+  EXPECT_EQ(args.unread(), std::vector<std::string>{"--jsn"});
+  args.get_flag("jsn");
+  EXPECT_TRUE(args.unread().empty());
+  EXPECT_NO_THROW(reject_unread(args));
 }
 
 TEST(Cli, TrialsOverridePrefersFlag) {

@@ -6,11 +6,12 @@
 // control track), every SLO-enabled export is byte-identical at 1 vs 4
 // worker threads, 0-round and window-larger-than-run edges stay tame,
 // the wall-clock profiler records stages without perturbing outcomes,
-// and the postmortem flight recorder writes a complete bundle.
+// and the postmortem flight recorder writes a complete, valid-JSON bundle.
 #include "obs/slo.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -372,7 +373,9 @@ TEST(Profiler, ProfMetricsColumnsAppearOnlyWhenProfiling) {
 }
 
 TEST(Postmortem, DumpWritesCompleteBundle) {
-  const std::string dir = temp_path("obs_bundle_test");
+  // The tab in the dir name reaches config.json's dump_dir echo, which
+  // must escape it to stay valid JSON.
+  const std::string dir = temp_path("obs_bundle\ttest");
   StreamConfig config = bursty_config();
   config.obs.trace = true;
   config.obs.profile = true;
@@ -401,6 +404,15 @@ TEST(Postmortem, DumpWritesCompleteBundle) {
   const std::string config_echo = read_all(dir + "/config.json");
   EXPECT_NE(config_echo.find("\"lanes\": 6"), std::string::npos);
   EXPECT_NE(config_echo.find("\"admission\": \"codel\""), std::string::npos);
+  EXPECT_NE(config_echo.find("obs_bundle\\ttest\""), std::string::npos)
+      << config_echo;
+  ASSERT_TRUE(!config_echo.empty() && config_echo.back() == '\n');
+  EXPECT_EQ(std::count_if(config_echo.begin(), config_echo.end() - 1,
+                          [](char c) {
+                            return static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0)
+      << config_echo;
 
   obs::FlightRecorder::instance().disarm();
   EXPECT_FALSE(obs::FlightRecorder::instance().armed());
