@@ -62,24 +62,25 @@ int main(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
   const std::string options = kOptions + std::string(qec::bench::kObsOptions);
   if (qec::handle_help(args, "lane_scaling", kSummary, options.c_str())) return 0;
-  qec::StreamConfig base;
-  base.distance = static_cast<int>(args.get_int_or("d", 5));
-  base.rounds = static_cast<int>(args.get_int_or("rounds", 64));
-  base.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
-  base.engine = args.get_or("engine", "qecool");
-  base.policy = args.get_or("policy", "dedicated");
-  base.engines = static_cast<int>(args.get_int_or("engines", 0));
-  base.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
-  base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
-  base.threads = qec::threads_override(args, 1);
-  qec::bench::ObsCli obs_cli(args, base.obs);
-
-  qec::bench::print_header(
-      "Lane scaling: wall-clock per streamed round vs fleet size",
-      "the ROADMAP lanes x clock curve — where does fleet-scale replay "
-      "stop being cheap?");
 
   try {
+    qec::StreamConfig base;
+    base.distance = static_cast<int>(args.get_int_or("d", 5));
+    base.rounds = static_cast<int>(args.get_int_or("rounds", 64));
+    base.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
+    base.engine = args.get_or("engine", "qecool");
+    base.policy = args.get_or("policy", "dedicated");
+    base.engines = static_cast<int>(args.get_int_or("engines", 0));
+    base.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
+    base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
+    base.threads = qec::threads_override(args, 1);
+    qec::bench::ObsCli obs_cli(args, base.obs);
+
+    qec::bench::print_header(
+        "Lane scaling: wall-clock per streamed round vs fleet size",
+        "the ROADMAP lanes x clock curve — where does fleet-scale replay "
+        "stop being cheap?");
+
     qec::online_engine_config(base.engine);
     qec::make_scheduler_policy(base.policy);
     if (!base.obs.slo.empty()) qec::obs::parse_slo_spec(base.obs.slo);

@@ -101,24 +101,25 @@ int main(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
   const std::string options = kOptions + std::string(qec::bench::kObsOptions);
   if (qec::handle_help(args, "pool_scaling", kSummary, options.c_str())) return 0;
-  qec::StreamConfig base;
-  base.lanes = static_cast<int>(args.get_int_or("lanes", 32));
-  base.distance = static_cast<int>(args.get_int_or("d", 5));
-  base.p = args.get_double_or("p", 0.01);
-  base.rounds = static_cast<int>(args.get_int_or("rounds", 128));
-  base.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
-  base.engine = args.get_or("engine", "qecool");
-  base.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
-  base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
-  base.budget_w = args.get_double_or("budget-w", 0.0);
-  base.threads = qec::threads_override(args, 1);
-  qec::bench::ObsCli obs_cli(args, base.obs);
-
-  qec::bench::print_header(
-      "Pool scaling: K shared decoder engines serving N lanes",
-      "failed-lane fraction over K/N x clock, per scheduling policy");
 
   try {
+    qec::StreamConfig base;
+    base.lanes = static_cast<int>(args.get_int_or("lanes", 32));
+    base.distance = static_cast<int>(args.get_int_or("d", 5));
+    base.p = args.get_double_or("p", 0.01);
+    base.rounds = static_cast<int>(args.get_int_or("rounds", 128));
+    base.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
+    base.engine = args.get_or("engine", "qecool");
+    base.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
+    base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
+    base.budget_w = args.get_double_or("budget-w", 0.0);
+    base.threads = qec::threads_override(args, 1);
+    qec::bench::ObsCli obs_cli(args, base.obs);
+
+    qec::bench::print_header(
+        "Pool scaling: K shared decoder engines serving N lanes",
+        "failed-lane fraction over K/N x clock, per scheduling policy");
+
     const auto clocks_mhz = split_doubles(args.get_or("mhz", "10,40,160"));
     const auto policies =
         split_specs(args.get_or("policies", "round_robin,least_loaded"));

@@ -78,35 +78,37 @@ int main(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
   const std::string options = kOptions + std::string(qec::bench::kObsOptions);
   if (qec::handle_help(args, "stream_soak", kSummary, options.c_str())) return 0;
-  qec::StreamConfig config;
-  config.lanes = static_cast<int>(args.get_int_or("lanes", 64));
-  config.distance = static_cast<int>(args.get_int_or("d", 7));
-  config.p = args.get_double_or("p", 0.01);
-  config.rounds = static_cast<int>(args.get_int_or("rounds", 256));
-  config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
-  config.engine = args.get_or("engine", "qecool");
-  config.cycles_per_round =
-      qec::cycles_per_microsecond(args.get_double_or("mhz", 2000.0) * 1e6);
-  config.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
-  config.engines = static_cast<int>(args.get_int_or("engines", 0));
-  config.policy = args.get_or("policy", "dedicated");
-  config.admission = args.get_or("admission", "overflow");
-  config.budget_w = args.get_double_or("budget-w", 0.0);
-  config.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
-  config.threads = qec::threads_override(args, 1);
-  qec::bench::ObsCli obs_cli(args, config.obs);
-  const auto dump_dir =
-      qec::optional_value_flag(args, "dump-obs-on-exit", "obs_bundle");
-  if (dump_dir) {
-    config.obs.dump_dir = *dump_dir;
-    qec::obs::FlightRecorder::install_signal_handlers();
-  }
-
-  qec::bench::print_header(
-      "Stream soak: N concurrent on-line lanes vs a shared decoder pool",
-      "Fig 7 scaled out — per-lane overflow/drain under sustained load");
 
   try {
+    qec::StreamConfig config;
+    config.lanes = static_cast<int>(args.get_int_or("lanes", 64));
+    config.distance = static_cast<int>(args.get_int_or("d", 7));
+    config.p = args.get_double_or("p", 0.01);
+    config.rounds = static_cast<int>(args.get_int_or("rounds", 256));
+    config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
+    config.engine = args.get_or("engine", "qecool");
+    config.cycles_per_round =
+        qec::cycles_per_microsecond(args.get_double_or("mhz", 2000.0) * 1e6);
+    config.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
+    config.engines = static_cast<int>(args.get_int_or("engines", 0));
+    config.policy = args.get_or("policy", "dedicated");
+    config.admission = args.get_or("admission", "overflow");
+    config.budget_w = args.get_double_or("budget-w", 0.0);
+    config.rounds_per_dispatch =
+        static_cast<int>(args.get_int_or("dispatch", 1));
+    config.threads = qec::threads_override(args, 1);
+    qec::bench::ObsCli obs_cli(args, config.obs);
+    const auto dump_dir =
+        qec::optional_value_flag(args, "dump-obs-on-exit", "obs_bundle");
+    if (dump_dir) {
+      config.obs.dump_dir = *dump_dir;
+      qec::obs::FlightRecorder::install_signal_handlers();
+    }
+
+    qec::bench::print_header(
+        "Stream soak: N concurrent on-line lanes vs a shared decoder pool",
+        "Fig 7 scaled out — per-lane overflow/drain under sustained load");
+
     // Validate every flag and the engine, policy, and admission specs
     // before recording a trace, so a typo costs nothing.
     const std::string trace_in = args.get_or("trace-in", "");

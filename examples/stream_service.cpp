@@ -53,22 +53,23 @@ constexpr const char* kOptions =
 int main(int argc, char** argv) {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(args, "stream_service", kSummary, kOptions)) return 0;
-  qec::StreamConfig config;
-  config.lanes = static_cast<int>(args.get_int_or("lanes", 8));
-  config.distance = static_cast<int>(args.get_int_or("d", 5));
-  config.p = args.get_double_or("p", 0.01);
-  config.rounds = static_cast<int>(args.get_int_or("rounds", 32));
-  config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 7));
-  config.engine = args.get_or("engine", "qecool");
-  config.cycles_per_round =
-      qec::cycles_per_microsecond(args.get_double_or("mhz", 1000.0) * 1e6);
-  config.engines = static_cast<int>(args.get_int_or("engines", 0));
-  config.policy = args.get_or("policy", "dedicated");
-  config.admission = args.get_or("admission", "overflow");
-  config.budget_w = args.get_double_or("budget-w", 0.0);
-  config.threads = qec::threads_override(args, 1);
 
   try {
+    qec::StreamConfig config;
+    config.lanes = static_cast<int>(args.get_int_or("lanes", 8));
+    config.distance = static_cast<int>(args.get_int_or("d", 5));
+    config.p = args.get_double_or("p", 0.01);
+    config.rounds = static_cast<int>(args.get_int_or("rounds", 32));
+    config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 7));
+    config.engine = args.get_or("engine", "qecool");
+    config.cycles_per_round =
+        qec::cycles_per_microsecond(args.get_double_or("mhz", 1000.0) * 1e6);
+    config.engines = static_cast<int>(args.get_int_or("engines", 0));
+    config.policy = args.get_or("policy", "dedicated");
+    config.admission = args.get_or("admission", "overflow");
+    config.budget_w = args.get_double_or("budget-w", 0.0);
+    config.threads = qec::threads_override(args, 1);
+
     qec::SyndromeTrace trace;
     const std::string trace_in = args.get_or("trace-in", "");
     if (!trace_in.empty()) {

@@ -17,7 +17,7 @@
 #include "decoder/registry.hpp"
 #include "sim/sweep.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(
           args, "threshold_sweep",
@@ -91,4 +91,6 @@ int main(int argc, char** argv) {
                 "or add trials\n");
   }
   return 0;
+} catch (const std::exception& e) {
+  return qec::report_failure("threshold_sweep", e);
 }

@@ -89,13 +89,31 @@ bool CliArgs::get_flag(std::string_view name) const {
   return get(name).has_value();
 }
 
+namespace {
+
+[[noreturn]] void malformed(std::string_view name, const std::string& raw,
+                            const char* expected) {
+  throw std::invalid_argument("--" + std::string(name) + "=" + raw + ": " +
+                              expected);
+}
+
+}  // namespace
+
 std::int64_t CliArgs::get_int_or(std::string_view name,
                                  std::int64_t fallback) const {
-  return get_int(name).value_or(fallback);
+  const auto raw = get(name);
+  if (!raw) return fallback;
+  const auto value = get_int(name);
+  if (!value) malformed(name, *raw, "not an integer");
+  return *value;
 }
 
 double CliArgs::get_double_or(std::string_view name, double fallback) const {
-  return get_double(name).value_or(fallback);
+  const auto raw = get(name);
+  if (!raw) return fallback;
+  const auto value = get_double(name);
+  if (!value) malformed(name, *raw, "not a number");
+  return *value;
 }
 
 std::string CliArgs::get_or(std::string_view name,
@@ -140,7 +158,7 @@ int report_failure(const char* program, const std::exception& error) {
 }
 
 std::int64_t trials_override(const CliArgs& args, std::int64_t fallback) {
-  if (const auto v = args.get_int("trials")) return *v;
+  if (args.get("trials")) return args.get_int_or("trials", fallback);
   if (const char* env = std::getenv("QECOOL_TRIALS")) {
     char* end = nullptr;
     const long long v = std::strtoll(env, &end, 10);
@@ -150,8 +168,8 @@ std::int64_t trials_override(const CliArgs& args, std::int64_t fallback) {
 }
 
 int threads_override(const CliArgs& args, int fallback) {
-  if (const auto v = args.get_int("threads")) {
-    return static_cast<int>(*v);
+  if (args.get("threads")) {
+    return static_cast<int>(args.get_int_or("threads", fallback));
   }
   if (const char* env = std::getenv("QECOOL_THREADS")) {
     char* end = nullptr;

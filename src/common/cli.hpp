@@ -18,7 +18,8 @@ namespace qec {
 class CliArgs {
  public:
   /// Parses argv (argv[0] skipped). Never throws; malformed numeric values
-  /// surface when queried via the typed getters returning std::nullopt.
+  /// surface when queried: get_int/get_double return std::nullopt, and
+  /// get_int_or/get_double_or throw.
   CliArgs(int argc, const char* const* argv);
 
   std::optional<std::string> get(std::string_view name) const;
@@ -26,6 +27,10 @@ class CliArgs {
   std::optional<double> get_double(std::string_view name) const;
   bool get_flag(std::string_view name) const;
 
+  /// The flag's value, or `fallback` when it is absent. A flag that is
+  /// present but does not parse throws std::invalid_argument naming the
+  /// flag and its raw value ("--lanes=4o96: not an integer"), so a typo
+  /// never runs with the default.
   std::int64_t get_int_or(std::string_view name, std::int64_t fallback) const;
   double get_double_or(std::string_view name, double fallback) const;
   std::string get_or(std::string_view name, std::string_view fallback) const;
@@ -88,11 +93,13 @@ std::optional<std::string> optional_value_flag(const CliArgs& args,
 int report_failure(const char* program, const std::exception& error);
 
 /// Reads trial-count override from --trials or env QECOOL_TRIALS, falling
-/// back to `fallback`. Shared by every bench binary.
+/// back to `fallback`; a malformed --trials throws like get_int_or. Shared
+/// by every bench binary.
 std::int64_t trials_override(const CliArgs& args, std::int64_t fallback);
 
 /// Reads worker-thread override from --threads or env QECOOL_THREADS,
-/// falling back to `fallback`. 0 means "all hardware threads"; results are
+/// falling back to `fallback`; a malformed --threads throws like
+/// get_int_or. 0 means "all hardware threads"; results are
 /// thread-count independent (the sweep driver fixes the shard schedule).
 int threads_override(const CliArgs& args, int fallback = 1);
 

@@ -153,6 +153,16 @@ ValueCounts::ValueCounts(const std::vector<std::uint64_t>& samples)
   });
 }
 
+ValueCounts ValueCounts::from_dense(const std::vector<std::uint64_t>& counts) {
+  ValueCounts out;
+  for (std::size_t v = 0; v < counts.size(); ++v) {
+    if (counts[v] == 0) continue;
+    out.runs_.push_back({v, counts[v]});
+    out.total_ += counts[v];
+  }
+  return out;
+}
+
 ValueCounts ValueCounts::sum(const std::vector<const ValueCounts*>& tables) {
   ValueCounts out;
   std::uint64_t lo = std::numeric_limits<std::uint64_t>::max(), hi = 0;

@@ -88,6 +88,10 @@ class ValueCounts {
   /// Counts `samples` (any order).
   explicit ValueCounts(const std::vector<std::uint64_t>& samples);
 
+  /// The table a dense tally describes: counts[v] samples of value v.
+  /// Equal to ValueCounts(samples) for any sample list with those counts.
+  static ValueCounts from_dense(const std::vector<std::uint64_t>& counts);
+
   /// The counts of all `tables` together, in one pass over their runs:
   /// O(runs + value span) when the values span a narrow range, as they do
   /// for an aggregate over thousands of lanes.

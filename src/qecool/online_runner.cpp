@@ -1,5 +1,7 @@
 #include "qecool/online_runner.hpp"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace qec {
@@ -9,7 +11,12 @@ OnlineStepper::OnlineStepper(const PlanarLattice& lattice,
     : engine_(lattice, config.engine),
       clean_(static_cast<std::size_t>(lattice.num_checks())),
       per_round_(config.cycles_per_round),
-      test_fault_(config.engine.test_fault) {}
+      test_fault_(config.engine.test_fault) {
+  if (!std::isfinite(config.cycles_per_round)) {
+    throw std::invalid_argument(
+        "online stepper: cycles_per_round must be finite");
+  }
+}
 
 bool OnlineStepper::note_push(bool accepted) {
   if (!accepted) {
@@ -46,6 +53,11 @@ std::uint64_t OnlineStepper::spend(double cycles) {
   if (cycles <= 0.0) {
     consumed = engine_.run(QecoolEngine::kUnlimited);
   } else {
+    // NaN and +inf reach this branch; the carry cannot absorb either.
+    if (!(cycles < std::numeric_limits<double>::infinity())) {
+      throw std::invalid_argument("online stepper: spend() needs a finite "
+                                  "cycle grant");
+    }
     // Accumulate the fractional budget: a 1.5-cycle clock grants 1, 2, 1,
     // 2, ... cycles rather than truncating to 1 every round. Cycles the
     // engine leaves unused because it went idle are NOT carried — the

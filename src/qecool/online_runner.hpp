@@ -83,6 +83,8 @@ struct StepperCheckpoint {
 /// no-op: all subsequent behaviour is identical to never having paused.
 class OnlineStepper {
  public:
+  /// Throws std::invalid_argument when config.cycles_per_round is NaN or
+  /// infinite (a budget the cross-round carry cannot represent).
   OnlineStepper(const PlanarLattice& lattice, const OnlineConfig& config);
 
   /// Pushes one difference layer without spending any decode cycles.
@@ -105,7 +107,8 @@ class OnlineStepper {
   /// second grant. Rounds with no grant leave the carry untouched — the
   /// deficit shows up as queue depth, not as banked cycles. Returns the
   /// cycles the engine actually consumed (it may idle below the budget);
-  /// no-op returning 0 after overflow.
+  /// no-op returning 0 after overflow. Throws std::invalid_argument for a
+  /// NaN or +inf grant (the fractional carry cannot hold either).
   std::uint64_t spend(double cycles);
 
   /// Layers the engine fully decoded (popped) during the most recent

@@ -13,9 +13,11 @@
 //    engine pops it (OnlineStepper::spend reports pops per grant), the
 //    sample pop_round - push_round + 1 is recorded — the end-to-end
 //    round latency of that measurement layer, *including* any rounds the
-//    lane spent frozen by admission control. Counters are exact (every
-//    sample kept, no reservoir); percentiles come from the same
-//    percentile_nearest_rank the cycle-latency telemetry uses.
+//    lane spent frozen by admission control. In-flight timestamps live in
+//    a ring sized once to the Reg depth, and closed samples in an exact
+//    count table indexed by sojourn rounds (no reservoir, no per-sample
+//    storage); percentiles are the same nearest-rank order statistics the
+//    cycle-latency telemetry reads off its ValueCounts tables.
 //
 //  - CodelControl: the CoDel control law in logical rounds. A lane whose
 //    *minimum* sojourn over the last `interval` rounds stays at or above
@@ -39,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -81,12 +82,20 @@ std::int64_t codel_shrunk_interval(std::int64_t interval,
 
 /// Per-lane sojourn clock: exact end-to-end round latency of every decoded
 /// difference layer. Push events timestamp layers at enqueue; pop events
-/// (reported by OnlineStepper::spend) close the samples.
+/// (reported by OnlineStepper::spend) close the samples. Storage is fixed
+/// per lane: the in-flight ring holds at most the Reg depth, and the count
+/// table grows only with the longest sojourn seen, never with run length.
 class LatencyTracker {
  public:
+  /// A clock for a lane whose Reg holds at most `capacity` layers: in-flight
+  /// layers are the engine's stored layers, so the ring never needs more.
+  explicit LatencyTracker(int capacity);
+
   /// A layer entered the lane's Reg in global round `round`. `real` marks
   /// trace layers; clean drain layers ride the same FIFO (pop attribution
-  /// needs every enqueue) but do not produce latency samples.
+  /// needs every enqueue) but do not produce latency samples. Throws
+  /// std::logic_error when `capacity` layers are already in flight (an
+  /// accounting bug: the engine would have overflowed instead).
   void on_push(std::int64_t round, bool real);
 
   /// The engine fully decoded (popped) `count` layers during global round
@@ -102,23 +111,31 @@ class LatencyTracker {
   std::int64_t head_age(std::int64_t now) const;
 
   /// Layers pushed but not yet popped.
-  int in_flight() const { return static_cast<int>(in_flight_.size()); }
+  int in_flight() const { return size_; }
 
-  /// Completed sojourn samples (rounds, >= 1), in pop order.
-  const std::vector<std::uint64_t>& samples() const { return samples_; }
+  /// Dense count table of completed samples: counts()[s] samples had
+  /// sojourn s rounds (index 0 is always 0).
+  const std::vector<std::uint64_t>& counts() const { return counts_; }
+
+  /// The completed samples as an exact ValueCounts table.
+  ValueCounts table() const { return ValueCounts::from_dense(counts_); }
 
   /// Exact nearest-rank percentile over the samples (0 when empty).
-  std::uint64_t percentile(double q) const {
-    return percentile_nearest_rank(samples_, q);
-  }
+  std::uint64_t percentile(double q) const { return table().percentile(q); }
+
+  /// Samples closed since the last clear_recent(), in pop order. The
+  /// service clears it at the start of every dispatch, so it holds at most
+  /// one dispatch's pops — the record its metrics feed reads.
+  const std::vector<std::uint64_t>& recent() const { return recent_; }
+  void clear_recent() { recent_.clear(); }
 
  private:
-  struct InFlight {
-    std::int64_t round = 0;
-    bool real = false;
-  };
-  std::deque<InFlight> in_flight_;
-  std::vector<std::uint64_t> samples_;
+  /// In-flight push rounds, sized once; entry = round << 1 | real.
+  std::vector<std::int64_t> ring_;
+  int head_ = 0;
+  int size_ = 0;
+  std::vector<std::uint64_t> counts_;
+  std::vector<std::uint64_t> recent_;
 };
 
 /// CoDel's control law in logical rounds, one instance per lane. The

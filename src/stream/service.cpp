@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 
 #include <cstdio>
@@ -36,16 +37,11 @@ Xoshiro256ss lane_rng(const StreamConfig& config, int lane, int rounds) {
 namespace {
 
 struct Lane {
-  Lane(const PlanarLattice& lattice, const OnlineConfig& online, int id,
-       int depth_bins)
-      : stepper(lattice, online) {
+  Lane(const PlanarLattice& lattice, const OnlineConfig& online, int id)
+      : stepper(lattice, online), qos(online.engine.reg_depth) {
     telemetry.lane = id;
-    telemetry.depth_hist.assign(static_cast<std::size_t>(depth_bins), 0);
-  }
-
-  void record_depth() {
-    const auto depth = static_cast<std::size_t>(stepper.engine().stored_layers());
-    if (depth < telemetry.depth_hist.size()) ++telemetry.depth_hist[depth];
+    telemetry.depth_hist.assign(
+        static_cast<std::size_t>(online.engine.reg_depth) + 1, 0);
   }
 
   /// Done for good: overflowed, or drained with the whole trace consumed.
@@ -57,18 +53,9 @@ struct Lane {
     return !stepper.paused() && cursor >= trace_rounds && stepper.drained();
   }
 
+  // Fields the lane-parallel region touches every round come first, so a
+  // lane's bookkeeping shares as few cache lines as possible.
   OnlineStepper stepper;
-  LaneTelemetry telemetry;
-
-  /// Sojourn clock: timestamps every pushed layer with the global round
-  /// and closes a latency sample on every pop spend() reports. Mutated
-  /// only inside the lane-parallel region (lane-local); read on the
-  /// scheduling thread between dispatches (head_age for CoDel).
-  LatencyTracker qos;
-
-  /// CoDel control law state (admission=codel only); driven on the
-  /// scheduling thread in lane order.
-  CodelControl codel;
 
   /// Next trace layer this lane will consume. Equals the global round for
   /// every live lane unless admission pauses it: a paused lane's cursor
@@ -81,39 +68,51 @@ struct Lane {
   /// scheduling thread between joins), so the ring stays single-writer.
   obs::Track* track = nullptr;
 
-  /// Sojourn samples already fed to the metrics histogram. The parallel
-  /// region records the cumulative sample count per (lane, round) slot;
-  /// the reduction consumes the delta in fixed round order, so the
-  /// windowed histogram is invariant under threads and batching.
-  std::size_t obs_consumed = 0;
+  /// Sojourn clock: timestamps every pushed layer with the global round
+  /// and counts a latency sample on every pop spend() reports. Mutated
+  /// only inside the lane-parallel region (lane-local); read on the
+  /// scheduling thread between dispatches (head_age for CoDel, recent()
+  /// for the metrics feed).
+  LatencyTracker qos;
 
-  /// All-zero fast-path counters already fed to the metrics registry
-  /// (same cumulative-snapshot / consume-delta pattern as obs_consumed).
+  LaneTelemetry telemetry;
+
+  /// CoDel control law state (admission=codel only); driven on the
+  /// scheduling thread in lane order.
+  CodelControl codel;
+
+  /// All-zero fast-path counters already fed to the metrics registry. The
+  /// parallel region snapshots the cumulative counters per (lane, round)
+  /// slot; the reduction consumes the delta in fixed round order, so the
+  /// windowed metrics are invariant under threads and batching.
   DecodeCacheStats cache_consumed;
 };
 
 /// The lane-parallel region: lanes split into contiguous blocks, one
-/// parallel_for task per block, each block's lanes run in lane order. One
-/// block per 256 lanes (at most 16) keeps the per-task hand-off off the
-/// per-lane path; a per-lane parallel_for was measured ~54% more CPU per
-/// lane-round on the shared pool (DESIGN.md section 7.1). Every write a lane
-/// makes is lane-local, so the block shape never changes an outcome.
+/// parallel_for task per block; body(block, first, last) runs lanes
+/// [first, last) in lane order. One block per 256 lanes (at most 16) keeps
+/// the per-task hand-off off the per-lane path; a per-lane parallel_for
+/// was measured ~54% more CPU per lane-round on the shared pool (DESIGN.md
+/// section 7.1). Every write a lane makes is lane-local or lands in its
+/// block's own slots, so the block shape never changes an outcome.
+int lane_blocks(int n) { return std::clamp((n + 255) / 256, 1, 16); }
+
 template <typename Body>
-void for_lanes(int n, int threads, const Body& body) {
-  const int blocks = std::clamp((n + 255) / 256, 1, 16);
+void for_lane_blocks(int n, int threads, const Body& body) {
+  const int blocks = lane_blocks(n);
   const int block = (n + blocks - 1) / blocks;
   parallel_for(blocks, threads, [&](int b) {
-    const int last = std::min(n, (b + 1) * block);
-    for (int i = b * block; i < last; ++i) body(i);
+    body(b, std::min(n, b * block), std::min(n, (b + 1) * block));
   });
 }
 
 /// Orchestrates the shared engine pool over one run: per dispatch it asks
 /// the policy for up to `batch` rounds of engine->lane assignments (on the
 /// calling thread, in round order), executes them lane-parallel with all
-/// writes going to lane-local slots, then reduces engine accounting and
-/// the round timeline on the calling thread — so every outcome and CSV is
-/// independent of the worker-thread count.
+/// writes going to lane-local slots and per-block round tallies, then
+/// merges the tallies in block order and reduces engine accounting on the
+/// calling thread — so every outcome and CSV is independent of the
+/// worker-thread count.
 class PoolScheduler {
  public:
   PoolScheduler(std::vector<Lane>& lanes, SchedulerPolicy& policy, int engines,
@@ -140,11 +139,23 @@ class PoolScheduler {
     for (int e = 0; e < engines_; ++e) {
       telemetry_.engine_stats[static_cast<std::size_t>(e)].engine = e;
     }
-    depth_.resize(lanes_.size());
-    finished_.resize(lanes_.size());
-    paused_.resize(lanes_.size());
+    const auto n = lanes_.size();
+    const auto batch_slots = n * static_cast<std::size_t>(batch_);
+    depth_.resize(n);
+    finished_.resize(n);
+    paused_.resize(n);
     assignment_.assign(static_cast<std::size_t>(engines_), -1);
+    served_cycles_.resize(batch_slots);
+    const auto blocks =
+        static_cast<std::size_t>(lane_blocks(static_cast<int>(n)));
+    tallies_.resize(blocks * static_cast<std::size_t>(batch_));
+    unfinished_.resize(blocks);
     if (metrics_) {
+      flags_.resize(batch_slots);
+      depth_after_.resize(batch_slots);
+      pops_.resize(batch_slots);
+      samples_after_.resize(batch_slots);
+      cache_after_.resize(batch_slots);
       // Registration order is CSV column order — keep it stable, goldens
       // pin it.
       m_pushes_ = metrics_->add_counter("pushes");
@@ -196,20 +207,14 @@ class PoolScheduler {
   /// admission=pause/codel (count == 1) the admission step runs before the
   /// policy, and engines the policy leaves idle drain the paused lanes.
   /// Every decision is made on the calling thread in lane order, so
-  /// outcomes stay a pure function of (trace, config).
-  void dispatch(std::int64_t start, int count, const SyndromeTrace& trace) {
+  /// outcomes stay a pure function of (trace, config). Returns whether any
+  /// lane is still unfinished afterwards.
+  bool dispatch(std::int64_t start, int count, const SyndromeTrace& trace) {
     const int n = static_cast<int>(lanes_.size());
     const int trace_rounds = trace.rounds();
-    const auto slots = static_cast<std::size_t>(n) * static_cast<std::size_t>(count);
-    grant_.assign(slots, -1);
-    cycles_.assign(slots, 0);
-    flags_.assign(slots, 0);
-    depth_scratch_.assign(slots, 0);
-    if (metrics_) {
-      pops_.assign(slots, 0);
-      samples_after_.assign(slots, 0);
-      cache_after_.assign(slots, DecodeCacheStats{});
-    }
+    count_ = count;
+    grant_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(count),
+                  -1);
 
     {
       // Profiler stage scopes (here and below) cost one branch each when
@@ -236,9 +241,8 @@ class PoolScheduler {
       }
 
       // Assignments for the whole batch, in round order on this thread.
-      assignments_.assign(static_cast<std::size_t>(count) *
-                              static_cast<std::size_t>(engines_),
-                          -1);
+      assignments_.resize(static_cast<std::size_t>(count) *
+                          static_cast<std::size_t>(engines_));
       ScheduleView view;
       view.lanes = n;
       view.engines = engines_;
@@ -254,16 +258,13 @@ class PoolScheduler {
         policy_.assign(view, assignment_);
         for (int e = 0; e < engines_; ++e) {
           const int lane = assignment_[static_cast<std::size_t>(e)];
-          assignments_[static_cast<std::size_t>(r) * engines_ +
-                       static_cast<std::size_t>(e)] = lane;
           if (lane < 0) continue;
           if (lane >= n) {
             throw std::logic_error("stream: policy assigned engine " +
                                    std::to_string(e) + " to nonexistent lane " +
                                    std::to_string(lane));
           }
-          auto& slot = grant_[static_cast<std::size_t>(lane) * count +
-                              static_cast<std::size_t>(r)];
+          auto& slot = grant_[slot_of(r, lane)];
           if (slot >= 0) {
             throw std::logic_error(
                 "stream: policy assigned two engines to lane " +
@@ -271,124 +272,54 @@ class PoolScheduler {
           }
           slot = e;
         }
-        if (admission_.pause()) grant_paused(r, count);
+        if (admission_.pause()) grant_paused(r);
+        std::copy(assignment_.begin(), assignment_.end(),
+                  assignments_.begin() +
+                      static_cast<std::ptrdiff_t>(r) * engines_);
       }
     }
 
-    // Lane-parallel execution; every write below lands in lane-local
-    // state or the lane's own scratch slots.
-    for_lanes(n, config_.threads, [&](int i) {
+    // Lane-parallel execution. Every write lands in lane-local state, the
+    // lane's own [lane][round] slots, or its block's round tallies.
+    for_lane_blocks(n, config_.threads, [&](int b, int first, int last) {
       obs::ScopedStage prof(profiler_, obs::Stage::kLaneExecute);
-      Lane& lane = lanes_[static_cast<std::size_t>(i)];
-      for (int r = 0; r < count; ++r) {
-        const std::size_t idx = static_cast<std::size_t>(i) * count +
-                                static_cast<std::size_t>(r);
-        if (lane.finished(trace_rounds)) continue;
-        const std::int64_t round = start + r;
-        if (lane.track) lane.track->set_round(round);
-        std::uint8_t flags = kPaused;
-        if (lane.stepper.paused()) {
-          ++lane.telemetry.paused_rounds;
-          if (grant_[idx] >= 0) flags |= serve(lane, idx, round);
-        } else {
-          flags = kActive;
-          // Backlog before this round's layer lands: the starvation test.
-          const bool backlog = lane.stepper.engine().stored_layers() > 0;
-          const bool real = lane.cursor < trace_rounds;
-          if (real) flags |= kTrace;
-          // trace.layer() hands out PackedBits: this push is a word copy
-          // into the engine Reg, never a byte-per-bit repack.
-          const bool pushed =
-              real ? lane.stepper.push(trace.layer(i, lane.cursor))
-                   : lane.stepper.push_clean();
-          if (pushed) {
-            flags |= kPushed;
-            if (real) {
-              ++lane.cursor;
-              ++lane.telemetry.rounds_streamed;
-            } else {
-              ++lane.telemetry.drain_rounds;
-            }
-            if (lane.track) {
-              lane.track->emit(
-                  obs::EventKind::kPush,
-                  static_cast<std::uint64_t>(lane.stepper.engine().stored_layers()),
-                  real ? 1 : 0);
-            }
-            lane.qos.on_push(round, real);
-            if (grant_[idx] >= 0) {
-              flags |= serve(lane, idx, round);
-            } else if (backlog) {
-              flags |= kStarved;
-              ++lane.telemetry.starved_rounds;
-              if (lane.track) {
-                lane.track->emit(obs::EventKind::kStarve,
-                                 static_cast<std::uint64_t>(
-                                     lane.stepper.engine().stored_layers()));
-              }
-            }
-          } else if (lane.track) {
-            lane.track->emit(obs::EventKind::kOverflow,
-                             static_cast<std::uint64_t>(
-                                 lane.stepper.engine().stored_layers()));
-          }
-        }
-        lane.record_depth();
-        depth_scratch_[idx] = lane.stepper.engine().stored_layers();
-        if (metrics_) {
-          samples_after_[idx] = lane.qos.samples().size();
-          cache_after_[idx] = lane.stepper.engine().cache_stats();
-        }
-        flags_[idx] = flags;
+      RoundSample* tally = &tallies_[static_cast<std::size_t>(b) * batch_];
+      std::fill_n(tally, count, RoundSample{.drain = true});
+      int unfinished = 0;
+      for (int i = first; i < last; ++i) {
+        if (run_lane(i, start, count, trace, tally)) ++unfinished;
       }
+      unfinished_[static_cast<std::size_t>(b)] = unfinished;
     });
 
-    // Reductions in fixed (round, lane/engine) order on this thread.
+    // Reductions in fixed (round, block/lane/engine) order on this thread.
     obs::ScopedStage prof_reduce(profiler_, obs::Stage::kReduction);
+    const int blocks = lane_blocks(n);
+    int unfinished = 0;
+    for (int b = 0; b < blocks; ++b) {
+      unfinished += unfinished_[static_cast<std::size_t>(b)];
+    }
     for (int r = 0; r < count; ++r) {
       const std::int64_t round = start + r;
       RoundSample sample;
       sample.round = round;
-      // A round is "drain" when no live lane tried to push a trace layer:
-      // a stream round in which every live lane overflows stays "stream".
       sample.drain = true;
-      for (int i = 0; i < n; ++i) {
-        const std::size_t idx = static_cast<std::size_t>(i) * count +
-                                static_cast<std::size_t>(r);
-        const std::uint8_t flags = flags_[idx];
-        if (flags & kActive) {
-          ++sample.live_lanes;
-          if (flags & kTrace) sample.drain = false;
-          if (flags & kStarved) ++sample.starved_lanes;
-          if (!(flags & kPushed)) ++overflowed_so_far_;
-        } else if (flags & kPaused) {
-          ++sample.paused_lanes;
-        } else {
-          continue;
-        }
-        if (flags & kServed) ++sample.served_lanes;
-        sample.depth_sum += static_cast<std::uint64_t>(depth_scratch_[idx]);
-        sample.depth_max = std::max(sample.depth_max, depth_scratch_[idx]);
-        if (metrics_) {
-          if (flags & kActive) {
-            metrics_->count(!(flags & kPushed) ? m_overflows_
-                            : (flags & kTrace) ? m_pushes_
-                                               : m_drain_pushes_);
-          }
-          if (flags & kServed) {
-            metrics_->count(m_serves_);
-            metrics_->count(m_pops_, static_cast<std::uint64_t>(pops_[idx]));
-          }
-          if (flags & kStarved) metrics_->count(m_starves_);
-          metrics_->observe(m_depth_,
-                            static_cast<std::uint64_t>(depth_scratch_[idx]));
-          consume_sojourn(lanes_[static_cast<std::size_t>(i)],
-                          samples_after_[idx]);
-          consume_cache(lanes_[static_cast<std::size_t>(i)],
-                        cache_after_[idx]);
-        }
+      for (int b = 0; b < blocks; ++b) {
+        const RoundSample& part =
+            tallies_[static_cast<std::size_t>(b) * batch_ +
+                     static_cast<std::size_t>(r)];
+        sample.drain = sample.drain && part.drain;
+        sample.live_lanes += part.live_lanes;
+        sample.served_lanes += part.served_lanes;
+        sample.starved_lanes += part.starved_lanes;
+        sample.paused_lanes += part.paused_lanes;
+        sample.depth_sum += part.depth_sum;
+        sample.depth_max = std::max(sample.depth_max, part.depth_max);
+        sample.cycles += part.cycles;
+        overflowed_so_far_ += part.overflowed_lanes;
       }
       sample.overflowed_lanes = overflowed_so_far_;
+      if (metrics_) feed_lane_metrics(r);
       // Rounds in which no lane took part are scheduling artifacts (a
       // batch outlives the fleet, or the last lanes finished at the
       // admission step): account nothing, so engine stats — like the
@@ -396,18 +327,17 @@ class PoolScheduler {
       // stay invariant under rounds_per_dispatch.
       if (sample.live_lanes + sample.paused_lanes == 0) continue;
       if (tracer_) served_.assign(static_cast<std::size_t>(engines_), -1);
+      const int* assigned =
+          &assignments_[static_cast<std::size_t>(r) * engines_];
       for (int e = 0; e < engines_; ++e) {
-        EngineTelemetry& stats = telemetry_.engine_stats[static_cast<std::size_t>(e)];
-        const int lane = assignments_[static_cast<std::size_t>(r) * engines_ +
-                                      static_cast<std::size_t>(e)];
-        const std::size_t idx = lane < 0
-                                    ? 0
-                                    : static_cast<std::size_t>(lane) * count +
-                                          static_cast<std::size_t>(r);
-        if (lane >= 0 && (flags_[idx] & kServed)) {
+        EngineTelemetry& stats =
+            telemetry_.engine_stats[static_cast<std::size_t>(e)];
+        const int lane = assigned[e];
+        const std::uint64_t cycles =
+            lane < 0 ? kUnserved : served_cycles_[slot_of(r, lane)];
+        if (cycles != kUnserved) {
           ++stats.busy_rounds;
-          stats.cycles += cycles_[idx];
-          sample.cycles += cycles_[idx];
+          stats.cycles += cycles;
           if (tracer_) served_[static_cast<std::size_t>(e)] = lane;
         } else {
           ++stats.idle_rounds;
@@ -424,6 +354,7 @@ class PoolScheduler {
         metrics_->tick(round);
       }
     }
+    return unfinished > 0;
   }
 
   /// Flushes the trailing partial metrics window (feeding it the last
@@ -482,13 +413,10 @@ class PoolScheduler {
   /// pointed at finished lanes serve the paused lanes' backlogs, deepest
   /// first (lane-index ties) — deterministic, independent of the policy in
   /// use, and the reason a paused backlog always eventually drains.
-  void grant_paused(int r, int count) {
-    const auto at = [count, r](int lane) {
-      return static_cast<std::size_t>(lane) * count + static_cast<std::size_t>(r);
-    };
+  void grant_paused(int r) {
     drainable_.clear();
     for (int i = 0; i < static_cast<int>(lanes_.size()); ++i) {
-      if (paused_[static_cast<std::size_t>(i)] && grant_[at(i)] < 0) {
+      if (paused_[static_cast<std::size_t>(i)] && grant_[slot_of(r, i)] < 0) {
         drainable_.push_back(i);
       }
     }
@@ -499,41 +427,168 @@ class PoolScheduler {
     });
     std::size_t next = 0;
     for (int e = 0; e < engines_ && next < drainable_.size(); ++e) {
-      int& lane = assignments_[static_cast<std::size_t>(r) * engines_ +
-                               static_cast<std::size_t>(e)];
+      int& lane = assignment_[static_cast<std::size_t>(e)];
       if (lane >= 0 && !finished_[static_cast<std::size_t>(lane)]) continue;
       lane = drainable_[next++];
-      grant_[at(lane)] = e;
+      grant_[slot_of(r, lane)] = e;
     }
   }
 
-  /// Spends the lane's engine grant in `round` and returns kServed. Runs
-  /// in the lane-parallel region: writes only lane-local state and the
-  /// lane's own scratch slot `idx`.
-  std::uint8_t serve(Lane& lane, std::size_t idx, std::int64_t round) {
-    cycles_[idx] = lane.stepper.spend(config_.cycles_per_round);
-    lane.qos.on_pops(lane.stepper.last_spend_pops(), round);
+  /// Index of (round r of the dispatch, lane) in the [lane][round] slots.
+  std::size_t slot_of(int r, int lane) const {
+    return static_cast<std::size_t>(lane) * static_cast<std::size_t>(count_) +
+           static_cast<std::size_t>(r);
+  }
+
+  /// Lane `i`'s share of a dispatch: rounds start .. start + count - 1,
+  /// folded into its block's round tallies. Runs in the lane-parallel
+  /// region. Returns whether the lane is still unfinished afterwards.
+  bool run_lane(int i, std::int64_t start, int count,
+                const SyndromeTrace& trace, RoundSample* tally) {
+    const int trace_rounds = trace.rounds();
+    Lane& lane = lanes_[static_cast<std::size_t>(i)];
+    lane.qos.clear_recent();
+    for (int r = 0; r < count; ++r) {
+      const std::size_t idx = slot_of(r, i);
+      served_cycles_[idx] = kUnserved;
+      if (lane.finished(trace_rounds)) {
+        if (metrics_) {
+          flags_[idx] = 0;
+          samples_after_[idx] = lane.qos.recent().size();
+        }
+        continue;
+      }
+      const std::int64_t round = start + r;
+      RoundSample& sample = tally[r];
+      if (lane.track) lane.track->set_round(round);
+      std::uint8_t flags = kPaused;
+      if (lane.stepper.paused()) {
+        ++lane.telemetry.paused_rounds;
+        ++sample.paused_lanes;
+        if (grant_[idx] >= 0) flags |= serve(i, idx, round, sample);
+      } else {
+        flags = kActive;
+        ++sample.live_lanes;
+        // Backlog before this round's layer lands: the starvation test.
+        const bool backlog = lane.stepper.engine().stored_layers() > 0;
+        const bool real = lane.cursor < trace_rounds;
+        if (real) {
+          flags |= kTrace;
+          // A round is "drain" when no live lane tried to push a trace
+          // layer: a stream round in which every live lane overflows
+          // stays "stream".
+          sample.drain = false;
+        }
+        // trace.layer() hands out PackedBits: this push is a word copy
+        // into the engine Reg, never a byte-per-bit repack.
+        const bool pushed =
+            real ? lane.stepper.push(trace.layer(i, lane.cursor))
+                 : lane.stepper.push_clean();
+        if (pushed) {
+          flags |= kPushed;
+          if (real) {
+            ++lane.cursor;
+            ++lane.telemetry.rounds_streamed;
+          } else {
+            ++lane.telemetry.drain_rounds;
+          }
+          if (lane.track) {
+            lane.track->emit(obs::EventKind::kPush,
+                             static_cast<std::uint64_t>(
+                                 lane.stepper.engine().stored_layers()),
+                             real ? 1 : 0);
+          }
+          lane.qos.on_push(round, real);
+          if (grant_[idx] >= 0) {
+            flags |= serve(i, idx, round, sample);
+          } else if (backlog) {
+            flags |= kStarved;
+            ++sample.starved_lanes;
+            ++lane.telemetry.starved_rounds;
+            if (lane.track) {
+              lane.track->emit(obs::EventKind::kStarve,
+                               static_cast<std::uint64_t>(
+                                   lane.stepper.engine().stored_layers()));
+            }
+          }
+        } else {
+          ++sample.overflowed_lanes;  // this round's new overflows
+          if (lane.track) {
+            lane.track->emit(obs::EventKind::kOverflow,
+                             static_cast<std::uint64_t>(
+                                 lane.stepper.engine().stored_layers()));
+          }
+        }
+      }
+      const int depth = lane.stepper.engine().stored_layers();
+      auto& hist = lane.telemetry.depth_hist;
+      if (static_cast<std::size_t>(depth) < hist.size()) {
+        ++hist[static_cast<std::size_t>(depth)];
+      }
+      sample.depth_sum += static_cast<std::uint64_t>(depth);
+      sample.depth_max = std::max(sample.depth_max, depth);
+      if (metrics_) {
+        flags_[idx] = flags;
+        depth_after_[idx] = depth;
+        samples_after_[idx] = lane.qos.recent().size();
+        cache_after_[idx] = lane.stepper.engine().cache_stats();
+      }
+    }
+    return !lane.finished(trace_rounds);
+  }
+
+  /// Spends lane `i`'s engine grant in global round `round` (slot `idx`)
+  /// and returns kServed. Runs in the lane-parallel region: writes
+  /// lane-local state, the lane's own slot and the block's round tally.
+  std::uint8_t serve(int i, std::size_t idx, std::int64_t round,
+                     RoundSample& sample) {
+    Lane& lane = lanes_[static_cast<std::size_t>(i)];
+    const std::uint64_t cycles = lane.stepper.spend(config_.cycles_per_round);
+    const int pops = lane.stepper.last_spend_pops();
+    lane.qos.on_pops(pops, round);
     ++lane.telemetry.served_rounds;
-    if (lane.track) lane.track->emit(obs::EventKind::kSpend, cycles_[idx]);
-    if (metrics_) pops_[idx] = lane.stepper.last_spend_pops();
+    if (lane.track) lane.track->emit(obs::EventKind::kSpend, cycles);
+    if (metrics_) pops_[idx] = pops;
+    served_cycles_[idx] = cycles;
+    ++sample.served_lanes;
+    sample.cycles += cycles;
     return kServed;
   }
 
-  /// Feeds the lane's sojourn samples [obs_consumed, upto) to the windowed
-  /// histogram. Called only from the reductions, in fixed (round, lane)
-  /// order, so window attribution never depends on threads or batching.
-  void consume_sojourn(Lane& lane, std::size_t upto) {
-    const auto& samples = lane.qos.samples();
-    for (std::size_t k = lane.obs_consumed; k < upto; ++k) {
-      metrics_->observe(m_sojourn_, samples[k]);
+  /// The per-lane metrics feed for round r of a dispatch, in lane order on
+  /// the calling thread, so window attribution never depends on threads or
+  /// batching.
+  void feed_lane_metrics(int r) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      const std::size_t idx = slot_of(r, static_cast<int>(i));
+      const std::uint8_t flags = flags_[idx];
+      if (!(flags & (kActive | kPaused))) continue;
+      if (flags & kActive) {
+        metrics_->count(!(flags & kPushed) ? m_overflows_
+                        : (flags & kTrace) ? m_pushes_
+                                           : m_drain_pushes_);
+      }
+      if (flags & kServed) {
+        metrics_->count(m_serves_);
+        metrics_->count(m_pops_, static_cast<std::uint64_t>(pops_[idx]));
+      }
+      if (flags & kStarved) metrics_->count(m_starves_);
+      metrics_->observe(m_depth_,
+                        static_cast<std::uint64_t>(depth_after_[idx]));
+      // This slot's sojourns: the lane's per-dispatch record from where the
+      // previous round's slot ended.
+      const auto& recent = lanes_[i].qos.recent();
+      const std::size_t from =
+          r == 0 ? 0 : samples_after_[slot_of(r - 1, static_cast<int>(i))];
+      for (std::size_t k = from; k < samples_after_[idx]; ++k) {
+        metrics_->observe(m_sojourn_, recent[k]);
+      }
+      consume_cache(lanes_[i], cache_after_[idx]);
     }
-    lane.obs_consumed = upto;
   }
 
   /// Feeds the delta between the lane's cumulative all-zero fast-path
-  /// counters and what was already consumed to the metrics registry. Same
-  /// fixed reduction order as consume_sojourn, so window attribution never
-  /// depends on threads or batching.
+  /// counters and what was already consumed to the metrics registry.
   void consume_cache(Lane& lane, const DecodeCacheStats& after) {
     const DecodeCacheStats& before = lane.cache_consumed;
     metrics_->count(m_cache_zero_rounds_,
@@ -562,6 +617,7 @@ class PoolScheduler {
   static constexpr std::uint8_t kStarved = 8;  ///< backlogged, no grant
   static constexpr std::uint8_t kPaused = 16;  ///< frozen by admission
   static constexpr std::uint8_t kTrace = 32;   ///< tried to push a trace layer
+  static constexpr std::uint64_t kUnserved = ~std::uint64_t{0};
 
   std::vector<Lane>& lanes_;
   SchedulerPolicy& policy_;
@@ -573,6 +629,7 @@ class PoolScheduler {
   obs::Profiler* const profiler_ = nullptr;        ///< null = profiling off
   const int engines_;
   const int batch_;
+  int count_ = 1;  ///< rounds in the current dispatch (slot_of's stride)
   int overflowed_so_far_ = 0;
 
   // Metrics instrument ids (valid only when metrics_ is set).
@@ -600,13 +657,19 @@ class PoolScheduler {
   std::vector<int> assignment_;        // one round, engine -> lane
   std::vector<int> assignments_;       // whole batch, [round][engine]
   std::vector<int> grant_;             // [lane][round]: engine or -1
-  std::vector<std::uint64_t> cycles_;  // [lane][round]: cycles consumed
-  std::vector<std::uint8_t> flags_;    // [lane][round]: kActive | ...
-  std::vector<int> depth_scratch_;     // [lane][round]: post-round depth
+  /// [lane][round]: cycles the lane's grant consumed, kUnserved without one.
+  std::vector<std::uint64_t> served_cycles_;
+  // [block][round]: the block's partial sums; overflowed_lanes holds the
+  // round's new overflows, not the cumulative count.
+  std::vector<RoundSample> tallies_;
+  std::vector<int> unfinished_;        // [block]: lanes left after dispatch
   std::vector<int> served_;            // tracer: per-round consumed grants
-  std::vector<int> pops_;              // metrics: [lane][round] layers popped
-  std::vector<std::size_t> samples_after_;  // metrics: cumulative sojourn count
-  std::vector<DecodeCacheStats> cache_after_;  // metrics: cumulative cache stats
+  // Metrics scratch, [lane][round] slots, sized once when metrics are on.
+  std::vector<std::uint8_t> flags_;    // kActive | ...
+  std::vector<int> depth_after_;       // post-round depth
+  std::vector<int> pops_;              // layers popped
+  std::vector<std::size_t> samples_after_;  // end of the slot in qos.recent()
+  std::vector<DecodeCacheStats> cache_after_;  // cumulative cache stats
 };
 
 std::string json_string(const std::string& text) {
@@ -701,6 +764,9 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
                          const StreamConfig& user_config) {
   const int n = trace.lanes();
   if (n < 1) throw std::invalid_argument("stream: trace has no lanes");
+  if (!std::isfinite(user_config.cycles_per_round)) {
+    throw std::invalid_argument("stream: cycles_per_round must be finite");
+  }
   // Arming the flight recorder implies the recorders it dumps: a
   // postmortem bundle without the event trace and the metrics heartbeat
   // would be useless at triage time. Profiling and SLOs stay opt-in.
@@ -759,7 +825,7 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   std::vector<Lane> lanes;
   lanes.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    lanes.emplace_back(lattice, online, i, engine_config.reg_depth + 1);
+    lanes.emplace_back(lattice, online, i);
   }
   if (admission.codel()) {
     for (auto& lane : lanes) {
@@ -847,54 +913,56 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   // hardware); a dispatch batch never crosses the stream/drain boundary.
   const std::int64_t trace_rounds = trace.rounds();
   const std::int64_t max_rounds = trace_rounds + config.max_drain_rounds;
-  const auto finished = [&trace](const Lane& lane) {
-    return lane.finished(trace.rounds());
-  };
+  // After the first dispatch, each one reports whether a lane is left.
+  bool unfinished = std::any_of(
+      lanes.begin(), lanes.end(),
+      [&](const Lane& lane) { return !lane.finished(trace.rounds()); });
   for (std::int64_t t = 0; t < max_rounds;) {
     poll_dump_request();
-    if (std::all_of(lanes.begin(), lanes.end(), finished)) break;
+    if (!unfinished) break;
     const std::int64_t end = t < trace_rounds ? trace_rounds : max_rounds;
     const int count =
         static_cast<int>(std::min<std::int64_t>(scheduler.batch(), end - t));
-    scheduler.dispatch(t, count, trace);
+    unfinished = scheduler.dispatch(t, count, trace);
     t += count;
   }
 
-  // Finalize each lane (the logical scoring decodes nothing, but keep it
-  // in the parallel region: it is per-lane work too).
-  for_lanes(n, config.threads, [&](int i) {
+  // Finalize each lane in the parallel region: it reads the engine's own
+  // tables in place, and only drained lanes (the scored ones) unpack their
+  // correction.
+  for_lane_blocks(n, config.threads, [&](int, int first, int last) {
     obs::ScopedStage prof(outcome.profiler.get(), obs::Stage::kLaneExecute);
-    Lane& lane = lanes[static_cast<std::size_t>(i)];
-    const OnlineResult result = lane.stepper.result();
-    LaneTelemetry& t = lane.telemetry;
-    t.overflow = result.overflow;
-    // A lane paused by admission can exit the round bound mid-trace with
-    // an empty queue: it never consumed the remaining syndrome layers, so
-    // it is NOT drained and must not be scored against the full-trace
-    // ground truth.
-    const bool drained = result.drained && lane.cursor >= trace.rounds() &&
-                         !lane.stepper.paused();
-    t.drained = drained;
-    // The drained event lands at the lane's last executed round (its
-    // track cursor) — deterministic, since a lane participates in the
-    // same rounds regardless of threads or batching.
-    if (drained && lane.track) lane.track->emit(obs::EventKind::kDrained);
-    t.popped_layers = static_cast<int>(result.layer_cycles.size());
-    t.total_cycles = result.total_cycles;
-    // Count tables are built here, in the parallel region, so the export
-    // only reads them. The sojourn samples stay with the lane and go with
-    // it: freeing them here, from the worker threads, measured costlier
-    // than building both tables.
-    t.layer_cycles = ValueCounts(result.layer_cycles);
-    t.sojourn_rounds = ValueCounts(lane.qos.samples());
-    t.matches = result.matches;
-    t.cache = lane.stepper.engine().cache_stats();
-    if (!result.overflow && drained) {
-      SyndromeHistory truth;
-      truth.final_error = trace.final_error(i);
-      DecodeResult decode;
-      decode.correction = result.correction;
-      t.logical_failure = logical_failure(lattice, truth, decode);
+    for (int i = first; i < last; ++i) {
+      Lane& lane = lanes[static_cast<std::size_t>(i)];
+      const QecoolEngine& engine = lane.stepper.engine();
+      LaneTelemetry& t = lane.telemetry;
+      t.overflow = lane.stepper.overflowed();
+      // A lane paused by admission can exit the round bound mid-trace with
+      // an empty queue: it never consumed the remaining syndrome layers, so
+      // it is NOT drained and must not be scored against the full-trace
+      // ground truth.
+      t.drained = !t.overflow && engine.all_clear() &&
+                  lane.cursor >= trace.rounds() && !lane.stepper.paused();
+      // The drained event lands at the lane's last executed round (its
+      // track cursor) — deterministic, since a lane participates in the
+      // same rounds regardless of threads or batching.
+      if (t.drained && lane.track) lane.track->emit(obs::EventKind::kDrained);
+      t.popped_layers = engine.popped_layers();
+      t.total_cycles = engine.total_cycles();
+      // Count tables are built here, in the parallel region, so the export
+      // only reads them: cycles from the engine's per-layer record, sojourns
+      // straight from the lane's dense count table.
+      t.layer_cycles = ValueCounts(engine.layer_cycles());
+      t.sojourn_rounds = lane.qos.table();
+      t.matches = engine.match_stats();
+      t.cache = engine.cache_stats();
+      if (t.drained) {
+        SyndromeHistory truth;
+        truth.final_error = trace.final_error(i);
+        DecodeResult decode;
+        decode.correction = engine.correction();
+        t.logical_failure = logical_failure(lattice, truth, decode);
+      }
     }
   });
 

@@ -288,7 +288,35 @@ TEST(Cli, MalformedNumbersReturnNullopt) {
   const char* argv[] = {"prog", "--d=abc"};
   CliArgs args(2, argv);
   EXPECT_FALSE(args.get_int("d").has_value());
-  EXPECT_EQ(args.get_int_or("d", 5), 5);
+  EXPECT_THROW(args.get_int_or("d", 5), std::invalid_argument);
+}
+
+TEST(Cli, MalformedNumbersNameTheFlagAndValue) {
+  const char* argv[] = {"prog", "--lanes=4o96", "--mhz=fast", "--threads=2x",
+                        "--trials=", "--d=7", "--p=1e-3"};
+  CliArgs args(7, argv);
+  const auto message = [&](auto&& query) {
+    try {
+      query();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message([&] { args.get_int_or("lanes", 64); }),
+            "--lanes=4o96: not an integer");
+  EXPECT_EQ(message([&] { args.get_double_or("mhz", 1.0); }),
+            "--mhz=fast: not a number");
+  EXPECT_EQ(message([&] { threads_override(args, 1); }),
+            "--threads=2x: not an integer");
+  EXPECT_EQ(message([&] { trials_override(args, 10); }),
+            "--trials=: not an integer");
+  EXPECT_FALSE(args.get_double("mhz").has_value());
+  // Well-formed and absent flags are unchanged.
+  EXPECT_EQ(args.get_int_or("d", 5), 7);
+  EXPECT_DOUBLE_EQ(args.get_double_or("p", 0.5), 1e-3);
+  EXPECT_EQ(args.get_int_or("rounds", 9), 9);
+  EXPECT_DOUBLE_EQ(args.get_double_or("budget-w", 0.25), 0.25);
 }
 
 TEST(Cli, UnreadFlagsAreListed) {

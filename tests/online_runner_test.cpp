@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "decoder/decoder.hpp"
 #include "noise/phenomenological.hpp"
 #include "surface_code/pauli_frame.hpp"
@@ -64,6 +67,28 @@ TEST(OnlineRunner, HigherFrequencyNeverHurtsDrainage) {
     fast_overflow += run_online(lat, h, ghz2).failed_operationally();
   }
   EXPECT_LE(fast_overflow, slow_overflow);
+}
+
+TEST(OnlineRunner, NonFiniteBudgetIsRejected) {
+  const PlanarLattice lat(5);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    OnlineConfig config;
+    config.cycles_per_round = bad;
+    EXPECT_THROW(OnlineStepper(lat, config), std::invalid_argument) << bad;
+  }
+  // A per-call grant goes through spend() directly: NaN and +inf throw
+  // (the carry would turn either into an undefined integer budget), while
+  // -inf stays "unconstrained" like every grant <= 0.
+  OnlineStepper stepper(lat, OnlineConfig{});
+  ASSERT_TRUE(stepper.push_clean());
+  EXPECT_THROW(stepper.spend(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(stepper.spend(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_NO_THROW(stepper.spend(-std::numeric_limits<double>::infinity()));
+  EXPECT_TRUE(stepper.drained());
 }
 
 TEST(OnlineRunner, CyclesPerMicrosecondHelper) {

@@ -49,7 +49,7 @@ std::string csv_of(const StreamOutcome& outcome, const char* name,
 }
 
 TEST(LatencyTracker, SamplesAreExactEndToEndRoundLatencies) {
-  LatencyTracker tracker;
+  LatencyTracker tracker(/*capacity=*/3);
   EXPECT_EQ(tracker.head_age(5), 0);
   tracker.on_push(0, /*real=*/true);
   tracker.on_push(1, /*real=*/true);
@@ -57,25 +57,54 @@ TEST(LatencyTracker, SamplesAreExactEndToEndRoundLatencies) {
   EXPECT_EQ(tracker.head_age(2), 2);  // pushed at 0, two rounds old
 
   tracker.on_pops(1, 2);  // head decoded during round 2: sojourn 3
-  ASSERT_EQ(tracker.samples().size(), 1u);
-  EXPECT_EQ(tracker.samples()[0], 3u);
+  ASSERT_EQ(tracker.recent(), std::vector<std::uint64_t>{3});
+  EXPECT_EQ(tracker.table(), ValueCounts({3}));
   EXPECT_EQ(tracker.head_age(3), 2);  // new head pushed at 1
 
   tracker.on_push(2, /*real=*/false);  // clean drain layer: no sample
-  tracker.on_pops(2, 4);
-  ASSERT_EQ(tracker.samples().size(), 2u);
-  EXPECT_EQ(tracker.samples()[1], 4u);  // pushed 1, popped 4
+  tracker.on_pops(2, 4);  // the ring's head wraps past its last slot
+  ASSERT_EQ(tracker.recent(), (std::vector<std::uint64_t>{3, 4}));
+  EXPECT_EQ(tracker.counts()[4], 1u);  // pushed 1, popped 4
   EXPECT_EQ(tracker.in_flight(), 0);
   EXPECT_EQ(tracker.percentile(50), 3u);
   EXPECT_EQ(tracker.percentile(99), 4u);
 
   // A layer decoded within its arrival round has sojourn 1 (never 0).
+  tracker.clear_recent();
   tracker.on_push(7, /*real=*/true);
   tracker.on_pops(1, 7);
-  EXPECT_EQ(tracker.samples().back(), 1u);
+  EXPECT_EQ(tracker.recent(), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(tracker.counts()[1], 1u);
+  EXPECT_EQ(tracker.counts()[0], 0u);
+  EXPECT_EQ(tracker.table(), ValueCounts({3, 4, 1}));
 
   // Reporting more pops than in-flight layers is an accounting bug.
   EXPECT_THROW(tracker.on_pops(1, 8), std::logic_error);
+}
+
+TEST(LatencyTracker, RingHoldsExactlyTheRegDepth) {
+  LatencyTracker tracker(/*capacity=*/2);
+  tracker.on_push(0, /*real=*/true);
+  tracker.on_push(1, /*real=*/true);
+  // A third resident layer would have overflowed the engine's Reg.
+  EXPECT_THROW(tracker.on_push(2, /*real=*/true), std::logic_error);
+  EXPECT_EQ(tracker.in_flight(), 2);
+
+  // Cycling far past the capacity reuses the same two slots.
+  for (std::int64_t round = 2; round < 40; ++round) {
+    tracker.on_pops(1, round);
+    tracker.on_push(round, /*real=*/true);
+  }
+  EXPECT_EQ(tracker.in_flight(), 2);
+  EXPECT_EQ(tracker.head_age(40), 2);  // pushed at 38
+  // Every layer was popped two rounds after its arrival round: sojourn 3.
+  EXPECT_EQ(tracker.table(), ValueCounts::from_dense({0, 0, 0, 38}));
+
+  // A frozen lane's layer can wait far longer than the Reg depth: the
+  // count table grows to hold it.
+  tracker.on_pops(2, 1000);
+  EXPECT_EQ(tracker.counts().size(), 964u);
+  EXPECT_EQ(tracker.percentile(100), 963u);
 }
 
 TEST(CodelControl, PausesAfterASustainedIntervalAboveTarget) {

@@ -243,6 +243,29 @@ TEST(StreamService, RecordRejectsBadNoiseParametersNamingTheField) {
   EXPECT_EQ(message(config), "no exception");
 }
 
+TEST(StreamService, RejectsNonFiniteCycleBudgetNamingTheField) {
+  const StreamConfig valid = base_config();
+  const SyndromeTrace trace = record_trace(valid);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    StreamConfig config = valid;
+    config.cycles_per_round = bad;
+    try {
+      run_stream(trace, config);
+      ADD_FAILURE() << "accepted cycles_per_round " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("cycles_per_round"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Unconstrained (<= 0) and finite budgets still run.
+  StreamConfig config = valid;
+  config.cycles_per_round = 0.0;
+  EXPECT_NO_THROW(run_stream(trace, config));
+}
+
 TEST(StreamService, RegDepthSpecShapesDepthHistogram) {
   StreamConfig config = base_config();
   config.engine = "qecool:reg_depth=4";
