@@ -71,28 +71,22 @@ LatencyTracker::LatencyTracker(int capacity)
       counts_(static_cast<std::size_t>(std::max(1, capacity)) + 2, 0) {}
 
 void LatencyTracker::on_push(std::int64_t round, bool real) {
-  const int capacity = static_cast<int>(ring_.size());
-  if (size_ == capacity) {
+  if (ring_.full()) {
     throw std::logic_error(
         "latency tracker: push past the Reg depth (more layers in flight "
         "than the engine can store)");
   }
-  int tail = head_ + size_;
-  if (tail >= capacity) tail -= capacity;
-  ring_[static_cast<std::size_t>(tail)] = round * 2 + (real ? 1 : 0);
-  ++size_;
+  ring_.push_back(round * 2 + (real ? 1 : 0));
 }
 
 void LatencyTracker::on_pops(int count, std::int64_t round) {
-  if (count < 0 || count > size_) {
+  if (count < 0 || static_cast<std::size_t>(count) > ring_.size()) {
     throw std::logic_error(
         "latency tracker: engine reported more pops than layers in flight");
   }
-  const int capacity = static_cast<int>(ring_.size());
   for (int i = 0; i < count; ++i) {
-    const std::int64_t entry = ring_[static_cast<std::size_t>(head_)];
-    if (++head_ == capacity) head_ = 0;
-    --size_;
+    const std::int64_t entry = ring_.front();
+    ring_.pop_front();
     if (!(entry & 1)) continue;  // clean drain layer
     const auto sojourn = static_cast<std::uint64_t>(round - (entry >> 1) + 1);
     if (sojourn >= counts_.size()) counts_.resize(sojourn + 1, 0);
@@ -102,7 +96,7 @@ void LatencyTracker::on_pops(int count, std::int64_t round) {
 }
 
 std::int64_t LatencyTracker::head_age(std::int64_t now) const {
-  return size_ == 0 ? 0 : now - (ring_[static_cast<std::size_t>(head_)] >> 1);
+  return ring_.empty() ? 0 : now - (ring_.front() >> 1);
 }
 
 std::int64_t CodelControl::shrunk_interval(int k) const {
@@ -168,39 +162,6 @@ namespace {
 // integer arithmetic thereafter.
 constexpr std::int64_t kFix16One = 1 << 16;
 
-/// FIFO of lane ids in a ring sized once to the fleet: a lane sits in at
-/// most one DRR list at a time, so neither list can hold more than every
-/// lane.
-class LaneFifo {
- public:
-  void reset(std::size_t lanes) {
-    slots_.assign(lanes, 0);
-    head_ = 0;
-    size_ = 0;
-  }
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  int front() const { return slots_[head_]; }
-  void pop_front() {
-    if (++head_ == slots_.size()) head_ = 0;
-    --size_;
-  }
-  void push_back(int lane) {
-    if (size_ == slots_.size()) {
-      throw std::logic_error("fq policy: lane enqueued on two DRR lists");
-    }
-    std::size_t tail = head_ + size_;
-    if (tail >= slots_.size()) tail -= slots_.size();
-    slots_[tail] = lane;
-    ++size_;
-  }
-
- private:
-  std::vector<int> slots_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
-
 std::int64_t to_fixed16(double cycles) {
   return static_cast<std::int64_t>(std::llround(cycles * 65536.0));
 }
@@ -254,7 +215,7 @@ class FqCodelPolicy final : public SchedulerPolicy {
       std::size_t pops = new_.size() + old_.size();
       while (pops-- > 0 && next_engine < view.engines) {
         const bool from_new = !new_.empty();
-        LaneFifo& list = from_new ? new_ : old_;
+        BoundedFifo<int>& list = from_new ? new_ : old_;
         if (list.empty()) break;
         const int lane = list.front();
         list.pop_front();
@@ -302,8 +263,9 @@ class FqCodelPolicy final : public SchedulerPolicy {
   const double quantum_opt_;          ///< <= 0: one grant's worth per turn
   std::vector<List> membership_;      ///< which list each lane sits in
   std::vector<std::int64_t> deficit_; ///< DRR credit, Q48.16 engine cycles
-  LaneFifo new_;                      ///< freshly-backlogged lanes
-  LaneFifo old_;                      ///< rotation of established lanes
+  // A lane sits in at most one list at a time, so each holds <= N lanes.
+  BoundedFifo<int> new_;              ///< freshly-backlogged lanes
+  BoundedFifo<int> old_;              ///< rotation of established lanes
   std::vector<std::uint8_t> granted_; ///< per-round scratch
 };
 

@@ -80,6 +80,42 @@ std::uint32_t codel_rec_inv_sqrt(std::uint32_t count);
 std::int64_t codel_shrunk_interval(std::int64_t interval,
                                    std::uint32_t rec_inv_sqrt);
 
+/// FIFO in a ring whose capacity is set once: the QoS queues have hard
+/// bounds (a lane's Reg depth, the fleet size), so they never grow or
+/// allocate once sized. Callers check full() / empty() first.
+template <typename T>
+class BoundedFifo {
+ public:
+  BoundedFifo() = default;
+  explicit BoundedFifo(std::size_t capacity) : slots_(capacity) {}
+
+  /// Empties the queue and sets its capacity.
+  void reset(std::size_t capacity) {
+    slots_.assign(capacity, T{});
+    head_ = 0;
+    size_ = 0;
+  }
+  bool empty() const { return size_ == 0; }
+  bool full() const { return size_ == slots_.size(); }
+  std::size_t size() const { return size_; }
+  const T& front() const { return slots_[head_]; }
+  void pop_front() {
+    if (++head_ == slots_.size()) head_ = 0;
+    --size_;
+  }
+  void push_back(const T& value) {
+    std::size_t tail = head_ + size_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    slots_[tail] = value;
+    ++size_;
+  }
+
+ private:
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// Per-lane sojourn clock: exact end-to-end round latency of every decoded
 /// difference layer. Push events timestamp layers at enqueue; pop events
 /// (reported by OnlineStepper::spend) close the samples. Storage is fixed
@@ -111,7 +147,7 @@ class LatencyTracker {
   std::int64_t head_age(std::int64_t now) const;
 
   /// Layers pushed but not yet popped.
-  int in_flight() const { return size_; }
+  int in_flight() const { return static_cast<int>(ring_.size()); }
 
   /// Dense count table of completed samples: counts()[s] samples had
   /// sojourn s rounds (index 0 is always 0).
@@ -130,10 +166,7 @@ class LatencyTracker {
   void clear_recent() { recent_.clear(); }
 
  private:
-  /// In-flight push rounds, sized once; entry = round << 1 | real.
-  std::vector<std::int64_t> ring_;
-  int head_ = 0;
-  int size_ = 0;
+  BoundedFifo<std::int64_t> ring_;  ///< push rounds: round << 1 | real
   std::vector<std::uint64_t> counts_;
   std::vector<std::uint64_t> recent_;
 };
