@@ -145,13 +145,13 @@ class PoolScheduler {
     finished_.resize(n);
     paused_.resize(n);
     assignment_.assign(static_cast<std::size_t>(engines_), -1);
-    served_cycles_.resize(batch_slots);
+    flags_.resize(batch_slots);
     const auto blocks =
         static_cast<std::size_t>(lane_blocks(static_cast<int>(n)));
     tallies_.resize(blocks * static_cast<std::size_t>(batch_));
     unfinished_.resize(blocks);
+    engine_tallies_.resize(blocks * static_cast<std::size_t>(engines_));
     if (metrics_) {
-      flags_.resize(batch_slots);
       depth_after_.resize(batch_slots);
       pops_.resize(batch_slots);
       samples_after_.resize(batch_slots);
@@ -241,8 +241,6 @@ class PoolScheduler {
       }
 
       // Assignments for the whole batch, in round order on this thread.
-      assignments_.resize(static_cast<std::size_t>(count) *
-                          static_cast<std::size_t>(engines_));
       ScheduleView view;
       view.lanes = n;
       view.engines = engines_;
@@ -273,26 +271,24 @@ class PoolScheduler {
           slot = e;
         }
         if (admission_.pause()) grant_paused(r);
-        std::copy(assignment_.begin(), assignment_.end(),
-                  assignments_.begin() +
-                      static_cast<std::ptrdiff_t>(r) * engines_);
       }
     }
 
     // Lane-parallel execution. Every write lands in lane-local state, the
-    // lane's own [lane][round] slots, or its block's round tallies.
+    // lane's own [lane][round] slots, or its block's round and engine
+    // tallies.
     for_lane_blocks(n, config_.threads, [&](int b, int first, int last) {
       obs::ScopedStage prof(profiler_, obs::Stage::kLaneExecute);
       RoundSample* tally = &tallies_[static_cast<std::size_t>(b) * batch_];
       std::fill_n(tally, count, RoundSample{.drain = true});
       int unfinished = 0;
       for (int i = first; i < last; ++i) {
-        if (run_lane(i, start, count, trace, tally)) ++unfinished;
+        if (run_lane(i, b, start, count, trace, tally)) ++unfinished;
       }
       unfinished_[static_cast<std::size_t>(b)] = unfinished;
     });
 
-    // Reductions in fixed (round, block/lane/engine) order on this thread.
+    // Reductions in fixed (round, block/lane) order on this thread.
     obs::ScopedStage prof_reduce(profiler_, obs::Stage::kReduction);
     const int blocks = lane_blocks(n);
     int unfinished = 0;
@@ -326,25 +322,17 @@ class PoolScheduler {
       // timeline — cover exactly the rounds with live or paused lanes and
       // stay invariant under rounds_per_dispatch.
       if (sample.live_lanes + sample.paused_lanes == 0) continue;
-      if (tracer_) served_.assign(static_cast<std::size_t>(engines_), -1);
-      const int* assigned =
-          &assignments_[static_cast<std::size_t>(r) * engines_];
-      for (int e = 0; e < engines_; ++e) {
-        EngineTelemetry& stats =
-            telemetry_.engine_stats[static_cast<std::size_t>(e)];
-        const int lane = assigned[e];
-        const std::uint64_t cycles =
-            lane < 0 ? kUnserved : served_cycles_[slot_of(r, lane)];
-        if (cycles != kUnserved) {
-          ++stats.busy_rounds;
-          stats.cycles += cycles;
-          if (tracer_) served_[static_cast<std::size_t>(e)] = lane;
-        } else {
-          ++stats.idle_rounds;
-        }
-      }
       telemetry_.timeline.push_back(sample);
-      if (tracer_) trace_round_schedule(*tracer_, round, served_, sample.drain);
+      if (tracer_) {
+        served_.assign(static_cast<std::size_t>(engines_), -1);
+        for (int i = 0; i < n; ++i) {
+          const std::size_t idx = slot_of(r, i);
+          if (flags_[idx] & kServed) {
+            served_[static_cast<std::size_t>(grant_[idx])] = i;
+          }
+        }
+        trace_round_schedule(*tracer_, round, served_, sample.drain);
+      }
       if (metrics_) {
         obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
         metrics_->set_gauge(m_live_, sample.live_lanes);
@@ -357,9 +345,23 @@ class PoolScheduler {
     return unfinished > 0;
   }
 
-  /// Flushes the trailing partial metrics window (feeding it the last
-  /// profile deltas first) — the run_stream epilogue.
-  void finish_metrics() {
+  /// The run_stream epilogue: sums the blocks' engine tallies into the
+  /// engine stats, in block order, and flushes the trailing partial metrics
+  /// window (feeding it the last profile deltas first).
+  void finish() {
+    // Every timeline round is accounted for every engine: busy when its
+    // grant was consumed, idle otherwise.
+    const auto accounted = static_cast<std::int64_t>(telemetry_.timeline.size());
+    for (int e = 0; e < engines_; ++e) {
+      EngineTelemetry& stats =
+          telemetry_.engine_stats[static_cast<std::size_t>(e)];
+      for (std::size_t at = static_cast<std::size_t>(e);
+           at < engine_tallies_.size(); at += static_cast<std::size_t>(engines_)) {
+        stats.busy_rounds += engine_tallies_[at].busy_rounds;
+        stats.cycles += engine_tallies_[at].cycles;
+      }
+      stats.idle_rounds = accounted - stats.busy_rounds;
+    }
     if (!metrics_) return;
     obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
     feed_profile();
@@ -443,19 +445,16 @@ class PoolScheduler {
   /// Lane `i`'s share of a dispatch: rounds start .. start + count - 1,
   /// folded into its block's round tallies. Runs in the lane-parallel
   /// region. Returns whether the lane is still unfinished afterwards.
-  bool run_lane(int i, std::int64_t start, int count,
+  bool run_lane(int i, int b, std::int64_t start, int count,
                 const SyndromeTrace& trace, RoundSample* tally) {
     const int trace_rounds = trace.rounds();
     Lane& lane = lanes_[static_cast<std::size_t>(i)];
     lane.qos.clear_recent();
     for (int r = 0; r < count; ++r) {
       const std::size_t idx = slot_of(r, i);
-      served_cycles_[idx] = kUnserved;
       if (lane.finished(trace_rounds)) {
-        if (metrics_) {
-          flags_[idx] = 0;
-          samples_after_[idx] = lane.qos.recent().size();
-        }
+        flags_[idx] = 0;
+        if (metrics_) samples_after_[idx] = lane.qos.recent().size();
         continue;
       }
       const std::int64_t round = start + r;
@@ -465,7 +464,7 @@ class PoolScheduler {
       if (lane.stepper.paused()) {
         ++lane.telemetry.paused_rounds;
         ++sample.paused_lanes;
-        if (grant_[idx] >= 0) flags |= serve(i, idx, round, sample);
+        if (grant_[idx] >= 0) flags |= serve(i, b, idx, round, sample);
       } else {
         flags = kActive;
         ++sample.live_lanes;
@@ -500,7 +499,7 @@ class PoolScheduler {
           }
           lane.qos.on_push(round, real);
           if (grant_[idx] >= 0) {
-            flags |= serve(i, idx, round, sample);
+            flags |= serve(i, b, idx, round, sample);
           } else if (backlog) {
             flags |= kStarved;
             ++sample.starved_lanes;
@@ -527,8 +526,8 @@ class PoolScheduler {
       }
       sample.depth_sum += static_cast<std::uint64_t>(depth);
       sample.depth_max = std::max(sample.depth_max, depth);
+      flags_[idx] = flags;
       if (metrics_) {
-        flags_[idx] = flags;
         depth_after_[idx] = depth;
         samples_after_[idx] = lane.qos.recent().size();
         cache_after_[idx] = lane.stepper.engine().cache_stats();
@@ -539,8 +538,8 @@ class PoolScheduler {
 
   /// Spends lane `i`'s engine grant in global round `round` (slot `idx`)
   /// and returns kServed. Runs in the lane-parallel region: writes
-  /// lane-local state, the lane's own slot and the block's round tally.
-  std::uint8_t serve(int i, std::size_t idx, std::int64_t round,
+  /// lane-local state, the lane's own slot and block `b`'s tallies.
+  std::uint8_t serve(int i, int b, std::size_t idx, std::int64_t round,
                      RoundSample& sample) {
     Lane& lane = lanes_[static_cast<std::size_t>(i)];
     const std::uint64_t cycles = lane.stepper.spend(config_.cycles_per_round);
@@ -549,7 +548,10 @@ class PoolScheduler {
     ++lane.telemetry.served_rounds;
     if (lane.track) lane.track->emit(obs::EventKind::kSpend, cycles);
     if (metrics_) pops_[idx] = pops;
-    served_cycles_[idx] = cycles;
+    EngineTally& engine = engine_tallies_[static_cast<std::size_t>(b) * engines_ +
+                                          static_cast<std::size_t>(grant_[idx])];
+    ++engine.busy_rounds;
+    engine.cycles += cycles;
     ++sample.served_lanes;
     sample.cycles += cycles;
     return kServed;
@@ -617,7 +619,6 @@ class PoolScheduler {
   static constexpr std::uint8_t kStarved = 8;  ///< backlogged, no grant
   static constexpr std::uint8_t kPaused = 16;  ///< frozen by admission
   static constexpr std::uint8_t kTrace = 32;   ///< tried to push a trace layer
-  static constexpr std::uint64_t kUnserved = ~std::uint64_t{0};
 
   std::vector<Lane>& lanes_;
   SchedulerPolicy& policy_;
@@ -655,17 +656,23 @@ class PoolScheduler {
   std::vector<std::uint8_t> paused_;   // frozen by admission this round
   std::vector<int> drainable_;         // admission: ungranted paused lanes
   std::vector<int> assignment_;        // one round, engine -> lane
-  std::vector<int> assignments_;       // whole batch, [round][engine]
   std::vector<int> grant_;             // [lane][round]: engine or -1
-  /// [lane][round]: cycles the lane's grant consumed, kUnserved without one.
-  std::vector<std::uint64_t> served_cycles_;
+  std::vector<std::uint8_t> flags_;    // [lane][round]: kActive | ...
   // [block][round]: the block's partial sums; overflowed_lanes holds the
   // round's new overflows, not the cumulative count.
   std::vector<RoundSample> tallies_;
   std::vector<int> unfinished_;        // [block]: lanes left after dispatch
   std::vector<int> served_;            // tracer: per-round consumed grants
+  /// Grants one engine consumed, summed over the run by one lane block.
+  struct EngineTally {
+    std::int64_t busy_rounds = 0;
+    std::uint64_t cycles = 0;
+  };
+  /// [block][engine]: folded into engine_stats by finish(). A block's
+  /// lanes write only its own row, so any number of blocks may serve one
+  /// engine within a dispatch.
+  std::vector<EngineTally> engine_tallies_;
   // Metrics scratch, [lane][round] slots, sized once when metrics are on.
-  std::vector<std::uint8_t> flags_;    // kActive | ...
   std::vector<int> depth_after_;       // post-round depth
   std::vector<int> pops_;              // layers popped
   std::vector<std::size_t> samples_after_;  // end of the slot in qos.recent()
@@ -977,7 +984,7 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   for (const auto& lane : outcome.telemetry.lanes) {
     outcome.logical_failures += lane.logical_failure ? 1 : 0;
   }
-  scheduler.finish_metrics();  // flush the trailing partial window
+  scheduler.finish();  // engine stats and the trailing metrics window
   return outcome;
 }
 
