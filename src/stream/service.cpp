@@ -109,10 +109,9 @@ void for_lane_blocks(int n, int threads, const Body& body) {
 /// Orchestrates the shared engine pool over one run: per dispatch it asks
 /// the policy for up to `batch` rounds of engine->lane assignments (on the
 /// calling thread, in round order), executes them lane-parallel with all
-/// writes going to lane-local slots and per-block round tallies, then
-/// merges the tallies in block order and reduces engine accounting on the
-/// calling thread — so every outcome and CSV is independent of the
-/// worker-thread count.
+/// writes going to lane-local slots and per-block tallies, then merges the
+/// tallies in block order on the calling thread — so every outcome and CSV
+/// is independent of the worker-thread count.
 class PoolScheduler {
  public:
   PoolScheduler(std::vector<Lane>& lanes, SchedulerPolicy& policy, int engines,
