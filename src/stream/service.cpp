@@ -53,9 +53,19 @@ struct Lane {
     return !stepper.paused() && cursor >= trace_rounds && stepper.drained();
   }
 
-  // Fields the lane-parallel region touches every round come first, so a
-  // lane's bookkeeping shares as few cache lines as possible.
   OnlineStepper stepper;
+  LaneTelemetry telemetry;
+
+  /// Sojourn clock: timestamps every pushed layer with the global round
+  /// and counts a latency sample on every pop spend() reports. Mutated
+  /// only inside the lane-parallel region (lane-local); read on the
+  /// scheduling thread between dispatches (head_age for CoDel, recent()
+  /// for the metrics feed).
+  LatencyTracker qos;
+
+  /// CoDel control law state (admission=codel only); driven on the
+  /// scheduling thread in lane order.
+  CodelControl codel;
 
   /// Next trace layer this lane will consume. Equals the global round for
   /// every live lane unless admission pauses it: a paused lane's cursor
@@ -67,19 +77,6 @@ struct Lane {
   /// one branch. Written only inside the lane-parallel region (plus the
   /// scheduling thread between joins), so the ring stays single-writer.
   obs::Track* track = nullptr;
-
-  /// Sojourn clock: timestamps every pushed layer with the global round
-  /// and counts a latency sample on every pop spend() reports. Mutated
-  /// only inside the lane-parallel region (lane-local); read on the
-  /// scheduling thread between dispatches (head_age for CoDel, recent()
-  /// for the metrics feed).
-  LatencyTracker qos;
-
-  LaneTelemetry telemetry;
-
-  /// CoDel control law state (admission=codel only); driven on the
-  /// scheduling thread in lane order.
-  CodelControl codel;
 
   /// All-zero fast-path counters already fed to the metrics registry. The
   /// parallel region snapshots the cumulative counters per (lane, round)
