@@ -347,12 +347,12 @@ class PoolScheduler {
   void finish() {
     // Every timeline round is accounted for every engine: busy when its
     // grant was consumed, idle otherwise.
-    const auto accounted = static_cast<std::int64_t>(telemetry_.timeline.size());
-    for (int e = 0; e < engines_; ++e) {
-      EngineTelemetry& stats =
-          telemetry_.engine_stats[static_cast<std::size_t>(e)];
-      for (std::size_t at = static_cast<std::size_t>(e);
-           at < engine_tallies_.size(); at += static_cast<std::size_t>(engines_)) {
+    const auto accounted =
+        static_cast<std::int64_t>(telemetry_.timeline.size());
+    const auto k = static_cast<std::size_t>(engines_);
+    for (std::size_t e = 0; e < k; ++e) {
+      EngineTelemetry& stats = telemetry_.engine_stats[e];
+      for (std::size_t at = e; at < engine_tallies_.size(); at += k) {
         stats.busy_rounds += engine_tallies_[at].busy_rounds;
         stats.cycles += engine_tallies_[at].cycles;
       }
@@ -544,8 +544,9 @@ class PoolScheduler {
     ++lane.telemetry.served_rounds;
     if (lane.track) lane.track->emit(obs::EventKind::kSpend, cycles);
     if (metrics_) pops_[idx] = pops;
-    EngineTally& engine = engine_tallies_[static_cast<std::size_t>(b) * engines_ +
-                                          static_cast<std::size_t>(grant_[idx])];
+    EngineTally& engine =
+        engine_tallies_[static_cast<std::size_t>(b) * engines_ +
+                        static_cast<std::size_t>(grant_[idx])];
     ++engine.busy_rounds;
     engine.cycles += cycles;
     ++sample.served_lanes;
