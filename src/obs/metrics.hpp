@@ -5,8 +5,9 @@
 // answers "what was the p99 sojourn *during rounds 128..191*" — the
 // rolling view the open-system churn work needs (ROADMAP), and the first
 // consumer of the obs layer's determinism contract: every value is fed on
-// the scheduling thread in fixed order, so the CSV is byte-identical at
-// any thread count.
+// the scheduling thread in fixed order (per-lane values as lane-block
+// partials, added in block order), so the CSV is byte-identical at any
+// thread count.
 //
 // Histograms are HDR-style log-bucketed with 3 sub-bucket bits: values
 // below 8 are exact, larger values land in one of 8 sub-buckets per
@@ -107,6 +108,12 @@ class MetricsRegistry {
   }
   void observe(int histogram, std::uint64_t value) {
     histograms_[static_cast<std::size_t>(histogram)].hist.observe(value);
+  }
+  /// Adds a partial histogram (samples observed elsewhere, e.g. by one
+  /// lane block) into the open window — the same window as observing
+  /// each of its samples here.
+  void merge(int histogram, const LogHistogram& part) {
+    histograms_[static_cast<std::size_t>(histogram)].hist.merge(part);
   }
 
   /// Marks logical round `round` executed; closes the window once it

@@ -95,7 +95,7 @@ class TraceRing {
       ring_.push_back(event);
     } else if (capacity_ > 0) {
       ring_[head_] = event;  // overwrite the oldest survivor
-      head_ = (head_ + 1) % capacity_;
+      if (++head_ == capacity_) head_ = 0;
       ++dropped_;
     } else {
       ++dropped_;

@@ -98,8 +98,8 @@ AdmissionConfig resolve_admission(const AdmissionConfig& config,
 
 void trace_admission_pause(obs::Track& track, std::int64_t round, bool codel,
                            int depth) {
-  // emit_at, not emit: the admission controller runs on the scheduling
-  // thread before the parallel region updates the track's round cursor.
+  // emit_at, not emit: the admission step for a round runs before the
+  // lane's next round sets the track's round cursor.
   track.emit_at(round, obs::EventKind::kPause,
                 static_cast<std::uint64_t>(depth),
                 codel ? obs::kPauseByCodel : obs::kPauseByDepth);

@@ -26,9 +26,10 @@
 // Both knobs ride StreamConfig: admission = "overflow" | "pause" |
 // "pause:high=6,low=2" (parsed exactly like decoder and policy specs),
 // and budget_w > 0 caps the pool at the largest K whose model watts fit
-// the budget. Everything here is deterministic: admission decisions are
-// made on the scheduling thread in lane order and depend only on
-// (trace, config), never on thread count. See DESIGN.md section 9.
+// the budget. Everything here is deterministic: a lane's admission
+// decision reads only its own state and the round number (the service
+// runs it in the lane's block), so it depends only on (trace, config),
+// never on thread count. See DESIGN.md section 9.
 #pragma once
 
 #include <cstdint>
@@ -102,8 +103,8 @@ AdmissionConfig resolve_admission(const AdmissionConfig& config,
                                   int reg_depth);
 
 /// Observability hooks (src/obs): one call per admission transition, made
-/// on the scheduling thread in lane order right where the controller
-/// freezes (OnlineStepper::checkpoint) or thaws (resume) a lane. kPause
+/// by the lane's admission step right where it freezes
+/// (OnlineStepper::checkpoint) or thaws (resume) the lane. kPause
 /// opens a span on the lane's track (arg records which law fired — the
 /// depth watermark or the CoDel deadline), kResume closes it; both carry
 /// the queue depth at transition time. Callers guard with a null test, so

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace qec {
@@ -79,7 +80,8 @@ void LatencyTracker::on_push(std::int64_t round, bool real) {
   ring_.push_back(round * 2 + (real ? 1 : 0));
 }
 
-void LatencyTracker::on_pops(int count, std::int64_t round) {
+void LatencyTracker::on_pops(int count, std::int64_t round,
+                             obs::LogHistogram* sink) {
   if (count < 0 || static_cast<std::size_t>(count) > ring_.size()) {
     throw std::logic_error(
         "latency tracker: engine reported more pops than layers in flight");
@@ -91,7 +93,7 @@ void LatencyTracker::on_pops(int count, std::int64_t round) {
     const auto sojourn = static_cast<std::uint64_t>(round - (entry >> 1) + 1);
     if (sojourn >= counts_.size()) counts_.resize(sojourn + 1, 0);
     ++counts_[sojourn];
-    recent_.push_back(sojourn);
+    if (sink) sink->observe(sojourn);
   }
 }
 

@@ -34,10 +34,11 @@
 //    the old list — FQ-CoDel's new-flow priority, so a freshly-bursting
 //    lane gets immediate service without letting it starve the rest.
 //
-// Determinism: LatencyTracker mutates only in the lane-parallel region
-// (lane-local state); CodelControl decisions and fq assignments happen on
-// the scheduling thread in lane/list order. Outcomes and every CSV remain
-// pure functions of (trace, config minus threads).
+// Determinism: LatencyTracker and CodelControl are lane-local, touched
+// only by the lane's own block (a CoDel decision reads only its lane's
+// state and the round number); fq assignments happen on the scheduling
+// thread in list order. Outcomes and every CSV remain pure functions of
+// (trace, config minus threads).
 #pragma once
 
 #include <cstdint>
@@ -51,6 +52,7 @@ namespace qec {
 
 namespace obs {
 class Track;  // obs/trace.hpp — CoDel arm/disarm transitions emit here
+class LogHistogram;  // obs/metrics.hpp — the service's sojourn partials
 }
 
 /// Q0.32 fixed-point reciprocal square root — the integer-only CoDel
@@ -136,10 +138,13 @@ class LatencyTracker {
 
   /// The engine fully decoded (popped) `count` layers during global round
   /// `round`. Records one sample per real layer: round - push_round + 1,
-  /// i.e. a layer decoded within its arrival interval has sojourn 1.
-  /// Throws std::logic_error if more pops are reported than layers are in
-  /// flight (an accounting bug, never a data condition).
-  void on_pops(int count, std::int64_t round);
+  /// i.e. a layer decoded within its arrival interval has sojourn 1. Each
+  /// sample is also observed into `sink` when given (the service's
+  /// per-block metrics partial). Throws std::logic_error if more pops are
+  /// reported than layers are in flight (an accounting bug, never a data
+  /// condition).
+  void on_pops(int count, std::int64_t round,
+               obs::LogHistogram* sink = nullptr);
 
   /// Age of the oldest resident layer at the start of round `now`: the
   /// completed rounds it has waited so far (>= 1 once it survives its
@@ -159,16 +164,9 @@ class LatencyTracker {
   /// Exact nearest-rank percentile over the samples (0 when empty).
   std::uint64_t percentile(double q) const { return table().percentile(q); }
 
-  /// Samples closed since the last clear_recent(), in pop order. The
-  /// service clears it at the start of every dispatch, so it holds at most
-  /// one dispatch's pops — the record its metrics feed reads.
-  const std::vector<std::uint64_t>& recent() const { return recent_; }
-  void clear_recent() { recent_.clear(); }
-
  private:
   BoundedFifo<std::int64_t> ring_;  ///< push rounds: round << 1 | real
   std::vector<std::uint64_t> counts_;
-  std::vector<std::uint64_t> recent_;
 };
 
 /// CoDel's control law in logical rounds, one instance per lane. The

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.hpp"
 #include "stream/qos.hpp"
 
 namespace qec {
@@ -162,22 +161,6 @@ std::vector<std::string> registered_scheduler_policies() {
   std::vector<std::string> names;
   for (const auto& [name, factory] : r.factories) names.push_back(name);
   return names;
-}
-
-void trace_round_schedule(obs::Tracer& tracer, std::int64_t round,
-                          const std::vector<int>& served, bool drain) {
-  std::uint64_t serving = 0;
-  for (const int lane : served) {
-    if (lane >= 0) ++serving;
-  }
-  tracer.control().emit_at(round, obs::EventKind::kDispatch, serving,
-                           drain ? 1 : 0);
-  for (std::size_t e = 0; e < served.size(); ++e) {
-    if (served[e] < 0) continue;
-    tracer.engine(static_cast<int>(e))
-        .emit_at(round, obs::EventKind::kGrant,
-                 static_cast<std::uint64_t>(served[e]));
-  }
 }
 
 }  // namespace qec

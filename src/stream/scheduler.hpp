@@ -44,10 +44,6 @@
 
 namespace qec {
 
-namespace obs {
-class Tracer;  // obs/trace.hpp — per-round dispatch/grant events emit here
-}
-
 /// What a policy sees when assigning engines for one round: per-lane Reg
 /// queue depths and liveness, sampled before the round's layer lands.
 struct ScheduleView {
@@ -114,17 +110,5 @@ std::unique_ptr<SchedulerPolicy> make_scheduler_policy(std::string_view spec);
 
 /// Sorted names of all registered policies (built-ins plus extensions).
 std::vector<std::string> registered_scheduler_policies();
-
-/// Observability hook (src/obs): one call per executed scheduling round,
-/// made during the service's deterministic reduction (never from the
-/// parallel region). `served[e]` is the lane engine e actually served this
-/// round, or -1 — the *consumed* grants, which can differ from the policy's
-/// raw assignment when a granted lane finished mid-dispatch. Emits one
-/// kDispatch on the control track (payload = engines serving, arg = drain
-/// flag) plus one kGrant per serving engine on that engine's track
-/// (payload = lane). Rounds where no lane is live emit nothing, matching
-/// the timeline/engine-stat accounting.
-void trace_round_schedule(obs::Tracer& tracer, std::int64_t round,
-                          const std::vector<int>& served, bool drain);
 
 }  // namespace qec

@@ -1,6 +1,7 @@
 #include "stream/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -57,14 +58,12 @@ struct Lane {
   LaneTelemetry telemetry;
 
   /// Sojourn clock: timestamps every pushed layer with the global round
-  /// and counts a latency sample on every pop spend() reports. Mutated
-  /// only inside the lane-parallel region (lane-local); read on the
-  /// scheduling thread between dispatches (head_age for CoDel, recent()
-  /// for the metrics feed).
+  /// and counts a latency sample on every pop spend() reports. Lane-local,
+  /// like everything below: only the lane's own block touches it.
   LatencyTracker qos;
 
-  /// CoDel control law state (admission=codel only); driven on the
-  /// scheduling thread in lane order.
+  /// CoDel control law state (admission=codel only), driven by the lane's
+  /// admission step.
   CodelControl codel;
 
   /// Next trace layer this lane will consume. Equals the global round for
@@ -74,15 +73,9 @@ struct Lane {
 
   /// Observability (src/obs): the lane's event track, null when tracing
   /// is off — every hook below guards on it, so a disabled tracer costs
-  /// one branch. Written only inside the lane-parallel region (plus the
-  /// scheduling thread between joins), so the ring stays single-writer.
+  /// one branch. Written only by the lane's own block (and, before round
+  /// 0, by the scheduling thread), so the ring stays single-writer.
   obs::Track* track = nullptr;
-
-  /// All-zero fast-path counters already fed to the metrics registry. The
-  /// parallel region snapshots the cumulative counters per (lane, round)
-  /// slot; the reduction consumes the delta in fixed round order, so the
-  /// windowed metrics are invariant under threads and batching.
-  DecodeCacheStats cache_consumed;
 };
 
 /// The lane-parallel region: lanes split into contiguous blocks, one
@@ -125,43 +118,33 @@ class PoolScheduler {
         metrics_(metrics),
         profiler_(profiler),
         engines_(engines),
-        // One round per dispatch whenever a round must see the state the
-        // previous one left: dynamic policies and pause/codel admission
-        // read fresh queue depths.
-        batch_(policy.dynamic() || admission.pause()
-                   ? 1
-                   : std::max(1, config.rounds_per_dispatch)) {
+        // Dynamic policies and pause/codel admission read fresh pre-round
+        // lane state, so each round must see the state the previous one
+        // left: one round per dispatch.
+        pre_round_(policy.dynamic() || admission.pause()),
+        batch_(pre_round_ ? 1 : std::max(1, config.rounds_per_dispatch)) {
     telemetry_.engine_stats.resize(static_cast<std::size_t>(engines_));
     for (int e = 0; e < engines_; ++e) {
       telemetry_.engine_stats[static_cast<std::size_t>(e)].engine = e;
     }
     const auto n = lanes_.size();
-    const auto batch_slots = n * static_cast<std::size_t>(batch_);
     depth_.resize(n);
     finished_.resize(n);
     paused_.resize(n);
     assignment_.assign(static_cast<std::size_t>(engines_), -1);
-    flags_.resize(batch_slots);
     const auto blocks =
         static_cast<std::size_t>(lane_blocks(static_cast<int>(n)));
     tallies_.resize(blocks * static_cast<std::size_t>(batch_));
     unfinished_.resize(blocks);
     engine_tallies_.resize(blocks * static_cast<std::size_t>(engines_));
+    admitted_.resize(blocks);
     if (metrics_) {
-      depth_after_.resize(batch_slots);
-      pops_.resize(batch_slots);
-      samples_after_.resize(batch_slots);
-      cache_after_.resize(batch_slots);
-      // Registration order is CSV column order — keep it stable, goldens
-      // pin it.
-      m_pushes_ = metrics_->add_counter("pushes");
-      m_drain_pushes_ = metrics_->add_counter("drain_pushes");
-      m_pops_ = metrics_->add_counter("pops");
-      m_serves_ = metrics_->add_counter("serves");
-      m_starves_ = metrics_->add_counter("starves");
-      m_overflows_ = metrics_->add_counter("overflows");
-      m_pauses_ = metrics_->add_counter("pauses");
-      m_resumes_ = metrics_->add_counter("resumes");
+      // Registration order is CSV column order; goldens pin it.
+      std::size_t c = 0;
+      for (const char* name : {"pushes", "drain_pushes", "pops", "serves",
+                               "starves", "overflows", "pauses", "resumes"}) {
+        m_lane_[c++] = metrics_->add_counter(name);
+      }
       m_live_ = metrics_->add_gauge("live_lanes");
       m_paused_ = metrics_->add_gauge("paused_lanes");
       m_overflowed_ = metrics_->add_gauge("overflowed_lanes");
@@ -175,8 +158,8 @@ class PoolScheduler {
                                "cache_evictions"}) {
         metrics_->add_counter(name);
       }
-      m_cache_zero_rounds_ = metrics_->add_counter("cache_zero_rounds");
-      m_cache_zero_pushes_ = metrics_->add_counter("cache_zero_pushes");
+      m_lane_[kCacheZeroRounds] = metrics_->add_counter("cache_zero_rounds");
+      m_lane_[kCacheZeroPushes] = metrics_->add_counter("cache_zero_pushes");
       metrics_->add_counter("cache_bypasses");
       // Wall-clock profile feed: registered only when profiling is on, so
       // the default metrics CSV schema is untouched — and these columns
@@ -200,17 +183,23 @@ class PoolScheduler {
   /// is neither finished nor paused pushes trace layer (lane, cursor) while
   /// its cursor is inside the trace and a clean layer after that; without
   /// pausing, every live lane's cursor equals the global round. Under
-  /// admission=pause/codel (count == 1) the admission step runs before the
-  /// policy, and engines the policy leaves idle drain the paused lanes.
-  /// Every decision is made on the calling thread in lane order, so
-  /// outcomes stay a pure function of (trace, config). Returns whether any
-  /// lane is still unfinished afterwards.
+  /// admission=pause/codel (count == 1) a lane's admission step for a round
+  /// runs in its block at the end of the previous dispatch, and engines the
+  /// policy leaves idle drain the paused lanes. Outcomes stay a pure
+  /// function of (trace, config). Returns whether any lane is still
+  /// unfinished afterwards.
   bool dispatch(std::int64_t start, int count, const SyndromeTrace& trace) {
     const int n = static_cast<int>(lanes_.size());
     const int trace_rounds = trace.rounds();
     count_ = count;
     grant_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(count),
                   -1);
+    if (tracer_) {
+      const auto k = static_cast<std::size_t>(engines_);
+      if (served_.size() >= kGrantRows * k) flush_grants();
+      if (served_.empty()) served_from_ = start;
+      served_.resize(served_.size() + static_cast<std::size_t>(count) * k, -1);
+    }
 
     {
       // Profiler stage scopes (here and below) cost one branch each when
@@ -218,22 +207,11 @@ class PoolScheduler {
       // not consulted.
       obs::ScopedStage prof(profiler_, obs::Stage::kDispatchAssign);
 
-      // Pre-round lane state, after the admission step, for dynamic
-      // policies and the drain grants (the constructor forces count == 1
-      // for both, so it is fresh). Static policies never read it, so a
-      // static overflow-mode run skips the scan.
-      if (policy_.dynamic() || admission_.pause()) {
-        for (int i = 0; i < n; ++i) {
-          const auto idx = static_cast<std::size_t>(i);
-          Lane& lane = lanes_[idx];
-          depth_[idx] = lane.stepper.engine().stored_layers();
-          bool finished = lane.finished(trace_rounds);
-          if (!finished && admission_.pause()) {
-            finished = admit(lane, start, depth_[idx], trace_rounds);
-          }
-          finished_[idx] = finished ? 1 : 0;
-          paused_[idx] = (!finished && lane.stepper.paused()) ? 1 : 0;
-        }
+      // Round 0's pre-round state; the blocks write every later round's at
+      // the end of the dispatch before it. Static policies never read it.
+      if (pre_round_ && start == 0) {
+        for (int i = 0; i < n; ++i) pre_round(i, 0, trace_rounds, admitted_[0]);
+        if (metrics_) merge_partial(admitted_[0]);
       }
 
       // Assignments for the whole batch, in round order on this thread.
@@ -271,20 +249,26 @@ class PoolScheduler {
     }
 
     // Lane-parallel execution. Every write lands in lane-local state, the
-    // lane's own [lane][round] slots, or its block's round and engine
-    // tallies.
+    // lane's own slots, or its block's round, metrics and engine tallies.
+    const std::int64_t next = start + count;
+    const bool prepare_next =
+        pre_round_ && next < trace_rounds + config_.max_drain_rounds;
     for_lane_blocks(n, config_.threads, [&](int b, int first, int last) {
       obs::ScopedStage prof(profiler_, obs::Stage::kLaneExecute);
-      RoundSample* tally = &tallies_[static_cast<std::size_t>(b) * batch_];
-      std::fill_n(tally, count, RoundSample{.drain = true});
+      BlockRound* tally = &tallies_[static_cast<std::size_t>(b) * batch_];
+      BlockRound& admitted = admitted_[static_cast<std::size_t>(b)];
+      for (int r = 0; r < count; ++r) tally[r].sample = {.drain = true};
       int unfinished = 0;
       for (int i = first; i < last; ++i) {
+        // A lane finished before this dispatch keeps its pre-round slots.
+        const bool ran = !finished_[static_cast<std::size_t>(i)];
         if (run_lane(i, b, start, count, trace, tally)) ++unfinished;
+        if (prepare_next && ran) pre_round(i, next, trace_rounds, admitted);
       }
       unfinished_[static_cast<std::size_t>(b)] = unfinished;
     });
 
-    // Reductions in fixed (round, block/lane) order on this thread.
+    // Reductions in fixed (round, block) order on this thread.
     obs::ScopedStage prof_reduce(profiler_, obs::Stage::kReduction);
     const int blocks = lane_blocks(n);
     int unfinished = 0;
@@ -297,9 +281,9 @@ class PoolScheduler {
       sample.round = round;
       sample.drain = true;
       for (int b = 0; b < blocks; ++b) {
-        const RoundSample& part =
-            tallies_[static_cast<std::size_t>(b) * batch_ +
-                     static_cast<std::size_t>(r)];
+        const auto at = static_cast<std::size_t>(b) * batch_ +
+                        static_cast<std::size_t>(r);
+        const RoundSample& part = tallies_[at].sample;
         sample.drain = sample.drain && part.drain;
         sample.live_lanes += part.live_lanes;
         sample.served_lanes += part.served_lanes;
@@ -309,9 +293,9 @@ class PoolScheduler {
         sample.depth_max = std::max(sample.depth_max, part.depth_max);
         sample.cycles += part.cycles;
         overflowed_so_far_ += part.overflowed_lanes;
+        if (metrics_) merge_partial(tallies_[at]);
       }
       sample.overflowed_lanes = overflowed_so_far_;
-      if (metrics_) feed_lane_metrics(r);
       // Rounds in which no lane took part are scheduling artifacts (a
       // batch outlives the fleet, or the last lanes finished at the
       // admission step): account nothing, so engine stats — like the
@@ -320,14 +304,11 @@ class PoolScheduler {
       if (sample.live_lanes + sample.paused_lanes == 0) continue;
       telemetry_.timeline.push_back(sample);
       if (tracer_) {
-        served_.assign(static_cast<std::size_t>(engines_), -1);
-        for (int i = 0; i < n; ++i) {
-          const std::size_t idx = slot_of(r, i);
-          if (flags_[idx] & kServed) {
-            served_[static_cast<std::size_t>(grant_[idx])] = i;
-          }
-        }
-        trace_round_schedule(*tracer_, round, served_, sample.drain);
+        // Served lanes and serving engines pair one to one.
+        tracer_->control().emit_at(
+            round, obs::EventKind::kDispatch,
+            static_cast<std::uint64_t>(sample.served_lanes),
+            sample.drain ? 1 : 0);
       }
       if (metrics_) {
         obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
@@ -338,13 +319,37 @@ class PoolScheduler {
         metrics_->tick(round);
       }
     }
+    // The next round's pauses and resumes count after this round's tick.
+    if (metrics_ && prepare_next) {
+      for (auto& part : admitted_) merge_partial(part);
+    }
     return unfinished > 0;
+  }
+
+  /// Emits the buffered rounds' kGrant events (payload = the lane served)
+  /// engine by engine: each engine track still gets them in round order,
+  /// but its ring is written in one sweep, not one cold line per round.
+  void flush_grants() {
+    obs::ScopedStage prof(profiler_, obs::Stage::kReduction);
+    const auto k = static_cast<std::size_t>(engines_);
+    const std::size_t rows = served_.size() / k;
+    for (std::size_t e = 0; e < k; ++e) {
+      obs::Track& track = tracer_->engine(static_cast<int>(e));
+      for (std::size_t row = 0; row < rows; ++row) {
+        const int lane = served_[row * k + e];
+        if (lane < 0) continue;
+        track.emit_at(served_from_ + static_cast<std::int64_t>(row),
+                      obs::EventKind::kGrant, static_cast<std::uint64_t>(lane));
+      }
+    }
+    served_.clear();
   }
 
   /// The run_stream epilogue: sums the blocks' engine tallies into the
   /// engine stats, in block order, and flushes the trailing partial metrics
   /// window (feeding it the last profile deltas first).
   void finish() {
+    if (tracer_) flush_grants();
     // Every timeline round is accounted for every engine: busy when its
     // grant was consumed, idle otherwise.
     const auto accounted =
@@ -365,12 +370,49 @@ class PoolScheduler {
   }
 
  private:
-  /// The admission step for one unfinished lane (pause/codel only), on the
-  /// calling thread in lane order. A paused lane re-admits once its
-  /// backlog reaches the low-water mark; an admitted lane at or above the
-  /// high-water mark is paused instead of being allowed to push toward
-  /// overflow. Returns whether the lane is finished afterwards.
-  bool admit(Lane& lane, std::int64_t round, int depth, int trace_rounds) {
+  /// Per-lane metrics counters, in registration order (the cache pair
+  /// registers after the PR 7 instruments).
+  enum LaneCounter : std::size_t {
+    kPushes, kDrainPushes, kPops, kServes, kStarves, kOverflows, kPauses,
+    kResumes, kCacheZeroRounds, kCacheZeroPushes, kLaneCounters
+  };
+
+  /// One block's share of one round, merged in block order: a partial
+  /// RoundSample (overflowed_lanes = the round's new overflows) and, with
+  /// metrics on, counter deltas and histograms. Counters add and
+  /// LogHistogram::merge adds buckets, count and sum and takes the max, so
+  /// each window equals a serial lane-order feed.
+  struct BlockRound {
+    RoundSample sample;
+    std::array<std::uint64_t, kLaneCounters> counts{};
+    obs::LogHistogram depth;
+    obs::LogHistogram sojourn;
+  };
+
+  /// Lane `i`'s pre-round state for global round `round`: its admission
+  /// step (pause/codel only, unfinished lanes only), then its depth,
+  /// finished and paused slots for the policy view. Touches only the lane,
+  /// its slots and its block's `admitted` counts, so it runs in the block.
+  void pre_round(int i, std::int64_t round, int trace_rounds,
+                 BlockRound& admitted) {
+    const auto idx = static_cast<std::size_t>(i);
+    Lane& lane = lanes_[idx];
+    const int depth = lane.stepper.engine().stored_layers();
+    if (admission_.pause() && !lane.finished(trace_rounds)) {
+      admit(lane, round, depth, admitted);
+    }
+    // A finished lane is never paused (finished() requires it).
+    depth_[idx] = depth;
+    finished_[idx] = lane.finished(trace_rounds) ? 1 : 0;
+    paused_[idx] = lane.stepper.paused() ? 1 : 0;
+  }
+
+  /// The admission step for one unfinished lane (pause/codel only). A
+  /// paused lane re-admits once its backlog reaches the low-water mark (a
+  /// fully drained lane with no trace left then finishes); an admitted
+  /// lane at or above the high-water mark is paused instead of being
+  /// allowed to push toward overflow.
+  void admit(Lane& lane, std::int64_t round, int depth, BlockRound& admitted) {
     if (lane.stepper.paused()) {
       // Codel re-admits when the standing latency dissolved (head sojourn
       // back under target) or the backlog drained to the low-water mark —
@@ -379,14 +421,13 @@ class PoolScheduler {
           depth <= admission_.low_water ||
           (admission_.codel() &&
            lane.codel.should_resume(lane.qos.head_age(round), depth));
-      if (!readmit) return false;
+      if (!readmit) return;
       lane.stepper.resume();
       ++lane.telemetry.resumes;
       if (admission_.codel()) lane.codel.on_resume(round);
       if (lane.track) trace_admission_resume(*lane.track, round, depth);
-      if (metrics_) metrics_->count(m_resumes_);
-      // A fully drained lane with no trace left finishes on resume.
-      return lane.finished(trace_rounds);
+      ++admitted.counts[kResumes];
+      return;
     }
     // The CoDel law observes every admitted round (the call arms and
     // disarms its deadline); the depth high-water mark stays behind it as
@@ -402,9 +443,8 @@ class PoolScheduler {
       (void)lane.stepper.checkpoint();
       ++lane.telemetry.pauses;
       if (lane.track) trace_admission_pause(*lane.track, round, by_codel, depth);
-      if (metrics_) metrics_->count(m_pauses_);
+      ++admitted.counts[kPauses];
     }
-    return false;
   }
 
   /// Admission drain grants for round r of a batch: engines left idle or
@@ -412,21 +452,31 @@ class PoolScheduler {
   /// first (lane-index ties) — deterministic, independent of the policy in
   /// use, and the reason a paused backlog always eventually drains.
   void grant_paused(int r) {
+    const auto idle = [this](int lane) {
+      return lane < 0 || finished_[static_cast<std::size_t>(lane)];
+    };
+    const auto idle_engines = static_cast<std::size_t>(
+        std::count_if(assignment_.begin(), assignment_.end(), idle));
+    if (idle_engines == 0) return;
     drainable_.clear();
     for (int i = 0; i < static_cast<int>(lanes_.size()); ++i) {
       if (paused_[static_cast<std::size_t>(i)] && grant_[slot_of(r, i)] < 0) {
         drainable_.push_back(i);
       }
     }
-    std::sort(drainable_.begin(), drainable_.end(), [this](int a, int b) {
-      const int da = depth_[static_cast<std::size_t>(a)];
-      const int db = depth_[static_cast<std::size_t>(b)];
-      return da != db ? da > db : a < b;
-    });
+    // Only the deepest idle_engines lanes are granted: order just those.
+    const auto granted = static_cast<std::ptrdiff_t>(
+        std::min(idle_engines, drainable_.size()));
+    std::partial_sort(drainable_.begin(), drainable_.begin() + granted,
+                      drainable_.end(), [this](int a, int b) {
+                        const int da = depth_[static_cast<std::size_t>(a)];
+                        const int db = depth_[static_cast<std::size_t>(b)];
+                        return da != db ? da > db : a < b;
+                      });
     std::size_t next = 0;
     for (int e = 0; e < engines_ && next < drainable_.size(); ++e) {
       int& lane = assignment_[static_cast<std::size_t>(e)];
-      if (lane >= 0 && !finished_[static_cast<std::size_t>(lane)]) continue;
+      if (!idle(lane)) continue;
       lane = drainable_[next++];
       grant_[slot_of(r, lane)] = e;
     }
@@ -439,162 +489,125 @@ class PoolScheduler {
   }
 
   /// Lane `i`'s share of a dispatch: rounds start .. start + count - 1,
-  /// folded into its block's round tallies. Runs in the lane-parallel
-  /// region. Returns whether the lane is still unfinished afterwards.
+  /// folded into its block's round and metrics tallies. Runs in the
+  /// lane-parallel region. Returns whether the lane is still unfinished
+  /// afterwards.
   bool run_lane(int i, int b, std::int64_t start, int count,
-                const SyndromeTrace& trace, RoundSample* tally) {
+                const SyndromeTrace& trace, BlockRound* tally) {
     const int trace_rounds = trace.rounds();
     Lane& lane = lanes_[static_cast<std::size_t>(i)];
-    lane.qos.clear_recent();
-    for (int r = 0; r < count; ++r) {
-      const std::size_t idx = slot_of(r, i);
-      if (lane.finished(trace_rounds)) {
-        flags_[idx] = 0;
-        if (metrics_) samples_after_[idx] = lane.qos.recent().size();
-        continue;
+    const QecoolEngine& engine = lane.stepper.engine();
+    const DecodeCacheStats& cache = engine.cache_stats();
+    const auto emit_depth = [&](obs::EventKind kind, std::uint16_t arg = 0) {
+      if (lane.track) {
+        lane.track->emit(
+            kind, static_cast<std::uint64_t>(engine.stored_layers()), arg);
       }
+    };
+    for (int r = 0; r < count && !lane.finished(trace_rounds); ++r) {
       const std::int64_t round = start + r;
-      RoundSample& sample = tally[r];
+      BlockRound& part = tally[r];
+      RoundSample& sample = part.sample;
+      const std::uint64_t zero_rounds = cache.zero_rounds;
+      const std::uint64_t zero_pushes = cache.zero_pushes;
+      const bool granted = grant_[slot_of(r, i)] >= 0;
       if (lane.track) lane.track->set_round(round);
-      std::uint8_t flags = kPaused;
       if (lane.stepper.paused()) {
         ++lane.telemetry.paused_rounds;
         ++sample.paused_lanes;
-        if (grant_[idx] >= 0) flags |= serve(i, b, idx, round, sample);
+        if (granted) serve(i, b, r, round, part);
       } else {
-        flags = kActive;
         ++sample.live_lanes;
         // Backlog before this round's layer lands: the starvation test.
-        const bool backlog = lane.stepper.engine().stored_layers() > 0;
+        const bool backlog = engine.stored_layers() > 0;
         const bool real = lane.cursor < trace_rounds;
-        if (real) {
-          flags |= kTrace;
-          // A round is "drain" when no live lane tried to push a trace
-          // layer: a stream round in which every live lane overflows
-          // stays "stream".
-          sample.drain = false;
-        }
+        // A round is "drain" when no live lane tried to push a trace
+        // layer: a stream round in which every live lane overflows stays
+        // "stream".
+        if (real) sample.drain = false;
         // trace.layer() hands out PackedBits: this push is a word copy
         // into the engine Reg, never a byte-per-bit repack.
         const bool pushed =
             real ? lane.stepper.push(trace.layer(i, lane.cursor))
                  : lane.stepper.push_clean();
         if (pushed) {
-          flags |= kPushed;
           if (real) {
             ++lane.cursor;
             ++lane.telemetry.rounds_streamed;
           } else {
             ++lane.telemetry.drain_rounds;
           }
-          if (lane.track) {
-            lane.track->emit(obs::EventKind::kPush,
-                             static_cast<std::uint64_t>(
-                                 lane.stepper.engine().stored_layers()),
-                             real ? 1 : 0);
-          }
+          if (metrics_) ++part.counts[real ? kPushes : kDrainPushes];
+          emit_depth(obs::EventKind::kPush, real ? 1 : 0);
           lane.qos.on_push(round, real);
-          if (grant_[idx] >= 0) {
-            flags |= serve(i, b, idx, round, sample);
+          if (granted) {
+            serve(i, b, r, round, part);
           } else if (backlog) {
-            flags |= kStarved;
             ++sample.starved_lanes;
             ++lane.telemetry.starved_rounds;
-            if (lane.track) {
-              lane.track->emit(obs::EventKind::kStarve,
-                               static_cast<std::uint64_t>(
-                                   lane.stepper.engine().stored_layers()));
-            }
+            if (metrics_) ++part.counts[kStarves];
+            emit_depth(obs::EventKind::kStarve);
           }
         } else {
           ++sample.overflowed_lanes;  // this round's new overflows
-          if (lane.track) {
-            lane.track->emit(obs::EventKind::kOverflow,
-                             static_cast<std::uint64_t>(
-                                 lane.stepper.engine().stored_layers()));
-          }
+          if (metrics_) ++part.counts[kOverflows];
+          emit_depth(obs::EventKind::kOverflow);
         }
       }
-      const int depth = lane.stepper.engine().stored_layers();
+      const int depth = engine.stored_layers();
       auto& hist = lane.telemetry.depth_hist;
       if (static_cast<std::size_t>(depth) < hist.size()) {
         ++hist[static_cast<std::size_t>(depth)];
       }
       sample.depth_sum += static_cast<std::uint64_t>(depth);
       sample.depth_max = std::max(sample.depth_max, depth);
-      flags_[idx] = flags;
       if (metrics_) {
-        depth_after_[idx] = depth;
-        samples_after_[idx] = lane.qos.recent().size();
-        cache_after_[idx] = lane.stepper.engine().cache_stats();
+        part.depth.observe(static_cast<std::uint64_t>(depth));
+        part.counts[kCacheZeroRounds] += cache.zero_rounds - zero_rounds;
+        part.counts[kCacheZeroPushes] += cache.zero_pushes - zero_pushes;
       }
     }
     return !lane.finished(trace_rounds);
   }
 
-  /// Spends lane `i`'s engine grant in global round `round` (slot `idx`)
-  /// and returns kServed. Runs in the lane-parallel region: writes
-  /// lane-local state, the lane's own slot and block `b`'s tallies.
-  std::uint8_t serve(int i, int b, std::size_t idx, std::int64_t round,
-                     RoundSample& sample) {
+  /// Spends lane `i`'s engine grant in round r of the dispatch (global
+  /// round `round`). Runs in the lane-parallel region: writes lane-local
+  /// state, block `b`'s tallies and the engine's served slot — one grant
+  /// per engine per round, so no two lanes share a slot.
+  void serve(int i, int b, int r, std::int64_t round, BlockRound& part) {
     Lane& lane = lanes_[static_cast<std::size_t>(i)];
+    const int e = grant_[slot_of(r, i)];
     const std::uint64_t cycles = lane.stepper.spend(config_.cycles_per_round);
     const int pops = lane.stepper.last_spend_pops();
-    lane.qos.on_pops(pops, round);
+    lane.qos.on_pops(pops, round, metrics_ ? &part.sojourn : nullptr);
     ++lane.telemetry.served_rounds;
     if (lane.track) lane.track->emit(obs::EventKind::kSpend, cycles);
-    if (metrics_) pops_[idx] = pops;
+    if (metrics_) {
+      ++part.counts[kServes];
+      part.counts[kPops] += static_cast<std::uint64_t>(pops);
+    }
+    if (tracer_) {
+      served_[static_cast<std::size_t>(round - served_from_) * engines_ +
+              static_cast<std::size_t>(e)] = i;
+    }
     EngineTally& engine =
-        engine_tallies_[static_cast<std::size_t>(b) * engines_ +
-                        static_cast<std::size_t>(grant_[idx])];
+        engine_tallies_[static_cast<std::size_t>(b * engines_ + e)];
     ++engine.busy_rounds;
     engine.cycles += cycles;
-    ++sample.served_lanes;
-    sample.cycles += cycles;
-    return kServed;
+    ++part.sample.served_lanes;
+    part.sample.cycles += cycles;
   }
 
-  /// The per-lane metrics feed for round r of a dispatch, in lane order on
-  /// the calling thread, so window attribution never depends on threads or
-  /// batching.
-  void feed_lane_metrics(int r) {
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      const std::size_t idx = slot_of(r, static_cast<int>(i));
-      const std::uint8_t flags = flags_[idx];
-      if (!(flags & (kActive | kPaused))) continue;
-      if (flags & kActive) {
-        metrics_->count(!(flags & kPushed) ? m_overflows_
-                        : (flags & kTrace) ? m_pushes_
-                                           : m_drain_pushes_);
-      }
-      if (flags & kServed) {
-        metrics_->count(m_serves_);
-        metrics_->count(m_pops_, static_cast<std::uint64_t>(pops_[idx]));
-      }
-      if (flags & kStarved) metrics_->count(m_starves_);
-      metrics_->observe(m_depth_,
-                        static_cast<std::uint64_t>(depth_after_[idx]));
-      // This slot's sojourns: the lane's per-dispatch record from where the
-      // previous round's slot ended.
-      const auto& recent = lanes_[i].qos.recent();
-      const std::size_t from =
-          r == 0 ? 0 : samples_after_[slot_of(r - 1, static_cast<int>(i))];
-      for (std::size_t k = from; k < samples_after_[idx]; ++k) {
-        metrics_->observe(m_sojourn_, recent[k]);
-      }
-      consume_cache(lanes_[i], cache_after_[idx]);
+  /// Adds one block partial into the registry and clears it for reuse.
+  void merge_partial(BlockRound& part) {
+    for (std::size_t c = 0; c < kLaneCounters; ++c) {
+      metrics_->count(m_lane_[c], part.counts[c]);
     }
-  }
-
-  /// Feeds the delta between the lane's cumulative all-zero fast-path
-  /// counters and what was already consumed to the metrics registry.
-  void consume_cache(Lane& lane, const DecodeCacheStats& after) {
-    const DecodeCacheStats& before = lane.cache_consumed;
-    metrics_->count(m_cache_zero_rounds_,
-                    after.zero_rounds - before.zero_rounds);
-    metrics_->count(m_cache_zero_pushes_,
-                    after.zero_pushes - before.zero_pushes);
-    lane.cache_consumed = after;
+    part.counts.fill(0);
+    metrics_->merge(m_depth_, part.depth);
+    metrics_->merge(m_sojourn_, part.sojourn);
+    part.depth.reset();
+    part.sojourn.reset();
   }
 
   /// Feeds the wall-clock nanoseconds accrued since the previous feed into
@@ -610,13 +623,6 @@ class PoolScheduler {
     }
   }
 
-  static constexpr std::uint8_t kActive = 1;   ///< lane pushed (or overflowed)
-  static constexpr std::uint8_t kPushed = 2;   ///< layer accepted (no overflow)
-  static constexpr std::uint8_t kServed = 4;   ///< consumed an engine grant
-  static constexpr std::uint8_t kStarved = 8;  ///< backlogged, no grant
-  static constexpr std::uint8_t kPaused = 16;  ///< frozen by admission
-  static constexpr std::uint8_t kTrace = 32;   ///< tried to push a trace layer
-
   std::vector<Lane>& lanes_;
   SchedulerPolicy& policy_;
   const StreamConfig& config_;
@@ -626,26 +632,18 @@ class PoolScheduler {
   obs::MetricsRegistry* const metrics_ = nullptr;  ///< null = metrics off
   obs::Profiler* const profiler_ = nullptr;        ///< null = profiling off
   const int engines_;
+  const bool pre_round_;  ///< rounds read pre-round state (batch_ == 1)
   const int batch_;
   int count_ = 1;  ///< rounds in the current dispatch (slot_of's stride)
   int overflowed_so_far_ = 0;
 
   // Metrics instrument ids (valid only when metrics_ is set).
-  int m_pushes_ = -1;
-  int m_drain_pushes_ = -1;
-  int m_pops_ = -1;
-  int m_serves_ = -1;
-  int m_starves_ = -1;
-  int m_overflows_ = -1;
-  int m_pauses_ = -1;
-  int m_resumes_ = -1;
+  std::array<int, kLaneCounters> m_lane_{};     ///< per-lane counters
   int m_live_ = -1;
   int m_paused_ = -1;
   int m_overflowed_ = -1;
   int m_depth_ = -1;
   int m_sojourn_ = -1;
-  int m_cache_zero_rounds_ = -1;
-  int m_cache_zero_pushes_ = -1;
   std::array<int, obs::kStageCount> m_prof_{};  ///< per-stage nanos counters
 
   std::vector<int> depth_;             // pre-round, for the policy view
@@ -654,12 +652,14 @@ class PoolScheduler {
   std::vector<int> drainable_;         // admission: ungranted paused lanes
   std::vector<int> assignment_;        // one round, engine -> lane
   std::vector<int> grant_;             // [lane][round]: engine or -1
-  std::vector<std::uint8_t> flags_;    // [lane][round]: kActive | ...
-  // [block][round]: the block's partial sums; overflowed_lanes holds the
-  // round's new overflows, not the cumulative count.
-  std::vector<RoundSample> tallies_;
+  /// Tracer, [round][engine]: the lane each engine served, or -1, for the
+  /// rounds since the last flush_grants(); row 0 is round served_from_.
+  std::vector<int> served_;
+  std::int64_t served_from_ = 0;
+  static constexpr std::size_t kGrantRows = 64;  ///< rounds per flush
+  std::vector<BlockRound> tallies_;    // [block][round]
+  std::vector<BlockRound> admitted_;   // [block]: next round's pause counts
   std::vector<int> unfinished_;        // [block]: lanes left after dispatch
-  std::vector<int> served_;            // tracer: per-round consumed grants
   /// Grants one engine consumed, summed over the run by one lane block.
   struct EngineTally {
     std::int64_t busy_rounds = 0;
@@ -669,11 +669,6 @@ class PoolScheduler {
   /// lanes write only its own row, so any number of blocks may serve one
   /// engine within a dispatch.
   std::vector<EngineTally> engine_tallies_;
-  // Metrics scratch, [lane][round] slots, sized once when metrics are on.
-  std::vector<int> depth_after_;       // post-round depth
-  std::vector<int> pops_;              // layers popped
-  std::vector<std::size_t> samples_after_;  // end of the slot in qos.recent()
-  std::vector<DecodeCacheStats> cache_after_;  // cumulative cache stats
 };
 
 std::string json_string(const std::string& text) {
@@ -904,8 +899,9 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     sources.dir = config.obs.dump_dir;
     obs::FlightRecorder::instance().arm(std::move(sources));
   }
-  const auto poll_dump_request = [dump_armed]() {
+  const auto poll_dump_request = [&]() {
     if (dump_armed && obs::FlightRecorder::take_dump_request()) {
+      if (outcome.tracer) scheduler.flush_grants();
       obs::FlightRecorder::instance().dump("sigusr1");
     }
   };

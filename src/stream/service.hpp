@@ -27,8 +27,9 @@
 //
 // Determinism contract: every lane is an independent (engine, telemetry)
 // pair; the scheduler advances all live lanes round-by-round over the
-// PR-1 thread-pool executor, assigns engines on the calling thread in
-// round order, and reduces results on the calling thread in lane order.
+// PR-1 thread-pool executor in lane blocks (each lane's admission step
+// included), assigns engines on the calling thread in round order, and
+// reduces the blocks' tallies on the calling thread in block order.
 // The outcome — including every telemetry CSV, byte for byte — is a pure
 // function of (trace, StreamConfig minus threads); --threads and
 // rounds_per_dispatch only change wall-clock. See DESIGN.md sections 7-8.

@@ -1,7 +1,9 @@
 #include "stream/trace.hpp"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 namespace qec {
 namespace {
@@ -37,6 +39,24 @@ T get_le(const std::uint8_t* bytes) {
 }
 
 constexpr std::size_t kHeaderBytes = 4 * 7 + 8 + 8 + 8;  // see trace.hpp
+
+/// The whole file in one sized read; a file without a size (a pipe, say)
+/// is read as a stream instead.
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) bad_trace("cannot open '" + path + "'");
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) {
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+  std::vector<std::uint8_t> blob(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(blob.data()),
+          static_cast<std::streamsize>(blob.size()));
+  blob.resize(static_cast<std::size_t>(in.gcount()));
+  return blob;
+}
 
 }  // namespace
 
@@ -193,10 +213,7 @@ void SyndromeTrace::rewrite_payload(std::vector<std::uint8_t>& blob) {
 }
 
 SyndromeTrace SyndromeTrace::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) bad_trace("cannot open '" + path + "'");
-  std::vector<std::uint8_t> blob((std::istreambuf_iterator<char>(in)),
-                                 std::istreambuf_iterator<char>());
+  const std::vector<std::uint8_t> blob = read_file(path);
   if (blob.size() < kHeaderBytes + 8) bad_trace("truncated header");
 
   const std::uint8_t* p = blob.data();
@@ -254,8 +271,9 @@ SyndromeTrace SyndromeTrace::load(const std::string& path) {
   SyndromeTrace trace(header);
   const std::uint8_t* cursor = payload;
   for (std::size_t i = 0; i < num_layers; ++i) {
-    // Words assemble straight from the payload bytes — no per-bit loop.
-    trace.layers_[i] = PackedBits::from_bytes(cursor, header.checks);
+    // Words copy straight from the payload bytes into the slot the
+    // constructor allocated — no per-bit loop, no second allocation.
+    trace.layers_[i].assign_bytes(cursor);
     cursor += layer_bytes;
   }
   for (std::uint32_t lane = 0; lane < header.lanes; ++lane) {

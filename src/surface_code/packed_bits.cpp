@@ -15,15 +15,25 @@ PackedBits PackedBits::from_bits(std::span<const std::uint8_t> bits) {
 PackedBits PackedBits::from_bytes(const std::uint8_t* bytes,
                                   std::size_t num_bits) {
   PackedBits packed(num_bits);
-  const std::size_t num_bytes = (num_bits + 7) / 8;
-  for (std::size_t k = 0; k < num_bytes; ++k) {
-    packed.words_[k >> 3] |= static_cast<std::uint64_t>(bytes[k])
-                             << (8 * (k & 7));
-  }
-  // A final partial byte may carry stray bits past num_bits (the trace
-  // loader validates them separately); keep the tail-zero invariant here.
-  if (!packed.words_.empty()) packed.words_.back() &= packed.tail_mask();
+  packed.assign_bytes(bytes);
   return packed;
+}
+
+void PackedBits::assign_bytes(const std::uint8_t* bytes) {
+  if (words_.empty()) return;
+  const std::size_t num_bytes = (bits_ + 7) / 8;
+  words_.back() = 0;  // the bytes may end mid-word
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(words_.data(), bytes, num_bytes);
+  } else {
+    std::fill(words_.begin(), words_.end(), 0);
+    for (std::size_t k = 0; k < num_bytes; ++k) {
+      words_[k >> 3] |= static_cast<std::uint64_t>(bytes[k]) << (8 * (k & 7));
+    }
+  }
+  // A final partial byte may carry stray bits past size(); keep the
+  // tail-zero invariant here.
+  words_.back() &= tail_mask();
 }
 
 void PackedBits::clear_all() { std::fill(words_.begin(), words_.end(), 0); }

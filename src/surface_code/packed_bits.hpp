@@ -94,6 +94,10 @@ class PackedBits {
   static PackedBits from_bytes(const std::uint8_t* bytes,
                                std::size_t num_bits);
 
+  /// Overwrites with ceil(size()/8) LSB-first bytes — from_bytes into an
+  /// existing same-sized vector (no reallocation).
+  void assign_bytes(const std::uint8_t* bytes);
+
   std::size_t size() const { return bits_; }
   std::size_t num_words() const { return words_.size(); }
   std::uint64_t word(std::size_t w) const { return words_[w]; }

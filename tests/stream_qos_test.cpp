@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "stream/admission.hpp"
 #include "stream/scheduler.hpp"
 #include "stream/service.hpp"
@@ -50,33 +51,35 @@ std::string csv_of(const StreamOutcome& outcome, const char* name,
 
 TEST(LatencyTracker, SamplesAreExactEndToEndRoundLatencies) {
   LatencyTracker tracker(/*capacity=*/3);
+  obs::LogHistogram sink;  // every sample, as the service's metrics see it
   EXPECT_EQ(tracker.head_age(5), 0);
   tracker.on_push(0, /*real=*/true);
   tracker.on_push(1, /*real=*/true);
   EXPECT_EQ(tracker.in_flight(), 2);
   EXPECT_EQ(tracker.head_age(2), 2);  // pushed at 0, two rounds old
 
-  tracker.on_pops(1, 2);  // head decoded during round 2: sojourn 3
-  ASSERT_EQ(tracker.recent(), std::vector<std::uint64_t>{3});
+  tracker.on_pops(1, 2, &sink);  // head decoded during round 2: sojourn 3
   EXPECT_EQ(tracker.table(), ValueCounts({3}));
   EXPECT_EQ(tracker.head_age(3), 2);  // new head pushed at 1
 
   tracker.on_push(2, /*real=*/false);  // clean drain layer: no sample
-  tracker.on_pops(2, 4);  // the ring's head wraps past its last slot
-  ASSERT_EQ(tracker.recent(), (std::vector<std::uint64_t>{3, 4}));
+  tracker.on_pops(2, 4, &sink);  // the ring's head wraps past its last slot
+  EXPECT_EQ(tracker.table(), ValueCounts({3, 4}));
   EXPECT_EQ(tracker.counts()[4], 1u);  // pushed 1, popped 4
   EXPECT_EQ(tracker.in_flight(), 0);
   EXPECT_EQ(tracker.percentile(50), 3u);
   EXPECT_EQ(tracker.percentile(99), 4u);
 
   // A layer decoded within its arrival round has sojourn 1 (never 0).
-  tracker.clear_recent();
   tracker.on_push(7, /*real=*/true);
-  tracker.on_pops(1, 7);
-  EXPECT_EQ(tracker.recent(), std::vector<std::uint64_t>{1});
+  tracker.on_pops(1, 7, &sink);
   EXPECT_EQ(tracker.counts()[1], 1u);
   EXPECT_EQ(tracker.counts()[0], 0u);
   EXPECT_EQ(tracker.table(), ValueCounts({3, 4, 1}));
+  // The sink saw the same three samples (the drain layer made none).
+  EXPECT_EQ(sink.count(), 3u);
+  EXPECT_EQ(sink.sum(), 3u + 4u + 1u);
+  EXPECT_EQ(sink.max(), 4u);
 
   // Reporting more pops than in-flight layers is an accounting bug.
   EXPECT_THROW(tracker.on_pops(1, 8), std::logic_error);

@@ -609,6 +609,57 @@ TEST(StreamScheduler, LaneBlocksAndDispatchBatchingKeepExports) {
                             << " vs " << one << " dispatches)";
 }
 
+// A shared pool over three lane blocks with admission on: each block runs
+// its lanes' admission step and fills its own metrics partials, so a
+// cross-block merge bug would show here (the pins above run one block).
+// Both cells must hash alike at threads 1 and 4, to pinned digests.
+TEST(StreamScheduler, MultiBlockSharedPoolExportsArePinned) {
+  StreamConfig config;
+  config.lanes = 600;
+  config.distance = 3;
+  config.p = 0.04;
+  config.rounds = 24;
+  config.seed = 9;
+  config.cycles_per_round = 10;
+  config.max_drain_rounds = 200;
+  config.engines = 120;
+  config.obs.trace = true;
+  config.obs.trace_ring = 256;
+  config.obs.metrics = true;
+  config.obs.metrics_window = 8;
+  config.obs.slo = "sojourn_p99<4";
+  const SyndromeTrace trace = record_trace(config);
+
+  const struct {
+    const char* policy;
+    const char* admission;
+    const char* digests;
+  } cells[] = {
+      {"fq", "codel",
+       " 8daa98e8c185c2cb 7dfe01918c2a846c 021f292d751fd0d3 3fd53fe489a9c024"
+       " 82fbde49684de354 f775da47c754266a 735ed8c34ee36f10 6ef2c32c0f73b93a"
+       " 87df2a31c3560561"},
+      {"round_robin", "pause",
+       " f86c793413d96c92 4089e8e8d685df74 9adb61a14cc0de66 cd3e130527864660"
+       " c30b108a874cdd3d d9f561b218a6b994 b8088d4b5681b280 bb4c0f3e319b52d3"
+       " 6a1035c6c5bdc200"},
+  };
+  for (const auto& cell : cells) {
+    StreamConfig c = config;
+    c.policy = cell.policy;
+    c.admission = cell.admission;
+    c.threads = 1;
+    const StreamOutcome serial = run_stream(trace, c);
+    int pauses = 0;
+    for (const auto& lane : serial.telemetry.lanes) pauses += lane.pauses;
+    EXPECT_GT(pauses, 0) << cell.policy;
+    const std::string digests = export_digests(serial);
+    EXPECT_EQ(digests, cell.digests) << cell.policy << " " << cell.admission;
+    c.threads = 4;
+    EXPECT_EQ(export_digests(run_stream(trace, c)), digests) << cell.policy;
+  }
+}
+
 TEST(StreamScheduler, FairnessIndexFormula) {
   StreamTelemetry t;
   t.lanes.resize(3);
