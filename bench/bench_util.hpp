@@ -3,9 +3,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/cli.hpp"
 #include "obs/chrome_trace.hpp"
@@ -13,40 +11,6 @@
 #include "stream/service.hpp"
 
 namespace qec::bench {
-
-/// Splits "a,b,c" into items, dropping empty segments.
-inline std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const auto comma = text.find(',', start);
-    const auto end = comma == std::string::npos ? text.size() : comma;
-    if (end > start) items.push_back(text.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return items;
-}
-
-/// Parses a comma-separated list of numbers; throws std::invalid_argument
-/// naming the first non-numeric item.
-inline std::vector<double> split_doubles(const std::string& text) {
-  std::vector<double> values;
-  for (const auto& item : split_list(text)) {
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(item, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != item.size()) {
-      throw std::invalid_argument("not a number in list: '" + item + "'");
-    }
-    values.push_back(value);
-  }
-  return values;
-}
 
 /// snprintf-to-std::string with a printf spec (CSV/table cells).
 inline std::string fmt(double value, const char* spec = "%.4g") {

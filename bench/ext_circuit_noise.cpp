@@ -47,6 +47,7 @@ int main(int argc, char** argv) try {
     return 0;
   }
   const int trials = static_cast<int>(qec::trials_override(args, 400));
+  qec::reject_unread(args);
 
   qec::bench::print_header(
       "Extension: circuit-level noise thresholds",

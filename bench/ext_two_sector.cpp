@@ -26,6 +26,7 @@ int main(int argc, char** argv) try {
   }
   const int trials = static_cast<int>(qec::trials_override(args, 2000));
   const int d = static_cast<int>(args.get_int_or("d", 5));
+  qec::reject_unread(args);
 
   qec::bench::print_header(
       "Extension: correlated X/Z sectors under depolarizing noise",

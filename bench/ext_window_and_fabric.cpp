@@ -25,6 +25,7 @@ int main(int argc, char** argv) try {
     return 0;
   }
   const int trials = static_cast<int>(qec::trials_override(args, 400));
+  qec::reject_unread(args);
 
   qec::bench::print_header(
       "Extension: sliding-window MWPM + decoder-fabric scaling",

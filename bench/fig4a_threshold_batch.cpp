@@ -29,6 +29,9 @@ int main(int argc, char** argv) try {
   const int base_trials =
       static_cast<int>(qec::trials_override(args, args.get_flag("fast") ? 120 : 400));
   const int dmax = static_cast<int>(args.get_int_or("dmax", 13));
+  const int threads = qec::threads_override(args, 1);
+  const std::string csv = args.get_or("csv", "");
+  qec::reject_unread(args);
 
   qec::bench::print_header("Fig 4a: error-rate scaling, batch-QECOOL vs MWPM",
                            "Fig 4(a); p_th(batch-QECOOL) ~ 1.5%, p_th(MWPM) ~ 3%");
@@ -37,7 +40,7 @@ int main(int argc, char** argv) try {
   grid.ps = {0.003, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.03, 0.04};
   for (int d = 5; d <= dmax; d += 2) grid.distances.push_back(d);
   grid.trials = base_trials;
-  grid.threads = qec::threads_override(args, 1);
+  grid.threads = threads;
   grid.variants.push_back(qec::decoder_variant("batch-QECOOL", "qecool"));
   auto mwpm = qec::decoder_variant("MWPM", "mwpm");
   mwpm.trials_for = [base_trials](const qec::ExperimentConfig& config) {
@@ -48,7 +51,7 @@ int main(int argc, char** argv) try {
 
   const double last_p = grid.ps.back();
   const auto result = qec::run_sweep(
-      grid, args.get_or("csv", ""), [last_p](const qec::SweepCell& cell) {
+      grid, csv, [last_p](const qec::SweepCell& cell) {
         if (cell.p == last_p) {
           std::fprintf(stderr, "  %s d=%d done\n", cell.variant.c_str(),
                        cell.distance);

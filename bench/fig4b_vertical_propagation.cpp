@@ -27,6 +27,7 @@ int main(int argc, char** argv) try {
   }
   const int trials = static_cast<int>(qec::trials_override(args, 300));
   const int dmax = static_cast<int>(args.get_int_or("dmax", 13));
+  qec::reject_unread(args);
 
   qec::bench::print_header(
       "Fig 4b: proportion of matchings propagating >= 3 vertical planes",

@@ -31,6 +31,8 @@ int main(int argc, char** argv) try {
   const int trials = static_cast<int>(qec::trials_override(args, 400));
   const int dmax = static_cast<int>(args.get_int_or("dmax", 13));
   const int threads = qec::threads_override(args, 1);
+  const std::string csv = args.get_or("csv", "");
+  qec::reject_unread(args);
 
   qec::bench::print_header(
       "Fig 7: on-line QECOOL accuracy vs decoder clock frequency",
@@ -59,7 +61,7 @@ int main(int argc, char** argv) try {
 
   const double last_p = grid.ps.back();
   const auto result = qec::run_sweep(
-      grid, args.get_or("csv", ""), [last_p](const qec::SweepCell& cell) {
+      grid, csv, [last_p](const qec::SweepCell& cell) {
         if (cell.p == last_p) {
           std::fprintf(stderr, "  %s d=%d done\n", cell.variant.c_str(),
                        cell.distance);

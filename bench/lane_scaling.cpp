@@ -20,16 +20,13 @@
 #include "bench_util.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
-#include "decoder/registry.hpp"
-#include "obs/slo.hpp"
 #include "qecool/online_runner.hpp"
-#include "stream/scheduler.hpp"
 #include "stream/service.hpp"
 
 namespace {
 
 using qec::bench::fmt;
-using qec::bench::split_doubles;
+using qec::split_doubles;
 
 constexpr const char* kSummary =
     "sweep the streaming service over lane count x decoder clock and chart "
@@ -81,20 +78,34 @@ int main(int argc, char** argv) {
         "the ROADMAP lanes x clock curve — where does fleet-scale replay "
         "stop being cheap?");
 
-    qec::online_engine_config(base.engine);
-    qec::make_scheduler_policy(base.policy);
-    if (!base.obs.slo.empty()) qec::obs::parse_slo_spec(base.obs.slo);
     const auto lane_counts =
         split_doubles(args.get_or("lanes", "64,256,1024,4096"));
     const auto clocks_mhz = split_doubles(args.get_or("mhz", "10,40,160"));
     const auto p_list = split_doubles(args.get_or("p", "0.01"));
-    for (const double lanes : lane_counts) {
-      if (lanes < 1 || lanes != static_cast<int>(lanes)) {
-        throw std::invalid_argument("--lanes entries must be integers >= 1");
-      }
-    }
     const std::string csv_path = args.get_or("csv", "");
     qec::reject_unread(args);
+    // Resolve every (p, lanes, clock) cell before the first trace is
+    // recorded, so no cell fails after earlier rows are written.
+    struct Cell {
+      qec::StreamConfig config;
+      double mhz = 0.0;
+    };
+    std::vector<Cell> cells;
+    for (const double p : p_list) {
+      for (const double lanes : lane_counts) {
+        if (lanes < 1 || lanes != static_cast<int>(lanes)) {
+          throw std::invalid_argument("--lanes entries must be integers >= 1");
+        }
+        for (const double mhz : clocks_mhz) {
+          qec::StreamConfig config = base;
+          config.p = p;
+          config.lanes = static_cast<int>(lanes);
+          config.cycles_per_round = qec::cycles_per_microsecond(mhz * 1e6);
+          qec::resolve_stream(config, config.lanes, base.distance);
+          cells.push_back({config, mhz});
+        }
+      }
+    }
     qec::CsvWriter csv(csv_path.empty() ? "/dev/null" : csv_path,
                        {"lanes", "d", "p", "mhz", "engines", "policy",
                         "rounds", "record_ms", "replay_ms",
@@ -105,67 +116,60 @@ int main(int argc, char** argv) {
 
     qec::TextTable table({"lanes", "p", "mhz", "K", "replay ms",
                           "us/lane-round", "lane-rounds/s", "failed"});
-    for (const double p : p_list) {
-      for (const double lanes : lane_counts) {
-        for (const double mhz : clocks_mhz) {
-          qec::StreamConfig config = base;
-          config.p = p;
-          config.lanes = static_cast<int>(lanes);
-          config.cycles_per_round = qec::cycles_per_microsecond(mhz * 1e6);
+    for (const Cell& cell : cells) {
+      const qec::StreamConfig& config = cell.config;
+      const double mhz = cell.mhz;
+      const auto record_start = std::chrono::steady_clock::now();
+      const qec::SyndromeTrace trace = qec::record_trace(config);
+      const double record_ms =
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - record_start)
+              .count();
 
-          const auto record_start = std::chrono::steady_clock::now();
-          const qec::SyndromeTrace trace = qec::record_trace(config);
-          const double record_ms =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - record_start)
-                  .count();
+      const auto replay_start = std::chrono::steady_clock::now();
+      const qec::StreamOutcome outcome = qec::run_stream(trace, config);
+      const double replay_ms =
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - replay_start)
+              .count();
 
-          const auto replay_start = std::chrono::steady_clock::now();
-          const qec::StreamOutcome outcome = qec::run_stream(trace, config);
-          const double replay_ms =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - replay_start)
-                  .count();
+      const auto all = outcome.telemetry.aggregate();
+      const std::int64_t lane_rounds =
+          static_cast<std::int64_t>(all.rounds_streamed) +
+          all.drain_rounds;
+      const double us_per_round =
+          lane_rounds ? replay_ms * 1e3 / static_cast<double>(lane_rounds)
+                      : 0.0;
+      const double rounds_per_sec =
+          replay_ms > 0
+              ? static_cast<double>(lane_rounds) / (replay_ms * 1e-3)
+              : 0.0;
+      const double failed_frac =
+          static_cast<double>(outcome.failed_lanes) /
+          static_cast<double>(outcome.lanes);
 
-          const auto all = outcome.telemetry.aggregate();
-          const std::int64_t lane_rounds =
-              static_cast<std::int64_t>(all.rounds_streamed) +
-              all.drain_rounds;
-          const double us_per_round =
-              lane_rounds ? replay_ms * 1e3 / static_cast<double>(lane_rounds)
-                          : 0.0;
-          const double rounds_per_sec =
-              replay_ms > 0
-                  ? static_cast<double>(lane_rounds) / (replay_ms * 1e-3)
-                  : 0.0;
-          const double failed_frac =
-              static_cast<double>(outcome.failed_lanes) /
-              static_cast<double>(outcome.lanes);
-
-          if (csv.ok()) {
-            csv.add_row(
-                {std::to_string(outcome.lanes), std::to_string(base.distance),
-                 fmt(p, "%.6g"), fmt(mhz, "%.6g"),
-                 std::to_string(outcome.telemetry.engines), base.policy,
-                 std::to_string(trace.rounds()), fmt(record_ms, "%.3f"),
-                 fmt(replay_ms, "%.3f"), std::to_string(lane_rounds),
-                 fmt(us_per_round, "%.4f"), fmt(rounds_per_sec, "%.6g"),
-                 std::to_string(outcome.overflow_lanes),
-                 std::to_string(outcome.failed_lanes), fmt(failed_frac),
-                 std::to_string(all.cache.zero_rounds),
-                 std::to_string(all.cache.zero_pushes)});
-            csv.flush();
-          }
-          table.add_row({std::to_string(outcome.lanes), fmt(p, "%.4g"),
-                         fmt(mhz, "%.6g"),
-                         std::to_string(outcome.telemetry.engines),
-                         fmt(replay_ms, "%.1f"), fmt(us_per_round, "%.3f"),
-                         fmt(rounds_per_sec, "%.4g"),
-                         std::to_string(outcome.failed_lanes) + "/" +
-                             std::to_string(outcome.lanes)});
-          obs_cli.keep(outcome);
-        }
+      if (csv.ok()) {
+        csv.add_row(
+            {std::to_string(outcome.lanes), std::to_string(base.distance),
+             fmt(config.p, "%.6g"), fmt(mhz, "%.6g"),
+             std::to_string(outcome.telemetry.engines), base.policy,
+             std::to_string(trace.rounds()), fmt(record_ms, "%.3f"),
+             fmt(replay_ms, "%.3f"), std::to_string(lane_rounds),
+             fmt(us_per_round, "%.4f"), fmt(rounds_per_sec, "%.6g"),
+             std::to_string(outcome.overflow_lanes),
+             std::to_string(outcome.failed_lanes), fmt(failed_frac),
+             std::to_string(all.cache.zero_rounds),
+             std::to_string(all.cache.zero_pushes)});
+        csv.flush();
       }
+      table.add_row({std::to_string(outcome.lanes), fmt(config.p, "%.4g"),
+                     fmt(mhz, "%.6g"),
+                     std::to_string(outcome.telemetry.engines),
+                     fmt(replay_ms, "%.1f"), fmt(us_per_round, "%.3f"),
+                     fmt(rounds_per_sec, "%.4g"),
+                     std::to_string(outcome.failed_lanes) + "/" +
+                         std::to_string(outcome.lanes)});
+      obs_cli.keep(outcome);
     }
     table.print();
     std::printf("\n(--threads=%d, --dispatch=%d; outcomes are unaffected by "

@@ -27,24 +27,20 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
-#include "obs/slo.hpp"
 #include "qecool/online_runner.hpp"
-#include "stream/admission.hpp"
-#include "stream/scheduler.hpp"
 #include "stream/service.hpp"
 
 namespace {
 
 using qec::bench::fmt;
-using qec::bench::split_doubles;
-using qec::bench::split_list;
+using qec::split_doubles;
+using qec::split_list;
 
 /// Splits a comma-separated list of *specs*, re-attaching option
 /// fragments to their spec: "overflow,pause:high=6,low=2" is the two
@@ -142,28 +138,37 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Validate every flag, policy and admission spec — and the power
-    // budget's affordability at every clock — before the first (possibly
-    // long) cell, so nothing throws mid-sweep leaving a partial CSV.
     qec::reject_unread(args);
-    for (const auto& policy : policies) qec::make_scheduler_policy(policy);
+    // Resolve every (admission, policy, K, clock) cell before the trace is
+    // recorded, so nothing throws mid-sweep leaving a partial CSV. With
+    // --budget-w, several requested K collapse onto the same power-capped
+    // pool; each distinct (admission, policy, clock, K) cell runs once
+    // instead of re-recording identical rows.
+    struct Cell {
+      qec::StreamConfig config;
+      double mhz = 0.0;
+    };
+    std::vector<Cell> cells;
+    std::set<std::string> seen;
+    int capped_cells = 0;
     for (const auto& admission : admissions) {
-      qec::parse_admission_spec(admission);
-    }
-    if (!base.obs.slo.empty()) qec::obs::parse_slo_spec(base.obs.slo);
-    if (base.budget_w > 0) {
-      for (const double mhz : clocks_mhz) {
-        if (mhz <= 0) {
-          throw std::invalid_argument(
-              "--budget-w needs a positive clock; got --mhz=" + fmt(mhz));
-        }
-        if (qec::PoolPowerModel::max_engines(base.budget_w, base.distance,
-                                             mhz * 1e6) < 1) {
-          throw std::invalid_argument(
-              "--budget-w=" + fmt(base.budget_w, "%.6g") +
-              " cannot supply even one engine at d=" +
-              std::to_string(base.distance) + ", " + fmt(mhz, "%.6g") +
-              " MHz");
+      for (const auto& policy : policies) {
+        for (const int engines : pool_sizes) {
+          for (const double mhz : clocks_mhz) {
+            qec::StreamConfig config = base;
+            config.policy = policy;
+            config.admission = admission;
+            config.engines = engines;
+            config.cycles_per_round = qec::cycles_per_microsecond(mhz * 1e6);
+            const int k =
+                qec::resolve_stream(config, base.lanes, base.distance).engines;
+            if (k < engines) ++capped_cells;
+            if (seen.insert(admission + "|" + policy + "|" + fmt(mhz, "%.9g") +
+                            "|" + std::to_string(k))
+                    .second) {
+              cells.push_back({config, mhz});
+            }
+          }
         }
       }
     }
@@ -191,105 +196,79 @@ int main(int argc, char** argv) {
                           "failed", "overflow", "paused", "soj_p99",
                           "fairness", "util"});
     const auto start = std::chrono::steady_clock::now();
-    // With --budget-w, several requested K collapse onto the same
-    // power-capped pool; run each distinct (admission, policy, clock, K)
-    // cell once instead of re-recording identical rows.
-    std::set<std::string> seen;
-    int capped_cells = 0;
-    for (const auto& admission : admissions) {
-      for (const auto& policy : policies) {
-        for (const int engines : pool_sizes) {
-          for (const double mhz : clocks_mhz) {
-            int k = engines;
-            if (base.budget_w > 0) {
-              const int fit = qec::PoolPowerModel::max_engines(
-                  base.budget_w, base.distance, mhz * 1e6);
-              if (fit < k) {
-                k = fit;
-                ++capped_cells;
-              }
-            }
-            if (!seen.insert(admission + "|" + policy + "|" + fmt(mhz, "%.9g") +
-                             "|" + std::to_string(k))
-                     .second) {
-              continue;
-            }
-            qec::StreamConfig config = base;
-            config.policy = policy;
-            config.admission = admission;
-            config.engines = engines;
-            config.cycles_per_round = qec::cycles_per_microsecond(mhz * 1e6);
-            const qec::StreamOutcome outcome = qec::run_stream(trace, config);
+    for (const Cell& cell : cells) {
+      const qec::StreamConfig& config = cell.config;
+      const double mhz = cell.mhz;
+      const std::string& policy = config.policy;
+      const std::string& admission = config.admission;
+      const qec::StreamOutcome outcome = qec::run_stream(trace, config);
 
-            // run_stream may have shed K to fit --budget-w; chart what ran.
-            const int ran_engines = outcome.telemetry.engines;
-            const double watts = outcome.telemetry.watts;
-            const auto all = outcome.telemetry.aggregate();
-            const double util = outcome.telemetry.pool_utilization();
-            const double k_over_n = static_cast<double>(ran_engines) /
-                                    static_cast<double>(outcome.lanes);
-            const double failed_frac =
-                static_cast<double>(outcome.failed_lanes) /
-                static_cast<double>(outcome.lanes);
-            const int surviving = outcome.lanes - outcome.failed_lanes;
-            const double lanes_per_watt =
-                watts > 0 ? static_cast<double>(surviving) / watts : 0.0;
-            const int undrained =
-                static_cast<int>(outcome.telemetry.lanes.size()) -
-                outcome.drained_lanes - outcome.overflow_lanes;
-            const double fairness = outcome.telemetry.fairness_index();
+      // run_stream may have shed K to fit --budget-w; chart what ran.
+      const int ran_engines = outcome.telemetry.engines;
+      const double watts = outcome.telemetry.watts;
+      const auto all = outcome.telemetry.aggregate();
+      const double util = outcome.telemetry.pool_utilization();
+      const double k_over_n = static_cast<double>(ran_engines) /
+                              static_cast<double>(outcome.lanes);
+      const double failed_frac =
+          static_cast<double>(outcome.failed_lanes) /
+          static_cast<double>(outcome.lanes);
+      const int surviving = outcome.lanes - outcome.failed_lanes;
+      const double lanes_per_watt =
+          watts > 0 ? static_cast<double>(surviving) / watts : 0.0;
+      const int undrained =
+          static_cast<int>(outcome.telemetry.lanes.size()) -
+          outcome.drained_lanes - outcome.overflow_lanes;
+      const double fairness = outcome.telemetry.fairness_index();
 
-            if (csv.ok()) {
-              csv.add_row(
-                  {policy, admission, std::to_string(outcome.lanes),
-                   std::to_string(ran_engines), fmt(k_over_n),
-                   fmt(mhz, "%.6g"), fmt(config.cycles_per_round, "%.6g"),
-                   fmt(watts, "%.6g"), fmt(base.budget_w, "%.6g"),
-                   std::to_string(outcome.overflow_lanes),
-                   std::to_string(undrained),
-                   std::to_string(outcome.logical_failures),
-                   std::to_string(outcome.failed_lanes), fmt(failed_frac),
-                   std::to_string(surviving), fmt(lanes_per_watt, "%.6g"),
-                   fmt(util), fmt(fairness),
-                   std::to_string(all.starved_rounds),
-                   std::to_string(all.paused_rounds),
-                   std::to_string(all.sojourn_rounds.percentile(50)),
-                   std::to_string(all.sojourn_rounds.percentile(95)),
-                   std::to_string(all.sojourn_rounds.percentile(99)),
-                   std::to_string(all.sojourn_rounds.max())});
-              csv.flush();
-            }
-            if (!latency_path.empty() && latency_csv.ok()) {
-              const auto emit_latency = [&](const qec::LaneTelemetry& t,
-                                            const std::string& label) {
-                const qec::ValueCounts& soj = t.sojourn_rounds;
-                latency_csv.add_row(
-                    {policy, admission, std::to_string(outcome.lanes),
-                     std::to_string(ran_engines), fmt(mhz, "%.6g"), label,
-                     std::to_string(soj.total()),
-                     std::to_string(soj.percentile(50)),
-                     std::to_string(soj.percentile(95)),
-                     std::to_string(soj.percentile(99)),
-                     std::to_string(soj.max())});
-              };
-              for (const auto& lane : outcome.telemetry.lanes) {
-                emit_latency(lane, std::to_string(lane.lane));
-              }
-              emit_latency(all, "all");
-              latency_csv.flush();
-            }
-            obs_cli.keep(outcome);
-            table.add_row({policy, admission, fmt(k_over_n),
-                           fmt(mhz, "%.6g"), fmt(watts, "%.3g"),
-                           std::to_string(outcome.failed_lanes) + "/" +
-                               std::to_string(outcome.lanes),
-                           std::to_string(outcome.overflow_lanes),
-                           std::to_string(all.paused_rounds),
-                           std::to_string(all.sojourn_rounds.percentile(99)),
-                           fmt(fairness), fmt(util)});
-          }
-        }
+      if (csv.ok()) {
+        csv.add_row(
+            {policy, admission, std::to_string(outcome.lanes),
+             std::to_string(ran_engines), fmt(k_over_n),
+             fmt(mhz, "%.6g"), fmt(config.cycles_per_round, "%.6g"),
+             fmt(watts, "%.6g"), fmt(base.budget_w, "%.6g"),
+             std::to_string(outcome.overflow_lanes),
+             std::to_string(undrained),
+             std::to_string(outcome.logical_failures),
+             std::to_string(outcome.failed_lanes), fmt(failed_frac),
+             std::to_string(surviving), fmt(lanes_per_watt, "%.6g"),
+             fmt(util), fmt(fairness),
+             std::to_string(all.starved_rounds),
+             std::to_string(all.paused_rounds),
+             std::to_string(all.sojourn_rounds.percentile(50)),
+             std::to_string(all.sojourn_rounds.percentile(95)),
+             std::to_string(all.sojourn_rounds.percentile(99)),
+             std::to_string(all.sojourn_rounds.max())});
+        csv.flush();
       }
+      if (!latency_path.empty() && latency_csv.ok()) {
+        const auto emit_latency = [&](const qec::LaneTelemetry& t,
+                                      const std::string& label) {
+          const qec::ValueCounts& soj = t.sojourn_rounds;
+          latency_csv.add_row(
+              {policy, admission, std::to_string(outcome.lanes),
+               std::to_string(ran_engines), fmt(mhz, "%.6g"), label,
+               std::to_string(soj.total()),
+               std::to_string(soj.percentile(50)),
+               std::to_string(soj.percentile(95)),
+               std::to_string(soj.percentile(99)),
+               std::to_string(soj.max())});
+        };
+        for (const auto& lane : outcome.telemetry.lanes) {
+          emit_latency(lane, std::to_string(lane.lane));
+        }
+        emit_latency(all, "all");
+        latency_csv.flush();
+      }
+      obs_cli.keep(outcome);
+      table.add_row({policy, admission, fmt(k_over_n),
+                     fmt(mhz, "%.6g"), fmt(watts, "%.3g"),
+                     std::to_string(outcome.failed_lanes) + "/" +
+                         std::to_string(outcome.lanes),
+                     std::to_string(outcome.overflow_lanes),
+                     std::to_string(all.paused_rounds),
+                     std::to_string(all.sojourn_rounds.percentile(99)),
+                     fmt(fairness), fmt(util)});
     }
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)

@@ -24,12 +24,9 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "decoder/registry.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/slo.hpp"
 #include "qecool/online_runner.hpp"
-#include "stream/admission.hpp"
-#include "stream/scheduler.hpp"
 #include "stream/service.hpp"
 
 namespace {
@@ -109,8 +106,9 @@ int main(int argc, char** argv) {
         "Stream soak: N concurrent on-line lanes vs a shared decoder pool",
         "Fig 7 scaled out — per-lane overflow/drain under sustained load");
 
-    // Validate every flag and the engine, policy, and admission specs
-    // before recording a trace, so a typo costs nothing.
+    // Validate every flag and resolve the config before recording a trace,
+    // so a typo costs nothing; a replayed trace resolves against its own
+    // lane count and distance as soon as it is loaded.
     const std::string trace_in = args.get_or("trace-in", "");
     const std::string trace_out = args.get_or("trace-out", "");
     const std::string csv = args.get_or("csv", "");
@@ -119,18 +117,17 @@ int main(int argc, char** argv) {
     const std::string cache_csv = args.get_or("cache-csv", "");
     const std::string latency_csv = args.get_or("latency-csv", "");
     qec::reject_unread(args);
-    qec::online_engine_config(config.engine);
-    qec::make_scheduler_policy(config.policy);
-    qec::parse_admission_spec(config.admission);
-    if (!config.obs.slo.empty()) qec::obs::parse_slo_spec(config.obs.slo);
 
     qec::SyndromeTrace trace;
     if (!trace_in.empty()) {
       trace = qec::SyndromeTrace::load(trace_in);
+      qec::resolve_stream(config, trace.lanes(),
+                          static_cast<int>(trace.header().distance));
       std::printf("replaying %s: %d lanes, d=%u, %d rounds, p=%g\n\n",
                   trace_in.c_str(), trace.lanes(), trace.header().distance,
                   trace.rounds(), trace.header().p_data);
     } else {
+      qec::resolve_stream(config, config.lanes, config.distance);
       trace = qec::record_trace(config);
     }
 

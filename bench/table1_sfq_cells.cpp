@@ -14,6 +14,7 @@ int main(int argc, char** argv) try {
                        "")) {
     return 0;
   }
+  qec::reject_unread(args);
   qec::bench::print_header("Table I: summary of SFQ logic elements",
                            "Table I (AIST 10-kA/cm^2 ADP cell library)");
   qec::TextTable table(

@@ -16,6 +16,7 @@ int main(int argc, char** argv) try {
                        "")) {
     return 0;
   }
+  qec::reject_unread(args);
   qec::bench::print_header(
       "Table II: logic elements / JJs / area / bias per Unit module",
       "Table II and Fig 6");

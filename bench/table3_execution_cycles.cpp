@@ -26,6 +26,9 @@ int main(int argc, char** argv) try {
     return 0;
   }
   const int trials = static_cast<int>(qec::trials_override(args, 200));
+  const int threads = qec::threads_override(args, 1);
+  const std::string csv = args.get_or("csv", "");
+  qec::reject_unread(args);
 
   qec::bench::print_header("Table III: per-layer execution cycles of QECOOL",
                            "Table III (Max / Avg / sigma per layer)");
@@ -36,11 +39,11 @@ int main(int argc, char** argv) try {
   grid.distances = {5, 7, 9, 11, 13};
   grid.ps = {0.001, 0.005, 0.01};
   grid.trials = trials;
-  grid.threads = qec::threads_override(args, 1);
+  grid.threads = threads;
 
   const double last_p = grid.ps.back();
   const auto result =
-      qec::run_sweep(grid, args.get_or("csv", ""),
+      qec::run_sweep(grid, csv,
                      [last_p](const qec::SweepCell& cell) {
                        if (cell.p == last_p) {
                          std::fprintf(stderr, "  d=%d done\n", cell.distance);

@@ -63,6 +63,7 @@ int main(int argc, char** argv) try {
   }
   const int trials = static_cast<int>(qec::trials_override(args, 1500));
   const int threads = qec::threads_override(args, 1);
+  qec::reject_unread(args);
 
   qec::bench::print_header("Table IV: decoder comparison (measured p_th)",
                            "Table IV");

@@ -30,6 +30,8 @@ int main(int argc, char** argv) try {
     return 0;
   }
   const int trials = static_cast<int>(qec::trials_override(args, 400));
+  const int threads = qec::threads_override(args, 1);
+  qec::reject_unread(args);
   const int d = 9;
   const double freq = 2e9;
 
@@ -39,7 +41,7 @@ int main(int argc, char** argv) try {
   qec::OnlineConfig online;
   online.cycles_per_round = qec::cycles_per_microsecond(freq);
   auto config = qec::phenomenological_config(d, 0.001, trials);
-  config.threads = qec::threads_override(args, 1);
+  config.threads = threads;
   config.shards = 16;  // fixed schedule: results independent of --threads
   const auto run = qec::run_online_experiment(config, online);
   const double ns_per_cycle = 1e9 / freq;

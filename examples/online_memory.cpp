@@ -30,6 +30,7 @@ int main(int argc, char** argv) try {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int_or("seed", 7));
   const double ghz = args.get_double_or("ghz", 2.0);
+  qec::reject_unread(args);
 
   const qec::PlanarLattice lattice(d);
   qec::Xoshiro256ss rng(seed);

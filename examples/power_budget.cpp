@@ -28,6 +28,7 @@ int main(int argc, char** argv) try {
   const double ghz = args.get_double_or("ghz", 2.0);
   const int dmin = static_cast<int>(args.get_int_or("dmin", 5));
   const int dmax = static_cast<int>(args.get_int_or("dmax", 13));
+  qec::reject_unread(args);
 
   std::printf("4-K stage budget: %.2f W, decoder clock %.1f GHz\n", budget,
               ghz);

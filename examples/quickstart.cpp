@@ -29,6 +29,7 @@ int main(int argc, char** argv) try {
   const double p = args.get_double_or("p", 0.003);
   const int trials = static_cast<int>(qec::trials_override(args, 2000));
   const double ghz = args.get_double_or("ghz", 2.0);
+  qec::reject_unread(args);
 
   std::printf("QECOOL quickstart: d=%d, p=%.4f, %d trials, decoder @ %.1f GHz\n",
               d, p, trials, ghz);

@@ -21,6 +21,7 @@ int main(int argc, char** argv) try {
                        "")) {
     return 0;
   }
+  qec::reject_unread(args);
   std::printf("-- race-logic prioritization (Section IV-B) --\n");
   static const char* kPortNames[4] = {"West", "East", "North", "South"};
 

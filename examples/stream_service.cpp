@@ -69,13 +69,21 @@ int main(int argc, char** argv) {
     config.admission = args.get_or("admission", "overflow");
     config.budget_w = args.get_double_or("budget-w", 0.0);
     config.threads = qec::threads_override(args, 1);
-
-    qec::SyndromeTrace trace;
     const std::string trace_in = args.get_or("trace-in", "");
+    const std::string trace_out = args.get_or("trace-out", "");
+    const std::string csv = args.get_or("csv", "");
+    qec::reject_unread(args);
+
+    // The config is resolved against the trace it will run on before the
+    // trace is recorded (or right after it is loaded).
+    qec::SyndromeTrace trace;
     if (!trace_in.empty()) {
       trace = qec::SyndromeTrace::load(trace_in);
+      qec::resolve_stream(config, trace.lanes(),
+                          static_cast<int>(trace.header().distance));
       std::printf("replaying trace %s\n", trace_in.c_str());
     } else {
+      qec::resolve_stream(config, config.lanes, config.distance);
       trace = qec::record_trace(config);
     }
     std::printf("streaming %d lanes, d=%u, %d rounds each, p=%g, budget "
@@ -114,13 +122,11 @@ int main(int argc, char** argv) {
                 outcome.logical_failures,
                 outcome.telemetry.fairness_index());
 
-    const std::string trace_out = args.get_or("trace-out", "");
     if (!trace_out.empty()) {
       trace.save(trace_out);
       std::printf("trace saved to %s (replay with --trace-in=%s)\n",
                   trace_out.c_str(), trace_out.c_str());
     }
-    const std::string csv = args.get_or("csv", "");
     if (!csv.empty()) {
       if (!outcome.telemetry.write_csv(csv)) {
         std::fprintf(stderr, "cannot write %s\n", csv.c_str());

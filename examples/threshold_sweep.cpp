@@ -44,6 +44,9 @@ int main(int argc, char** argv) try {
   const double pmin = args.get_double_or("pmin", three_d ? 0.004 : 0.03);
   const double pmax = args.get_double_or("pmax", three_d ? 0.04 : 0.13);
   const int points = static_cast<int>(args.get_int_or("points", 7));
+  const int threads = qec::threads_override(args, 1);
+  const std::string csv = args.get_or("csv", "");
+  qec::reject_unread(args);
 
   std::printf("threshold sweep: decoder=%s mode=%s d=%d..%d trials=%d\n",
               spec.c_str(), three_d ? "3d" : "2d", dmin, dmax, trials);
@@ -59,11 +62,11 @@ int main(int argc, char** argv) try {
   grid.ps = qec::log_spaced(pmin, pmax, points);
   grid.code_capacity = !three_d;
   grid.trials = trials;
-  grid.threads = qec::threads_override(args, 1);
+  grid.threads = threads;
 
   qec::SweepResult result;
   try {
-    result = qec::run_sweep(grid, args.get_or("csv", ""));
+    result = qec::run_sweep(grid, csv);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;

@@ -31,6 +31,7 @@ int main(int argc, char** argv) try {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int_or("seed", 3));
   const int trials = static_cast<int>(qec::trials_override(args, 1));
+  qec::reject_unread(args);
 
   const qec::PlanarLattice lattice(d);
   qec::Xoshiro256ss rng(seed);

@@ -179,4 +179,35 @@ int threads_override(const CliArgs& args, int fallback) {
   return fallback;
 }
 
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const auto comma = text.find(',', start);
+    const auto end = comma == std::string::npos ? text.size() : comma;
+    if (end > start) items.push_back(text.substr(start, end - start));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return items;
+}
+
+std::vector<double> split_doubles(const std::string& text) {
+  std::vector<double> values;
+  for (const auto& item : split_list(text)) {
+    std::size_t used = 0;
+    double value = 0.0;
+    try {
+      value = std::stod(item, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    if (used != item.size()) {
+      throw std::invalid_argument("not a number in list: '" + item + "'");
+    }
+    values.push_back(value);
+  }
+  return values;
+}
+
 }  // namespace qec

@@ -103,4 +103,11 @@ std::int64_t trials_override(const CliArgs& args, std::int64_t fallback);
 /// thread-count independent (the sweep driver fixes the shard schedule).
 int threads_override(const CliArgs& args, int fallback = 1);
 
+/// Splits a list flag's value "a,b,c" into items, dropping empty segments.
+std::vector<std::string> split_list(const std::string& text);
+
+/// Parses a comma-separated list of numbers; throws std::invalid_argument
+/// naming the first non-numeric item.
+std::vector<double> split_doubles(const std::string& text);
+
 }  // namespace qec

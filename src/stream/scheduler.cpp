@@ -1,10 +1,8 @@
 #include "stream/scheduler.hpp"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
+#include <array>
 #include <stdexcept>
-#include <utility>
 
 #include "stream/qos.hpp"
 
@@ -72,12 +70,7 @@ class LeastLoadedPolicy final : public SchedulerPolicy {
     }
     const auto takers =
         std::min<std::size_t>(ranked_.size(), static_cast<std::size_t>(view.engines));
-    std::partial_sort(ranked_.begin(), ranked_.begin() + static_cast<std::ptrdiff_t>(takers),
-                      ranked_.end(), [&view](int a, int b) {
-                        const int da = view.depth[static_cast<std::size_t>(a)];
-                        const int db = view.depth[static_cast<std::size_t>(b)];
-                        return da != db ? da > db : a < b;
-                      });
+    rank_deepest_first(ranked_, takers, view.depth);
     for (int e = 0; e < view.engines; ++e) {
       assignment[static_cast<std::size_t>(e)] =
           static_cast<std::size_t>(e) < takers ? ranked_[static_cast<std::size_t>(e)] : -1;
@@ -88,66 +81,41 @@ class LeastLoadedPolicy final : public SchedulerPolicy {
   std::vector<int> ranked_;  // scratch, reused across rounds
 };
 
-struct PolicyRegistry {
-  std::mutex mutex;
-  std::map<std::string, SchedulerPolicyFactory, std::less<>> factories;
-};
-
-std::map<std::string, SchedulerPolicyFactory, std::less<>> builtin_policies() {
-  std::map<std::string, SchedulerPolicyFactory, std::less<>> factories;
-  factories["dedicated"] = [](const DecoderOptions&) {
-    return std::make_unique<DedicatedPolicy>();
-  };
-  factories["round_robin"] = [](const DecoderOptions& options) {
-    return std::make_unique<RoundRobinPolicy>(options.get_int("offset", 0));
-  };
-  factories["least_loaded"] = [](const DecoderOptions&) {
-    return std::make_unique<LeastLoadedPolicy>();
-  };
-  factories["fq"] = [](const DecoderOptions& options) {
-    return make_fq_policy(options);  // stream/qos.cpp (DRR over new/old lists)
-  };
-  return factories;
-}
-
-PolicyRegistry& policy_registry() {
-  static PolicyRegistry instance{{}, builtin_policies()};
-  return instance;
-}
+/// The closed policy set, sorted by name.
+constexpr std::array<std::string_view, 4> kPolicies = {
+    "dedicated", "fq", "least_loaded", "round_robin"};
 
 }  // namespace
 
-void SchedulerPolicy::validate(int lanes, int engines) const {
-  if (engines < 1 || engines > lanes) {
-    bad_spec("engines must be in [1, lanes]");
-  }
-}
-
-void register_scheduler_policy(const std::string& name,
-                               SchedulerPolicyFactory factory) {
-  PolicyRegistry& r = policy_registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  r.factories[name] = std::move(factory);
+void rank_deepest_first(std::vector<int>& lanes, std::size_t count,
+                        const int* depth) {
+  std::partial_sort(lanes.begin(), lanes.begin() + static_cast<std::ptrdiff_t>(count),
+                    lanes.end(), [depth](int a, int b) {
+                      const int da = depth[static_cast<std::size_t>(a)];
+                      const int db = depth[static_cast<std::size_t>(b)];
+                      return da != db ? da > db : a < b;
+                    });
 }
 
 std::unique_ptr<SchedulerPolicy> make_scheduler_policy(std::string_view spec) {
   const auto colon = spec.find(':');
   const std::string_view name = spec.substr(0, colon);
-  SchedulerPolicyFactory factory;
-  {
-    PolicyRegistry& r = policy_registry();
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    const auto it = r.factories.find(name);
-    if (it == r.factories.end()) {
-      bad_spec("unknown policy '" + std::string(name) + "'");
-    }
-    factory = it->second;
+  if (std::find(kPolicies.begin(), kPolicies.end(), name) == kPolicies.end()) {
+    bad_spec("unknown policy '" + std::string(name) + "'");
   }
   const DecoderOptions options = DecoderOptions::parse(
       colon == std::string_view::npos ? std::string_view{}
                                       : spec.substr(colon + 1));
-  auto policy = factory(options);
-  if (!policy) bad_spec("factory for '" + std::string(name) + "' failed");
+  std::unique_ptr<SchedulerPolicy> policy;
+  if (name == "dedicated") {
+    policy = std::make_unique<DedicatedPolicy>();
+  } else if (name == "round_robin") {
+    policy = std::make_unique<RoundRobinPolicy>(options.get_int("offset", 0));
+  } else if (name == "least_loaded") {
+    policy = std::make_unique<LeastLoadedPolicy>();
+  } else {
+    policy = make_fq_policy(options);  // stream/qos.cpp (DRR over new/old lists)
+  }
   if (const auto leftover = options.unconsumed(); !leftover.empty()) {
     bad_spec("policy '" + std::string(name) + "' does not understand " +
              DecoderOptions::join_keys(leftover));
@@ -156,11 +124,7 @@ std::unique_ptr<SchedulerPolicy> make_scheduler_policy(std::string_view spec) {
 }
 
 std::vector<std::string> registered_scheduler_policies() {
-  PolicyRegistry& r = policy_registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<std::string> names;
-  for (const auto& [name, factory] : r.factories) names.push_back(name);
-  return names;
+  return {kPolicies.begin(), kPolicies.end()};
 }
 
 }  // namespace qec

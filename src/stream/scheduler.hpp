@@ -8,7 +8,7 @@
 // Policies are constructed from specs parsed exactly like decoder specs
 // ("name" or "name:key=value,..."), through the same DecoderOptions
 // machinery — unknown names and unknown options throw before any lane
-// exists. Built-ins:
+// exists. The set is closed:
 //   dedicated    engine i serves lane i every round; requires K == N and
 //                reproduces the pre-pool service byte for byte.
 //   round_robin  fixed rotation: engine j serves lane (round*K + j + offset)
@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -84,9 +83,10 @@ class SchedulerPolicy {
   /// functions of the round index — may be batched.
   virtual bool dynamic() const { return false; }
 
-  /// Called once before the run; throw std::invalid_argument for pool
-  /// shapes the policy cannot serve (dedicated requires engines == lanes).
-  virtual void validate(int lanes, int engines) const;
+  /// Called once before the run, after resolve_stream checked
+  /// 1 <= engines <= lanes; throw std::invalid_argument for pool shapes
+  /// the policy cannot serve (dedicated requires engines == lanes).
+  virtual void validate(int /*lanes*/, int /*engines*/) const {}
 
   /// Fills assignment[e] (size view.engines) with the lane engine e serves
   /// this round, or -1 to leave it idle. A lane may appear at most once —
@@ -95,20 +95,19 @@ class SchedulerPolicy {
                       std::vector<int>& assignment) = 0;
 };
 
-using SchedulerPolicyFactory =
-    std::function<std::unique_ptr<SchedulerPolicy>(const DecoderOptions&)>;
-
-/// Registers `factory` under `name` (overwrites, so tests and downstream
-/// code can shadow built-ins). Thread-safe, mirroring register_decoder.
-void register_scheduler_policy(const std::string& name,
-                               SchedulerPolicyFactory factory);
+/// Orders the first `count` entries of `lanes` deepest first by
+/// depth[lane], ties by lane index; the rest stay unordered. The one
+/// ranking rule least_loaded and admission drain grants share, so their
+/// deterministic tie-break lives in one place.
+void rank_deepest_first(std::vector<int>& lanes, std::size_t count,
+                        const int* depth);
 
 /// Constructs a policy from a spec ("name" or "name:k=v,..."). Throws
 /// std::invalid_argument for unknown names, malformed option lists, or
 /// options the named policy does not understand.
 std::unique_ptr<SchedulerPolicy> make_scheduler_policy(std::string_view spec);
 
-/// Sorted names of all registered policies (built-ins plus extensions).
+/// Sorted names of the built-in policies.
 std::vector<std::string> registered_scheduler_policies();
 
 }  // namespace qec

@@ -13,9 +13,7 @@
 #include "obs/postmortem.hpp"
 #include "qecool/online_runner.hpp"
 #include "sim/executor.hpp"
-#include "stream/admission.hpp"
 #include "stream/qos.hpp"
-#include "stream/scheduler.hpp"
 #include "surface_code/planar_lattice.hpp"
 
 namespace qec {
@@ -38,11 +36,15 @@ Xoshiro256ss lane_rng(const StreamConfig& config, int lane, int rounds) {
 namespace {
 
 struct Lane {
-  Lane(const PlanarLattice& lattice, const OnlineConfig& online, int id)
+  Lane(const PlanarLattice& lattice, const OnlineConfig& online, int id,
+       const AdmissionConfig& admission)
       : stepper(lattice, online), qos(online.engine.reg_depth) {
     telemetry.lane = id;
     telemetry.depth_hist.assign(
         static_cast<std::size_t>(online.engine.reg_depth) + 1, 0);
+    if (admission.codel()) {
+      codel = CodelControl(admission.target, admission.interval);
+    }
   }
 
   /// Done for good: overflowed, or drained with the whole trace consumed.
@@ -96,6 +98,67 @@ void for_lane_blocks(int n, int threads, const Body& body) {
   });
 }
 
+/// Per-lane metrics counters, in registration order (the cache pair
+/// registers after the gauges and histograms).
+enum LaneCounter : std::size_t {
+  kPushes, kDrainPushes, kPops, kServes, kStarves, kOverflows, kPauses,
+  kResumes, kCacheZeroRounds, kCacheZeroPushes, kLaneCounters
+};
+
+/// Instrument ids of the service's metrics registry.
+struct StreamMetrics {
+  std::array<int, kLaneCounters> lane{};     ///< per-lane counters
+  int live = -1;
+  int paused = -1;
+  int overflowed = -1;
+  int depth = -1;
+  int sojourn = -1;
+  std::array<int, obs::kStageCount> prof{};  ///< per-stage nanos counters
+};
+
+/// Registers the service's instruments. Registration order is CSV column
+/// order; goldens pin it. resolve_stream registers into a scratch registry
+/// to check SLO objectives against the same schema.
+StreamMetrics register_stream_metrics(obs::MetricsRegistry& metrics,
+                                      bool profile) {
+  StreamMetrics m;
+  std::size_t c = 0;
+  for (const char* name : {"pushes", "drain_pushes", "pops", "serves",
+                           "starves", "overflows", "pauses", "resumes"}) {
+    m.lane[c++] = metrics.add_counter(name);
+  }
+  m.live = metrics.add_gauge("live_lanes");
+  m.paused = metrics.add_gauge("paused_lanes");
+  m.overflowed = metrics.add_gauge("overflowed_lanes");
+  m.depth = metrics.add_histogram("depth");
+  m.sojourn = metrics.add_histogram("sojourn");
+  // Decode-cache counters append after the first instruments so the
+  // established column order is untouched. Only the all-zero fast-path
+  // counters move; the others stay registered (at zero) to keep the CSV
+  // schema.
+  for (const char* name : {"cache_hits", "cache_misses", "cache_installs",
+                           "cache_evictions"}) {
+    metrics.add_counter(name);
+  }
+  m.lane[kCacheZeroRounds] = metrics.add_counter("cache_zero_rounds");
+  m.lane[kCacheZeroPushes] = metrics.add_counter("cache_zero_pushes");
+  metrics.add_counter("cache_bypasses");
+  // Wall-clock profile feed: registered only when profiling is on, so the
+  // default metrics CSV schema is untouched — and these columns are the ONE
+  // part of the CSV exempt from the byte-identical contract (they measure
+  // real time). Values are nanoseconds accrued per window; trace_export
+  // happens after the run, so its column stays 0 here and lives in the
+  // profile CSV instead.
+  if (profile) {
+    m.prof[0] = metrics.add_counter("prof_dispatch_ns");
+    m.prof[1] = metrics.add_counter("prof_lane_ns");
+    m.prof[2] = metrics.add_counter("prof_reduce_ns");
+    m.prof[3] = metrics.add_counter("prof_telemetry_ns");
+    m.prof[4] = metrics.add_counter("prof_export_ns");
+  }
+  return m;
+}
+
 /// Orchestrates the shared engine pool over one run: per dispatch it asks
 /// the policy for up to `batch` rounds of engine->lane assignments (on the
 /// calling thread, in round order), executes them lane-parallel with all
@@ -104,24 +167,23 @@ void for_lane_blocks(int n, int threads, const Body& body) {
 /// is independent of the worker-thread count.
 class PoolScheduler {
  public:
-  PoolScheduler(std::vector<Lane>& lanes, SchedulerPolicy& policy, int engines,
-                const StreamConfig& config, const AdmissionConfig& admission,
-                StreamTelemetry& telemetry,
+  PoolScheduler(std::vector<Lane>& lanes, const ResolvedStream& resolved,
+                const StreamConfig& config, StreamTelemetry& telemetry,
                 obs::Tracer* tracer, obs::MetricsRegistry* metrics,
                 obs::Profiler* profiler)
       : lanes_(lanes),
-        policy_(policy),
+        policy_(*resolved.policy),
         config_(config),
-        admission_(admission),
+        admission_(resolved.admission),
         telemetry_(telemetry),
         tracer_(tracer),
         metrics_(metrics),
         profiler_(profiler),
-        engines_(engines),
+        engines_(resolved.engines),
         // Dynamic policies and pause/codel admission read fresh pre-round
         // lane state, so each round must see the state the previous one
         // left: one round per dispatch.
-        pre_round_(policy.dynamic() || admission.pause()),
+        pre_round_(policy_.dynamic() || admission_.pause()),
         batch_(pre_round_ ? 1 : std::max(1, config.rounds_per_dispatch)) {
     telemetry_.engine_stats.resize(static_cast<std::size_t>(engines_));
     for (int e = 0; e < engines_; ++e) {
@@ -138,43 +200,7 @@ class PoolScheduler {
     unfinished_.resize(blocks);
     engine_tallies_.resize(blocks * static_cast<std::size_t>(engines_));
     admitted_.resize(blocks);
-    if (metrics_) {
-      // Registration order is CSV column order; goldens pin it.
-      std::size_t c = 0;
-      for (const char* name : {"pushes", "drain_pushes", "pops", "serves",
-                               "starves", "overflows", "pauses", "resumes"}) {
-        m_lane_[c++] = metrics_->add_counter(name);
-      }
-      m_live_ = metrics_->add_gauge("live_lanes");
-      m_paused_ = metrics_->add_gauge("paused_lanes");
-      m_overflowed_ = metrics_->add_gauge("overflowed_lanes");
-      m_depth_ = metrics_->add_histogram("depth");
-      m_sojourn_ = metrics_->add_histogram("sojourn");
-      // Decode-cache counters append after the PR 7 instruments so the
-      // established column order is untouched. Only the all-zero
-      // fast-path counters move; the others stay registered (at zero) to
-      // keep the CSV schema.
-      for (const char* name : {"cache_hits", "cache_misses", "cache_installs",
-                               "cache_evictions"}) {
-        metrics_->add_counter(name);
-      }
-      m_lane_[kCacheZeroRounds] = metrics_->add_counter("cache_zero_rounds");
-      m_lane_[kCacheZeroPushes] = metrics_->add_counter("cache_zero_pushes");
-      metrics_->add_counter("cache_bypasses");
-      // Wall-clock profile feed: registered only when profiling is on, so
-      // the default metrics CSV schema is untouched — and these columns
-      // are the ONE part of the CSV exempt from the byte-identical
-      // contract (they measure real time). Values are nanoseconds accrued
-      // per window; trace_export happens after the run, so its column
-      // stays 0 here and lives in the profile CSV instead.
-      if (profiler_) {
-        m_prof_[0] = metrics_->add_counter("prof_dispatch_ns");
-        m_prof_[1] = metrics_->add_counter("prof_lane_ns");
-        m_prof_[2] = metrics_->add_counter("prof_reduce_ns");
-        m_prof_[3] = metrics_->add_counter("prof_telemetry_ns");
-        m_prof_[4] = metrics_->add_counter("prof_export_ns");
-      }
-    }
+    if (metrics_) m_ = register_stream_metrics(*metrics_, profiler_ != nullptr);
   }
 
   int batch() const { return batch_; }
@@ -312,9 +338,9 @@ class PoolScheduler {
       }
       if (metrics_) {
         obs::ScopedStage prof_close(profiler_, obs::Stage::kTelemetryClose);
-        metrics_->set_gauge(m_live_, sample.live_lanes);
-        metrics_->set_gauge(m_paused_, sample.paused_lanes);
-        metrics_->set_gauge(m_overflowed_, overflowed_so_far_);
+        metrics_->set_gauge(m_.live, sample.live_lanes);
+        metrics_->set_gauge(m_.paused, sample.paused_lanes);
+        metrics_->set_gauge(m_.overflowed, overflowed_so_far_);
         feed_profile();
         metrics_->tick(round);
       }
@@ -370,13 +396,6 @@ class PoolScheduler {
   }
 
  private:
-  /// Per-lane metrics counters, in registration order (the cache pair
-  /// registers after the PR 7 instruments).
-  enum LaneCounter : std::size_t {
-    kPushes, kDrainPushes, kPops, kServes, kStarves, kOverflows, kPauses,
-    kResumes, kCacheZeroRounds, kCacheZeroPushes, kLaneCounters
-  };
-
   /// One block's share of one round, merged in block order: a partial
   /// RoundSample (overflowed_lanes = the round's new overflows) and, with
   /// metrics on, counter deltas and histograms. Counters add and
@@ -465,14 +484,8 @@ class PoolScheduler {
       }
     }
     // Only the deepest idle_engines lanes are granted: order just those.
-    const auto granted = static_cast<std::ptrdiff_t>(
-        std::min(idle_engines, drainable_.size()));
-    std::partial_sort(drainable_.begin(), drainable_.begin() + granted,
-                      drainable_.end(), [this](int a, int b) {
-                        const int da = depth_[static_cast<std::size_t>(a)];
-                        const int db = depth_[static_cast<std::size_t>(b)];
-                        return da != db ? da > db : a < b;
-                      });
+    rank_deepest_first(drainable_, std::min(idle_engines, drainable_.size()),
+                       depth_.data());
     std::size_t next = 0;
     for (int e = 0; e < engines_ && next < drainable_.size(); ++e) {
       int& lane = assignment_[static_cast<std::size_t>(e)];
@@ -601,11 +614,11 @@ class PoolScheduler {
   /// Adds one block partial into the registry and clears it for reuse.
   void merge_partial(BlockRound& part) {
     for (std::size_t c = 0; c < kLaneCounters; ++c) {
-      metrics_->count(m_lane_[c], part.counts[c]);
+      metrics_->count(m_.lane[c], part.counts[c]);
     }
     part.counts.fill(0);
-    metrics_->merge(m_depth_, part.depth);
-    metrics_->merge(m_sojourn_, part.sojourn);
+    metrics_->merge(m_.depth, part.depth);
+    metrics_->merge(m_.sojourn, part.sojourn);
     part.depth.reset();
     part.sojourn.reset();
   }
@@ -618,7 +631,7 @@ class PoolScheduler {
   void feed_profile() {
     if (!profiler_) return;
     for (int s = 0; s < obs::kStageCount; ++s) {
-      metrics_->count(m_prof_[static_cast<std::size_t>(s)],
+      metrics_->count(m_.prof[static_cast<std::size_t>(s)],
                       profiler_->take_window_nanos(static_cast<obs::Stage>(s)));
     }
   }
@@ -637,14 +650,7 @@ class PoolScheduler {
   int count_ = 1;  ///< rounds in the current dispatch (slot_of's stride)
   int overflowed_so_far_ = 0;
 
-  // Metrics instrument ids (valid only when metrics_ is set).
-  std::array<int, kLaneCounters> m_lane_{};     ///< per-lane counters
-  int m_live_ = -1;
-  int m_paused_ = -1;
-  int m_overflowed_ = -1;
-  int m_depth_ = -1;
-  int m_sojourn_ = -1;
-  std::array<int, obs::kStageCount> m_prof_{};  ///< per-stage nanos counters
+  StreamMetrics m_;  ///< instrument ids (valid only when metrics_ is set)
 
   std::vector<int> depth_;             // pre-round, for the policy view
   std::vector<std::uint8_t> finished_;
@@ -686,8 +692,9 @@ std::string json_double(double value) {
 
 /// Configuration echo for the postmortem bundle: enough to rerun the
 /// exact scenario (the trace seed/shape plus every service knob).
-std::string stream_config_json(const StreamConfig& config, int trace_rounds,
-                               int engines) {
+std::string stream_config_json(const StreamConfig& config,
+                               const ResolvedStream& resolved,
+                               int trace_rounds) {
   std::string out = "{";
   out += "\"lanes\": " + std::to_string(config.lanes);
   out += ", \"distance\": " + std::to_string(config.distance);
@@ -698,7 +705,7 @@ std::string stream_config_json(const StreamConfig& config, int trace_rounds,
   out += ", \"engine\": " + json_string(config.engine);
   out += ", \"cycles_per_round\": " + json_double(config.cycles_per_round);
   out += ", \"max_drain_rounds\": " + std::to_string(config.max_drain_rounds);
-  out += ", \"engines\": " + std::to_string(engines);
+  out += ", \"engines\": " + std::to_string(resolved.engines);
   out += ", \"policy\": " + json_string(config.policy);
   out += ", \"rounds_per_dispatch\": " +
          std::to_string(config.rounds_per_dispatch);
@@ -707,10 +714,10 @@ std::string stream_config_json(const StreamConfig& config, int trace_rounds,
   out += ", \"threads\": " + std::to_string(config.threads);
   out += ", \"obs\": {";
   out += "\"trace\": ";
-  out += config.obs.trace ? "true" : "false";
+  out += resolved.trace ? "true" : "false";
   out += ", \"trace_ring\": " + std::to_string(config.obs.trace_ring);
   out += ", \"metrics\": ";
-  out += config.obs.metrics ? "true" : "false";
+  out += resolved.metrics ? "true" : "false";
   out += ", \"metrics_window\": " + std::to_string(config.obs.metrics_window);
   out += ", \"profile\": ";
   out += config.obs.profile ? "true" : "false";
@@ -759,49 +766,55 @@ SyndromeTrace record_trace(const StreamConfig& config) {
   return trace;
 }
 
-StreamOutcome run_stream(const SyndromeTrace& trace,
-                         const StreamConfig& user_config) {
-  const int n = trace.lanes();
-  if (n < 1) throw std::invalid_argument("stream: trace has no lanes");
-  if (!std::isfinite(user_config.cycles_per_round)) {
+ResolvedStream resolve_stream(const StreamConfig& config, int lanes,
+                              int distance) {
+  if (lanes < 1) throw std::invalid_argument("stream: trace has no lanes");
+  if (!std::isfinite(config.cycles_per_round)) {
     throw std::invalid_argument("stream: cycles_per_round must be finite");
   }
+  ResolvedStream resolved;
   // Arming the flight recorder implies the recorders it dumps: a
   // postmortem bundle without the event trace and the metrics heartbeat
   // would be useless at triage time. Profiling and SLOs stay opt-in.
-  StreamConfig config = user_config;
-  if (!config.obs.dump_dir.empty()) {
-    config.obs.trace = true;
-    config.obs.metrics = true;
-  }
+  const bool dump = !config.obs.dump_dir.empty();
+  resolved.trace = config.obs.trace || dump;
+  resolved.metrics = config.obs.metrics || dump;
+  resolved.metrics_window = std::max(1, config.obs.metrics_window);
   // Resolve the engine, policy, and admission specs before any lane (or
   // thread) exists so a typo fails loudly up front.
-  const QecoolConfig engine_config = online_engine_config(config.engine);
-  const auto policy = make_scheduler_policy(config.policy);
-  const AdmissionConfig admission = resolve_admission(
-      parse_admission_spec(config.admission), engine_config.reg_depth);
+  resolved.engine = online_engine_config(config.engine);
+  resolved.policy = make_scheduler_policy(config.policy);
+  resolved.admission = resolve_admission(parse_admission_spec(config.admission),
+                                         resolved.engine.reg_depth);
   // The SLO spec parses with the same up-front loudness; it implies a
   // metrics registry (verdicts are a function of windowed metrics) and its
   // window= option overrides the metrics window.
-  const bool slo_enabled = !config.obs.slo.empty();
-  obs::SloConfig slo_config;
-  if (slo_enabled) slo_config = obs::parse_slo_spec(config.obs.slo);
-  int engines = config.engines <= 0 ? n : config.engines;
+  if (!config.obs.slo.empty()) {
+    resolved.slo = obs::parse_slo_spec(config.obs.slo);
+    resolved.metrics = true;
+    if (resolved.slo->window > 0) resolved.metrics_window = resolved.slo->window;
+    // Objectives name metrics: check them against the run's schema now,
+    // not after the first cell of a sweep has run.
+    obs::MetricsRegistry schema(resolved.metrics_window);
+    register_stream_metrics(schema, config.obs.profile);
+    obs::SloEngine(*resolved.slo).attach(schema, nullptr);
+  }
+  int engines = config.engines <= 0 ? lanes : config.engines;
 
   // The pool size is ultimately a watts decision: a positive budget_w
   // caps K at the largest pool whose modelled ERSFQ dissipation fits the
   // 4-K stage (Table V). The clock sets the watts, so an unconstrained
   // cycle budget cannot be power-capped.
-  const double freq_hz =
+  resolved.freq_hz =
       config.cycles_per_round > 0 ? config.cycles_per_round * 1e6 : 0.0;
   if (config.budget_w > 0) {
-    if (freq_hz <= 0) {
+    if (resolved.freq_hz <= 0) {
       throw std::invalid_argument(
           "stream: budget_w needs a positive cycles_per_round — an "
           "unconstrained clock has no defined power");
     }
-    const int fit = PoolPowerModel::max_engines(
-        config.budget_w, static_cast<int>(trace.header().distance), freq_hz);
+    const int fit =
+        PoolPowerModel::max_engines(config.budget_w, distance, resolved.freq_hz);
     if (fit < 1) {
       throw std::invalid_argument(
           "stream: power budget cannot supply even one engine at this "
@@ -809,33 +822,40 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     }
     engines = std::min(engines, fit);
   }
-  if (engines < 1 || engines > n) {
+  if (engines < 1 || engines > lanes) {
     throw std::invalid_argument("stream: engines must be in [1, lanes], got " +
                                 std::to_string(engines));
   }
-  policy->validate(n, engines);
+  resolved.policy->validate(lanes, engines);
+  resolved.engines = engines;
+  if (resolved.freq_hz > 0) {
+    resolved.watts = PoolPowerModel{engines, distance, resolved.freq_hz}.watts();
+  }
+  return resolved;
+}
+
+StreamOutcome run_stream(const SyndromeTrace& trace,
+                         const StreamConfig& config) {
+  const int n = trace.lanes();
+  const int distance = static_cast<int>(trace.header().distance);
+  const ResolvedStream resolved = resolve_stream(config, n, distance);
 
   OnlineConfig online;
-  online.engine = engine_config;
+  online.engine = resolved.engine;
   online.cycles_per_round = config.cycles_per_round;
   online.max_drain_rounds = config.max_drain_rounds;
 
-  const PlanarLattice lattice(static_cast<int>(trace.header().distance));
+  const PlanarLattice lattice(distance);
   std::vector<Lane> lanes;
   lanes.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    lanes.emplace_back(lattice, online, i);
-  }
-  if (admission.codel()) {
-    for (auto& lane : lanes) {
-      lane.codel = CodelControl(admission.target, admission.interval);
-    }
+    lanes.emplace_back(lattice, online, i, resolved.admission);
   }
 
   StreamOutcome outcome;
-  if (config.obs.trace) {
+  if (resolved.trace) {
     outcome.tracer = std::make_shared<obs::Tracer>(
-        n, engines,
+        n, resolved.engines,
         static_cast<std::size_t>(std::max(1, config.obs.trace_ring)));
     for (int i = 0; i < n; ++i) {
       Lane& lane = lanes[static_cast<std::size_t>(i)];
@@ -844,42 +864,31 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
       lane.codel.set_obs_track(lane.track);    // CoDel arm/disarm events
     }
   }
-  if (config.obs.metrics || slo_enabled) {
-    int metrics_window = std::max(1, config.obs.metrics_window);
-    if (slo_enabled && slo_config.window > 0) metrics_window = slo_config.window;
-    outcome.metrics = std::make_shared<obs::MetricsRegistry>(metrics_window);
+  if (resolved.metrics) {
+    outcome.metrics =
+        std::make_shared<obs::MetricsRegistry>(resolved.metrics_window);
   }
-  if (config.obs.profile) {
-    outcome.profiler = std::make_shared<obs::Profiler>(
-        static_cast<std::size_t>(std::max(1, config.obs.profile_ring)));
-  }
-  outcome.telemetry.distance = static_cast<int>(trace.header().distance);
+  if (config.obs.profile) outcome.profiler = std::make_shared<obs::Profiler>();
+  outcome.telemetry.distance = distance;
   outcome.telemetry.p = trace.header().p_data;
   outcome.telemetry.cycles_per_round = config.cycles_per_round;
   outcome.telemetry.seed = trace.header().seed;
   outcome.telemetry.engine = config.engine;
   outcome.telemetry.policy = config.policy;
   outcome.telemetry.admission = config.admission;
-  outcome.telemetry.engines = engines;
+  outcome.telemetry.engines = resolved.engines;
   outcome.telemetry.budget_w = config.budget_w;
-  if (freq_hz > 0) {
-    const PoolPowerModel power{engines,
-                               static_cast<int>(trace.header().distance),
-                               freq_hz};
-    outcome.telemetry.watts = power.watts();
-  }
+  outcome.telemetry.watts = resolved.watts;
 
-  PoolScheduler scheduler(lanes, *policy, engines, config, admission,
-                          outcome.telemetry,
+  PoolScheduler scheduler(lanes, resolved, config, outcome.telemetry,
                           outcome.tracer.get(), outcome.metrics.get(),
                           outcome.profiler.get());
 
   // The SLO engine attaches after every other instrument is registered,
   // so its slo_ok/slo_warning/slo_page counters are the trailing metrics
-  // columns; unknown objective metrics fail loudly here, before any round
-  // executes.
-  if (slo_enabled) {
-    outcome.slo = std::make_shared<obs::SloEngine>(slo_config);
+  // columns (resolve_stream already checked its objective metrics).
+  if (resolved.slo) {
+    outcome.slo = std::make_shared<obs::SloEngine>(*resolved.slo);
     outcome.slo->attach(*outcome.metrics,
                         outcome.tracer ? &outcome.tracer->control() : nullptr);
   }
@@ -895,7 +904,7 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     sources.metrics = outcome.metrics;
     sources.profiler = outcome.profiler;
     sources.slo = outcome.slo;
-    sources.config_json = stream_config_json(config, trace.rounds(), engines);
+    sources.config_json = stream_config_json(config, resolved, trace.rounds());
     sources.dir = config.obs.dump_dir;
     obs::FlightRecorder::instance().arm(std::move(sources));
   }

@@ -37,12 +37,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
+#include "qecool/config.hpp"
+#include "stream/admission.hpp"
+#include "stream/scheduler.hpp"
 #include "stream/telemetry.hpp"
 #include "stream/trace.hpp"
 
@@ -72,8 +76,6 @@ struct StreamObsConfig {
   /// consulted — and with this off (the default) every export stays
   /// byte-identical.
   bool profile = false;
-  /// Per-thread wall-sample ring capacity (flight-recorder semantics).
-  int profile_ring = 1 << 13;
   /// SLO spec, parse_slo_spec() grammar — e.g. "sojourn_p99<8,window=256"
   /// (obs/slo.hpp). Non-empty implies a metrics registry; its `window=`
   /// option overrides metrics_window. Verdicts derive only from windowed
@@ -167,6 +169,27 @@ struct StreamOutcome {
   std::shared_ptr<obs::SloEngine> slo;
 };
 
+/// What run_stream derives from a StreamConfig before any lane exists.
+struct ResolvedStream {
+  QecoolConfig engine;
+  std::unique_ptr<SchedulerPolicy> policy;  ///< validated for (lanes, engines)
+  AdmissionConfig admission;                ///< resolved against reg_depth
+  int engines = 0;       ///< K after the one-per-lane default and budget_w cap
+  double freq_hz = 0.0;  ///< decoder clock; 0 = unconstrained
+  double watts = 0.0;    ///< modelled pool dissipation; 0 when unclocked
+  bool trace = false;    ///< obs.trace, or implied by dump_dir
+  bool metrics = false;  ///< obs.metrics, or implied by dump_dir or slo
+  int metrics_window = 0;             ///< the SLO's window= wins over obs's
+  std::optional<obs::SloConfig> slo;  ///< parsed obs.slo, when set
+};
+
+/// Resolves `config` for a trace of `lanes` lanes at code distance
+/// `distance`, throwing std::invalid_argument with run_stream's message
+/// for every config run_stream rejects. Binaries call it on every config
+/// they will run before any trace is recorded or file written.
+ResolvedStream resolve_stream(const StreamConfig& config, int lanes,
+                              int distance);
+
 /// Lane `lane`'s noise stream for `rounds` noisy rounds, derived from
 /// config.seed, config.distance and config.p: independent per lane and
 /// never dependent on lane count, thread count, or scheduling.
@@ -183,7 +206,7 @@ SyndromeTrace record_trace(const StreamConfig& config);
 /// The "replay" half: streams every lane of `trace` through its own
 /// online engine, round-by-round in lane order. Noise parameters come
 /// from the trace; service parameters (engine spec, cycle budget, drain
-/// bound, threads) from `config`.
+/// bound, threads) from `config`, resolved first by resolve_stream().
 StreamOutcome run_stream(const SyndromeTrace& trace,
                          const StreamConfig& config);
 

@@ -660,6 +660,127 @@ TEST(StreamScheduler, MultiBlockSharedPoolExportsArePinned) {
   }
 }
 
+// Run-end ledger: every lane-round, grant and cycle is counted once, so the
+// per-lane, per-round and per-engine views sum to the same totals, and the
+// windowed metrics counters sum to the lane totals. 600 lanes run as three
+// lane blocks, so a block that drops or double-counts its share shows.
+TEST(StreamScheduler, RunEndLedgerReconciles) {
+  StreamConfig config;
+  config.lanes = 600;
+  config.distance = 3;
+  config.p = 0.04;
+  config.rounds = 24;
+  config.seed = 9;
+  config.cycles_per_round = 10;
+  config.max_drain_rounds = 200;
+  config.obs.metrics = true;
+  config.obs.metrics_window = 8;
+  const SyndromeTrace trace = record_trace(config);
+
+  // The dedicated cell's clock loses a third of its lanes to overflow;
+  // the shared pools starve and pause lanes instead.
+  const struct {
+    const char* policy;
+    const char* admission;
+    int engines;
+    double cycles_per_round;
+  } cells[] = {
+      {"dedicated", "overflow", 0, 8},
+      {"round_robin", "pause", 120, 10},
+      {"least_loaded", "codel", 120, 10},
+      {"fq", "codel", 120, 10},
+  };
+  for (const auto& cell : cells) {
+    for (const int threads : {1, 4}) {
+      StreamConfig c = config;
+      c.policy = cell.policy;
+      c.admission = cell.admission;
+      c.engines = cell.engines;
+      c.cycles_per_round = cell.cycles_per_round;
+      c.threads = threads;
+      const StreamOutcome outcome = run_stream(trace, c);
+      const StreamTelemetry& t = outcome.telemetry;
+      const std::string where = std::string(cell.policy) + "+" +
+                                cell.admission + " threads " +
+                                std::to_string(threads);
+
+      std::int64_t served = 0, starved = 0, paused = 0, streamed = 0;
+      std::int64_t drained = 0, popped = 0, pauses = 0, resumes = 0;
+      std::int64_t hist = 0;
+      std::uint64_t lane_cycles = 0;
+      for (const auto& lane : t.lanes) {
+        served += lane.served_rounds;
+        starved += lane.starved_rounds;
+        paused += lane.paused_rounds;
+        streamed += lane.rounds_streamed;
+        drained += lane.drain_rounds;
+        popped += lane.popped_layers;
+        pauses += lane.pauses;
+        resumes += lane.resumes;
+        lane_cycles += lane.total_cycles;
+        for (const auto count : lane.depth_hist) {
+          hist += static_cast<std::int64_t>(count);
+        }
+      }
+      const std::int64_t pushed = streamed + drained;
+      std::int64_t round_served = 0, round_starved = 0, round_paused = 0;
+      std::int64_t round_live = 0;
+      std::uint64_t round_cycles = 0;
+      for (const auto& sample : t.timeline) {
+        round_served += sample.served_lanes;
+        round_starved += sample.starved_lanes;
+        round_paused += sample.paused_lanes;
+        round_live += sample.live_lanes;
+        round_cycles += sample.cycles;
+      }
+      std::int64_t busy = 0;
+      std::uint64_t engine_cycles = 0;
+      for (const auto& engine : t.engine_stats) {
+        busy += engine.busy_rounds;
+        engine_cycles += engine.cycles;
+      }
+      const int overflowed = outcome.overflow_lanes;
+      // No identity below holds vacuously.
+      if (cell.engines == 0) {
+        EXPECT_GT(overflowed, 0) << where;
+        EXPECT_LT(overflowed, c.lanes) << where;
+      } else {
+        EXPECT_GT(starved, 0) << where;
+        EXPECT_GT(pauses, 0) << where;
+      }
+      EXPECT_GT(drained, 0) << where;
+
+      EXPECT_EQ(served, round_served) << where;
+      EXPECT_EQ(served, busy) << where;
+      EXPECT_EQ(starved, round_starved) << where;
+      EXPECT_EQ(paused, round_paused) << where;
+      EXPECT_EQ(round_live, pushed + overflowed) << where;
+      EXPECT_EQ(hist, round_live + round_paused) << where;
+      EXPECT_EQ(lane_cycles, round_cycles) << where;
+      EXPECT_EQ(lane_cycles, engine_cycles) << where;
+
+      const obs::MetricsRegistry& m = *outcome.metrics;
+      const auto total = [&m](const char* name) {
+        for (int i = 0; i < m.num_counters(); ++i) {
+          if (m.counter_name(i) == name) {
+            return static_cast<std::int64_t>(m.counter_total(i));
+          }
+        }
+        ADD_FAILURE() << "no counter " << name;
+        return std::int64_t{-1};
+      };
+      EXPECT_EQ(total("pushes"), streamed) << where;
+      EXPECT_EQ(total("drain_pushes"), drained) << where;
+      EXPECT_EQ(total("pops"), popped) << where;
+      EXPECT_EQ(total("serves"), served) << where;
+      EXPECT_EQ(total("starves"), starved) << where;
+      EXPECT_EQ(total("overflows"), overflowed) << where;
+      EXPECT_EQ(total("pauses"), pauses) << where;
+      EXPECT_EQ(total("resumes"), resumes) << where;
+    }
+  }
+}
+
 TEST(StreamScheduler, FairnessIndexFormula) {
   StreamTelemetry t;
   t.lanes.resize(3);

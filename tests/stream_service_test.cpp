@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
 
 #include "common/stats.hpp"
 #include "qecool/online_runner.hpp"
+#include "stream/admission.hpp"
 #include "surface_code/planar_lattice.hpp"
 
 namespace qec {
@@ -264,6 +266,112 @@ TEST(StreamService, RejectsNonFiniteCycleBudgetNamingTheField) {
   StreamConfig config = valid;
   config.cycles_per_round = 0.0;
   EXPECT_NO_THROW(run_stream(trace, config));
+}
+
+// resolve_stream is where every StreamConfig is checked: it and run_stream
+// throw the same message, word for word, for each bad config.
+TEST(StreamService, ResolveStreamAndRunStreamThrowTheSameMessages) {
+  StreamConfig valid = base_config();
+  valid.cycles_per_round = 60;  // a 60 MHz clock, so budgets have watts
+  const SyndromeTrace trace = record_trace(valid);
+  const double per_engine = PoolPowerModel{1, 5, 60e6}.watts_per_engine();
+  const struct {
+    const char* name;
+    std::function<void(StreamConfig&)> edit;
+    std::string message;
+  } cases[] = {
+      {"nan clock",
+       [](StreamConfig& c) {
+         c.cycles_per_round = std::numeric_limits<double>::quiet_NaN();
+       },
+       "stream: cycles_per_round must be finite"},
+      {"budget without a clock",
+       [](StreamConfig& c) {
+         c.cycles_per_round = 0.0;
+         c.budget_w = 1.0;
+       },
+       "stream: budget_w needs a positive cycles_per_round — an "
+       "unconstrained clock has no defined power"},
+      {"budget below one engine",
+       [per_engine](StreamConfig& c) { c.budget_w = 0.5 * per_engine; },
+       "stream: power budget cannot supply even one engine at this distance "
+       "and clock"},
+      {"more engines than lanes",
+       [](StreamConfig& c) {
+         c.policy = "round_robin";
+         c.engines = 7;
+       },
+       "stream: engines must be in [1, lanes], got 7"},
+      {"dedicated with K != N", [](StreamConfig& c) { c.engines = 3; },
+       "scheduler policy spec: 'dedicated' needs one engine per lane "
+       "(engines == lanes); use round_robin, least_loaded, or fq for a "
+       "shared pool"},
+      {"unknown engine option",
+       [](StreamConfig& c) { c.engine = "qecool:bogus=1"; },
+       "decoder spec: online engine 'qecool' does not understand 'bogus' "
+       "(engine options: reg_depth, thv, nlimit, deprioritize_boundary, "
+       "start_at_max_hop)"},
+      {"non-online engine", [](StreamConfig& c) { c.engine = "mwpm"; },
+       "decoder spec: online engine spec must name 'qecool', got 'mwpm'"},
+      {"unknown policy", [](StreamConfig& c) { c.policy = "fifo"; },
+       "scheduler policy spec: unknown policy 'fifo'"},
+      {"unknown policy option",
+       [](StreamConfig& c) { c.policy = "least_loaded:knob=1"; },
+       "scheduler policy spec: policy 'least_loaded' does not understand "
+       "'knob'"},
+      {"unknown admission", [](StreamConfig& c) { c.admission = "shed"; },
+       "admission spec: unknown mode 'shed' (expected overflow, pause, or "
+       "codel)"},
+      {"admission mark above reg_depth",
+       [](StreamConfig& c) { c.admission = "pause:high=9"; },
+       "admission spec: high-water mark 9 exceeds reg_depth 7"},
+      {"unknown slo option",
+       [](StreamConfig& c) { c.obs.slo = "sojourn_p99<8,bogus=3"; },
+       "bad slo spec: 'bogus=3' (unknown option 'bogus')"},
+      {"unknown slo metric", [](StreamConfig& c) { c.obs.slo = "nope<1"; },
+       "bad slo spec: unknown metric(s) 'nope' — known metrics: pushes, "
+       "drain_pushes, pops, serves, starves, overflows, pauses, resumes, "
+       "cache_hits, cache_misses, cache_installs, cache_evictions, "
+       "cache_zero_rounds, cache_zero_pushes, cache_bypasses, slo_ok, "
+       "slo_warning, slo_page, live_lanes, paused_lanes, overflowed_lanes, "
+       "depth_count, depth_p50, depth_p95, depth_p99, depth_max, "
+       "sojourn_count, sojourn_p50, sojourn_p95, sojourn_p99, sojourn_max"},
+  };
+  const auto message_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  for (const auto& c : cases) {
+    StreamConfig config = valid;
+    c.edit(config);
+    EXPECT_EQ(message_of([&] { resolve_stream(config, trace.lanes(), 5); }),
+              c.message)
+        << c.name;
+    EXPECT_EQ(message_of([&] { run_stream(trace, config); }), c.message)
+        << c.name;
+  }
+
+  // A valid config resolves to the pool run_stream runs.
+  StreamConfig config = valid;
+  config.policy = "least_loaded";
+  config.budget_w = 2.5 * per_engine;
+  config.obs.slo = "sojourn_p99<8,window=16";
+  const ResolvedStream resolved = resolve_stream(config, trace.lanes(), 5);
+  EXPECT_EQ(resolved.engines, 2);
+  EXPECT_DOUBLE_EQ(resolved.freq_hz, 60e6);
+  EXPECT_TRUE(resolved.metrics);  // implied by the SLO
+  EXPECT_EQ(resolved.metrics_window, 16);
+  EXPECT_FALSE(resolved.trace);
+  const StreamOutcome outcome = run_stream(trace, config);
+  EXPECT_EQ(outcome.telemetry.engines, resolved.engines);
+  EXPECT_DOUBLE_EQ(outcome.telemetry.watts, resolved.watts);
+  EXPECT_EQ(outcome.metrics->window(), 16);
+  config.obs.dump_dir = temp_path("resolve_dump");
+  EXPECT_TRUE(resolve_stream(config, trace.lanes(), 5).trace);
 }
 
 TEST(StreamService, RegDepthSpecShapesDepthHistogram) {

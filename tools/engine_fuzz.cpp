@@ -56,20 +56,6 @@ constexpr const char* kOptions =
     "  --minimize=FILE      minimize mode: shrink one failing trace file\n"
     "  --save-corpus=DIR    record the seed matrix into DIR and exit\n";
 
-std::vector<double> parse_doubles(const std::string& csv) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string item = csv.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!item.empty()) out.push_back(std::stod(item));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 int parse_fault(const std::string& name) {
   if (name.empty() || name == "none") return qec::QecoolConfig::kFaultNone;
   if (name == "checkpoint-snapshot") {
@@ -82,8 +68,8 @@ int parse_fault(const std::string& name) {
 }
 
 std::vector<qec::fuzz::FuzzSeedSpec> build_seeds(const qec::CliArgs& args) {
-  const auto distances = parse_doubles(args.get_or("d", "5,9"));
-  const auto ps = parse_doubles(args.get_or("p", "1e-4,3e-3"));
+  const auto distances = qec::split_doubles(args.get_or("d", "5,9"));
+  const auto ps = qec::split_doubles(args.get_or("p", "1e-4,3e-3"));
   const int lanes = static_cast<int>(args.get_int_or("lanes", 2));
   const int rounds = static_cast<int>(args.get_int_or("rounds", 12));
   std::vector<qec::fuzz::FuzzSeedSpec> seeds;
@@ -110,18 +96,16 @@ qec::fuzz::OracleConfig build_oracle(const qec::CliArgs& args) {
   return oracle;
 }
 
-int run_replay(const qec::CliArgs& args, const std::string& dir) {
+int run_replay(const std::string& dir, const qec::fuzz::OracleConfig& oracle,
+               int threads, const std::string& report_path) {
   const auto paths = qec::fuzz::list_corpus(dir);
   if (paths.empty()) {
     std::fprintf(stderr, "engine_fuzz: no *.qtrc under %s\n", dir.c_str());
     return 2;
   }
-  const int threads = qec::threads_override(args, 1);
-  const auto report =
-      qec::fuzz::replay_corpus(paths, build_oracle(args), threads);
+  const auto report = qec::fuzz::replay_corpus(paths, oracle, threads);
   const std::string text = report.to_text();
   std::fputs(text.c_str(), stdout);
-  const std::string report_path = args.get_or("report", "");
   if (!report_path.empty()) {
     std::FILE* f = std::fopen(report_path.c_str(), "wb");
     if (!f) {
@@ -135,9 +119,9 @@ int run_replay(const qec::CliArgs& args, const std::string& dir) {
   return report.ok() ? 0 : 1;
 }
 
-int run_minimize(const qec::CliArgs& args, const std::string& path) {
+int run_minimize(const std::string& path,
+                 const qec::fuzz::OracleConfig& oracle) {
   const auto trace = qec::SyndromeTrace::load(path);
-  const auto oracle = build_oracle(args);
   const auto failing = [&](const qec::SyndromeTrace& t) {
     return !qec::fuzz::run_oracles(t, oracle).ok();
   };
@@ -156,14 +140,12 @@ int run_minimize(const qec::CliArgs& args, const std::string& path) {
   return 0;
 }
 
-int run_save_corpus(const qec::CliArgs& args, const std::string& dir) {
+int run_save_corpus(const std::string& dir, const qec::fuzz::FuzzConfig& config) {
   // One oracle pass over each recorded seed validates it before saving.
-  const auto oracle = build_oracle(args);
-  const auto seeds = build_seeds(args);
   std::filesystem::create_directories(dir);
-  for (const auto& spec : seeds) {
+  for (const auto& spec : config.seeds) {
     const auto trace = qec::fuzz::record_seed(spec);
-    const auto report = qec::fuzz::run_oracles(trace, oracle);
+    const auto report = qec::fuzz::run_oracles(trace, config.oracle);
     if (!report.ok()) {
       std::fprintf(stderr, "engine_fuzz: seed d=%d p=%g diverges: %s\n",
                    spec.distance, spec.p,
@@ -175,7 +157,7 @@ int run_save_corpus(const qec::CliArgs& args, const std::string& dir) {
     trace.save(out);
     std::printf("wrote %s\n", out.c_str());
   }
-  return seeds.empty() ? 1 : 0;
+  return config.seeds.empty() ? 1 : 0;
 }
 
 }  // namespace
@@ -184,13 +166,12 @@ int main(int argc, char** argv) try {
   const qec::CliArgs args(argc, argv);
   if (qec::handle_help(args, "engine_fuzz", kSummary, kOptions)) return 0;
 
+  // Every mode's flags are read up front: an unknown one fails any mode.
   const std::string replay_dir = args.get_or("replay", "");
-  if (!replay_dir.empty()) return run_replay(args, replay_dir);
   const std::string minimize_path = args.get_or("minimize", "");
-  if (!minimize_path.empty()) return run_minimize(args, minimize_path);
   const std::string save_dir = args.get_or("save-corpus", "");
-  if (!save_dir.empty()) return run_save_corpus(args, save_dir);
-
+  const int threads = qec::threads_override(args, 1);
+  const std::string report_path = args.get_or("report", "");
   qec::fuzz::FuzzConfig config;
   config.seeds = build_seeds(args);
   config.oracle = build_oracle(args);
@@ -205,6 +186,14 @@ int main(int argc, char** argv) try {
   config.corpus_dir = args.get_or("corpus", "");
   config.out_dir = args.get_or("out", "");
   config.minimize = !args.get_flag("no-minimize");
+  const bool expect_failure = args.get_flag("expect-failure");
+  qec::reject_unread(args);
+
+  if (!replay_dir.empty()) {
+    return run_replay(replay_dir, config.oracle, threads, report_path);
+  }
+  if (!minimize_path.empty()) return run_minimize(minimize_path, config.oracle);
+  if (!save_dir.empty()) return run_save_corpus(save_dir, config);
 
   const auto stats = qec::fuzz::run_fuzzer(config);
   std::printf(
@@ -226,7 +215,6 @@ int main(int argc, char** argv) try {
     }
   }
 
-  const bool expect_failure = args.get_flag("expect-failure");
   if (expect_failure) {
     if (stats.found_failure()) {
       std::printf("self-check ok: the planted fault was detected\n");
