@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
     const auto p_list = split_doubles(args.get_or("p", "0.01"));
     const std::string csv_path = args.get_or("csv", "");
     qec::reject_unread(args);
-    // Resolve every (p, lanes, clock) cell before the first trace is
-    // recorded, so no cell fails after earlier rows are written.
+    // Check and resolve every (p, lanes, clock) cell before the first
+    // trace is recorded, so no cell fails after earlier rows are written.
     struct Cell {
       qec::StreamConfig config;
       double mhz = 0.0;
@@ -101,6 +101,7 @@ int main(int argc, char** argv) {
           config.p = p;
           config.lanes = static_cast<int>(lanes);
           config.cycles_per_round = qec::cycles_per_microsecond(mhz * 1e6);
+          qec::validate_record(config);
           qec::resolve_stream(config, config.lanes, base.distance);
           cells.push_back({config, mhz});
         }

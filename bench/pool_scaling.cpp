@@ -162,7 +162,8 @@ int main(int argc, char** argv) {
             config.cycles_per_round = qec::cycles_per_microsecond(mhz * 1e6);
             const int k =
                 qec::resolve_stream(config, base.lanes, base.distance).engines;
-            if (k < engines) ++capped_cells;
+            // --engines=0 asks for one engine per lane.
+            if (k < (engines > 0 ? engines : base.lanes)) ++capped_cells;
             if (seen.insert(admission + "|" + policy + "|" + fmt(mhz, "%.9g") +
                             "|" + std::to_string(k))
                     .second) {

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace qec::obs {
 
@@ -50,31 +51,56 @@ std::uint64_t Tracer::dropped() const {
 }
 
 std::vector<MergedEvent> Tracer::merged() const {
-  std::vector<MergedEvent> out;
-  std::size_t total = control_.ring().size();
-  for (const auto& t : lanes_) total += t.ring().size();
-  for (const auto& t : engines_) total += t.ring().size();
-  out.reserve(total);
-
-  const auto append = [&out](const Track& track) {
-    for (const TraceEvent& event : track.ring().events()) {
-      out.push_back({track.kind(), track.id(), event});
-    }
-  };
-  append(control_);
-  for (const auto& t : lanes_) append(t);
-  for (const auto& t : engines_) append(t);
-
   // Canonical order: time first, then control < lanes < engines, then
-  // track id, then per-track emission order. Stable across thread counts
-  // because every ring's content already is.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const MergedEvent& a, const MergedEvent& b) {
-                     if (a.event.ts != b.event.ts) return a.event.ts < b.event.ts;
-                     if (a.track != b.track) return a.track < b.track;
-                     if (a.id != b.id) return a.id < b.id;
-                     return a.event.seq < b.event.seq;
-                   });
+  // track id, then per-track emission order. Visiting the tracks in that
+  // (kind, id) order, each ring oldest first, lists the events in
+  // (kind, id, seq) order, so a stable placement by ts alone yields the
+  // canonical order: a merge of the tracks by round. Stable across thread
+  // counts because every ring's content already is.
+  const auto for_each_event = [this](auto&& f) {
+    const auto visit = [&f](const Track& track) {
+      track.ring().for_each(
+          [&](const TraceEvent& event) { f(track, event); });
+    };
+    visit(control_);
+    for (const auto& t : lanes_) visit(t);
+    for (const auto& t : engines_) visit(t);
+  };
+  std::size_t total = 0;
+  std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+  std::int64_t hi = std::numeric_limits<std::int64_t>::min();
+  for_each_event([&](const Track&, const TraceEvent& event) {
+    lo = std::min(lo, event.ts);
+    hi = std::max(hi, event.ts);
+    ++total;
+  });
+  if (total == 0) return {};
+  std::vector<MergedEvent> out(total);
+  // Logical rounds are dense, so one counting pass over the ts span
+  // places every event; a span far wider than the event count (never
+  // produced by the service) falls back to a stable sort by ts.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  if (span <= 2 * total + 1024) {
+    std::vector<std::size_t> next(static_cast<std::size_t>(span) + 2, 0);
+    for_each_event([&](const Track&, const TraceEvent& event) {
+      ++next[static_cast<std::size_t>(event.ts - lo) + 1];
+    });
+    for (std::size_t i = 1; i < next.size(); ++i) next[i] += next[i - 1];
+    for_each_event([&](const Track& track, const TraceEvent& event) {
+      out[next[static_cast<std::size_t>(event.ts - lo)]++] = {
+          track.kind(), track.id(), event};
+    });
+  } else {
+    std::size_t i = 0;
+    for_each_event([&](const Track& track, const TraceEvent& event) {
+      out[i++] = {track.kind(), track.id(), event};
+    });
+    std::stable_sort(out.begin(), out.end(),
+                     [](const MergedEvent& a, const MergedEvent& b) {
+                       return a.event.ts < b.event.ts;
+                     });
+  }
   return out;
 }
 

@@ -106,13 +106,19 @@ class TraceRing {
   std::uint64_t dropped() const { return dropped_; }
   std::size_t size() const { return ring_.size(); }
 
+  /// Calls f(event) for every surviving event in emission order (oldest
+  /// survivor first).
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t i = head_; i < ring_.size(); ++i) f(ring_[i]);
+    for (std::size_t i = 0; i < head_; ++i) f(ring_[i]);
+  }
+
   /// Surviving events in emission order (oldest survivor first).
   std::vector<TraceEvent> events() const {
     std::vector<TraceEvent> out;
     out.reserve(ring_.size());
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(head_ + i) % ring_.size()]);
-    }
+    for_each([&out](const TraceEvent& event) { out.push_back(event); });
     return out;
   }
 

@@ -266,14 +266,17 @@ std::uint64_t QecoolEngine::process_unit(int row, int col) {
 void QecoolEngine::pop_layer() {
   assert(m_ > 0);
   if (probe_) probe_->on_pop(m_);
-  // The base layer is popped only when clean (SHIFTREG): rotating its
-  // all-zero PackedBits to the back both shifts every deeper layer down
-  // one slot and re-establishes the "slots at or past m_ are zero"
-  // invariant — O(depth) moves, no per-Unit work.
+  // The base layer is popped only when clean (SHIFTREG): every deeper
+  // layer's words move down one slot and the vacated top slot is cleared,
+  // re-establishing the "slots at or past m_ are zero" invariant —
+  // O(depth) word copies, no per-Unit work and no allocation.
   assert(reg_[0].none());
-  std::rotate(reg_.begin(), reg_.begin() + 1,
-              reg_.begin() + static_cast<std::ptrdiff_t>(m_));
+  for (int t = 1; t < m_; ++t) {
+    reg_[static_cast<std::size_t>(t - 1)].copy_from(
+        reg_[static_cast<std::size_t>(t)]);
+  }
   --m_;
+  reg_[static_cast<std::size_t>(m_)].clear_all();
   layer_cycles_.push_back(cycles_ - last_pop_cycles_);
   last_pop_cycles_ = cycles_;
   if (obs_track_) {

@@ -192,8 +192,8 @@ class QecoolEngine {
   int reg_capacity_ = 0;
   int nlimit_ = 0;
   /// Reg queues, one packed layer per depth slot; slots at or past m_ are
-  /// always all-zero (pushes land at m_, pops rotate the clean base layer
-  /// to the back).
+  /// always all-zero (pushes land at m_, pops shift the deeper layers
+  /// down one slot and clear the vacated one).
   std::vector<PackedBits> reg_;
   int m_ = 0;                      // stored layers
   PackedBits correction_;

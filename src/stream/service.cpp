@@ -729,7 +729,7 @@ std::string stream_config_json(const StreamConfig& config,
 
 }  // namespace
 
-SyndromeTrace record_trace(const StreamConfig& config) {
+void validate_record(const StreamConfig& config) {
   if (config.lanes < 1) throw std::invalid_argument("stream: lanes must be >= 1");
   if (!(config.p >= 0.0 && config.p <= 1.0)) {  // NaN fails both comparisons
     throw std::invalid_argument("stream: p must be in [0, 1]");
@@ -737,6 +737,10 @@ SyndromeTrace record_trace(const StreamConfig& config) {
   if (config.rounds < 0) {
     throw std::invalid_argument("stream: rounds must be >= 0 (0 = distance)");
   }
+}
+
+SyndromeTrace record_trace(const StreamConfig& config) {
+  validate_record(config);
   const int noisy_rounds = config.rounds > 0 ? config.rounds : config.distance;
   const PlanarLattice lattice(config.distance);
 

@@ -195,12 +195,17 @@ ResolvedStream resolve_stream(const StreamConfig& config, int lanes,
 /// never dependent on lane count, thread count, or scheduling.
 Xoshiro256ss lane_rng(const StreamConfig& config, int lane, int rounds);
 
+/// Throws std::invalid_argument with record_trace's message when
+/// config.lanes < 1, config.p is outside [0, 1] (NaN included), or
+/// config.rounds < 0 (0 means `distance` noisy rounds). Sweeps call it on
+/// every cell before the first record.
+void validate_record(const StreamConfig& config);
+
 /// Samples one memory-experiment history per lane from its lane_rng()
 /// stream with PhenomenologicalSampler, writing the packed difference
 /// layers straight into the trace. This is the "record" half: the returned
-/// trace fully determines any later run. Throws std::invalid_argument when
-/// lanes < 1, p is outside [0, 1] (NaN included), or rounds < 0 (0 means
-/// `distance` noisy rounds).
+/// trace fully determines any later run. Throws what validate_record()
+/// throws.
 SyndromeTrace record_trace(const StreamConfig& config);
 
 /// The "replay" half: streams every lane of `trace` through its own

@@ -24,7 +24,9 @@
 // layers are held as PackedBits (64 checks per word, LSB-first — see
 // surface_code/packed_bits.hpp), so save() emits each layer's words
 // little-endian truncated to ceil(checks/8) bytes and load() assembles
-// words straight from the payload bytes. The streamed hot path (layer()
+// words straight from the payload bytes. Up to d=14 a layer's words live
+// inside its PackedBits, so the rounds x lanes layers are one contiguous
+// allocation with no per-layer heap block. The streamed hot path (layer()
 // -> OnlineStepper::push -> engine Reg) never unpacks byte-per-bit; only
 // history() — the cold replay-scoring bridge — converts back to BitVec.
 #pragma once

@@ -17,9 +17,20 @@
 //
 // Invariant: tail bits past size() in the last word are always zero, so
 // any()/popcount()/operator== never need masking.
+//
+// Storage: a vector of up to kInlineWords (3) words — 192 bits — lives
+// inside the object; a longer one owns one heap array. Three words hold
+// every syndrome layer up to d=14 (d(d-1) checks; 156 at the paper's
+// largest distance, d=13) and every data frame up to d=10, so a trace of
+// lanes x rounds layers is one contiguous allocation and an engine's Reg
+// allocates nothing per layer. sizeof(PackedBits) is 32 bytes: the bit
+// count plus a union of the inline words and the heap pointer; the word
+// count is derived from the bit count, which also selects the storage.
+// Unused inline words are always zero.
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -84,8 +95,20 @@ class PackedBits {
   PackedBits() = default;
 
   /// `num_bits` zeroed bits.
-  explicit PackedBits(std::size_t num_bits)
-      : bits_(num_bits), words_(word_count(num_bits), 0) {}
+  explicit PackedBits(std::size_t num_bits) : bits_(num_bits) {
+    if (on_heap()) heap_ = new std::uint64_t[num_words()]();
+  }
+
+  /// Copies allocate only when the source is longer than the inline
+  /// capacity. A moved-from PackedBits is empty (size() == 0, no storage),
+  /// like a default-constructed one; it may be assigned to or destroyed.
+  PackedBits(const PackedBits& other);
+  PackedBits(PackedBits&& other) noexcept;
+  PackedBits& operator=(const PackedBits& other);
+  PackedBits& operator=(PackedBits&& other) noexcept;
+  ~PackedBits() {
+    if (on_heap()) delete[] heap_;
+  }
 
   /// Packs a byte-per-bit vector (any nonzero byte reads as 1).
   static PackedBits from_bits(std::span<const std::uint8_t> bits);
@@ -99,32 +122,35 @@ class PackedBits {
   void assign_bytes(const std::uint8_t* bytes);
 
   std::size_t size() const { return bits_; }
-  std::size_t num_words() const { return words_.size(); }
-  std::uint64_t word(std::size_t w) const { return words_[w]; }
+  std::size_t num_words() const { return word_count(bits_); }
+  std::uint64_t word(std::size_t w) const {
+    assert(w < num_words());
+    return data()[w];
+  }
 
   /// Whole-word mutator. The value must respect the tail-zero invariant —
   /// callers pass words read from a same-sized PackedBits (or zero).
   void set_word(std::size_t w, std::uint64_t value) {
-    assert(w < words_.size());
-    assert(w + 1 < words_.size() || (value & ~tail_mask()) == 0);
-    words_[w] = value;
+    assert(w < num_words());
+    assert(w + 1 < num_words() || (value & ~tail_mask()) == 0);
+    data()[w] = value;
   }
 
   bool test(std::size_t i) const {
     assert(i < bits_);
-    return (words_[i >> 6] >> (i & 63)) & 1u;
+    return (data()[i >> 6] >> (i & 63)) & 1u;
   }
   void set(std::size_t i) {
     assert(i < bits_);
-    words_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    data()[i >> 6] |= std::uint64_t{1} << (i & 63);
   }
   void reset(std::size_t i) {
     assert(i < bits_);
-    words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+    data()[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
   void flip(std::size_t i) {
     assert(i < bits_);
-    words_[i >> 6] ^= std::uint64_t{1} << (i & 63);
+    data()[i >> 6] ^= std::uint64_t{1} << (i & 63);
   }
 
   /// All bits -> 0 (size unchanged).
@@ -136,7 +162,18 @@ class PackedBits {
   /// Word-copy of a same-sized source (no reallocation).
   void copy_from(const PackedBits& other);
 
-  bool any() const;
+  bool any() const {
+    if (!on_heap()) {
+      // Unused inline words are zero: OR all of them, no loop bound.
+      std::uint64_t bits = 0;
+      for (const std::uint64_t w : inline_) bits |= w;
+      return bits != 0;
+    }
+    for (std::size_t w = 0, n = num_words(); w < n; ++w) {
+      if (heap_[w]) return true;
+    }
+    return false;
+  }
   bool none() const { return !any(); }
   /// Set entries — the packed weight().
   int popcount() const;
@@ -146,9 +183,7 @@ class PackedBits {
   PackedBits& operator|=(const PackedBits& other);
   PackedBits& operator&=(const PackedBits& other);
 
-  friend bool operator==(const PackedBits& a, const PackedBits& b) {
-    return a.bits_ == b.bits_ && a.words_ == b.words_;
-  }
+  friend bool operator==(const PackedBits& a, const PackedBits& b);
   friend bool operator!=(const PackedBits& a, const PackedBits& b) {
     return !(a == b);
   }
@@ -163,8 +198,9 @@ class PackedBits {
   /// Calls f(index) for every set bit in ascending order.
   template <typename F>
   void for_each_set(F&& f) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t word = words_[w];
+    const std::uint64_t* words = data();
+    for (std::size_t w = 0, n = num_words(); w < n; ++w) {
+      std::uint64_t word = words[w];
       while (word) {
         const int b = qec_countr_zero64(word);
         f((w << 6) + static_cast<std::size_t>(b));
@@ -174,6 +210,8 @@ class PackedBits {
   }
 
  private:
+  static constexpr std::size_t kInlineWords = 3;
+
   static std::size_t word_count(std::size_t bits) { return (bits + 63) / 64; }
   /// Mask selecting the valid bits of the last word (all-ones when the
   /// size is a multiple of 64 or zero).
@@ -182,8 +220,17 @@ class PackedBits {
     return rem ? (std::uint64_t{1} << rem) - 1 : ~std::uint64_t{0};
   }
 
+  bool on_heap() const { return bits_ > 64 * kInlineWords; }
+  std::uint64_t* data() { return on_heap() ? heap_ : inline_; }
+  const std::uint64_t* data() const { return on_heap() ? heap_ : inline_; }
+  /// Takes other's storage and leaves it empty; *this must own none.
+  void steal(PackedBits& other) noexcept;
+
   std::size_t bits_ = 0;
-  std::vector<std::uint64_t> words_;
+  union {
+    std::uint64_t inline_[kInlineWords] = {};  ///< bits_ <= 192
+    std::uint64_t* heap_;                      ///< bits_ > 192
+  };
 };
 
 }  // namespace qec

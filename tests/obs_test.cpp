@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,6 +98,68 @@ TEST(Tracer, MergedOrderIsTsThenControlLanesEnginesThenSeq) {
   EXPECT_EQ(merged[4].event.kind,
             static_cast<std::uint16_t>(obs::EventKind::kSpend));
   EXPECT_EQ(merged[5].track, obs::TrackKind::kEngine);
+}
+
+// The canonical order as a plain stable sort of every ring's events: the
+// reference the k-way merge in Tracer::merged() must reproduce.
+std::vector<obs::MergedEvent> stable_sorted_events(const obs::Tracer& tracer) {
+  std::vector<obs::MergedEvent> out;
+  const auto append = [&out](const obs::Track& track) {
+    for (const obs::TraceEvent& event : track.ring().events()) {
+      out.push_back({track.kind(), track.id(), event});
+    }
+  };
+  append(tracer.control());
+  for (int i = 0; i < tracer.lanes(); ++i) append(tracer.lane(i));
+  for (int e = 0; e < tracer.engines(); ++e) append(tracer.engine(e));
+  std::stable_sort(out.begin(), out.end(),
+                   [](const obs::MergedEvent& a, const obs::MergedEvent& b) {
+                     if (a.event.ts != b.event.ts) return a.event.ts < b.event.ts;
+                     if (a.track != b.track) return a.track < b.track;
+                     if (a.id != b.id) return a.id < b.id;
+                     return a.event.seq < b.event.seq;
+                   });
+  return out;
+}
+
+void expect_same_events(const std::vector<obs::MergedEvent>& got,
+                        const std::vector<obs::MergedEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto& a = got[i];
+    const auto& b = want[i];
+    ASSERT_TRUE(a.track == b.track && a.id == b.id &&
+                a.event.ts == b.event.ts && a.event.seq == b.event.seq &&
+                a.event.kind == b.event.kind &&
+                a.event.payload == b.event.payload &&
+                a.event.arg == b.event.arg)
+        << "event " << i;
+  }
+}
+
+TEST(Tracer, MergeOrdersTracksWrittenOutOfTsOrder) {
+  // Writers emit in ts order, but the merge must not depend on it: tracks
+  // emitted out of order (and wrapped by their rings) merge canonically.
+  obs::Tracer tracer(/*lanes=*/3, /*engines=*/2, /*ring_capacity=*/6);
+  const std::int64_t ts[] = {4, 2, 2, 7, 1, 4, 4, 0, 9, 3};
+  for (std::size_t k = 0; k < std::size(ts); ++k) {
+    tracer.lane(static_cast<int>(k % 3)).emit_at(ts[k], obs::EventKind::kPush, k);
+    tracer.engine(static_cast<int>(k % 2))
+        .emit_at(ts[std::size(ts) - 1 - k], obs::EventKind::kGrant, k);
+    tracer.control().emit_at(ts[k], obs::EventKind::kDispatch, k);
+  }
+  EXPECT_GT(tracer.dropped(), 0u);
+  expect_same_events(tracer.merged(), stable_sorted_events(tracer));
+
+  // Timestamps spread far wider than the event count take the sort path.
+  obs::Tracer sparse(/*lanes=*/2, /*engines=*/1, /*ring_capacity=*/8);
+  sparse.lane(1).emit_at(std::int64_t{1} << 40, obs::EventKind::kPush, 1);
+  sparse.lane(0).emit_at(-5, obs::EventKind::kPush, 2);
+  sparse.engine(0).emit_at(std::int64_t{1} << 40, obs::EventKind::kGrant, 3);
+  sparse.lane(0).emit_at(7, obs::EventKind::kSpend, 4);
+  sparse.control().emit_at(7, obs::EventKind::kDispatch, 5);
+  expect_same_events(sparse.merged(), stable_sorted_events(sparse));
+  EXPECT_TRUE(obs::Tracer(1, 1, 4).merged().empty());
 }
 
 TEST(LogHistogram, ExactBelowOneOctaveOfSubBuckets) {
@@ -251,6 +315,30 @@ TEST(ObsIntegration, GoldenEventPrefixOfSmallBurstyRun) {
             "2 L1 push 2 1\n"
             "2 L1 starve 2 0\n"
             "2 L2 push 3 1\n");
+}
+
+TEST(ObsIntegration, MergeEqualsStableSortOnMultiBlockFqCodelRun) {
+  // 600 lanes run as three lane blocks under fq + codel, with a ring small
+  // enough to wrap: the merged export equals the stable sort it replaced.
+  StreamConfig config;
+  config.lanes = 600;
+  config.distance = 3;
+  config.p = 0.04;
+  config.rounds = 24;
+  config.seed = 9;
+  config.cycles_per_round = 10;
+  config.max_drain_rounds = 200;
+  config.engines = 120;
+  config.policy = "fq";
+  config.admission = "codel";
+  config.obs.trace = true;
+  config.obs.trace_ring = 32;
+  config.threads = 4;
+  const StreamOutcome outcome = run_stream(record_trace(config), config);
+  ASSERT_TRUE(outcome.tracer);
+  EXPECT_GT(outcome.tracer->dropped(), 0u);
+  expect_same_events(outcome.tracer->merged(),
+                     stable_sorted_events(*outcome.tracer));
 }
 
 TEST(ObsIntegration, TraceAndMetricsAreThreadCountInvariant) {

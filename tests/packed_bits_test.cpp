@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "stream/trace.hpp"
@@ -21,8 +23,13 @@ namespace qec {
 namespace {
 
 // The awkward sizes: empty, sub-word, word-aligned, word+1, the d=9
-// engine grid (72 checks), multi-word with a partial tail.
-const std::size_t kSizes[] = {0, 1, 7, 63, 64, 65, 72, 100, 128, 130, 1000};
+// engine grid (72 checks), multi-word with a partial tail, and both sides
+// of the inline/heap storage split at 3 words (192 bits).
+const std::size_t kSizes[] = {0,   1,   7,   63,  64,  65,  72,  100, 128,
+                              130, 191, 192, 193, 256, 257, 1000};
+
+static_assert(sizeof(PackedBits) == 32,
+              "bit count plus three inline words (or a heap pointer)");
 
 BitVec random_bits(std::size_t n, std::mt19937& rng, double density = 0.5) {
   std::bernoulli_distribution bit(density);
@@ -177,6 +184,84 @@ TEST(PackedBits, AssignAndCopyReuseStorage) {
     PackedBits other(n);
     other.copy_from(packed);
     EXPECT_EQ(other, packed);
+  }
+}
+
+// Copy and move, constructed and assigned, across every inline/heap
+// pairing (192 bits is the last inline size) and between sizes of equal
+// word count: the result always equals the byte-per-bit reference, a
+// copy's source is untouched, and a moved-from vector is empty and
+// reusable.
+TEST(PackedBits, CopyAndMoveAcrossTheInlineHeapSplit) {
+  std::mt19937 rng(41);
+  const std::size_t sizes[] = {72, 100, 191, 192, 193, 256, 313};
+  for (const std::size_t n : sizes) {
+    const BitVec ref = random_bits(n, rng);
+    const PackedBits src = PackedBits::from_bits(ref);
+
+    PackedBits copied(src);
+    EXPECT_EQ(copied.to_bits(), ref) << "copy-construct " << n;
+    PackedBits source = src;
+    PackedBits moved(std::move(source));
+    EXPECT_EQ(moved.to_bits(), ref) << "move-construct " << n;
+    EXPECT_EQ(source.size(), 0u);
+    EXPECT_EQ(source.num_words(), 0u);
+    EXPECT_TRUE(source.to_bits().empty());
+    EXPECT_EQ(source, PackedBits());
+
+    for (const std::size_t m : sizes) {
+      const BitVec old_ref = random_bits(m, rng);
+      PackedBits target = PackedBits::from_bits(old_ref);
+      target = src;
+      EXPECT_EQ(target.to_bits(), ref) << "copy-assign " << m << " <- " << n;
+      EXPECT_EQ(src.to_bits(), ref);
+      target.flip(0);  // the copy owns its words
+      EXPECT_EQ(src.to_bits(), ref);
+
+      PackedBits into = PackedBits::from_bits(old_ref);
+      PackedBits from = src;
+      into = std::move(from);
+      EXPECT_EQ(into.to_bits(), ref) << "move-assign " << m << " <- " << n;
+      EXPECT_EQ(from.size(), 0u);
+      // A moved-from vector takes a new value of any size.
+      from = PackedBits::from_bits(old_ref);
+      EXPECT_EQ(from.to_bits(), old_ref);
+    }
+  }
+}
+
+TEST(PackedBits, SelfAssignmentKeepsTheValue) {
+  std::mt19937 rng(43);
+  for (const std::size_t n : {std::size_t{100}, std::size_t{257}}) {
+    const BitVec ref = random_bits(n, rng);
+    PackedBits packed = PackedBits::from_bits(ref);
+    PackedBits& alias = packed;
+    packed = alias;
+    EXPECT_EQ(packed.to_bits(), ref) << "self-copy " << n;
+    packed = std::move(alias);
+    EXPECT_EQ(packed.to_bits(), ref) << "self-move " << n;
+  }
+}
+
+TEST(PackedBits, VectorGrowthRelocatesEveryElement) {
+  // push_back reallocates several times; each relocation moves inline and
+  // heap elements alike and must keep every value.
+  std::mt19937 rng(47);
+  std::vector<BitVec> refs;
+  std::vector<PackedBits> packed;
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t n = kSizes[static_cast<std::size_t>(i) % std::size(kSizes)];
+    refs.push_back(random_bits(n, rng));
+    packed.push_back(PackedBits::from_bits(refs.back()));
+  }
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    EXPECT_EQ(packed[i].to_bits(), refs[i]) << "element " << i;
+  }
+  const std::vector<PackedBits> copy = packed;
+  EXPECT_EQ(copy, packed);
+  packed.erase(packed.begin());
+  for (std::size_t i = 0; i < packed.size(); ++i) {
+    EXPECT_EQ(packed[i].to_bits(), refs[i + 1]) << "after erase " << i;
   }
 }
 

@@ -18,6 +18,7 @@
 // (the harness self-check: a planted bug must be found).
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -62,9 +63,8 @@ int parse_fault(const std::string& name) {
     return qec::QecoolConfig::kFaultCheckpointSnapshot;
   }
   if (name == "cycle-report") return qec::QecoolConfig::kFaultCycleReport;
-  std::fprintf(stderr, "engine_fuzz: unknown --inject-fault=%s\n",
-               name.c_str());
-  std::exit(2);
+  throw std::invalid_argument("unknown --inject-fault=" + name +
+                              " (checkpoint-snapshot | cycle-report | none)");
 }
 
 std::vector<qec::fuzz::FuzzSeedSpec> build_seeds(const qec::CliArgs& args) {
