@@ -46,7 +46,7 @@ int main(int argc, char** argv) try {
           "QECOOL_TRIALS)\n")) {
     return 0;
   }
-  const int trials = static_cast<int>(qec::trials_override(args, 400));
+  const int trials = qec::trials_override(args, 400);
   qec::reject_unread(args);
 
   qec::bench::print_header(

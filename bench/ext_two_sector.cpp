@@ -24,7 +24,7 @@ int main(int argc, char** argv) try {
           "  --d=5                 code distance\n")) {
     return 0;
   }
-  const int trials = static_cast<int>(qec::trials_override(args, 2000));
+  const int trials = qec::trials_override(args, 2000);
   const int d = static_cast<int>(args.get_int_or("d", 5));
   qec::reject_unread(args);
 

@@ -27,7 +27,7 @@ int main(int argc, char** argv) try {
     return 0;
   }
   const int base_trials =
-      static_cast<int>(qec::trials_override(args, args.get_flag("fast") ? 120 : 400));
+      qec::trials_override(args, args.get_flag("fast") ? 120 : 400);
   const int dmax = static_cast<int>(args.get_int_or("dmax", 13));
   const int threads = qec::threads_override(args, 1);
   const std::string csv = args.get_or("csv", "");

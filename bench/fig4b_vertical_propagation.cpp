@@ -25,7 +25,7 @@ int main(int argc, char** argv) try {
           "  --dmax=13             largest code distance\n")) {
     return 0;
   }
-  const int trials = static_cast<int>(qec::trials_override(args, 300));
+  const int trials = qec::trials_override(args, 300);
   const int dmax = static_cast<int>(args.get_int_or("dmax", 13));
   qec::reject_unread(args);
 

@@ -28,7 +28,7 @@ int main(int argc, char** argv) try {
           "  --csv=FILE            write the sweep CSV to FILE\n")) {
     return 0;
   }
-  const int trials = static_cast<int>(qec::trials_override(args, 400));
+  const int trials = qec::trials_override(args, 400);
   const int dmax = static_cast<int>(args.get_int_or("dmax", 13));
   const int threads = qec::threads_override(args, 1);
   const std::string csv = args.get_or("csv", "");

@@ -25,7 +25,7 @@ int main(int argc, char** argv) try {
           "  --csv=FILE            write the table CSV to FILE\n")) {
     return 0;
   }
-  const int trials = static_cast<int>(qec::trials_override(args, 200));
+  const int trials = qec::trials_override(args, 200);
   const int threads = qec::threads_override(args, 1);
   const std::string csv = args.get_or("csv", "");
   qec::reject_unread(args);

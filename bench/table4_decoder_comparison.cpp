@@ -61,7 +61,7 @@ int main(int argc, char** argv) try {
           "QECOOL_THREADS)\n")) {
     return 0;
   }
-  const int trials = static_cast<int>(qec::trials_override(args, 1500));
+  const int trials = qec::trials_override(args, 1500);
   const int threads = qec::threads_override(args, 1);
   qec::reject_unread(args);
 

@@ -27,7 +27,7 @@ int main(int argc, char** argv) try {
   }
   const int d = static_cast<int>(args.get_int_or("d", 5));
   const double p = args.get_double_or("p", 0.003);
-  const int trials = static_cast<int>(qec::trials_override(args, 2000));
+  const int trials = qec::trials_override(args, 2000);
   const double ghz = args.get_double_or("ghz", 2.0);
   qec::reject_unread(args);
 

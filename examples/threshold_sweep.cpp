@@ -40,7 +40,7 @@ int main(int argc, char** argv) try {
   const bool three_d = args.get_or("mode", "3d") == "3d";
   const int dmin = static_cast<int>(args.get_int_or("dmin", 5));
   const int dmax = static_cast<int>(args.get_int_or("dmax", 9));
-  const int trials = static_cast<int>(qec::trials_override(args, 500));
+  const int trials = qec::trials_override(args, 500);
   const double pmin = args.get_double_or("pmin", three_d ? 0.004 : 0.03);
   const double pmax = args.get_double_or("pmax", three_d ? 0.04 : 0.13);
   const int points = static_cast<int>(args.get_int_or("points", 7));

@@ -30,7 +30,7 @@ int main(int argc, char** argv) try {
   const double p = args.get_double_or("p", 0.06);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int_or("seed", 3));
-  const int trials = static_cast<int>(qec::trials_override(args, 1));
+  const int trials = qec::trials_override(args, 1);
   qec::reject_unread(args);
 
   const qec::PlanarLattice lattice(d);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace qec {
@@ -157,12 +159,21 @@ int report_failure(const char* program, const std::exception& error) {
   return 1;
 }
 
-std::int64_t trials_override(const CliArgs& args, std::int64_t fallback) {
-  if (args.get("trials")) return args.get_int_or("trials", fallback);
+int trials_override(const CliArgs& args, int fallback) {
+  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+  if (const auto raw = args.get("trials")) {
+    const std::int64_t trials = args.get_int_or("trials", fallback);
+    if (trials < 1 || trials > kMax) {
+      malformed("trials", *raw, "not in [1, 2147483647]");
+    }
+    return static_cast<int>(trials);
+  }
   if (const char* env = std::getenv("QECOOL_TRIALS")) {
     char* end = nullptr;
     const long long v = std::strtoll(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return v;
+    if (end != env && *end == '\0' && v > 0 && v <= kMax) {
+      return static_cast<int>(v);
+    }
   }
   return fallback;
 }
@@ -177,6 +188,21 @@ int threads_override(const CliArgs& args, int fallback) {
     if (end != env && *end == '\0' && v >= 0) return static_cast<int>(v);
   }
   return fallback;
+}
+
+double seconds_flag(const CliArgs& args, std::string_view name,
+                    double fallback) {
+  const auto raw = args.get(name);
+  if (!raw) return fallback;
+  std::string number = *raw;
+  if (!number.empty() && number.back() == 's') number.pop_back();
+  char* end = nullptr;
+  const double seconds = std::strtod(number.c_str(), &end);
+  if (end == number.c_str() || *end != '\0' || !std::isfinite(seconds) ||
+      seconds < 0.0) {
+    malformed(name, *raw, "not a finite, non-negative number of seconds");
+  }
+  return seconds;
 }
 
 std::vector<std::string> split_list(const std::string& text) {

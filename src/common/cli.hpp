@@ -93,15 +93,24 @@ std::optional<std::string> optional_value_flag(const CliArgs& args,
 int report_failure(const char* program, const std::exception& error);
 
 /// Reads trial-count override from --trials or env QECOOL_TRIALS, falling
-/// back to `fallback`; a malformed --trials throws like get_int_or. Shared
-/// by every bench binary.
-std::int64_t trials_override(const CliArgs& args, std::int64_t fallback);
+/// back to `fallback`. A --trials that is malformed or outside
+/// [1, INT_MAX] throws std::invalid_argument naming the flag and its raw
+/// value; an env value outside that range is ignored. Shared by every
+/// bench binary.
+int trials_override(const CliArgs& args, int fallback);
 
 /// Reads worker-thread override from --threads or env QECOOL_THREADS,
 /// falling back to `fallback`; a malformed --threads throws like
 /// get_int_or. 0 means "all hardware threads"; results are
 /// thread-count independent (the sweep driver fixes the shard schedule).
 int threads_override(const CliArgs& args, int fallback = 1);
+
+/// Reads a duration flag "--name=SECONDS" with an optional trailing 's'
+/// ("30" or "30s"), or `fallback` when absent. A value that is malformed,
+/// negative or not finite throws std::invalid_argument naming the flag and
+/// its raw value, like get_double_or.
+double seconds_flag(const CliArgs& args, std::string_view name,
+                    double fallback);
 
 /// Splits a list flag's value "a,b,c" into items, dropping empty segments.
 std::vector<std::string> split_list(const std::string& text);

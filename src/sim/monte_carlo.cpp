@@ -1,6 +1,10 @@
 #include "sim/monte_carlo.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/executor.hpp"
@@ -9,26 +13,14 @@ namespace qec {
 
 ExperimentConfig phenomenological_config(int distance, double p, int trials,
                                          std::uint64_t seed) {
-  ExperimentConfig config;
-  config.distance = distance;
-  config.rounds = distance;
-  config.p_data = p;
-  config.p_meas = p;
-  config.trials = trials;
-  config.seed = seed;
-  return config;
+  return {.distance = distance, .rounds = distance, .p_data = p, .p_meas = p,
+          .trials = trials, .seed = seed};
 }
 
 ExperimentConfig code_capacity_config(int distance, double p, int trials,
                                       std::uint64_t seed) {
-  ExperimentConfig config;
-  config.distance = distance;
-  config.rounds = 1;
-  config.p_data = p;
-  config.p_meas = 0.0;
-  config.trials = trials;
-  config.seed = seed;
-  return config;
+  return {.distance = distance, .rounds = 1, .p_data = p, .p_meas = 0.0,
+          .trials = trials, .seed = seed};
 }
 
 void ExperimentResult::merge(const ExperimentResult& other) {
@@ -65,19 +57,10 @@ Xoshiro256ss experiment_rng(const ExperimentConfig& config, int shard) {
 }
 
 int resolve_shards(const ExperimentConfig& config) {
-  if (config.shards >= 1) return config.shards;
-  return resolve_threads(config.threads);
+  return config.shards >= 1 ? config.shards : resolve_threads(config.threads);
 }
 
 namespace {
-
-NoiseParams noise_params(const ExperimentConfig& config) {
-  NoiseParams params;
-  params.p_data = config.p_data;
-  params.p_meas = config.p_meas;
-  params.rounds = config.rounds;
-  return params;
-}
 
 /// Trials assigned to `shard`: an even split, earlier shards absorbing the
 /// remainder, so the schedule is a pure function of (trials, shards).
@@ -85,103 +68,102 @@ int shard_trials(int trials, int shards, int shard) {
   return trials / shards + (shard < trials % shards ? 1 : 0);
 }
 
-ExperimentResult run_memory_shard(Decoder& decoder,
-                                  const PlanarLattice& lattice,
-                                  const NoiseParams& params, Xoshiro256ss rng,
-                                  int trials) {
-  ExperimentResult result;
-  for (int trial = 0; trial < trials; ++trial) {
-    const SyndromeHistory history = sample_history(lattice, params, rng);
-    const DecodeResult decode = decoder.decode(lattice, history);
-    if (logical_failure(lattice, history, decode)) ++result.failures;
+/// Decodes one history with one variant and scores it into `result`;
+/// `owned` is the shard's instance of a batch variant without `shared`.
+void score(const PairedVariant& variant, Decoder* owned,
+           const PlanarLattice& lattice, const SyndromeHistory& history,
+           ExperimentResult& result) {
+  ++result.trials;
+  DecodeResult decode;
+  if (!variant.online) {
+    Decoder& decoder = owned ? *owned : *variant.shared;
+    decode = decoder.decode(lattice, history);
     if (const MatchStats* stats = decoder.match_stats()) {
       result.matches.merge(*stats);
     }
-    ++result.trials;
-  }
-  return result;
-}
-
-ExperimentResult run_online_shard(const PlanarLattice& lattice,
-                                  const NoiseParams& params,
-                                  const OnlineConfig& online, Xoshiro256ss rng,
-                                  int trials) {
-  ExperimentResult result;
-  for (int trial = 0; trial < trials; ++trial) {
-    const SyndromeHistory history = sample_history(lattice, params, rng);
-    const OnlineResult run = run_online(lattice, history, online);
-    bool failed = run.failed_operationally();
-    if (failed) {
-      ++result.operational_failures;
-    } else {
-      DecodeResult decode;
-      decode.correction = run.correction;
-      failed = logical_failure(lattice, history, decode);
-    }
-    if (failed) ++result.failures;
+  } else {
+    OnlineResult run = run_online(lattice, history, *variant.online);
     result.matches.merge(run.matches);
     for (std::uint64_t cycles : run.layer_cycles) {
       result.layer_cycles.add(static_cast<double>(cycles));
     }
-    ++result.trials;
+    if (run.failed_operationally()) {
+      ++result.operational_failures;
+      ++result.failures;
+      return;
+    }
+    decode.correction = std::move(run.correction);
   }
-  return result;
-}
-
-/// Shared shard-fanout skeleton: runs `shard_fn(shard, rng, trials)` for
-/// every shard (in parallel up to config.threads) and merges the per-shard
-/// results in shard order, so the reduction is deterministic.
-template <typename ShardFn>
-ExperimentResult run_sharded(const ExperimentConfig& config, int threads,
-                             const ShardFn& shard_fn) {
-  const int shards = resolve_shards(config);
-  std::vector<ExperimentResult> parts(static_cast<std::size_t>(shards));
-  parallel_for(shards, threads, [&](int shard) {
-    parts[static_cast<std::size_t>(shard)] =
-        shard_fn(shard, experiment_rng(config, shard),
-                 shard_trials(config.trials, shards, shard));
-  });
-  ExperimentResult result;
-  for (const ExperimentResult& part : parts) result.merge(part);
-  result.finalize();
-  return result;
+  if (logical_failure(lattice, history, decode)) ++result.failures;
 }
 
 }  // namespace
 
+std::vector<ExperimentResult> run_paired_experiment(
+    const ExperimentConfig& config, const std::vector<PairedVariant>& variants) {
+  int most_trials = 0;
+  bool sequential = false;
+  for (const PairedVariant& variant : variants) {
+    if (variant.trials < 1) {
+      throw std::invalid_argument("experiment: variant '" + variant.label +
+                                  "' needs at least 1 trial, got " +
+                                  std::to_string(variant.trials));
+    }
+    most_trials = std::max(most_trials, variant.trials);
+    sequential |= !variant.online && variant.shared;
+  }
+  const PlanarLattice lattice(config.distance);
+  const NoiseParams params{config.p_data, config.p_meas, config.rounds};
+  const int shards = resolve_shards(config);
+  const std::size_t count = variants.size();
+  // parts[shard * count + v]: variant v's counters over one shard.
+  std::vector<ExperimentResult> parts(static_cast<std::size_t>(shards) * count);
+  parallel_for(shards, sequential ? 1 : config.threads, [&](int shard) {
+    std::vector<std::unique_ptr<Decoder>> owned(count);
+    for (std::size_t v = 0; v < count; ++v) {
+      if (!variants[v].online && !variants[v].shared) {
+        owned[v] = variants[v].make();
+      }
+    }
+    ExperimentResult* out = &parts[static_cast<std::size_t>(shard) * count];
+    Xoshiro256ss rng = experiment_rng(config, shard);
+    const int sampled = shard_trials(most_trials, shards, shard);
+    for (int trial = 0; trial < sampled; ++trial) {
+      const SyndromeHistory history = sample_history(lattice, params, rng);
+      for (std::size_t v = 0; v < count; ++v) {
+        if (trial < shard_trials(variants[v].trials, shards, shard)) {
+          score(variants[v], owned[v].get(), lattice, history, out[v]);
+        }
+      }
+    }
+  });
+  // Merge in shard order, so the reduction is deterministic.
+  std::vector<ExperimentResult> results(count);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    results[i % count].merge(parts[i]);
+  }
+  for (ExperimentResult& result : results) result.finalize();
+  return results;
+}
+
 ExperimentResult run_memory_experiment(const DecoderMaker& make,
                                        const ExperimentConfig& config) {
-  const PlanarLattice lattice(config.distance);
-  const NoiseParams params = noise_params(config);
-  return run_sharded(config, config.threads,
-                     [&](int /*shard*/, Xoshiro256ss rng, int trials) {
-                       const auto decoder = make();
-                       return run_memory_shard(*decoder, lattice, params,
-                                               rng, trials);
-                     });
+  return run_paired_experiment(
+      config, {{.label = "memory", .trials = config.trials, .make = make}})[0];
 }
 
 ExperimentResult run_memory_experiment(Decoder& decoder,
                                        const ExperimentConfig& config) {
-  const PlanarLattice lattice(config.distance);
-  const NoiseParams params = noise_params(config);
-  // One shared instance — same shard schedule, forced sequential.
-  return run_sharded(config, /*threads=*/1,
-                     [&](int /*shard*/, Xoshiro256ss rng, int trials) {
-                       return run_memory_shard(decoder, lattice, params, rng,
-                                               trials);
-                     });
+  return run_paired_experiment(
+      config,
+      {{.label = "memory", .trials = config.trials, .shared = &decoder}})[0];
 }
 
 ExperimentResult run_online_experiment(const ExperimentConfig& config,
                                        const OnlineConfig& online) {
-  const PlanarLattice lattice(config.distance);
-  const NoiseParams params = noise_params(config);
-  return run_sharded(config, config.threads,
-                     [&](int /*shard*/, Xoshiro256ss rng, int trials) {
-                       return run_online_shard(lattice, params, online, rng,
-                                               trials);
-                     });
+  return run_paired_experiment(
+      config,
+      {{.label = "online", .trials = config.trials, .online = online}})[0];
 }
 
 }  // namespace qec

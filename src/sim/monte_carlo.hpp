@@ -2,22 +2,20 @@
 // decode it, apply the correction and score the logical observable — the
 // procedure behind every accuracy figure in the paper.
 //
-// Trials are split into `shards`, each drawing from an independent RNG
-// stream derived from the mixed seed via Xoshiro256ss::jump(), and shard
-// results are merged in shard order. The shard schedule and merge order
-// depend only on (seed, trials, shards), so for a FIXED shard count a run
-// is bit-identical for any thread count, and the default
-// threads = 1 / shards = 0 reproduces the original sequential single-stream
-// loop seed-for-seed (one shard, zero jumps). The shards = 0 fallback
-// derives the shard count from `threads`, so whoever varies threads with
-// shards left at 0 accepts a changed seed schedule — pin `shards` when
-// results must be stable under varying thread counts (the sweep driver
-// pins 16).
+// Trials are split into `shards`, each an independent RNG stream (the
+// mixed seed, jumped once per shard), and shard results merge in shard
+// order: for a fixed shard count a run is bit-identical for any thread
+// count, and threads = 1 / shards = 0 is the original single stream. All
+// decoders of one experiment decode the same sampled histories
+// (run_paired_experiment), so a comparison between them shares its noise.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "decoder/decoder.hpp"
@@ -35,15 +33,13 @@ struct ExperimentConfig {
   int trials = 1000;
   std::uint64_t seed = 2021;
 
-  /// Worker threads; <= 0 means all hardware threads. With `shards` set
-  /// explicitly this never affects the sampled streams or the result —
-  /// only wall-clock. With shards = 0 it also picks the shard count, and
-  /// the shard count IS part of the seed schedule.
+  /// Worker threads; <= 0 means all hardware threads. Never changes a
+  /// result unless `shards` is 0.
   int threads = 1;
-  /// RNG shards; 0 derives one shard per resolved worker thread (machine-
-  /// dependent when threads <= 0). Each shard is an independent stream, so
-  /// fix this explicitly when results must be identical across machines
-  /// and thread counts (the sweep driver pins 16).
+  /// RNG shards, part of the seed schedule; 0 derives one per resolved
+  /// worker thread (machine-dependent when threads <= 0), so pin it when
+  /// results must match across machines and thread counts (the sweep
+  /// driver pins 16).
   int shards = 0;
 };
 
@@ -83,20 +79,35 @@ struct ExperimentResult {
 /// decoder state; see decoder_maker() in decoder/registry.hpp.
 using DecoderMaker = std::function<std::unique_ptr<Decoder>()>;
 
-/// Sharded batch experiment: each shard decodes with its own instance from
-/// `make`, in parallel when config.threads > 1.
+/// One decoder of a paired experiment: on-line QECOOL when `online` is set,
+/// else the caller-owned `shared` instance (all shards then run on the
+/// calling thread), else one instance per shard from `make`.
+struct PairedVariant {
+  std::string label;  ///< names the variant in errors
+  int trials = 0;
+  std::optional<OnlineConfig> online = std::nullopt;
+  Decoder* shared = nullptr;
+  DecoderMaker make = nullptr;
+};
+
+/// Common-random-numbers experiment: each shard samples each trial's
+/// history once from experiment_rng(config, shard) and every variant
+/// decodes it, in order. A variant decodes the first shard_trials of each
+/// shard for its own trial count (config.trials is ignored), the prefix it
+/// would sample alone, so its result equals its own experiment's. Throws
+/// std::invalid_argument naming a variant with trials < 1 before any
+/// sampling. Returns one finalized result per variant.
+std::vector<ExperimentResult> run_paired_experiment(
+    const ExperimentConfig& config, const std::vector<PairedVariant>& variants);
+
+/// One-variant paired experiments. The DecoderMaker overload gives each
+/// shard its own instance (parallel up to config.threads); the Decoder&
+/// overload runs the same shards on the calling thread with one instance,
+/// bit-identical to it; run_online_experiment runs on-line QECOOL.
 ExperimentResult run_memory_experiment(const DecoderMaker& make,
                                        const ExperimentConfig& config);
-
-/// Batch experiment with a caller-owned decoder instance. Runs the same
-/// shard schedule strictly sequentially (one instance cannot be shared
-/// across threads) — bit-identical to the DecoderMaker overload with the
-/// same config, whatever its thread count.
 ExperimentResult run_memory_experiment(Decoder& decoder,
                                        const ExperimentConfig& config);
-
-/// On-line QECOOL experiment (cycle-budgeted streaming decode), sharded and
-/// parallel exactly like the batch path.
 ExperimentResult run_online_experiment(const ExperimentConfig& config,
                                        const OnlineConfig& online);
 

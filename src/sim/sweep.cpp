@@ -11,17 +11,11 @@
 namespace qec {
 
 SweepVariant decoder_variant(std::string label, std::string decoder_spec) {
-  SweepVariant variant;
-  variant.label = std::move(label);
-  variant.decoder = std::move(decoder_spec);
-  return variant;
+  return {.label = std::move(label), .decoder = std::move(decoder_spec)};
 }
 
 SweepVariant online_variant(std::string label, OnlineConfig online) {
-  SweepVariant variant;
-  variant.label = std::move(label);
-  variant.online = online;
-  return variant;
+  return {.label = std::move(label), .decoder = {}, .online = online};
 }
 
 ExperimentConfig SweepGrid::cell_config(int distance, double p) const {
@@ -91,12 +85,33 @@ bool SweepResult::write_csv(const std::string& path) const {
 
 SweepResult run_sweep(const SweepGrid& grid, const std::string& csv_path,
                       const SweepProgress& progress) {
-  // Validate every decoder spec and the CSV destination before burning any
-  // Monte Carlo time.
-  std::vector<DecoderMaker> makers(grid.variants.size());
-  for (std::size_t i = 0; i < grid.variants.size(); ++i) {
-    if (!grid.variants[i].online) {
-      makers[i] = decoder_maker(grid.variants[i].decoder);
+  // Validate every spec, trial count and the CSV destination before any
+  // Monte Carlo time. cells[v * points + point]; paired[point]: its variants.
+  const std::size_t points = grid.distances.size() * grid.ps.size();
+  std::vector<std::vector<PairedVariant>> paired(points);
+  SweepResult result;
+  for (const SweepVariant& variant : grid.variants) {
+    const DecoderMaker make =
+        variant.online ? nullptr : decoder_maker(variant.decoder);
+    for (int distance : grid.distances) {
+      for (double p : grid.ps) {
+        SweepCell cell{.variant = variant.label,
+                       .decoder = variant.online ? "online" : variant.decoder,
+                       .distance = distance,
+                       .p = p,
+                       .config = grid.cell_config(distance, p)};
+        if (variant.trials_for) {
+          cell.config.trials = variant.trials_for(cell.config);
+        }
+        if (cell.config.trials < 1) {
+          throw std::invalid_argument("sweep: variant '" + variant.label +
+                                      "' needs at least 1 trial");
+        }
+        paired[result.cells.size() % points].push_back(
+            {.label = variant.label, .trials = cell.config.trials,
+             .online = variant.online, .make = make});
+        result.cells.push_back(std::move(cell));
+      }
     }
   }
   std::unique_ptr<CsvWriter> csv;
@@ -107,34 +122,25 @@ SweepResult run_sweep(const SweepGrid& grid, const std::string& csv_path,
     }
   }
 
-  SweepResult result;
-  result.cells.reserve(grid.variants.size() * grid.distances.size() *
-                       grid.ps.size());
-  for (std::size_t v = 0; v < grid.variants.size(); ++v) {
-    const SweepVariant& variant = grid.variants[v];
-    for (int distance : grid.distances) {
-      for (double p : grid.ps) {
-        SweepCell cell;
-        cell.variant = variant.label;
-        cell.decoder = variant.online ? "online" : variant.decoder;
-        cell.distance = distance;
-        cell.p = p;
-        cell.config = grid.cell_config(distance, p);
-        if (variant.trials_for) {
-          cell.config.trials = variant.trials_for(cell.config);
-        }
-        cell.result = variant.online
-                          ? run_online_experiment(cell.config, *variant.online)
-                          : run_memory_experiment(makers[v], cell.config);
-        result.cells.push_back(std::move(cell));
-        // Stream the row immediately so an interrupted sweep keeps every
-        // finished point on disk.
-        if (csv) {
-          csv_append(*csv, result.cells.back());
-          csv->flush();
-        }
-        if (progress) progress(result.cells.back());
+  // One paired experiment per point. A row streams once it and every
+  // earlier row are done: the first variant's rows point by point, the rest
+  // after the last point.
+  std::size_t streamed = 0;
+  for (std::size_t point = 0; point < points && !grid.variants.empty();
+       ++point) {
+    std::vector<ExperimentResult> results =
+        run_paired_experiment(result.cells[point].config, paired[point]);
+    for (std::size_t v = 0; v < results.size(); ++v) {
+      result.cells[v * points + point].result = std::move(results[v]);
+    }
+    const std::size_t done =
+        point + 1 == points ? result.cells.size() : point + 1;
+    for (; streamed < done; ++streamed) {
+      if (csv) {
+        csv_append(*csv, result.cells[streamed]);
+        csv->flush();
       }
+      if (progress) progress(result.cells[streamed]);
     }
   }
   if (csv && !csv->flush()) {

@@ -29,12 +29,12 @@ struct SweepVariant {
 
   /// When set the cell runs the on-line QECOOL experiment instead of a
   /// batch decode (`decoder` is ignored).
-  std::optional<OnlineConfig> online;
+  std::optional<OnlineConfig> online = std::nullopt;
 
   /// Optional per-cell trial override (e.g. the MWPM cost-budget adaptation
   /// in bench_util.hpp); receives the cell's config with the grid-level
   /// trial count already filled in.
-  std::function<int(const ExperimentConfig&)> trials_for;
+  std::function<int(const ExperimentConfig&)> trials_for = nullptr;
 };
 
 /// Convenience constructors for the two variant kinds.
@@ -70,7 +70,7 @@ struct SweepCell {
   int distance = 0;
   double p = 0.0;
   ExperimentConfig config;
-  ExperimentResult result;
+  ExperimentResult result = {};
 
   double overflow_rate() const {
     return result.trials ? static_cast<double>(result.operational_failures) /
@@ -100,14 +100,15 @@ class SweepResult {
   bool write_csv(const std::string& path) const;
 };
 
-/// Called after each finished cell (progress reporting).
+/// Called after each finished cell, in cell order (progress reporting).
 using SweepProgress = std::function<void(const SweepCell&)>;
 
-/// Runs every (variant, distance, p) cell of the grid. Throws
-/// std::invalid_argument for unknown decoder specs (validated before any
-/// simulation starts). When `csv_path` is non-empty the result is also
-/// written there, row by row; std::runtime_error if the file cannot be
-/// opened (before any simulation) or a write failed (at the end).
+/// Runs every (variant, distance, p) cell; at each (distance, p) every
+/// variant decodes the same histories (run_paired_experiment). Throws
+/// std::invalid_argument for unknown decoder specs or a cell with trials
+/// < 1, before any simulation. With a `csv_path` the rows are also
+/// streamed there; std::runtime_error if the file cannot be opened (before
+/// any simulation) or a write failed (at the end).
 SweepResult run_sweep(const SweepGrid& grid, const std::string& csv_path = "",
                       const SweepProgress& progress = nullptr);
 

@@ -347,6 +347,57 @@ TEST(Cli, TrialsOverridePrefersFlag) {
   EXPECT_EQ(trials_override(args, 999), 123);
 }
 
+// A trial count outside [1, INT_MAX] must fail, never run an all-zero
+// table or a truncated count.
+TEST(Cli, TrialsOverrideRejectsOutOfRange) {
+  for (const char* raw : {"0", "-5", "4294967297", "2147483648"}) {
+    const std::string flag = std::string("--trials=") + raw;
+    const char* argv[] = {"prog", flag.c_str()};
+    CliArgs args(2, argv);
+    try {
+      trials_override(args, 10);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), flag + ": not in [1, 2147483647]");
+    }
+  }
+  const char* argv[] = {"prog", "--trials=2147483647"};
+  EXPECT_EQ(trials_override(CliArgs(2, argv), 10), 2147483647);
+
+  // An out-of-range environment value is ignored, like a malformed one.
+  const char* none[] = {"prog"};
+  setenv("QECOOL_TRIALS", "4294967297", 1);
+  EXPECT_EQ(trials_override(CliArgs(1, none), 999), 999);
+  setenv("QECOOL_TRIALS", "12", 1);
+  EXPECT_EQ(trials_override(CliArgs(1, none), 999), 12);
+  unsetenv("QECOOL_TRIALS");
+}
+
+TEST(Cli, SecondsFlagTakesAnOptionalUnit) {
+  const char* argv[] = {"prog", "--a=30s", "--b=2.5", "--c=0"};
+  CliArgs args(4, argv);
+  EXPECT_DOUBLE_EQ(seconds_flag(args, "a", 1.0), 30.0);
+  EXPECT_DOUBLE_EQ(seconds_flag(args, "b", 1.0), 2.5);
+  EXPECT_DOUBLE_EQ(seconds_flag(args, "c", 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(seconds_flag(args, "absent", 7.0), 7.0);
+}
+
+TEST(Cli, SecondsFlagRejectsMalformedValues) {
+  for (const char* raw : {"5x", "abc", "", "s", "-1", "-1s", "inf", "nan",
+                          "5ss", "1e999"}) {
+    const std::string flag = std::string("--time-budget=") + raw;
+    const char* argv[] = {"prog", flag.c_str()};
+    CliArgs args(2, argv);
+    try {
+      seconds_flag(args, "time-budget", 0.0);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                flag + ": not a finite, non-negative number of seconds");
+    }
+  }
+}
+
 TEST(Cli, TrialsFallback) {
   const char* argv[] = {"prog"};
   CliArgs args(1, argv);

@@ -4,9 +4,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 
+#include "decoder/registry.hpp"
 #include "sim/sweep.hpp"
+#include "stream/trace.hpp"
 
 namespace qec {
 namespace {
@@ -132,6 +136,114 @@ TEST(Sweep, WritesCsv) {
   while (std::getline(in, line)) ++lines;
   EXPECT_EQ(lines, 1 + static_cast<int>(result.cells.size()));
   std::remove(path.c_str());
+}
+
+/// An on-line variant, a batch decoder and an MWPM variant whose
+/// trials_for leaves it fewer trials than the grid, uneven across shards.
+SweepGrid paired_grid() {
+  SweepGrid grid;
+  OnlineConfig online;
+  online.cycles_per_round = 30;  // tight enough to overflow at d=5, p=0.03
+  grid.variants.push_back(online_variant("online", online));
+  grid.variants.push_back(decoder_variant("qecool", "qecool"));
+  grid.variants.push_back(decoder_variant("mwpm", "mwpm"));
+  grid.variants.back().trials_for = [](const ExperimentConfig& config) {
+    return config.distance == 5 ? 17 : 23;
+  };
+  grid.distances = {3, 5};
+  grid.ps = {0.01, 0.03};
+  grid.trials = 61;
+  grid.seed = 11;
+  grid.shards = 4;
+  return grid;
+}
+
+void expect_same_result(const ExperimentResult& a, const ExperimentResult& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.trials, b.trials) << where;
+  EXPECT_EQ(a.failures, b.failures) << where;
+  EXPECT_EQ(a.operational_failures, b.operational_failures) << where;
+  EXPECT_EQ(a.matches.pair_matches, b.matches.pair_matches) << where;
+  EXPECT_EQ(a.matches.self_matches, b.matches.self_matches) << where;
+  EXPECT_EQ(a.matches.boundary_matches, b.matches.boundary_matches) << where;
+  EXPECT_EQ(a.matches.vertical_ge3, b.matches.vertical_ge3) << where;
+  EXPECT_EQ(a.matches.vertical_hist, b.matches.vertical_hist) << where;
+  EXPECT_EQ(a.layer_cycles.count(), b.layer_cycles.count()) << where;
+  EXPECT_EQ(a.layer_cycles.mean(), b.layer_cycles.mean()) << where;
+  EXPECT_EQ(a.layer_cycles.max(), b.layer_cycles.max()) << where;
+}
+
+// Every variant of a (d, p) point decodes the same sampled histories; each
+// cell must still equal the experiment that variant runs on its own.
+TEST(Sweep, SharedHistoriesMatchStandaloneExperiments) {
+  for (const int threads : {1, 4}) {
+    SweepGrid grid = paired_grid();
+    grid.threads = threads;
+    const auto result = run_sweep(grid);
+    ASSERT_EQ(result.cells.size(), 12u);
+    bool overflowed = false;
+    for (const SweepCell& cell : result.cells) {
+      const SweepVariant& variant =
+          cell.variant == "online"   ? grid.variants[0]
+          : cell.variant == "qecool" ? grid.variants[1]
+                                     : grid.variants[2];
+      const ExperimentResult alone =
+          variant.online
+              ? run_online_experiment(cell.config, *variant.online)
+              : run_memory_experiment(decoder_maker(variant.decoder),
+                                      cell.config);
+      expect_same_result(cell.result, alone,
+                         cell.variant + " d=" + std::to_string(cell.distance) +
+                             " p=" + std::to_string(cell.p) +
+                             " threads=" + std::to_string(threads));
+      overflowed |= cell.result.operational_failures > 0;
+    }
+    EXPECT_EQ(result.find("mwpm", 5, 0.03)->result.trials, 17u);
+    EXPECT_EQ(result.find("mwpm", 3, 0.01)->result.trials, 23u);
+    EXPECT_GT(result.find("online", 5, 0.03)->result.layer_cycles.count(), 0u);
+    EXPECT_TRUE(overflowed);
+  }
+}
+
+// FNV-1a 64 of the paired grid's CSV, pinned from the sweep as it was when
+// every variant sampled its own histories. Never re-pin: a change here means
+// a cell no longer decodes the histories it used to.
+TEST(Sweep, CsvBytesArePinned) {
+  const std::string path = ::testing::TempDir() + "sweep_pin.csv";
+  run_sweep(paired_grid(), path);
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(
+                    reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                    bytes.size())));
+  EXPECT_EQ(std::string(hex), "4be021c44b64167c");
+}
+
+TEST(Sweep, CellWithoutTrialsFailsBeforeSampling) {
+  int cells_run = 0;
+  const auto count = [&](const SweepCell&) { ++cells_run; };
+  SweepGrid grid = paired_grid();
+  grid.trials = 0;
+  EXPECT_THROW(run_sweep(grid, "", count), std::invalid_argument);
+
+  // Only the last (d, p) point's trials_for result is bad; no earlier
+  // point may run either.
+  grid = paired_grid();
+  grid.variants[2].trials_for = [](const ExperimentConfig& config) {
+    return config.distance == 5 && config.p_data == 0.03 ? -1 : 10;
+  };
+  try {
+    run_sweep(grid, "", count);
+    ADD_FAILURE() << "a trials_for result of -1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'mwpm'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cells_run, 0);
 }
 
 TEST(Sweep, LogSpacedGrid) {

@@ -177,9 +177,7 @@ int main(int argc, char** argv) try {
   config.oracle = build_oracle(args);
   config.rng_seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
   config.max_iterations = static_cast<int>(args.get_int_or("iters", 0));
-  std::string budget = args.get_or("time-budget", "0");
-  if (!budget.empty() && budget.back() == 's') budget.pop_back();
-  config.time_budget_s = budget.empty() ? 0.0 : std::stod(budget);
+  config.time_budget_s = qec::seconds_flag(args, "time-budget", 0.0);
   if (config.max_iterations <= 0 && config.time_budget_s <= 0.0) {
     config.time_budget_s = 30.0;  // the CI smoke default
   }
