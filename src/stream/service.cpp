@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include <cstdio>
@@ -737,6 +738,13 @@ void validate_record(const StreamConfig& config) {
   if (config.rounds < 0) {
     throw std::invalid_argument("stream: rounds must be >= 0 (0 = distance)");
   }
+  // A trace stores rounds + 1 layers per lane (the final perfect round).
+  if (config.rounds > std::numeric_limits<int>::max() - 1) {
+    throw std::invalid_argument(
+        "stream: rounds must be <= " +
+        std::to_string(std::numeric_limits<int>::max() - 1) +
+        " (a trace stores rounds + 1 rounds per lane)");
+  }
 }
 
 SyndromeTrace record_trace(const StreamConfig& config) {
@@ -755,19 +763,26 @@ SyndromeTrace record_trace(const StreamConfig& config) {
   header.p_data = config.p;
   header.p_meas = config.p;
 
-  SyndromeTrace trace(header);
-  parallel_for(config.lanes, config.threads, [&](int lane) {
-    // Packed layers go straight into this lane's slots (disjoint from
-    // every other lane's): no SyndromeHistory, no per-round allocation.
-    Xoshiro256ss rng = lane_rng(config, lane, noisy_rounds);
-    PhenomenologicalSampler sampler(lattice, {config.p, config.p, noisy_rounds},
-                                    rng);
-    for (int t = 0; t < sampler.total_rounds(); ++t) {
-      trace.set_layer(lane, t, sampler.next());
+  // Each lane block constructs its own lanes' slots, one round at a
+  // time: the slab's pages are first touched inside the parallel loop,
+  // every write is one contiguous run, and lanes that share a cache line
+  // share a block (DESIGN.md section 7.2). Per-lane RNG streams make the
+  // bytes independent of the block shape and thread count.
+  SyndromeTrace::Recorder recorder(header);
+  const NoiseParams noise{config.p, config.p, noisy_rounds};
+  for_lane_blocks(config.lanes, config.threads, [&](int, int first, int last) {
+    const auto n = static_cast<std::size_t>(last - first);
+    std::vector<Xoshiro256ss> rngs;
+    std::vector<PhenomenologicalSampler> samplers;
+    rngs.reserve(n);  // the samplers hold references into rngs
+    samplers.reserve(n);
+    for (int lane = first; lane < last; ++lane) {
+      rngs.push_back(lane_rng(config, lane, noisy_rounds));
+      samplers.emplace_back(lattice, noise, rngs.back());
     }
-    trace.set_final_error(lane, sampler.data_error().to_bits());
+    recorder.record_lanes(first, samplers);
   });
-  return trace;
+  return std::move(recorder).finish();
 }
 
 ResolvedStream resolve_stream(const StreamConfig& config, int lanes,

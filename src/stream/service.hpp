@@ -197,15 +197,16 @@ Xoshiro256ss lane_rng(const StreamConfig& config, int lane, int rounds);
 
 /// Throws std::invalid_argument with record_trace's message when
 /// config.lanes < 1, config.p is outside [0, 1] (NaN included), or
-/// config.rounds < 0 (0 means `distance` noisy rounds). Sweeps call it on
-/// every cell before the first record.
+/// config.rounds < 0 (0 means `distance` noisy rounds) or so large that
+/// the stored count rounds + 1 overflows an int. Sweeps call it on every
+/// cell before the first record.
 void validate_record(const StreamConfig& config);
 
 /// Samples one memory-experiment history per lane from its lane_rng()
-/// stream with PhenomenologicalSampler, writing the packed difference
-/// layers straight into the trace. This is the "record" half: the returned
-/// trace fully determines any later run. Throws what validate_record()
-/// throws.
+/// stream with PhenomenologicalSampler. Each lane block constructs its
+/// lanes' packed difference layers in the trace, one round at a time.
+/// This is the "record" half: the returned trace fully determines any
+/// later run. Throws what validate_record() throws.
 SyndromeTrace record_trace(const StreamConfig& config);
 
 /// The "replay" half: streams every lane of `trace` through its own

@@ -1,9 +1,12 @@
 #include "stream/trace.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <system_error>
+#include <utility>
 
 namespace qec {
 namespace {
@@ -58,6 +61,15 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   return blob;
 }
 
+/// Raw storage for `n` layer slots, none constructed.
+PackedBits* allocate_slots(std::size_t n) {
+  return n == 0 ? nullptr : std::allocator<PackedBits>().allocate(n);
+}
+
+void free_slots(PackedBits* slots, std::size_t n) {
+  if (slots != nullptr) std::allocator<PackedBits>().deallocate(slots, n);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> pack_bits(const BitVec& bits) {
@@ -85,29 +97,89 @@ std::uint64_t fnv1a64(const std::uint8_t* bytes, std::size_t size) {
   return hash;
 }
 
+template <typename Make>
+void SyndromeTrace::construct_layers(Make make) {
+  const std::size_t n = num_layers();
+  PackedBits* slots = allocate_slots(n);
+  std::size_t built = 0;
+  try {
+    for (; built < n; ++built) make(slots + built, built);
+  } catch (...) {
+    std::destroy_n(slots, built);
+    free_slots(slots, n);
+    header_ = TraceHeader{};
+    throw;
+  }
+  layers_ = slots;
+}
+
+void SyndromeTrace::destroy_layers() noexcept {
+  std::destroy_n(layers_, num_layers());
+  free_slots(layers_, num_layers());
+  layers_ = nullptr;
+}
+
 SyndromeTrace::SyndromeTrace(const TraceHeader& header) : header_(header) {
-  layers_.assign(static_cast<std::size_t>(header.rounds) * header.lanes,
-                 PackedBits(header.checks));
   final_error_.assign(header.lanes, BitVec(header.data_qubits, 0));
+  construct_layers([&](PackedBits* slot, std::size_t) {
+    ::new (slot) PackedBits(header.checks);
+  });
+}
+
+SyndromeTrace::SyndromeTrace(const SyndromeTrace& other)
+    : header_(other.header_), final_error_(other.final_error_) {
+  construct_layers([&](PackedBits* slot, std::size_t i) {
+    ::new (slot) PackedBits(other.layers_[i]);
+  });
+}
+
+SyndromeTrace::SyndromeTrace(SyndromeTrace&& other) noexcept
+    : header_(std::exchange(other.header_, {})),
+      layers_(std::exchange(other.layers_, nullptr)),
+      final_error_(std::move(other.final_error_)) {}
+
+SyndromeTrace& SyndromeTrace::operator=(const SyndromeTrace& other) {
+  if (this != &other) *this = SyndromeTrace(other);
+  return *this;
+}
+
+SyndromeTrace& SyndromeTrace::operator=(SyndromeTrace&& other) noexcept {
+  if (this == &other) return *this;
+  destroy_layers();
+  header_ = std::exchange(other.header_, {});
+  layers_ = std::exchange(other.layers_, nullptr);
+  final_error_ = std::move(other.final_error_);
+  other.final_error_.clear();
+  return *this;
+}
+
+SyndromeTrace::~SyndromeTrace() { destroy_layers(); }
+
+std::size_t SyndromeTrace::num_layers() const {
+  return static_cast<std::size_t>(header_.rounds) * header_.lanes;
 }
 
 std::size_t SyndromeTrace::layer_index(int lane, int round) const {
-  return static_cast<std::size_t>(round) * header_.lanes +
-         static_cast<std::size_t>(lane);
+  const std::size_t i = static_cast<std::size_t>(round) * header_.lanes +
+                        static_cast<std::size_t>(lane);
+  if (i >= num_layers()) {
+    throw std::out_of_range("syndrome trace: no such layer");
+  }
+  return i;
 }
 
 const PackedBits& SyndromeTrace::layer(int lane, int round) const {
-  return layers_.at(layer_index(lane, round));
+  return layers_[layer_index(lane, round)];
 }
 
 void SyndromeTrace::set_layer(int lane, int round, const PackedBits& layer) {
   if (layer.size() != header_.checks) bad_trace("layer size mismatch");
-  layers_.at(layer_index(lane, round)).copy_from(layer);
+  layers_[layer_index(lane, round)].copy_from(layer);
 }
 
 void SyndromeTrace::set_layer(int lane, int round, const BitVec& layer) {
   if (layer.size() != header_.checks) bad_trace("layer size mismatch");
-  layers_.at(layer_index(lane, round)).assign_bits(layer);
+  layers_[layer_index(lane, round)].assign_bits(layer);
 }
 
 const BitVec& SyndromeTrace::final_error(int lane) const {
@@ -153,16 +225,19 @@ bool SyndromeTrace::operator==(const SyndromeTrace& other) const {
          header_.seed == other.header_.seed &&
          header_.p_data == other.header_.p_data &&
          header_.p_meas == other.header_.p_meas &&
-         layers_ == other.layers_ && final_error_ == other.final_error_;
+         std::equal(layers_, layers_ + num_layers(), other.layers_) &&
+         final_error_ == other.final_error_;
 }
 
 void SyndromeTrace::save(const std::string& path) const {
   std::vector<std::uint8_t> payload;
-  payload.reserve(layers_.size() * packed_size(header_.checks) +
+  payload.reserve(num_layers() * packed_size(header_.checks) +
                   final_error_.size() * packed_size(header_.data_qubits));
   // Layers are already packed in the payload's exact layout (LSB-first,
   // 64-bit words little-endian == LSB-first bytes): emit them directly.
-  for (const auto& layer : layers_) layer.append_bytes(payload);
+  std::for_each_n(layers_, num_layers(), [&](const PackedBits& layer) {
+    layer.append_bytes(payload);
+  });
   for (const auto& error : final_error_) {
     const auto packed = pack_bits(error);
     payload.insert(payload.end(), packed.begin(), packed.end());
@@ -268,18 +343,80 @@ SyndromeTrace SyndromeTrace::load(const std::string& path) {
     bad_trace("checksum mismatch (corrupt payload)");
   }
 
-  SyndromeTrace trace(header);
+  SyndromeTrace trace;
+  trace.header_ = header;
   const std::uint8_t* cursor = payload;
-  for (std::size_t i = 0; i < num_layers; ++i) {
-    // Words copy straight from the payload bytes into the slot the
-    // constructor allocated — no per-bit loop, no second allocation.
-    trace.layers_[i].assign_bytes(cursor);
+  // Each slot is constructed once, straight from its payload bytes — no
+  // zero pass first, no per-bit loop.
+  trace.construct_layers([&](PackedBits* slot, std::size_t) {
+    ::new (slot) PackedBits(PackedBits::from_bytes(cursor, header.checks));
     cursor += layer_bytes;
-  }
+  });
+  trace.final_error_.reserve(header.lanes);
   for (std::uint32_t lane = 0; lane < header.lanes; ++lane) {
-    trace.final_error_[lane] = unpack_bits(cursor, header.data_qubits);
+    trace.final_error_.push_back(unpack_bits(cursor, header.data_qubits));
     cursor += error_bytes;
   }
+  return trace;
+}
+
+SyndromeTrace::Recorder::Recorder(const TraceHeader& header)
+    : header_(header), recorded_(header.lanes, 0), final_error_(header.lanes) {
+  slab_ = allocate_slots(static_cast<std::size_t>(header.rounds) *
+                         header.lanes);
+}
+
+SyndromeTrace::Recorder::~Recorder() {
+  if (slab_ == nullptr) return;
+  const std::size_t lanes = header_.lanes;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    if (!recorded_[lane]) continue;
+    for (std::size_t t = 0; t < header_.rounds; ++t) {
+      std::destroy_at(slab_ + t * lanes + lane);
+    }
+  }
+  free_slots(slab_, header_.rounds * lanes);
+}
+
+void SyndromeTrace::Recorder::record_lanes(
+    int first, std::span<PhenomenologicalSampler> samplers) {
+  const std::size_t lanes = header_.lanes;
+  const std::size_t n = samplers.size();
+  const auto begin = static_cast<std::size_t>(first);
+  if (first < 0 || begin + n > lanes) {
+    throw std::logic_error("syndrome trace: lane range out of bounds");
+  }
+  std::size_t built = 0;  // slots constructed by this call, round-major
+  try {
+    // One round of the whole range at a time: each write is one
+    // contiguous run of n slots, and the slab's pages are first touched
+    // here, by the range's own thread.
+    for (std::size_t t = 0; t < header_.rounds; ++t) {
+      PackedBits* row = slab_ + t * lanes + begin;
+      for (std::size_t i = 0; i < n; ++i, ++built) {
+        ::new (row + i) PackedBits(samplers[i].next());
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      final_error_[begin + i] = samplers[i].data_error().to_bits();
+    }
+  } catch (...) {
+    for (std::size_t k = 0; k < built; ++k) {
+      std::destroy_at(slab_ + (k / n) * lanes + begin + k % n);
+    }
+    throw;
+  }
+  std::fill_n(recorded_.begin() + static_cast<std::ptrdiff_t>(begin), n, 1);
+}
+
+SyndromeTrace SyndromeTrace::Recorder::finish() && {
+  if (std::find(recorded_.begin(), recorded_.end(), 0) != recorded_.end()) {
+    throw std::logic_error("syndrome trace: finished with a lane unrecorded");
+  }
+  SyndromeTrace trace;
+  trace.header_ = header_;
+  trace.layers_ = std::exchange(slab_, nullptr);
+  trace.final_error_ = std::move(final_error_);
   return trace;
 }
 

@@ -29,9 +29,16 @@
 // allocation with no per-layer heap block. The streamed hot path (layer()
 // -> OnlineStepper::push -> engine Reg) never unpacks byte-per-bit; only
 // history() — the cold replay-scoring bridge — converts back to BitVec.
+//
+// The slab is raw storage that constructs each slot exactly once, where
+// its value is known: zero-filled by the public constructor, copied from
+// the payload by load(), or sampled by record_trace() through the
+// record-only Recorder, whose lane blocks construct their own slots one
+// round at a time (DESIGN.md section 7.2).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -62,6 +69,8 @@ struct TraceHeader {
   double p_meas = 0.0;
 };
 
+struct StreamConfig;  // record_trace's config (stream/service.hpp)
+
 class SyndromeTrace {
  public:
   SyndromeTrace() = default;
@@ -69,6 +78,13 @@ class SyndromeTrace {
   /// An empty trace with `header.lanes` lanes of `header.rounds` all-zero
   /// layers; fill via set_layer()/set_final_error().
   explicit SyndromeTrace(const TraceHeader& header);
+
+  /// Deep copies. A moved-from trace is empty, like a default one.
+  SyndromeTrace(const SyndromeTrace& other);
+  SyndromeTrace(SyndromeTrace&& other) noexcept;
+  SyndromeTrace& operator=(const SyndromeTrace& other);
+  SyndromeTrace& operator=(SyndromeTrace&& other) noexcept;
+  ~SyndromeTrace();
 
   const TraceHeader& header() const { return header_; }
   int lanes() const { return static_cast<int>(header_.lanes); }
@@ -126,11 +142,55 @@ class SyndromeTrace {
   bool operator==(const SyndromeTrace& other) const;
 
  private:
+  friend SyndromeTrace record_trace(const StreamConfig& config);
+  class Recorder;
+
+  /// rounds x lanes, from the header.
+  std::size_t num_layers() const;
   std::size_t layer_index(int lane, int round) const;
+  /// Allocates the slab for header_ and constructs slot i as make(slot, i)
+  /// in slot order. On a throw it destroys the slots already constructed,
+  /// frees the slab and leaves the trace empty.
+  template <typename Make>
+  void construct_layers(Make make);
+  /// Destroys every slot and frees the slab.
+  void destroy_layers() noexcept;
 
   TraceHeader header_;
-  std::vector<PackedBits> layers_;   ///< [round][lane], round-major
+  /// [round][lane], round-major: num_layers() slots, all constructed.
+  PackedBits* layers_ = nullptr;
   std::vector<BitVec> final_error_;  ///< [lane]
+};
+
+/// record_trace's construction path, reachable only from it. The slab
+/// starts with no slot constructed; record_lanes() constructs one lane
+/// range's slots and final errors, and disjoint ranges may run
+/// concurrently. A range is all or nothing: on a throw record_lanes()
+/// destroys the slots it constructed before rethrowing. So a Recorder
+/// destroyed unfinished destroys exactly the slots of the ranges that
+/// completed.
+class SyndromeTrace::Recorder {
+ public:
+  explicit Recorder(const TraceHeader& header);
+  ~Recorder();
+  Recorder(const Recorder&) = delete;
+  Recorder& operator=(const Recorder&) = delete;
+
+  /// Records lanes [first, first + samplers.size()), samplers[i] feeding
+  /// lane first + i: round by round, each round's run of slots constructed
+  /// in place from the samplers' next() layers, then each lane's final
+  /// error. Each lane must be recorded exactly once.
+  void record_lanes(int first, std::span<PhenomenologicalSampler> samplers);
+
+  /// The completed trace; throws std::logic_error unless every lane has
+  /// been recorded.
+  SyndromeTrace finish() &&;
+
+ private:
+  TraceHeader header_;
+  PackedBits* slab_ = nullptr;          ///< raw until finish()
+  std::vector<std::uint8_t> recorded_;  ///< [lane] slots constructed
+  std::vector<BitVec> final_error_;     ///< [lane]
 };
 
 /// Bit packing used by the trace payload (LSB-first); exposed for tests.

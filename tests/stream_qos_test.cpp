@@ -333,6 +333,129 @@ TEST(FqPolicy, SkipsPausedAndFinishedLanes) {
   }
 }
 
+/// One round of a DRR table row: each lane's Reg depth (a digit per
+/// lane), its state ('.' schedulable, 'p' paused, 'f' finished), and the
+/// lanes the policy grants, in engine order (-1 = idle engine).
+struct DrrRound {
+  const char* depth;
+  const char* state;
+  std::vector<int> grants;
+};
+
+/// A table row in the style of ns-3's FQ-CoDel queue-disc tests: one
+/// policy spec, the pool shape, and the rounds it sees. Every grant was
+/// captured from FqCodelPolicy and is pinned: a rewrite of assign() must
+/// reproduce each one.
+struct DrrCase {
+  const char* rule;
+  const char* spec;
+  int engines;
+  std::vector<DrrRound> rounds;
+};
+
+// Grant cost is 10 cycles throughout (grant_cycles = 10); "fq" tops up
+// one grant's worth per turn.
+const std::vector<DrrCase>& drr_cases() {
+  static const std::vector<DrrCase> cases = {
+      // Lane 1 empties while on the new list: it takes an old-list slot
+      // behind lane 0 instead of retiring, so on returning in round 2 it
+      // is not re-enrolled as new (that would serve it ahead of lane 0).
+      {"an emptied new-list lane gets one old-list turn",
+       "fq:quantum=20",
+       1,
+       {{"110", "...", {0}},
+        {"101", "...", {2}},
+        {"111", "...", {0}},
+        {"111", "...", {1}}}},
+      // The same turn for a lane that admission pauses on the new list.
+      {"a paused new-list lane gets one old-list turn",
+       "fq:quantum=20",
+       1,
+       {{"110", "...", {0}},
+        {"111", ".p.", {2}},
+        {"111", "...", {0}},
+        {"111", "...", {1}}}},
+      // Lane 1 is empty at its old-list turn in round 3 and retires. In
+      // round 4 it re-enrolls as new, ahead of lane 2, which heads the
+      // old list with a quantum of credit.
+      {"an emptied lane retires at its old-list turn",
+       "fq",
+       1,
+       {{"111", "...", {0}},
+        {"010", "...", {1}},
+        {"011", "...", {2}},
+        {"101", "...", {0}},
+        {"111", "...", {1}}}},
+      // Round 3: lane 0 heads the old list with its deficit spent; it gets
+      // one quantum (two grants' worth) and goes behind lane 1, which
+      // still has credit and takes the engine.
+      {"a spent lane gets one quantum and moves to the old-list tail",
+       "fq:quantum=20",
+       1,
+       {{"10", "..", {0}},
+        {"10", "..", {0}},
+        {"11", "..", {1}},
+        {"11", "..", {1}},
+        {"11", "..", {0}},
+        {"11", "..", {0}},
+        {"11", "..", {1}}}},
+      // A 4-cycle quantum against a 10-cycle grant: a lane needs up to
+      // three top-ups before it can be granted, within the same round,
+      // so the engine never idles while a lane is backlogged.
+      {"a quantum below the grant cost needs several top-ups",
+       "fq:quantum=4",
+       1,
+       {{"11", "..", {0}},
+        {"11", "..", {1}},
+        {"11", "..", {0}},
+        {"11", "..", {1}},
+        {"11", "..", {0}},
+        {"11", "..", {1}}}},
+      // Two engines, three lanes: a second sweep meets the lane granted
+      // earlier in the round, which goes to the old-list tail as if
+      // served; the grants rotate evenly. Lane 3 is finished throughout.
+      {"a lane already granted this round keeps its rotation slot",
+       "fq",
+       2,
+       {{"1111", "...f", {0, 1}},
+        {"1111", "...f", {2, 0}},
+        {"1111", "...f", {1, 2}},
+        {"1111", "...f", {0, 1}},
+        {"1111", "...f", {2, 0}}}},
+  };
+  return cases;
+}
+
+TEST(FqPolicy, DrrRulesArePinnedRoundByRound) {
+  for (const DrrCase& row : drr_cases()) {
+    SCOPED_TRACE(row.rule);
+    const auto policy = make_scheduler_policy(row.spec);
+    const int lanes = static_cast<int>(std::string(row.rounds[0].depth).size());
+    std::vector<int> depth(static_cast<std::size_t>(lanes));
+    std::vector<std::uint8_t> finished(depth.size()), paused(depth.size());
+    ScheduleView view;
+    view.lanes = lanes;
+    view.engines = row.engines;
+    view.depth = depth.data();
+    view.finished = finished.data();
+    view.paused = paused.data();
+    view.grant_cycles = 10.0;
+    std::vector<int> assignment(static_cast<std::size_t>(row.engines));
+    for (std::size_t r = 0; r < row.rounds.size(); ++r) {
+      const DrrRound& round = row.rounds[r];
+      for (std::size_t lane = 0; lane < depth.size(); ++lane) {
+        depth[lane] = round.depth[lane] - '0';
+        paused[lane] = round.state[lane] == 'p';
+        finished[lane] = round.state[lane] == 'f';
+      }
+      view.round = static_cast<std::int64_t>(r);
+      std::fill(assignment.begin(), assignment.end(), -1);
+      policy->assign(view, assignment);
+      EXPECT_EQ(assignment, round.grants) << "round " << r;
+    }
+  }
+}
+
 /// An all-lanes-backlogged scenario where nothing dies: with an
 /// unconstrained cycle budget a granted lane fully drains, an ungranted
 /// one queues a couple of layers — queues stay far from reg_depth, and

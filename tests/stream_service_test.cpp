@@ -238,6 +238,11 @@ TEST(StreamService, RecordRejectsBadNoiseParametersNamingTheField) {
   StreamConfig config = base_config();
   config.rounds = -3;
   EXPECT_NE(message(config).find("rounds"), std::string::npos);
+  // A trace stores rounds + 1 rounds per lane; that count must fit an int.
+  config.rounds = std::numeric_limits<int>::max();
+  EXPECT_NE(message(config).find("rounds"), std::string::npos);
+  config.rounds = std::numeric_limits<int>::max() - 1;
+  EXPECT_NO_THROW(validate_record(config));
   // rounds = 0 keeps meaning `distance` noisy rounds (+1 perfect round).
   config.rounds = 0;
   EXPECT_EQ(record_trace(config).rounds(), config.distance + 1);
