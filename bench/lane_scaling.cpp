@@ -10,7 +10,7 @@
 // wall-clock of the replay, microseconds per streamed lane-round, and
 // lane-rounds decoded per second, plus the outcome split so a cell where
 // lanes start dying is visible next to its throughput. Simulation
-// outcomes are unaffected by --threads or --dispatch; only wall-clock is.
+// outcomes are unaffected by --threads; only wall-clock is.
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
@@ -42,8 +42,6 @@ constexpr const char* kOptions =
     "  --policy=dedicated    scheduling policy spec: dedicated |\n"
     "                        round_robin[:offset=N] | least_loaded |\n"
     "                        fq[:quantum=CYCLES]\n"
-    "  --dispatch=1          rounds per scheduling dispatch (static "
-    "policies)\n"
     "  --engine=qecool       lane engine spec\n"
 
     "  --seed=2021           trace RNG seed\n"
@@ -69,7 +67,6 @@ int main(int argc, char** argv) {
     base.policy = args.get_or("policy", "dedicated");
     base.engines = static_cast<int>(args.get_int_or("engines", 0));
     base.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
-    base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
     base.threads = qec::threads_override(args, 1);
     qec::bench::ObsCli obs_cli(args, base.obs);
 
@@ -173,9 +170,8 @@ int main(int argc, char** argv) {
       obs_cli.keep(outcome);
     }
     table.print();
-    std::printf("\n(--threads=%d, --dispatch=%d; outcomes are unaffected by "
-                "either)\n",
-                base.threads, base.rounds_per_dispatch);
+    std::printf("\n(--threads=%d; outcomes are unaffected by it)\n",
+                base.threads);
     if (!csv_path.empty() &&
         !qec::bench::report_written(csv.flush(), "scaling curve", csv_path)) {
       return 1;

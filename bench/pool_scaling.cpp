@@ -81,7 +81,6 @@ constexpr const char* kOptions =
     "                        pause[:high=H,low=L] |\n"
     "                        codel[:target=T,interval=I], rounds)\n"
     "  --budget-w=0          4-K power budget in watts; > 0 caps K per cell\n"
-    "  --dispatch=1          rounds per scheduling dispatch (static policies)\n"
     "  --engine=qecool       lane engine spec\n"
     "  --seed=2021           trace RNG seed\n"
     "  --drain=1000          max drain rounds after the trace ends\n"
@@ -107,7 +106,6 @@ int main(int argc, char** argv) {
     base.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 2021));
     base.engine = args.get_or("engine", "qecool");
     base.max_drain_rounds = static_cast<int>(args.get_int_or("drain", 1000));
-    base.rounds_per_dispatch = static_cast<int>(args.get_int_or("dispatch", 1));
     base.budget_w = args.get_double_or("budget-w", 0.0);
     base.threads = qec::threads_override(args, 1);
     qec::bench::ObsCli obs_cli(args, base.obs);
@@ -280,8 +278,7 @@ int main(int argc, char** argv) {
                   "run once\n",
                   base.budget_w, capped_cells);
     }
-    std::printf("\nwall-clock %.1f ms (--threads=%d, --dispatch=%d)\n", ms,
-                base.threads, base.rounds_per_dispatch);
+    std::printf("\nwall-clock %.1f ms (--threads=%d)\n", ms, base.threads);
     using qec::bench::report_written;
     if (!csv_path.empty() && !report_written(csv.flush(), "sweep", csv_path)) {
       return 1;

@@ -5,9 +5,8 @@
 // concurrent streams survive a long run without Reg overflow?
 //
 // --engines=K (0 = one per lane) sizes the pool and --policy picks the
-// lane scheduler (dedicated | round_robin | least_loaded). --dispatch=B
-// batches B rounds per parallel_for barrier for static policies — the
-// lane-scaling amortization; outcomes never change, only wall-clock.
+// lane scheduler (dedicated | round_robin | least_loaded | fq); a static
+// policy's pool runs in windows of rounds, grants computed per lane.
 // --admission=pause swaps Reg-overflow lane death for graceful load
 // shedding (freeze + drain + re-admit), --admission=codel freezes on
 // sustained sojourn latency instead of queue depth (the CoDel law in
@@ -53,7 +52,6 @@ constexpr const char* kOptions =
     "  --cache-csv=FILE      per-lane decode-cache counter CSV (all-zero\n"
     "                        fast-path counters; the service attaches no\n"
     "                        cache)\n"
-    "  --dispatch=1          rounds per scheduling dispatch (static policies)\n"
     "  --seed=2021           trace RNG seed\n"
     "  --drain=1000          max drain rounds after the trace ends\n"
     "  --threads=1           worker threads (0 = all cores; never changes "
@@ -91,8 +89,6 @@ int main(int argc, char** argv) {
     config.policy = args.get_or("policy", "dedicated");
     config.admission = args.get_or("admission", "overflow");
     config.budget_w = args.get_double_or("budget-w", 0.0);
-    config.rounds_per_dispatch =
-        static_cast<int>(args.get_int_or("dispatch", 1));
     config.threads = qec::threads_override(args, 1);
     qec::bench::ObsCli obs_cli(args, config.obs);
     const auto dump_dir =
@@ -159,8 +155,6 @@ int main(int argc, char** argv) {
       }
       table.add_row({"pool power (ERSFQ model)", watts});
     }
-    table.add_row({"rounds / dispatch",
-                   std::to_string(config.rounds_per_dispatch)});
     table.add_row({"rounds streamed / lane", std::to_string(trace.rounds())});
     table.add_row({"budget (cycles/round)",
                    qec::TextTable::fmt(config.cycles_per_round, 2)});
@@ -211,8 +205,7 @@ int main(int argc, char** argv) {
                      outcome.slo->compliant() ? "yes" : "no"});
     }
     table.print();
-    std::printf("\nwall-clock %.1f ms (--threads=%d, --dispatch=%d)\n", ms,
-                config.threads, config.rounds_per_dispatch);
+    std::printf("\nwall-clock %.1f ms (--threads=%d)\n", ms, config.threads);
 
     {
       // Export time shows up as the kTraceExport stage when profiling.

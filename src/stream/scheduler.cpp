@@ -28,6 +28,10 @@ class DedicatedPolicy final : public SchedulerPolicy {
               std::vector<int>& assignment) override {
     for (int e = 0; e < view.engines; ++e) assignment[static_cast<std::size_t>(e)] = e;
   }
+
+  int engine_for(std::int64_t, int lane, int, int) const override {
+    return lane;
+  }
 };
 
 /// Fixed rotation: engine j serves lane (round*K + j + offset) mod N, a TDM
@@ -42,16 +46,28 @@ class RoundRobinPolicy final : public SchedulerPolicy {
               std::vector<int>& assignment) override {
     const auto n = static_cast<std::int64_t>(view.lanes);
     // K consecutive lanes mod N are distinct whenever K <= N.
-    std::int64_t base = view.round * view.engines + offset_;
-    base %= n;
-    if (base < 0) base += n;
+    const std::int64_t base = first_lane(view.round, view.lanes, view.engines);
     for (int e = 0; e < view.engines; ++e) {
       assignment[static_cast<std::size_t>(e)] =
           static_cast<int>((base + e) % n);
     }
   }
 
+  int engine_for(std::int64_t round, int lane, int lanes,
+                 int engines) const override {
+    std::int64_t e = (lane - first_lane(round, lanes, engines)) % lanes;
+    if (e < 0) e += lanes;
+    return e < engines ? static_cast<int>(e) : -1;
+  }
+
  private:
+  /// The lane engine 0 serves in `round`, in [0, lanes).
+  std::int64_t first_lane(std::int64_t round, int lanes, int engines) const {
+    std::int64_t base = (round * engines + offset_) % lanes;
+    if (base < 0) base += lanes;
+    return base;
+  }
+
   int offset_ = 0;
 };
 
@@ -86,6 +102,11 @@ constexpr std::array<std::string_view, 4> kPolicies = {
     "dedicated", "fq", "least_loaded", "round_robin"};
 
 }  // namespace
+
+int SchedulerPolicy::engine_for(std::int64_t, int, int, int) const {
+  throw std::logic_error(
+      "scheduler policy: a dynamic policy has no per-lane static grant");
+}
 
 void rank_deepest_first(std::vector<int>& lanes, std::size_t count,
                         const int* depth) {

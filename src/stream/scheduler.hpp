@@ -28,9 +28,10 @@
 // Determinism contract: assign() is called once per round on the scheduling
 // thread, in round order, and must be a pure function of (view, options,
 // rounds seen so far). dynamic() policies read runtime lane state and force
-// a scheduling barrier every round; static policies are pure functions of
-// the round index, so the service may batch them rounds_per_dispatch rounds
-// at a time (see DESIGN.md section 8).
+// a scheduling barrier every round. Static policies are pure functions of
+// (round, lane): engine_for() gives one lane's grant, so the service
+// computes grants in the lane blocks and runs static pools in windows of
+// many rounds, with no serial assign (see DESIGN.md section 8.3).
 #pragma once
 
 #include <cstdint>
@@ -93,6 +94,13 @@ class SchedulerPolicy {
   /// one Unit array cannot consume two engines' cycles in one interval.
   virtual void assign(const ScheduleView& view,
                       std::vector<int>& assignment) = 0;
+
+  /// Static policies only: the engine serving `lane` in global round
+  /// `round` of a pool of `engines` engines over `lanes` lanes, or -1 for
+  /// none — the inverse of assign() for that round, computed per lane.
+  /// Dynamic policies have no such function and throw std::logic_error.
+  virtual int engine_for(std::int64_t round, int lane, int lanes,
+                         int engines) const;
 };
 
 /// Orders the first `count` entries of `lanes` deepest first by

@@ -5,7 +5,9 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <new>
 #include <stdexcept>
+#include <string>
 
 #include <cstdio>
 
@@ -99,6 +101,18 @@ void for_lane_blocks(int n, int threads, const Body& body) {
   });
 }
 
+/// A record that cannot be held, named by its size. Still a bad_alloc, so
+/// a caller that handles running out of memory keeps handling it.
+class RecordAllocError final : public std::bad_alloc {
+ public:
+  explicit RecordAllocError(std::string message)
+      : message_(std::move(message)) {}
+  const char* what() const noexcept override { return message_.c_str(); }
+
+ private:
+  std::string message_;
+};
+
 /// Per-lane metrics counters, in registration order (the cache pair
 /// registers after the gauges and histograms).
 enum LaneCounter : std::size_t {
@@ -160,12 +174,16 @@ StreamMetrics register_stream_metrics(obs::MetricsRegistry& metrics,
   return m;
 }
 
-/// Orchestrates the shared engine pool over one run: per dispatch it asks
-/// the policy for up to `batch` rounds of engine->lane assignments (on the
-/// calling thread, in round order), executes them lane-parallel with all
-/// writes going to lane-local slots and per-block tallies, then merges the
-/// tallies in block order on the calling thread — so every outcome and CSV
-/// is independent of the worker-thread count.
+/// Orchestrates the shared engine pool over one run, one dispatch at a
+/// time. A static policy under overflow admission runs in windows of
+/// kStaticWindow rounds: each lane block takes each of its lanes through the
+/// whole window, computing the lane's grant in place (engine_for), with
+/// no serial step. A dynamic policy or pause/codel admission runs one
+/// round per dispatch: the policy assigns engines on the calling thread
+/// from the pre-round state, then the blocks execute the round. Either
+/// way every write goes to lane-local slots and per-block tallies, merged
+/// in block order on the calling thread — so every outcome and CSV is
+/// independent of the worker-thread count and of the window.
 class PoolScheduler {
  public:
   PoolScheduler(std::vector<Lane>& lanes, const ResolvedStream& resolved,
@@ -185,7 +203,7 @@ class PoolScheduler {
         // lane state, so each round must see the state the previous one
         // left: one round per dispatch.
         pre_round_(policy_.dynamic() || admission_.pause()),
-        batch_(pre_round_ ? 1 : std::max(1, config.rounds_per_dispatch)) {
+        window_(pre_round_ ? 1 : kStaticWindow) {
     telemetry_.engine_stats.resize(static_cast<std::size_t>(engines_));
     for (int e = 0; e < engines_; ++e) {
       telemetry_.engine_stats[static_cast<std::size_t>(e)].engine = e;
@@ -194,36 +212,40 @@ class PoolScheduler {
     depth_.resize(n);
     finished_.resize(n);
     paused_.resize(n);
-    assignment_.assign(static_cast<std::size_t>(engines_), -1);
+    if (pre_round_) {
+      assignment_.assign(static_cast<std::size_t>(engines_), -1);
+      grant_.resize(n);
+    }
     const auto blocks =
         static_cast<std::size_t>(lane_blocks(static_cast<int>(n)));
-    tallies_.resize(blocks * static_cast<std::size_t>(batch_));
+    tallies_.resize(blocks * static_cast<std::size_t>(window_));
     unfinished_.resize(blocks);
     engine_tallies_.resize(blocks * static_cast<std::size_t>(engines_));
     admitted_.resize(blocks);
     if (metrics_) m_ = register_stream_metrics(*metrics_, profiler_ != nullptr);
   }
 
-  int batch() const { return batch_; }
+  /// Rounds per dispatch: kStaticWindow for a static pool, 1 otherwise.
+  int window() const { return window_; }
 
-  /// Runs `count` rounds starting at global round `start`. Every lane that
-  /// is neither finished nor paused pushes trace layer (lane, cursor) while
-  /// its cursor is inside the trace and a clean layer after that; without
-  /// pausing, every live lane's cursor equals the global round. Under
-  /// admission=pause/codel (count == 1) a lane's admission step for a round
-  /// runs in its block at the end of the previous dispatch, and engines the
-  /// policy leaves idle drain the paused lanes. Outcomes stay a pure
-  /// function of (trace, config). Returns whether any lane is still
+  /// Runs `count` <= window() rounds starting at global round `start`.
+  /// Every lane that is neither finished nor paused pushes trace layer
+  /// (lane, cursor) while its cursor is inside the trace and a clean layer
+  /// after that; without pausing, every live lane's cursor equals the
+  /// global round. Under admission=pause/codel a lane's admission step for
+  /// a round runs in its block at the end of the previous dispatch, and
+  /// engines the policy leaves idle drain the paused lanes. Outcomes stay
+  /// a pure function of (trace, config). Returns whether any lane is still
   /// unfinished afterwards.
   bool dispatch(std::int64_t start, int count, const SyndromeTrace& trace) {
     const int n = static_cast<int>(lanes_.size());
     const int trace_rounds = trace.rounds();
-    count_ = count;
-    grant_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(count),
-                  -1);
     if (tracer_) {
       const auto k = static_cast<std::size_t>(engines_);
-      if (served_.size() >= kGrantRows * k) flush_grants();
+      // The grant buffer flushes once it holds a static window's rounds.
+      if (served_.size() >= static_cast<std::size_t>(kStaticWindow) * k) {
+        flush_grants();
+      }
       if (served_.empty()) served_from_ = start;
       served_.resize(served_.size() + static_cast<std::size_t>(count) * k, -1);
     }
@@ -231,48 +253,10 @@ class PoolScheduler {
     {
       // Profiler stage scopes (here and below) cost one branch each when
       // profiling is off and never touch any outcome — timing is observed,
-      // not consulted.
+      // not consulted. A static window has no serial step; the stage still
+      // opens once per dispatch, so its call count is the dispatch count.
       obs::ScopedStage prof(profiler_, obs::Stage::kDispatchAssign);
-
-      // Round 0's pre-round state; the blocks write every later round's at
-      // the end of the dispatch before it. Static policies never read it.
-      if (pre_round_ && start == 0) {
-        for (int i = 0; i < n; ++i) pre_round(i, 0, trace_rounds, admitted_[0]);
-        if (metrics_) merge_partial(admitted_[0]);
-      }
-
-      // Assignments for the whole batch, in round order on this thread.
-      ScheduleView view;
-      view.lanes = n;
-      view.engines = engines_;
-      view.depth = depth_.data();
-      view.finished = finished_.data();
-      view.paused = paused_.data();
-      view.grant_cycles = config_.cycles_per_round;
-      for (int r = 0; r < count; ++r) {
-        view.round = start + r;
-        // Reset so a policy that leaves an engine's entry untouched idles it
-        // instead of inheriting the previous round's grant.
-        std::fill(assignment_.begin(), assignment_.end(), -1);
-        policy_.assign(view, assignment_);
-        for (int e = 0; e < engines_; ++e) {
-          const int lane = assignment_[static_cast<std::size_t>(e)];
-          if (lane < 0) continue;
-          if (lane >= n) {
-            throw std::logic_error("stream: policy assigned engine " +
-                                   std::to_string(e) + " to nonexistent lane " +
-                                   std::to_string(lane));
-          }
-          auto& slot = grant_[slot_of(r, lane)];
-          if (slot >= 0) {
-            throw std::logic_error(
-                "stream: policy assigned two engines to lane " +
-                std::to_string(lane) + " in one round");
-          }
-          slot = e;
-        }
-        if (admission_.pause()) grant_paused(r);
-      }
+      if (pre_round_) assign_round(start, trace_rounds);
     }
 
     // Lane-parallel execution. Every write lands in lane-local state, the
@@ -282,7 +266,7 @@ class PoolScheduler {
         pre_round_ && next < trace_rounds + config_.max_drain_rounds;
     for_lane_blocks(n, config_.threads, [&](int b, int first, int last) {
       obs::ScopedStage prof(profiler_, obs::Stage::kLaneExecute);
-      BlockRound* tally = &tallies_[static_cast<std::size_t>(b) * batch_];
+      BlockRound* tally = &tallies_[static_cast<std::size_t>(b) * window_];
       BlockRound& admitted = admitted_[static_cast<std::size_t>(b)];
       for (int r = 0; r < count; ++r) tally[r].sample = {.drain = true};
       int unfinished = 0;
@@ -308,7 +292,7 @@ class PoolScheduler {
       sample.round = round;
       sample.drain = true;
       for (int b = 0; b < blocks; ++b) {
-        const auto at = static_cast<std::size_t>(b) * batch_ +
+        const auto at = static_cast<std::size_t>(b) * window_ +
                         static_cast<std::size_t>(r);
         const RoundSample& part = tallies_[at].sample;
         sample.drain = sample.drain && part.drain;
@@ -324,10 +308,10 @@ class PoolScheduler {
       }
       sample.overflowed_lanes = overflowed_so_far_;
       // Rounds in which no lane took part are scheduling artifacts (a
-      // batch outlives the fleet, or the last lanes finished at the
+      // window outlives the fleet, or the last lanes finished at the
       // admission step): account nothing, so engine stats — like the
       // timeline — cover exactly the rounds with live or paused lanes and
-      // stay invariant under rounds_per_dispatch.
+      // do not depend on the window.
       if (sample.live_lanes + sample.paused_lanes == 0) continue;
       telemetry_.timeline.push_back(sample);
       if (tracer_) {
@@ -409,6 +393,47 @@ class PoolScheduler {
     obs::LogHistogram sojourn;
   };
 
+  /// The one-round path's serial step: round 0's pre-round pass (the
+  /// blocks write every later round's at the end of the dispatch before
+  /// it), then the policy's assignment and the admission drain grants into
+  /// grant_, on this thread.
+  void assign_round(std::int64_t round, int trace_rounds) {
+    const int n = static_cast<int>(lanes_.size());
+    if (round == 0) {
+      for (int i = 0; i < n; ++i) pre_round(i, 0, trace_rounds, admitted_[0]);
+      if (metrics_) merge_partial(admitted_[0]);
+    }
+    ScheduleView view;
+    view.round = round;
+    view.lanes = n;
+    view.engines = engines_;
+    view.depth = depth_.data();
+    view.finished = finished_.data();
+    view.paused = paused_.data();
+    view.grant_cycles = config_.cycles_per_round;
+    // Reset so a policy that leaves an engine's entry untouched idles it
+    // instead of inheriting the previous round's grant.
+    std::fill(assignment_.begin(), assignment_.end(), -1);
+    std::fill(grant_.begin(), grant_.end(), -1);
+    policy_.assign(view, assignment_);
+    for (int e = 0; e < engines_; ++e) {
+      const int lane = assignment_[static_cast<std::size_t>(e)];
+      if (lane < 0) continue;
+      if (lane >= n) {
+        throw std::logic_error("stream: policy assigned engine " +
+                               std::to_string(e) + " to nonexistent lane " +
+                               std::to_string(lane));
+      }
+      int& slot = grant_[static_cast<std::size_t>(lane)];
+      if (slot >= 0) {
+        throw std::logic_error("stream: policy assigned two engines to lane " +
+                               std::to_string(lane) + " in one round");
+      }
+      slot = e;
+    }
+    if (admission_.pause()) grant_paused();
+  }
+
   /// Lane `i`'s pre-round state for global round `round`: its admission
   /// step (pause/codel only, unfinished lanes only), then its depth,
   /// finished and paused slots for the policy view. Touches only the lane,
@@ -467,11 +492,11 @@ class PoolScheduler {
     }
   }
 
-  /// Admission drain grants for round r of a batch: engines left idle or
+  /// Admission drain grants for the dispatched round: engines left idle or
   /// pointed at finished lanes serve the paused lanes' backlogs, deepest
   /// first (lane-index ties) — deterministic, independent of the policy in
   /// use, and the reason a paused backlog always eventually drains.
-  void grant_paused(int r) {
+  void grant_paused() {
     const auto idle = [this](int lane) {
       return lane < 0 || finished_[static_cast<std::size_t>(lane)];
     };
@@ -480,7 +505,8 @@ class PoolScheduler {
     if (idle_engines == 0) return;
     drainable_.clear();
     for (int i = 0; i < static_cast<int>(lanes_.size()); ++i) {
-      if (paused_[static_cast<std::size_t>(i)] && grant_[slot_of(r, i)] < 0) {
+      const auto idx = static_cast<std::size_t>(i);
+      if (paused_[idx] && grant_[idx] < 0) {
         drainable_.push_back(i);
       }
     }
@@ -492,22 +518,17 @@ class PoolScheduler {
       int& lane = assignment_[static_cast<std::size_t>(e)];
       if (!idle(lane)) continue;
       lane = drainable_[next++];
-      grant_[slot_of(r, lane)] = e;
+      grant_[static_cast<std::size_t>(lane)] = e;
     }
   }
 
-  /// Index of (round r of the dispatch, lane) in the [lane][round] slots.
-  std::size_t slot_of(int r, int lane) const {
-    return static_cast<std::size_t>(lane) * static_cast<std::size_t>(count_) +
-           static_cast<std::size_t>(r);
-  }
-
   /// Lane `i`'s share of a dispatch: rounds start .. start + count - 1,
-  /// folded into its block's round and metrics tallies. Runs in the
-  /// lane-parallel region. Returns whether the lane is still unfinished
-  /// afterwards.
+  /// lane-major, folded into its block's round and metrics tallies. Runs
+  /// in the lane-parallel region; a static pool's grants are computed here,
+  /// per round. Returns whether the lane is still unfinished afterwards.
   bool run_lane(int i, int b, std::int64_t start, int count,
                 const SyndromeTrace& trace, BlockRound* tally) {
+    const int n = static_cast<int>(lanes_.size());
     const int trace_rounds = trace.rounds();
     Lane& lane = lanes_[static_cast<std::size_t>(i)];
     const QecoolEngine& engine = lane.stepper.engine();
@@ -524,12 +545,14 @@ class PoolScheduler {
       RoundSample& sample = part.sample;
       const std::uint64_t zero_rounds = cache.zero_rounds;
       const std::uint64_t zero_pushes = cache.zero_pushes;
-      const bool granted = grant_[slot_of(r, i)] >= 0;
+      const int e = pre_round_ ? grant_[static_cast<std::size_t>(i)]
+                               : policy_.engine_for(round, i, n, engines_);
+      const bool granted = e >= 0;
       if (lane.track) lane.track->set_round(round);
       if (lane.stepper.paused()) {
         ++lane.telemetry.paused_rounds;
         ++sample.paused_lanes;
-        if (granted) serve(i, b, r, round, part);
+        if (granted) serve(i, b, e, round, part);
       } else {
         ++sample.live_lanes;
         // Backlog before this round's layer lands: the starvation test.
@@ -555,7 +578,7 @@ class PoolScheduler {
           emit_depth(obs::EventKind::kPush, real ? 1 : 0);
           lane.qos.on_push(round, real);
           if (granted) {
-            serve(i, b, r, round, part);
+            serve(i, b, e, round, part);
           } else if (backlog) {
             ++sample.starved_lanes;
             ++lane.telemetry.starved_rounds;
@@ -584,13 +607,12 @@ class PoolScheduler {
     return !lane.finished(trace_rounds);
   }
 
-  /// Spends lane `i`'s engine grant in round r of the dispatch (global
-  /// round `round`). Runs in the lane-parallel region: writes lane-local
-  /// state, block `b`'s tallies and the engine's served slot — one grant
-  /// per engine per round, so no two lanes share a slot.
-  void serve(int i, int b, int r, std::int64_t round, BlockRound& part) {
+  /// Spends lane `i`'s grant of engine `e` in global round `round`. Runs
+  /// in the lane-parallel region: writes lane-local state, block `b`'s
+  /// tallies and the engine's served slot — one grant per engine per
+  /// round, so no two lanes share a slot.
+  void serve(int i, int b, int e, std::int64_t round, BlockRound& part) {
     Lane& lane = lanes_[static_cast<std::size_t>(i)];
-    const int e = grant_[slot_of(r, i)];
     const std::uint64_t cycles = lane.stepper.spend(config_.cycles_per_round);
     const int pops = lane.stepper.last_spend_pops();
     lane.qos.on_pops(pops, round, metrics_ ? &part.sojourn : nullptr);
@@ -646,9 +668,8 @@ class PoolScheduler {
   obs::MetricsRegistry* const metrics_ = nullptr;  ///< null = metrics off
   obs::Profiler* const profiler_ = nullptr;        ///< null = profiling off
   const int engines_;
-  const bool pre_round_;  ///< rounds read pre-round state (batch_ == 1)
-  const int batch_;
-  int count_ = 1;  ///< rounds in the current dispatch (slot_of's stride)
+  const bool pre_round_;  ///< rounds read pre-round state (window_ == 1)
+  const int window_;
   int overflowed_so_far_ = 0;
 
   StreamMetrics m_;  ///< instrument ids (valid only when metrics_ is set)
@@ -657,14 +678,15 @@ class PoolScheduler {
   std::vector<std::uint8_t> finished_;
   std::vector<std::uint8_t> paused_;   // frozen by admission this round
   std::vector<int> drainable_;         // admission: ungranted paused lanes
-  std::vector<int> assignment_;        // one round, engine -> lane
-  std::vector<int> grant_;             // [lane][round]: engine or -1
+  // One-round path only (pre_round_): the round's engine -> lane
+  // assignment and its inverse, lane -> engine or -1.
+  std::vector<int> assignment_;
+  std::vector<int> grant_;
   /// Tracer, [round][engine]: the lane each engine served, or -1, for the
   /// rounds since the last flush_grants(); row 0 is round served_from_.
   std::vector<int> served_;
   std::int64_t served_from_ = 0;
-  static constexpr std::size_t kGrantRows = 64;  ///< rounds per flush
-  std::vector<BlockRound> tallies_;    // [block][round]
+  std::vector<BlockRound> tallies_;    // [block][round of the dispatch]
   std::vector<BlockRound> admitted_;   // [block]: next round's pause counts
   std::vector<int> unfinished_;        // [block]: lanes left after dispatch
   /// Grants one engine consumed, summed over the run by one lane block.
@@ -708,8 +730,6 @@ std::string stream_config_json(const StreamConfig& config,
   out += ", \"max_drain_rounds\": " + std::to_string(config.max_drain_rounds);
   out += ", \"engines\": " + std::to_string(resolved.engines);
   out += ", \"policy\": " + json_string(config.policy);
-  out += ", \"rounds_per_dispatch\": " +
-         std::to_string(config.rounds_per_dispatch);
   out += ", \"admission\": " + json_string(config.admission);
   out += ", \"budget_w\": " + json_double(config.budget_w);
   out += ", \"threads\": " + std::to_string(config.threads);
@@ -763,26 +783,45 @@ SyndromeTrace record_trace(const StreamConfig& config) {
   header.p_data = config.p;
   header.p_meas = config.p;
 
-  // Each lane block constructs its own lanes' slots, one round at a
-  // time: the slab's pages are first touched inside the parallel loop,
-  // every write is one contiguous run, and lanes that share a cache line
-  // share a block (DESIGN.md section 7.2). Per-lane RNG streams make the
-  // bytes independent of the block shape and thread count.
-  SyndromeTrace::Recorder recorder(header);
-  const NoiseParams noise{config.p, config.p, noisy_rounds};
-  for_lane_blocks(config.lanes, config.threads, [&](int, int first, int last) {
-    const auto n = static_cast<std::size_t>(last - first);
-    std::vector<Xoshiro256ss> rngs;
-    std::vector<PhenomenologicalSampler> samplers;
-    rngs.reserve(n);  // the samplers hold references into rngs
-    samplers.reserve(n);
-    for (int lane = first; lane < last; ++lane) {
-      rngs.push_back(lane_rng(config, lane, noisy_rounds));
-      samplers.emplace_back(lattice, noise, rngs.back());
-    }
-    recorder.record_lanes(first, samplers);
-  });
-  return std::move(recorder).finish();
+  // A trace too large to hold fails naming its size, not as a bare
+  // bad_alloc: the layer slots alone take rounds x lanes footprints.
+  const std::size_t slots = std::size_t{header.rounds} * header.lanes;
+  const std::size_t per_slot = PackedBits::footprint(header.checks);
+  const auto too_large = [&](const std::string& why) {
+    return RecordAllocError("stream: cannot record " +
+                            std::to_string(config.lanes) + " lanes x " +
+                            std::to_string(noisy_rounds) + " rounds: " + why);
+  };
+  constexpr std::size_t kMaxBytes = std::numeric_limits<std::size_t>::max();
+  if (slots > kMaxBytes / per_slot) {
+    throw too_large("the trace needs more than " + std::to_string(kMaxBytes) +
+                    " bytes");
+  }
+  try {
+    // Each lane block constructs its own lanes' slots, one round at a
+    // time: the slab's pages are first touched inside the parallel loop,
+    // every write is one contiguous run, and lanes that share a cache line
+    // share a block (DESIGN.md section 7.2). Per-lane RNG streams make the
+    // bytes independent of the block shape and thread count.
+    SyndromeTrace::Recorder recorder(header);
+    const NoiseParams noise{config.p, config.p, noisy_rounds};
+    for_lane_blocks(config.lanes, config.threads, [&](int, int first, int last) {
+      const auto n = static_cast<std::size_t>(last - first);
+      std::vector<Xoshiro256ss> rngs;
+      std::vector<PhenomenologicalSampler> samplers;
+      rngs.reserve(n);  // the samplers hold references into rngs
+      samplers.reserve(n);
+      for (int lane = first; lane < last; ++lane) {
+        rngs.push_back(lane_rng(config, lane, noisy_rounds));
+        samplers.emplace_back(lattice, noise, rngs.back());
+      }
+      recorder.record_lanes(first, samplers);
+    });
+    return std::move(recorder).finish();
+  } catch (const std::bad_alloc&) {
+    throw too_large("out of memory (the trace needs at least " +
+                    std::to_string(slots * per_slot) + " bytes)");
+  }
 }
 
 ResolvedStream resolve_stream(const StreamConfig& config, int lanes,
@@ -938,7 +977,7 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
   // lane before any lane sees round t+1, mirroring syndrome arrival in
   // hardware. Clean layers follow each lane's trace until every lane
   // overflowed or drained, bounded by max_drain_rounds (QEC never stops in
-  // hardware); a dispatch batch never crosses the stream/drain boundary.
+  // hardware); a static window never crosses the stream/drain boundary.
   const std::int64_t trace_rounds = trace.rounds();
   const std::int64_t max_rounds = trace_rounds + config.max_drain_rounds;
   // After the first dispatch, each one reports whether a lane is left.
@@ -950,7 +989,7 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
     if (!unfinished) break;
     const std::int64_t end = t < trace_rounds ? trace_rounds : max_rounds;
     const int count =
-        static_cast<int>(std::min<std::int64_t>(scheduler.batch(), end - t));
+        static_cast<int>(std::min<std::int64_t>(scheduler.window(), end - t));
     unfinished = scheduler.dispatch(t, count, trace);
     t += count;
   }
@@ -973,7 +1012,7 @@ StreamOutcome run_stream(const SyndromeTrace& trace,
                   lane.cursor >= trace.rounds() && !lane.stepper.paused();
       // The drained event lands at the lane's last executed round (its
       // track cursor) — deterministic, since a lane participates in the
-      // same rounds regardless of threads or batching.
+      // same rounds regardless of threads or windows.
       if (t.drained && lane.track) lane.track->emit(obs::EventKind::kDrained);
       t.popped_layers = engine.popped_layers();
       t.total_cycles = engine.total_cycles();

@@ -26,13 +26,14 @@
 // included — come out in write_latency_csv.
 //
 // Determinism contract: every lane is an independent (engine, telemetry)
-// pair; the scheduler advances all live lanes round-by-round over the
-// PR-1 thread-pool executor in lane blocks (each lane's admission step
-// included), assigns engines on the calling thread in round order, and
-// reduces the blocks' tallies on the calling thread in block order.
-// The outcome — including every telemetry CSV, byte for byte — is a pure
-// function of (trace, StreamConfig minus threads); --threads and
-// rounds_per_dispatch only change wall-clock. See DESIGN.md sections 7-8.
+// pair; the scheduler advances all live lanes over the PR-1 thread-pool
+// executor in lane blocks (each lane's admission step included) — a
+// static pool in windows of rounds with grants computed per lane, any
+// other pool one round at a time with engines assigned on the calling
+// thread — and reduces the blocks' tallies on the calling thread in
+// block and round order. The outcome — including every telemetry CSV,
+// byte for byte — is a pure function of (trace, StreamConfig minus
+// threads); --threads only changes wall-clock. See DESIGN.md sections 7-8.
 #pragma once
 
 #include <cstdint>
@@ -117,11 +118,9 @@ struct StreamConfig {
   /// stream/qos.hpp).
   std::string policy = "dedicated";
 
-  /// Rounds executed per scheduling dispatch (one parallel_for barrier).
-  /// Static policies amortize the per-round barrier over this many rounds
-  /// without changing any outcome. Dynamic policies (least_loaded) and
-  /// pause/codel admission need fresh queue depths every round and clamp
-  /// it to 1. <= 1 means one round per dispatch.
+  /// Ignored: the service picks its own dispatch size (a fixed window for
+  /// static pools, one round otherwise; DESIGN.md section 8.3). Kept only
+  /// until the benchmark stops setting it.
   int rounds_per_dispatch = 1;
 
   /// Admission control spec, resolved via parse_admission_spec():
@@ -206,8 +205,15 @@ void validate_record(const StreamConfig& config);
 /// stream with PhenomenologicalSampler. Each lane block constructs its
 /// lanes' packed difference layers in the trace, one round at a time.
 /// This is the "record" half: the returned trace fully determines any
-/// later run. Throws what validate_record() throws.
+/// later run. Throws what validate_record() throws, and a std::bad_alloc
+/// whose message names the lanes, the rounds and the bytes needed when
+/// the trace's size overflows size_t or its memory cannot be had.
 SyndromeTrace record_trace(const StreamConfig& config);
+
+/// Rounds per dispatch of a static pool (dedicated or round_robin under
+/// overflow admission); every other pool dispatches one round at a time.
+/// DESIGN.md section 8.3.
+inline constexpr int kStaticWindow = 64;
 
 /// The "replay" half: streams every lane of `trace` through its own
 /// online engine, round-by-round in lane order. Noise parameters come

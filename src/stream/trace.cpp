@@ -160,12 +160,20 @@ std::size_t SyndromeTrace::num_layers() const {
 }
 
 std::size_t SyndromeTrace::layer_index(int lane, int round) const {
-  const std::size_t i = static_cast<std::size_t>(round) * header_.lanes +
-                        static_cast<std::size_t>(lane);
-  if (i >= num_layers()) {
-    throw std::out_of_range("syndrome trace: no such layer");
+  // Each coordinate on its own: a flat-index check would let lane == lanes
+  // alias the next round's lane 0.
+  if (lane < 0 || static_cast<std::uint32_t>(lane) >= header_.lanes) {
+    throw std::out_of_range("syndrome trace: lane " + std::to_string(lane) +
+                            " out of range [0, " +
+                            std::to_string(header_.lanes) + ")");
   }
-  return i;
+  if (round < 0 || static_cast<std::uint32_t>(round) >= header_.rounds) {
+    throw std::out_of_range("syndrome trace: round " + std::to_string(round) +
+                            " out of range [0, " +
+                            std::to_string(header_.rounds) + ")");
+  }
+  return static_cast<std::size_t>(round) * header_.lanes +
+         static_cast<std::size_t>(lane);
 }
 
 const PackedBits& SyndromeTrace::layer(int lane, int round) const {

@@ -123,6 +123,13 @@ class PackedBits {
 
   std::size_t size() const { return bits_; }
   std::size_t num_words() const { return word_count(bits_); }
+  /// Bytes a vector of `bits` bits occupies: the object plus its heap
+  /// array, if it has one.
+  static std::size_t footprint(std::size_t bits) {
+    return sizeof(PackedBits) +
+           (bits > 64 * kInlineWords ? word_count(bits) * sizeof(std::uint64_t)
+                                     : 0);
+  }
   std::uint64_t word(std::size_t w) const {
     assert(w < num_words());
     return data()[w];

@@ -179,8 +179,8 @@ DecodeResult UnionFindDecoder::decode(const PlanarLattice& lattice,
       result.correction[static_cast<std::size_t>(edge.data_qubit)] ^= 1;
     }
   }
-  defect[static_cast<std::size_t>(graph.boundary)] = 0;  // absorbed
-  for (int v = 0; v < num_vertices; ++v) {
+  // The boundary vertex, the last one, absorbs whatever parity reaches it.
+  for (int v = 0; v < graph.boundary; ++v) {
     if (defect[static_cast<std::size_t>(v)]) {
       throw std::logic_error("union-find peeling left an unmatched defect");
     }

@@ -587,7 +587,9 @@ TEST(QosDeterminism, SojournAccountingIsConsistent) {
     if (lane.drained) {
       EXPECT_EQ(soj.total(), static_cast<std::uint64_t>(lane.rounds_streamed));
     }
-    if (!soj.empty()) EXPECT_GE(soj.min(), 1u);
+    if (!soj.empty()) {
+      EXPECT_GE(soj.min(), 1u);
+    }
     EXPECT_LE(soj.percentile(50), soj.percentile(99));
     EXPECT_EQ(lane.layer_cycles.total(),
               static_cast<std::uint64_t>(lane.popped_layers));

@@ -1,8 +1,9 @@
 // Tests for the shared decoder-engine pool: the dedicated K == N policy
 // reproduces the pre-pool (PR 2) service byte for byte, scheduling
-// outcomes are pure functions of (trace, config) for any thread count or
-// dispatch batching, a backpressure-aware policy saves a bursty lane a
-// fixed rotation loses, and the scheduling telemetry accounts exactly.
+// outcomes are pure functions of (trace, config) for any thread count,
+// a static pool's windows match a per-lane reference, a
+// backpressure-aware policy saves a bursty lane a fixed rotation loses,
+// and the scheduling telemetry accounts exactly.
 #include "stream/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -13,9 +14,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/chrome_trace.hpp"
+#include "obs/profile.hpp"
 #include "obs/slo.hpp"
+#include "qecool/online_runner.hpp"
 #include "stream/service.hpp"
 #include "surface_code/planar_lattice.hpp"
 #include "trace_fixture.hpp"
@@ -177,62 +182,223 @@ TEST(StreamScheduler, LeastLoadedOutcomesThreadCountInvariant) {
             timeline_csv_of(parallel, "ll_r4.csv"));
 }
 
-TEST(StreamScheduler, DispatchBatchingNeverChangesOutcomes) {
-  // Static policies amortize the per-round barrier; outcomes and every
-  // CSV must be bit-equal for any rounds_per_dispatch.
-  StreamConfig config = golden_config();
-  config.lanes = 6;
-  config.engines = 3;
-  config.policy = "round_robin";
-  const auto trace = record_trace(config);
+TEST(StreamScheduler, StaticGrantIsAssignInvertedForEveryRoundAndLane) {
+  // engine_for() must give every (round, lane) exactly the engine assign()
+  // gives it, over at least 2N rounds: the windowed service computes
+  // grants per lane and never calls assign() for a static pool.
+  struct Case {
+    const char* spec;
+    int lanes;
+    int engines;
+  };
+  const Case cases[] = {{"dedicated", 5, 5},
+                        {"round_robin", 7, 3},
+                        {"round_robin:offset=3", 7, 3},
+                        {"round_robin:offset=-5", 7, 3},
+                        {"round_robin:offset=-5", 9, 4},
+                        {"round_robin:offset=3", 6, 6}};
+  for (const Case& c : cases) {
+    const auto policy = make_scheduler_policy(c.spec);
+    ASSERT_FALSE(policy->dynamic()) << c.spec;
+    std::vector<int> assignment(static_cast<std::size_t>(c.engines));
+    ScheduleView view;
+    view.lanes = c.lanes;
+    view.engines = c.engines;
+    int grants = 0;
+    for (std::int64_t round = 0; round < 3 * c.lanes; ++round) {
+      view.round = round;
+      std::fill(assignment.begin(), assignment.end(), -1);
+      policy->assign(view, assignment);
+      std::vector<int> want(static_cast<std::size_t>(c.lanes), -1);
+      for (int e = 0; e < c.engines; ++e) {
+        want[static_cast<std::size_t>(assignment[static_cast<std::size_t>(e)])] = e;
+      }
+      for (int lane = 0; lane < c.lanes; ++lane) {
+        const int got = policy->engine_for(round, lane, c.lanes, c.engines);
+        EXPECT_EQ(got, want[static_cast<std::size_t>(lane)])
+            << c.spec << " N=" << c.lanes << " K=" << c.engines
+            << " round " << round << " lane " << lane;
+        grants += got >= 0 ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(grants, 3 * c.lanes * c.engines) << c.spec;
+  }
+  // Dynamic policies have no per-lane grant.
+  EXPECT_THROW(make_scheduler_policy("least_loaded")->engine_for(0, 0, 2, 1),
+               std::logic_error);
+  EXPECT_THROW(make_scheduler_policy("fq")->engine_for(0, 0, 2, 1),
+               std::logic_error);
+}
 
-  const auto one = run_stream(trace, config);
-  config.rounds_per_dispatch = 5;
-  const auto batched = run_stream(trace, config);
-  config.rounds_per_dispatch = 64;  // far beyond the round count
-  const auto huge = run_stream(trace, config);
+/// Dispatches a static run takes: windows of kStaticWindow rounds over
+/// the trace, then over the drain, up to the window holding the last round
+/// in which any lane took part (the run stops after it).
+std::uint64_t expected_windows(const StreamOutcome& outcome, int trace_rounds) {
+  const std::int64_t last = outcome.telemetry.timeline.back().round;
+  if (last < trace_rounds) {
+    return static_cast<std::uint64_t>(last / kStaticWindow + 1);
+  }
+  return static_cast<std::uint64_t>(
+      (trace_rounds + kStaticWindow - 1) / kStaticWindow +
+      (last - trace_rounds) / kStaticWindow + 1);
+}
 
-  EXPECT_TRUE(same_outcomes(one.telemetry, batched.telemetry));
-  EXPECT_TRUE(same_outcomes(one.telemetry, huge.telemetry));
-  EXPECT_EQ(csv_of(one, "b1.csv"), csv_of(batched, "b5.csv"));
-  EXPECT_EQ(schedule_csv_of(one, "bs1.csv"),
-            schedule_csv_of(batched, "bs5.csv"));
-  EXPECT_EQ(timeline_csv_of(one, "br1.csv"),
-            timeline_csv_of(huge, "br64.csv"));
+std::uint64_t dispatches(const StreamOutcome& outcome) {
+  return outcome.profiler
+      ->totals()[static_cast<std::size_t>(obs::Stage::kDispatchAssign)]
+      .calls;
+}
 
-  // A run whose drain ends in the middle of a dispatch batch: the phantom
-  // tail rounds of the last batch must not leak into engine accounting
-  // (idle rounds) or the timeline — schedule CSVs stay bit-equal and the
-  // engine rounds cover exactly the timeline rounds.
-  StreamConfig tail = golden_config();
-  tail.lanes = 8;
-  tail.engines = 4;
-  tail.policy = "round_robin";
-  tail.rounds = 50;
-  tail.cycles_per_round = 2000;
-  const auto tail_trace = record_trace(tail);
-  const auto tail_one = run_stream(tail_trace, tail);
-  tail.rounds_per_dispatch = 16;
-  const auto tail_batched = run_stream(tail_trace, tail);
-  EXPECT_EQ(schedule_csv_of(tail_one, "ts1.csv"),
-            schedule_csv_of(tail_batched, "ts16.csv"));
-  EXPECT_EQ(timeline_csv_of(tail_one, "tr1.csv"),
-            timeline_csv_of(tail_batched, "tr16.csv"));
-  for (const auto& e : tail_batched.telemetry.engine_stats) {
-    EXPECT_EQ(e.busy_rounds + e.idle_rounds,
-              static_cast<std::int64_t>(tail_batched.telemetry.timeline.size()));
+/// What the service must report for one lane, computed without it: the
+/// lane's own stepper, driven round by round with the grants assign()
+/// hands out (a live lane pushes its next layer, a clean one after the
+/// trace, then spends a grant if it has one, or starves with backlog).
+struct ReferenceLane {
+  bool overflow = false;
+  bool drained = false;
+  int streamed = 0;
+  int drain = 0;
+  int served = 0;
+  int starved = 0;
+  std::uint64_t cycles = 0;
+};
+
+std::vector<ReferenceLane> reference_lanes(const SyndromeTrace& trace,
+                                           const StreamConfig& config,
+                                           int engines) {
+  const int n = trace.lanes();
+  const int rounds = trace.rounds() + config.max_drain_rounds;
+  const auto policy = make_scheduler_policy(config.policy);
+  std::vector<std::vector<int>> grant(static_cast<std::size_t>(rounds));
+  std::vector<int> assignment(static_cast<std::size_t>(engines));
+  ScheduleView view;
+  view.lanes = n;
+  view.engines = engines;
+  for (int t = 0; t < rounds; ++t) {
+    view.round = t;
+    policy->assign(view, assignment);
+    auto& row = grant[static_cast<std::size_t>(t)];
+    row.assign(static_cast<std::size_t>(n), -1);
+    for (int e = 0; e < engines; ++e) {
+      row[static_cast<std::size_t>(assignment[static_cast<std::size_t>(e)])] = e;
+    }
+  }
+  OnlineConfig online;
+  online.engine = online_engine_config(config.engine);
+  online.cycles_per_round = config.cycles_per_round;
+  online.max_drain_rounds = config.max_drain_rounds;
+  const PlanarLattice lattice(static_cast<int>(trace.header().distance));
+  std::vector<ReferenceLane> out(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    ReferenceLane& ref = out[static_cast<std::size_t>(i)];
+    OnlineStepper stepper(lattice, online);
+    for (int t = 0; t < rounds; ++t) {
+      if (ref.streamed >= trace.rounds() && stepper.drained()) break;
+      const bool backlog = stepper.engine().stored_layers() > 0;
+      const bool real = ref.streamed < trace.rounds();
+      if (!(real ? stepper.push(trace.layer(i, ref.streamed))
+                 : stepper.push_clean())) {
+        ref.overflow = true;
+        break;
+      }
+      ++(real ? ref.streamed : ref.drain);
+      if (grant[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)] >= 0) {
+        stepper.spend(config.cycles_per_round);
+        ++ref.served;
+      } else if (backlog) {
+        ++ref.starved;
+      }
+    }
+    ref.drained = !ref.overflow && ref.streamed >= trace.rounds() &&
+                  stepper.engine().all_clear();
+    ref.cycles = stepper.engine().total_cycles();
+  }
+  return out;
+}
+
+TEST(StreamScheduler, StaticWindowsMatchAPerLaneReference) {
+  // 200 noisy rounds store 201: three full windows and a partial one,
+  // then a drain that ends mid-window. Static pools run in windows with
+  // grants computed per lane; each lane must end exactly as its own
+  // stepper does when driven round by round with assign()'s grants, at
+  // threads 1 and 4, in exactly the windows the run needs.
+  StreamConfig config;
+  config.lanes = 8;
+  config.distance = 5;
+  config.p = 0.01;
+  config.rounds = 200;
+  config.seed = 7;
+  config.cycles_per_round = 60;
+  config.max_drain_rounds = 400;
+  const SyndromeTrace trace = record_trace(config);
+  ASSERT_GT(trace.rounds(), 3 * kStaticWindow);
+
+  for (const auto& [policy, engines] :
+       {std::pair<const char*, int>{"dedicated", 8},
+        std::pair<const char*, int>{"round_robin:offset=-5", 5}}) {
+    SCOPED_TRACE(policy);
+    StreamConfig c = config;
+    c.policy = policy;
+    c.engines = engines;
+    c.obs.profile = true;
+    c.threads = 1;
+    const StreamOutcome serial = run_stream(trace, c);
+    c.threads = 4;
+    const StreamOutcome parallel = run_stream(trace, c);
+
+    const std::vector<ReferenceLane> want = reference_lanes(trace, c, engines);
+    int drained = 0, starved = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const LaneTelemetry& got = serial.telemetry.lanes[i];
+      EXPECT_EQ(got.overflow, want[i].overflow) << "lane " << i;
+      EXPECT_EQ(got.drained, want[i].drained) << "lane " << i;
+      EXPECT_EQ(got.rounds_streamed, want[i].streamed) << "lane " << i;
+      EXPECT_EQ(got.drain_rounds, want[i].drain) << "lane " << i;
+      EXPECT_EQ(got.served_rounds, want[i].served) << "lane " << i;
+      EXPECT_EQ(got.starved_rounds, want[i].starved) << "lane " << i;
+      EXPECT_EQ(got.total_cycles, want[i].cycles) << "lane " << i;
+      drained += got.drained ? 1 : 0;
+      starved += got.starved_rounds;
+    }
+    EXPECT_TRUE(same_outcomes(serial.telemetry, parallel.telemetry));
+    EXPECT_EQ(schedule_csv_of(serial, "sw_s1.csv"),
+              schedule_csv_of(parallel, "sw_s4.csv"));
+    EXPECT_EQ(timeline_csv_of(serial, "sw_r1.csv"),
+              timeline_csv_of(parallel, "sw_r4.csv"));
+
+    // Not vacuous: lanes drain, the shared pool starves backlogged lanes,
+    // and the last lane finishes inside a drain window, not on its edge.
+    EXPECT_GT(drained, 0);
+    if (engines < config.lanes) {
+      EXPECT_GT(starved, 0);
+    }
+    const std::int64_t last = serial.telemetry.timeline.back().round;
+    EXPECT_GT(last, trace.rounds());
+    EXPECT_NE((last + 1 - trace.rounds()) % kStaticWindow, 0);
+    EXPECT_EQ(dispatches(serial), expected_windows(serial, trace.rounds()));
+    EXPECT_EQ(dispatches(parallel), dispatches(serial));
+    EXPECT_GE(dispatches(serial), 5u);
+    // Engine stats cover exactly the timeline rounds, so a window's tail
+    // after the last lane finished is accounted nowhere.
+    for (const auto& e : serial.telemetry.engine_stats) {
+      EXPECT_EQ(e.busy_rounds + e.idle_rounds,
+                static_cast<std::int64_t>(serial.telemetry.timeline.size()));
+    }
   }
 
-  // Dynamic policies need fresh queue depths every round: the batch knob
-  // clamps to 1 and outcomes stay put.
-  config.policy = "least_loaded";
-  config.rounds_per_dispatch = 1;
-  const auto ll_one = run_stream(trace, config);
-  config.rounds_per_dispatch = 8;
-  const auto ll_batched = run_stream(trace, config);
-  EXPECT_TRUE(same_outcomes(ll_one.telemetry, ll_batched.telemetry));
-  EXPECT_EQ(timeline_csv_of(ll_one, "llb1.csv"),
-            timeline_csv_of(ll_batched, "llb8.csv"));
+  // With K == N least_loaded serves every live lane each round, like
+  // dedicated, but through the one-round path: one dispatch per round.
+  // Lane telemetry and the timeline must match the windowed run's.
+  StreamConfig one_round = config;
+  one_round.policy = "least_loaded";
+  one_round.engines = config.lanes;
+  one_round.obs.profile = true;
+  const StreamOutcome per_round = run_stream(trace, one_round);
+  const StreamOutcome windowed = run_stream(trace, config);
+  EXPECT_EQ(dispatches(per_round), per_round.telemetry.timeline.size());
+  EXPECT_EQ(csv_of(per_round, "ll_w.csv"), csv_of(windowed, "dd_w.csv"));
+  EXPECT_EQ(timeline_csv_of(per_round, "ll_wr.csv"),
+            timeline_csv_of(windowed, "dd_wr.csv"));
 }
 
 /// One bursty lane among quiet ones, served by a single shared engine: the
@@ -564,49 +730,51 @@ TEST(StreamScheduler, EveryExportIsPinned) {
   EXPECT_EQ(export_matrix(/*rounds_per_dispatch=*/8, 4), one);
 }
 
-// Lanes run in contiguous blocks (one per 256 lanes), and static policies
-// batch rounds per dispatch. 600 lanes make three blocks; every export
-// must match across (dispatch 1, threads 1) and (dispatch 8, threads 4),
-// and batching must really cut the dispatch count.
-TEST(StreamScheduler, LaneBlocksAndDispatchBatchingKeepExports) {
+// Lanes run in contiguous blocks (one per 256 lanes), and static pools in
+// windows of kStaticWindow rounds. 600 lanes make three blocks and 200
+// noisy rounds four stream windows; every export must match at threads 1
+// and 4, and each run takes exactly the windows it needs.
+TEST(StreamScheduler, LaneBlocksAndWindowsKeepExports) {
   StreamConfig config;
   config.lanes = 600;
   config.distance = 3;
   config.p = 0.02;
-  config.rounds = 24;
+  config.rounds = 200;
   config.seed = 5;
   config.cycles_per_round = 12;
   config.max_drain_rounds = 200;
   const SyndromeTrace trace = record_trace(config);
 
-  const auto run = [&](int dispatch, int threads, bool profile) {
-    StreamConfig c = config;
-    c.rounds_per_dispatch = dispatch;
-    c.threads = threads;
-    if (profile) {
-      c.obs.profile = true;
-    } else {
-      c.obs.trace = true;
-      c.obs.metrics = true;
-      c.obs.metrics_window = 8;
-      c.obs.slo = "sojourn_p99<4";
-    }
-    return run_stream(trace, c);
-  };
-  const StreamOutcome serial = run(1, 1, false);
-  EXPECT_GT(serial.drained_lanes, 0);
-  EXPECT_EQ(export_digests(run(8, 4, false)), export_digests(serial));
+  for (const auto& [policy, engines] :
+       {std::pair<const char*, int>{"dedicated", 600},
+        std::pair<const char*, int>{"round_robin:offset=7", 450}}) {
+    SCOPED_TRACE(policy);
+    const auto run = [&](int threads, bool profile) {
+      StreamConfig c = config;
+      c.policy = policy;
+      c.engines = engines;
+      c.threads = threads;
+      if (profile) {
+        c.obs.profile = true;
+      } else {
+        c.obs.trace = true;
+        c.obs.metrics = true;
+        c.obs.metrics_window = 8;
+        c.obs.slo = "sojourn_p99<4";
+      }
+      return run_stream(trace, c);
+    };
+    const StreamOutcome serial = run(1, false);
+    EXPECT_GT(serial.drained_lanes, 0);
+    EXPECT_GT(serial.telemetry.timeline.back().round, trace.rounds());
+    EXPECT_EQ(export_digests(run(4, false)), export_digests(serial));
 
-  const auto dispatches = [](const StreamOutcome& o) {
-    return o.profiler->totals()[static_cast<std::size_t>(
-                                    obs::Stage::kDispatchAssign)]
-        .calls;
-  };
-  const std::uint64_t one = dispatches(run(1, 1, true));
-  const std::uint64_t eight = dispatches(run(8, 4, true));
-  EXPECT_GT(one, 0u);
-  EXPECT_LT(4 * eight, one) << "dispatch=8 must batch rounds (" << eight
-                            << " vs " << one << " dispatches)";
+    const StreamOutcome one = run(1, true);
+    const StreamOutcome four = run(4, true);
+    EXPECT_EQ(dispatches(one), expected_windows(one, trace.rounds()));
+    EXPECT_EQ(dispatches(four), dispatches(one));
+    EXPECT_GE(dispatches(one), 5u);
+  }
 }
 
 // A shared pool over three lane blocks with admission on: each block runs

@@ -188,7 +188,9 @@ TEST(StreamService, TelemetryAccountingIsConsistent) {
       EXPECT_EQ(lane.sojourn_rounds.total(),
                 static_cast<std::uint64_t>(lane.rounds_streamed));
     }
-    if (!lane.sojourn_rounds.empty()) EXPECT_GE(lane.sojourn_rounds.min(), 1u);
+    if (!lane.sojourn_rounds.empty()) {
+      EXPECT_GE(lane.sojourn_rounds.min(), 1u);
+    }
     cycle_samples += lane.layer_cycles.total();
     sojourn_samples += lane.sojourn_rounds.total();
     cycle_max = std::max(cycle_max, lane.layer_cycles.max());

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,38 @@ StreamConfig small_config() {
   config.rounds = 6;
   config.seed = 99;
   return config;
+}
+
+// Lane and round are checked apart: on a 5-lane trace, lane 5 must not
+// alias round 1's lane 0, nor lane -1 round 0's last lane.
+TEST(StreamTrace, LayerChecksLaneAndRoundSeparately) {
+  StreamConfig config = small_config();
+  config.lanes = 5;
+  SyndromeTrace trace = record_trace(config);
+  ASSERT_EQ(trace.rounds(), 7);
+  const auto message = [&](int lane, int round) -> std::string {
+    try {
+      trace.layer(lane, round);
+    } catch (const std::out_of_range& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  EXPECT_EQ(message(5, 0), "syndrome trace: lane 5 out of range [0, 5)");
+  EXPECT_EQ(message(-1, 1), "syndrome trace: lane -1 out of range [0, 5)");
+  EXPECT_EQ(message(0, 7), "syndrome trace: round 7 out of range [0, 7)");
+  EXPECT_EQ(message(0, -1), "syndrome trace: round -1 out of range [0, 7)");
+  EXPECT_EQ(message(4, 6), "no exception");
+
+  // A rejected write leaves every layer as it was.
+  const SyndromeTrace before = trace;
+  PackedBits ones(trace.header().checks);
+  for (std::size_t i = 0; i < ones.size(); ++i) ones.set(i);
+  EXPECT_THROW(trace.set_layer(5, 0, ones), std::out_of_range);
+  EXPECT_THROW(trace.set_layer(-1, 1, ones), std::out_of_range);
+  EXPECT_THROW(trace.set_layer(0, 7, ones), std::out_of_range);
+  EXPECT_THROW(trace.set_layer(5, 0, ones.to_bits()), std::out_of_range);
+  EXPECT_TRUE(trace == before);
 }
 
 TEST(StreamTrace, PackUnpackRoundTrip) {

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -264,6 +265,44 @@ TEST(TraceRecord, EveryConstructionPathUnwindsExactlyWhatItBuilt) {
   expect_every_failure_unwinds("load", [&] { SyndromeTrace::load(path); });
   std::remove(path.c_str());
   EXPECT_TRUE(record_trace(config) == trace);
+}
+
+// A record too large to hold fails naming the lanes, the rounds and the
+// bytes it needs: a size past size_t before anything is allocated, and a
+// failed allocation as the same std::bad_alloc with a message.
+TEST(TraceRecord, UnaffordableRecordNamesItsSize) {
+  const auto message = [](const StreamConfig& config) -> std::string {
+    try {
+      record_trace(config);
+    } catch (const std::bad_alloc& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  StreamConfig huge = record_config(std::numeric_limits<int>::max(), 3);
+  huge.rounds = std::numeric_limits<int>::max() - 1;
+  const long live = g_live_allocations.load();
+  EXPECT_EQ(message(huge),
+            "stream: cannot record 2147483647 lanes x 2147483646 rounds: the "
+            "trace needs more than 18446744073709551615 bytes");
+  EXPECT_EQ(g_live_allocations.load(), live);
+
+  // 600 lanes x 4 stored rounds of d = 15 layers: 210 checks take a
+  // 32-byte slot plus a 32-byte heap array each.
+  // Fail the record's last allocation, a lane's final error. (Its first
+  // ones build the lattice, before the slab is sized; and under
+  // AddressSanitizer the heap layers' array new bypasses the counting
+  // operator new, so "halfway" would land in the lattice there.)
+  const StreamConfig config = record_config(600, 15);
+  record_trace(config);  // warms the thread pool
+  const long before = g_allocations.load();
+  record_trace(config);
+  g_fail_countdown.store(g_allocations.load() - before - 1);
+  const std::string failed = message(config);
+  g_fail_countdown.store(-1);
+  EXPECT_EQ(failed,
+            "stream: cannot record 600 lanes x 3 rounds: out of memory (the "
+            "trace needs at least 153600 bytes)");
 }
 
 }  // namespace
