@@ -1,6 +1,7 @@
 #include "sfq/budget.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "sfq/power.hpp"
 #include "sfq/unit_netlist.hpp"
@@ -11,7 +12,14 @@ long long DecoderDeployment::protectable_logical_qubits(
     double budget_w) const {
   const double per_qubit = power_per_logical_qubit_w();
   if (per_qubit <= 0.0) return 0;
-  return static_cast<long long>(std::floor(budget_w / per_qubit));
+  const double fit = std::floor(budget_w / per_qubit);
+  // Saturate first: converting a double outside long long's range is
+  // undefined behaviour (an infinite or 1e300-watt budget caps nothing).
+  using Limits = std::numeric_limits<long long>;
+  if (std::isnan(fit)) return 0;
+  if (fit >= 0x1p63) return Limits::max();
+  if (fit < -0x1p63) return Limits::min();
+  return static_cast<long long>(fit);
 }
 
 DecoderDeployment qecool_deployment(int distance, double freq_hz) {

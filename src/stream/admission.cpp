@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "decoder/registry.hpp"
-#include "obs/trace.hpp"
 #include "sfq/budget.hpp"
 
 namespace qec {
@@ -94,20 +93,6 @@ AdmissionConfig resolve_admission(const AdmissionConfig& config,
     bad_spec("low-water mark must be below the high-water mark");
   }
   return resolved;
-}
-
-void trace_admission_pause(obs::Track& track, std::int64_t round, bool codel,
-                           int depth) {
-  // emit_at, not emit: the admission step for a round runs before the
-  // lane's next round sets the track's round cursor.
-  track.emit_at(round, obs::EventKind::kPause,
-                static_cast<std::uint64_t>(depth),
-                codel ? obs::kPauseByCodel : obs::kPauseByDepth);
-}
-
-void trace_admission_resume(obs::Track& track, std::int64_t round, int depth) {
-  track.emit_at(round, obs::EventKind::kResume,
-                static_cast<std::uint64_t>(depth));
 }
 
 double PoolPowerModel::watts_per_engine() const {

@@ -38,10 +38,6 @@
 
 namespace qec {
 
-namespace obs {
-class Track;  // obs/trace.hpp — pause/resume transitions emit here
-}
-
 /// What the streaming service does when a lane's Reg queues fill up.
 struct AdmissionConfig {
   enum class Mode {
@@ -101,17 +97,6 @@ AdmissionConfig parse_admission_spec(std::string_view spec);
 /// resolved marks are out of range.
 AdmissionConfig resolve_admission(const AdmissionConfig& config,
                                   int reg_depth);
-
-/// Observability hooks (src/obs): one call per admission transition, made
-/// by the lane's admission step right where it freezes
-/// (OnlineStepper::checkpoint) or thaws (resume) the lane. kPause
-/// opens a span on the lane's track (arg records which law fired — the
-/// depth watermark or the CoDel deadline), kResume closes it; both carry
-/// the queue depth at transition time. Callers guard with a null test, so
-/// disabled tracing costs one branch.
-void trace_admission_pause(obs::Track& track, std::int64_t round, bool codel,
-                           int depth);
-void trace_admission_resume(obs::Track& track, std::int64_t round, int depth);
 
 /// Watts drawn by a pool of K streaming decoder engines. One engine
 /// serves one lane (logical qubit) at a time, so its hardware is one

@@ -54,12 +54,9 @@ struct ScheduleView {
   const int* depth = nullptr;
   /// Lane overflowed or drained — serving it wastes the engine (size lanes).
   const std::uint8_t* finished = nullptr;
-  /// Lane paused by admission control (admission=pause/codel, size
-  /// lanes) — non-schedulable: its logical clock is frozen, so
-  /// state-aware policies must not spend an engine on it. The admission
-  /// controller itself grants engines the policy leaves idle to paused
-  /// lanes so their backlog drains. Null when admission control is off
-  /// (admission=overflow, the PR 3 behaviour).
+  /// Lane paused by admission control (size lanes): its clock is frozen,
+  /// so policies must not spend an engine on it; the service grants the
+  /// engines a policy leaves idle to paused lanes. Null: none is paused.
   const std::uint8_t* paused = nullptr;
 
   /// Decode cycles one engine grant delivers this round

@@ -1,39 +1,26 @@
 // Streaming decode service: drives many logical-qubit lanes through a
-// shared pool of K on-line QECOOL engines (K <= N lanes) — the fleet-scale
-// version of the single-trial run_online() loop, modelling a processor's
-// worth of syndrome streams arriving every measurement interval and the
-// hardware-budget question behind it: how much decode hardware per chip
-// (the ~2,500-patch question src/sfq/fabric.hpp asks, answered in the
-// time domain).
+// shared pool of K on-line QECOOL engines (K <= N lanes), the fleet-scale
+// version of the single-trial run_online() loop. It asks the question
+// behind the paper's power budget in the time domain: how much decode
+// hardware does a processor's worth of syndrome streams need?
 //
-// Each round, every live lane receives its arriving difference layer, and
-// a pluggable SchedulerPolicy (stream/scheduler.hpp) grants up to K lanes
-// one engine's worth of decode cycles; ungranted lanes carry the deficit
-// as Reg queue depth. K == N with the "dedicated" policy is the original
-// one-engine-per-lane service, byte for byte.
+// Three pieces, one concern each (DESIGN.md sections 7, 8 and 12):
+//  - Lane (stream/lane.hpp), the per-lane step. Each round a lane takes
+//    its admission step (stream/admission.hpp: overflow, pause or codel),
+//    then pushes its arriving difference layer and spends an engine grant
+//    if it has one; each step returns a small record.
+//  - The pool scheduler. A SchedulerPolicy (stream/scheduler.hpp) grants
+//    up to K lanes an engine per round; ungranted lanes carry the deficit
+//    as Reg queue depth. Lanes run in blocks over the thread-pool executor
+//    and each block folds its lanes' records into its own tally.
+//  - The stream observer: the one owner of the tracer, metrics registry,
+//    profiler, SLO engine and postmortem flight recorder.
+// budget_w caps K through the ERSFQ power model (PoolPowerModel).
 //
-// Admission control (stream/admission.hpp) decides what happens when a
-// lane's queues fill: admission=overflow lets the next push overflow the
-// Reg and kill the lane (the PR 3 behaviour, byte-identical),
-// admission=pause freezes the lane's logical clock at the high-water
-// mark, drains its backlog on engines the policy leaves idle, and
-// re-admits it at the low-water mark, and admission=codel freezes on
-// sustained sojourn latency instead (the CoDel control law in logical
-// rounds, stream/qos.hpp) with the depth mark as overflow backstop.
-// budget_w ties the pool size K to the 4-K-stage power budget through
-// the ERSFQ model (PoolPowerModel). Every pushed layer is timestamped at
-// enqueue, so per-lane end-to-end sojourn percentiles — paused lanes
-// included — come out in write_latency_csv.
-//
-// Determinism contract: every lane is an independent (engine, telemetry)
-// pair; the scheduler advances all live lanes over the PR-1 thread-pool
-// executor in lane blocks (each lane's admission step included) — a
-// static pool in windows of rounds with grants computed per lane, any
-// other pool one round at a time with engines assigned on the calling
-// thread — and reduces the blocks' tallies on the calling thread in
-// block and round order. The outcome — including every telemetry CSV,
-// byte for byte — is a pure function of (trace, StreamConfig minus
-// threads); --threads only changes wall-clock. See DESIGN.md sections 7-8.
+// Determinism contract: lanes write only lane-local state and their
+// block's slots, and the blocks' tallies are merged on the calling thread
+// in block and round order. Every outcome and telemetry CSV, byte for
+// byte, is a pure function of (trace, StreamConfig minus threads).
 #pragma once
 
 #include <cstdint>
@@ -54,11 +41,9 @@
 namespace qec {
 
 /// Observability switches riding StreamConfig (src/obs, DESIGN.md
-/// section 12). Both default off; a disabled tracer costs one branch per
-/// hook site, so instrumented builds run within noise of PR 6. All event
-/// timestamps are logical rounds — the trace and the metrics CSV are pure
-/// functions of (trace, config minus threads), byte-identical at any
-/// thread count.
+/// section 12), all off by default; a sink that is off costs one branch
+/// per observer hook. Event timestamps are logical rounds, so the trace
+/// and the metrics CSV are byte-identical at any thread count.
 struct StreamObsConfig {
   /// Record the per-track event trace (StreamOutcome::tracer).
   bool trace = false;
@@ -70,22 +55,17 @@ struct StreamObsConfig {
   /// Rounds per metrics window (counters are window deltas, gauges are
   /// sampled at window close, histograms reset per window).
   int metrics_window = 64;
-  /// Wall-clock self-profiling (obs/profile.hpp, StreamOutcome::profiler).
-  /// The ONE obs feature exempt from the determinism contract: its CSV,
-  /// its prof_* metrics columns, and the pid-4 Chrome-trace track measure
-  /// real time. Outcomes are untouched — timing is observed, never
-  /// consulted — and with this off (the default) every export stays
-  /// byte-identical.
+  /// Wall-clock self-profiling (obs/profile.hpp, StreamOutcome::profiler):
+  /// the one obs feature outside the determinism contract. Its CSV, prof_*
+  /// metrics columns and Chrome-trace wall-clock track measure real time;
+  /// outcomes never consult it.
   bool profile = false;
-  /// SLO spec, parse_slo_spec() grammar — e.g. "sojourn_p99<8,window=256"
-  /// (obs/slo.hpp). Non-empty implies a metrics registry; its `window=`
-  /// option overrides metrics_window. Verdicts derive only from windowed
-  /// metrics, so they are thread-count invariant.
+  /// SLO spec (obs/slo.hpp), e.g. "sojourn_p99<8,window=256". Non-empty
+  /// implies a metrics registry; its `window=` overrides metrics_window.
   std::string slo;
-  /// Postmortem flight-recorder bundle directory (obs/postmortem.hpp).
-  /// Non-empty arms the process-wide FlightRecorder with this run's obs
-  /// objects; SIGUSR1 (when the bench installed handlers) or an explicit
-  /// FlightRecorder::dump() writes the bundle there.
+  /// Postmortem bundle directory (obs/postmortem.hpp). Non-empty arms the
+  /// FlightRecorder with this run's obs objects; SIGUSR1 (when the bench
+  /// installed handlers) or FlightRecorder::dump() writes the bundle.
   std::string dump_dir;
 };
 
@@ -111,11 +91,9 @@ struct StreamConfig {
   /// (K == N). Must end up in [1, lanes].
   int engines = 0;
 
-  /// Lane-to-engine scheduling policy spec, resolved via
-  /// make_scheduler_policy() — "dedicated", "round_robin",
-  /// "round_robin:offset=3", "least_loaded", or "fq" /
-  /// "fq:quantum=120" (FQ-CoDel-style deficit-round-robin,
-  /// stream/qos.hpp).
+  /// Lane-to-engine scheduling policy spec (make_scheduler_policy):
+  /// "dedicated", "round_robin[:offset=O]", "least_loaded" or
+  /// "fq[:quantum=Q]" (stream/qos.hpp).
   std::string policy = "dedicated";
 
   /// Ignored: the service picks its own dispatch size (a fixed window for
@@ -123,26 +101,21 @@ struct StreamConfig {
   /// until the benchmark stops setting it.
   int rounds_per_dispatch = 1;
 
-  /// Admission control spec, resolved via parse_admission_spec():
-  /// "overflow" (PR 3 behaviour, byte-identical), "pause" /
-  /// "pause:high=H,low=L" (freeze a lane's logical clock at the queue
-  /// high-water mark instead of overflowing its Reg queues), or "codel" /
-  /// "codel:target=T,interval=I" (freeze on sustained sojourn latency —
-  /// the CoDel control law in logical rounds, anticipating overflow
-  /// instead of waiting for the depth mark). See stream/admission.hpp
-  /// and stream/qos.hpp.
+  /// Admission control spec (parse_admission_spec): "overflow" (a full
+  /// Reg queue kills the lane), "pause[:high=H,low=L]" (freeze the lane's
+  /// logical clock at the depth high-water mark) or
+  /// "codel[:target=T,interval=I]" (freeze on sustained sojourn latency).
   std::string admission = "overflow";
 
   /// 4-K-stage power budget in watts; > 0 caps the pool at the largest K
-  /// whose modelled ERSFQ dissipation fits (PoolPowerModel). Requires a
-  /// positive cycles_per_round (the clock sets the watts); throws when
-  /// not even one engine fits. <= 0 leaves K uncapped.
+  /// whose modelled ERSFQ dissipation fits (PoolPowerModel). Must be
+  /// finite and needs a positive cycles_per_round (the clock sets the
+  /// watts); throws when not even one engine fits. <= 0 leaves K uncapped.
   double budget_w = 0.0;
 
   /// Worker threads (<= 0: all hardware threads). Never changes results.
   int threads = 1;
 
-  /// Event tracing and windowed metrics (src/obs); both off by default.
   StreamObsConfig obs;
 };
 
@@ -154,17 +127,13 @@ struct StreamOutcome {
   int logical_failures = 0;  ///< among operationally successful lanes
   int failed_lanes = 0;      ///< overflow + undrained + logical
 
-  /// Populated when config.obs.trace: the merged event timeline
-  /// (obs::write_chrome_trace serializes it for Perfetto).
+  /// The run's obs sinks, each null unless its switch (ResolvedStream) is
+  /// on: the event timeline (obs::write_chrome_trace), the closed metrics
+  /// windows (MetricsRegistry::write_csv), the wall-clock stage totals
+  /// (non-deterministic) and the SLO verdicts (SloEngine::write_csv).
   std::shared_ptr<obs::Tracer> tracer;
-  /// Populated when config.obs.metrics: the closed-window time series
-  /// (MetricsRegistry::write_csv serializes it).
   std::shared_ptr<obs::MetricsRegistry> metrics;
-  /// Populated when config.obs.profile: per-stage wall-clock totals
-  /// (explicitly non-deterministic; Profiler::write_csv serializes it).
   std::shared_ptr<obs::Profiler> profiler;
-  /// Populated when config.obs.slo is non-empty: burn-rate verdicts and
-  /// the compliance summary (SloEngine::write_csv / summary_json).
   std::shared_ptr<obs::SloEngine> slo;
 };
 
@@ -196,29 +165,22 @@ Xoshiro256ss lane_rng(const StreamConfig& config, int lane, int rounds);
 
 /// Throws std::invalid_argument with record_trace's message when
 /// config.lanes < 1, config.p is outside [0, 1] (NaN included), or
-/// config.rounds < 0 (0 means `distance` noisy rounds) or so large that
-/// the stored count rounds + 1 overflows an int. Sweeps call it on every
-/// cell before the first record.
+/// config.rounds is negative or so large that rounds + 1 overflows an int.
 void validate_record(const StreamConfig& config);
 
-/// Samples one memory-experiment history per lane from its lane_rng()
-/// stream with PhenomenologicalSampler. Each lane block constructs its
-/// lanes' packed difference layers in the trace, one round at a time.
-/// This is the "record" half: the returned trace fully determines any
-/// later run. Throws what validate_record() throws, and a std::bad_alloc
-/// whose message names the lanes, the rounds and the bytes needed when
-/// the trace's size overflows size_t or its memory cannot be had.
+/// The "record" half: samples one memory-experiment history per lane from
+/// its lane_rng() stream (PhenomenologicalSampler); the trace fully
+/// determines any later run. Throws what validate_record() throws, and a
+/// std::bad_alloc naming the lanes, rounds and bytes when the trace cannot
+/// be held.
 SyndromeTrace record_trace(const StreamConfig& config);
 
 /// Rounds per dispatch of a static pool (dedicated or round_robin under
-/// overflow admission); every other pool dispatches one round at a time.
-/// DESIGN.md section 8.3.
+/// overflow admission); other pools dispatch one round (DESIGN.md 8.3).
 inline constexpr int kStaticWindow = 64;
 
-/// The "replay" half: streams every lane of `trace` through its own
-/// online engine, round-by-round in lane order. Noise parameters come
-/// from the trace; service parameters (engine spec, cycle budget, drain
-/// bound, threads) from `config`, resolved first by resolve_stream().
+/// The "replay" half: streams every lane of `trace` through its own online
+/// engine; service parameters come from `config` via resolve_stream().
 StreamOutcome run_stream(const SyndromeTrace& trace,
                          const StreamConfig& config);
 

@@ -134,7 +134,7 @@ struct StreamTelemetry {
   std::uint64_t seed = 0;
   std::string engine = "qecool";
   std::string policy = "dedicated";
-  std::string admission = "overflow";  ///< admission spec (PR 4)
+  std::string admission = "overflow";  ///< admission spec
   /// Decode-cache column of the cache CSV: always "off" (there is no
   /// cache; the column keeps the export schema).
   std::string cache = "off";

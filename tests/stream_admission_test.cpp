@@ -186,6 +186,14 @@ TEST(Admission, BudgetWattsCapThePool) {
   EXPECT_EQ(run_stream(config).telemetry.engines, 1);
   config.engines = 0;
 
+  // A budget far beyond any pool caps nothing: K stays as configured
+  // (the quotient saturates instead of overflowing the integer cast).
+  config.budget_w = 1e300;
+  EXPECT_EQ(run_stream(config).telemetry.engines, config.lanes);
+  config.engines = 4;
+  EXPECT_EQ(run_stream(config).telemetry.engines, 4);
+  config.engines = 0;
+
   // A budget that cannot power a single engine fails loudly.
   config.budget_w = 0.5 * per_engine;
   EXPECT_THROW(run_stream(config), std::invalid_argument);

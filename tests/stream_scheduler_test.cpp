@@ -554,8 +554,8 @@ TEST(StreamScheduler, ScheduleAccountingIsConsistent) {
 // One matrix pins every export of the service: policy x admission on two
 // scenarios — the bursty K < N fleet above, and a lone lane that
 // overflows mid-trace (a round where every live lane overflows). Each cell
-// runs at rounds_per_dispatch 1 (threads 1) and 8 (threads 4); both must
-// hash to the same pinned FNV-1a digests, one per export.
+// runs at threads 1 and 4; both must hash to the same pinned FNV-1a
+// digests, one per export.
 
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -607,7 +607,7 @@ std::string export_digests(const StreamOutcome& o) {
 }
 
 /// One line per (scenario, policy, admission) cell.
-std::string export_matrix(int rounds_per_dispatch, int threads) {
+std::string export_matrix(int threads) {
   StreamConfig bursty;
   bursty.lanes = 4;
   bursty.distance = 5;
@@ -636,7 +636,6 @@ std::string export_matrix(int rounds_per_dispatch, int threads) {
         config.policy = policy;
         config.engines = std::string(policy) == "dedicated" ? config.lanes : 1;
         config.admission = admission;
-        config.rounds_per_dispatch = rounds_per_dispatch;
         config.threads = threads;
         config.obs.trace = true;
         config.obs.metrics = true;
@@ -725,9 +724,9 @@ constexpr const char* kPinnedExportDigests =
     " e1f8663c3e533c97 d3775ecf3fd28735 d70774c2ac779cdd a4ceec810a6810a2\n";
 
 TEST(StreamScheduler, EveryExportIsPinned) {
-  const std::string one = export_matrix(/*rounds_per_dispatch=*/1, 1);
+  const std::string one = export_matrix(1);
   EXPECT_EQ(one, kPinnedExportDigests);
-  EXPECT_EQ(export_matrix(/*rounds_per_dispatch=*/8, 4), one);
+  EXPECT_EQ(export_matrix(4), one);
 }
 
 // Lanes run in contiguous blocks (one per 256 lanes), and static pools in

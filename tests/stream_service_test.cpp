@@ -292,6 +292,16 @@ TEST(StreamService, ResolveStreamAndRunStreamThrowTheSameMessages) {
          c.cycles_per_round = std::numeric_limits<double>::quiet_NaN();
        },
        "stream: cycles_per_round must be finite"},
+      {"nan budget",
+       [](StreamConfig& c) {
+         c.budget_w = std::numeric_limits<double>::quiet_NaN();
+       },
+       "stream: budget_w must be finite"},
+      {"infinite budget",
+       [](StreamConfig& c) {
+         c.budget_w = std::numeric_limits<double>::infinity();
+       },
+       "stream: budget_w must be finite"},
       {"budget without a clock",
        [](StreamConfig& c) {
          c.cycles_per_round = 0.0;
