@@ -10,6 +10,7 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
+#include "decoder/registry.hpp"
 #include "noise/depolarizing.hpp"
 #include "qecool/qecool_decoder.hpp"
 #include "sim/monte_carlo.hpp"
@@ -53,10 +54,10 @@ int main(int argc, char** argv) try {
     const double pz = static_cast<double>(fz) / trials;
 
     // Reference: one sector under plain phenomenological noise at 2p/3.
-    qec::BatchQecoolDecoder ref;
     auto cfg = qec::phenomenological_config(d, qec::sector_flip_rate(p),
                                             trials, 9999);
-    const auto r = qec::run_memory_experiment(ref, cfg);
+    const auto r =
+        qec::run_memory_experiment(qec::decoder_maker("qecool"), cfg);
 
     table.add_row({qec::TextTable::fmt(p, 4), qec::TextTable::sci(px, 2),
                    qec::TextTable::sci(pz, 2),

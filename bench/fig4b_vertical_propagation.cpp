@@ -11,7 +11,7 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "qecool/qecool_decoder.hpp"
+#include "decoder/registry.hpp"
 #include "sim/monte_carlo.hpp"
 
 int main(int argc, char** argv) try {
@@ -39,13 +39,13 @@ int main(int argc, char** argv) try {
   for (double p : ps) header.push_back("p=" + qec::TextTable::fmt(p, 4));
   qec::TextTable table(header);
 
+  const qec::DecoderMaker batch_qecool = qec::decoder_maker("qecool");
   qec::MatchStats hist_at_pth;  // histogram snapshot near p = 0.01
   for (int d = 5; d <= dmax; d += 2) {
     std::vector<std::string> row = {std::to_string(d)};
     for (double p : ps) {
-      qec::BatchQecoolDecoder dec;
       const auto r = qec::run_memory_experiment(
-          dec, qec::phenomenological_config(d, p, trials));
+          batch_qecool, qec::phenomenological_config(d, p, trials));
       const double proportion =
           r.matches.total()
               ? static_cast<double>(r.matches.vertical_ge3) /

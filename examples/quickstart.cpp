@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "common/cli.hpp"
-#include "mwpm/mwpm_decoder.hpp"
+#include "decoder/registry.hpp"
 #include "qecool/online_runner.hpp"
 #include "sim/monte_carlo.hpp"
 
@@ -42,9 +42,8 @@ int main(int argc, char** argv) try {
   const qec::ExperimentResult qecool =
       qec::run_online_experiment(config, online);
 
-  qec::MwpmDecoder mwpm;
   const qec::ExperimentResult baseline =
-      qec::run_memory_experiment(mwpm, config);
+      qec::run_memory_experiment(qec::decoder_maker("mwpm"), config);
 
   std::printf("\n  decoder        logical error rate  (95%% CI)\n");
   std::printf("  online-QECOOL  %-18.5f [%.5f, %.5f]\n",

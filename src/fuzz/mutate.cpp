@@ -23,26 +23,6 @@ CheckGrid check_grid(const SyndromeTrace& trace) {
 
 }  // namespace
 
-const char* mutation_name(MutationOp op) {
-  switch (op) {
-    case MutationOp::kBitFlips:
-      return "bit-flips";
-    case MutationOp::kBurst:
-      return "burst";
-    case MutationOp::kRowStreak:
-      return "row-streak";
-    case MutationOp::kColStreak:
-      return "col-streak";
-    case MutationOp::kWindowCluster:
-      return "window-cluster";
-    case MutationOp::kClearRegion:
-      return "clear-region";
-    case MutationOp::kSplice:
-      return "splice";
-  }
-  return "?";
-}
-
 void TraceMutator::flip(SyndromeTrace& trace, int lane, int round,
                         std::size_t check) {
   PackedBits layer = trace.layer(lane, round);

@@ -40,8 +40,6 @@ enum class MutationOp : std::uint8_t {
   kSplice,  // only via splice(); mutate() never picks it
 };
 
-const char* mutation_name(MutationOp op);
-
 /// Engine-shape hints the window-boundary operator aligns against.
 struct MutatorConfig {
   int reg_depth = 7;

@@ -178,8 +178,7 @@ const char* arm_name(Arm arm) {
 
 struct LaneRun {
   LaneOutcome outcome;
-  std::vector<std::string> violations;   ///< invariant probe findings
-  std::vector<std::string> checkpoint_errors;  ///< snapshot disagreements
+  std::vector<std::string> violations;  ///< invariant probe findings
 };
 
 /// Streams one lane of `trace` through a fresh stepper: push + spend per
@@ -218,25 +217,7 @@ LaneRun run_lane(const PlanarLattice& lattice, const SyndromeTrace& trace,
     if (arm != Arm::kCheckpoint || stepper.overflowed()) return;
     const int m = stepper.engine().stored_layers();
     if (m < config.checkpoint_min_depth) return;
-    const StepperCheckpoint cp = stepper.checkpoint();
-    const auto check = [&run](const char* what, auto got, auto want) {
-      if (got != want && run.checkpoint_errors.size() < 8) {
-        std::ostringstream out;
-        out << "checkpoint snapshot " << what << ": " << got
-            << " but engine says " << want;
-        run.checkpoint_errors.push_back(out.str());
-      }
-    };
-    check("rounds_accepted", cp.rounds_accepted, stepper.rounds_stepped());
-    check("stored_layers", cp.stored_layers,
-          stepper.engine().stored_layers());
-    check("popped_layers", cp.popped_layers, stepper.engine().popped_layers());
-    check("total_cycles", cp.total_cycles, stepper.engine().total_cycles());
-    if (cp.correction != stepper.engine().correction() &&
-        run.checkpoint_errors.size() < 8) {
-      run.checkpoint_errors.push_back(
-          "checkpoint snapshot correction differs from engine correction");
-    }
+    stepper.pause();
     stepper.resume();
     if (features) {
       features->add(Feature::kPause, static_cast<std::uint32_t>(m));
@@ -293,9 +274,6 @@ void report_violations(OracleReport& report, const LaneRun& run, Arm arm,
   for (const std::string& v : run.violations) {
     report.divergences.push_back(
         {"invariant", lane, std::string(arm_name(arm)) + " arm: " + v});
-  }
-  for (const std::string& v : run.checkpoint_errors) {
-    report.divergences.push_back({"checkpoint", lane, v});
   }
 }
 

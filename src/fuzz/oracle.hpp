@@ -5,10 +5,9 @@
 // Oracles (each arm must match the baseline lane run bit for bit:
 // correction, overflow/drained, cycle accounting, per-layer attribution,
 // match statistics, per-round pop sequence):
-//   checkpoint  a checkpoint()/resume() pair with no intervening activity
-//               is a perfect no-op (the admission-control contract of
-//               section 9), and every checkpoint snapshot must agree with
-//               the engine's own counters.
+//   checkpoint  a pause()/resume() pair with no intervening activity is a
+//               perfect no-op (the admission-control contract of
+//               section 9).
 //   unpacked    the byte-per-bit push path equals the packed hot path —
 //               the PR 6 datapath-equivalence contract.
 //   bitops      the configured popcount/ctz backend agrees with the
@@ -46,7 +45,7 @@ struct OracleConfig {
   /// bound shared by every arm.
   OnlineConfig online;
 
-  /// Occupancy at which the checkpoint arm inserts a checkpoint()/resume()
+  /// Occupancy at which the checkpoint arm inserts a pause()/resume()
   /// no-op pair before the round's push — input-dependent, so pause
   /// transitions show up in coverage. <= 0 pairs on every round.
   int checkpoint_min_depth = 2;

@@ -73,7 +73,6 @@ void Profiler::record(Stage stage, std::uint64_t start_ns) {
     s.ring.push_back(sample);
   } else {
     s.ring[s.ring_head] = sample;
-    ++s.ring_dropped;
   }
   s.ring_head = (s.ring_head + 1) % s.ring_capacity;
 }
@@ -124,12 +123,6 @@ std::vector<WallSample> Profiler::thread_samples(int tid) const {
                      return a.start_ns < b.start_ns;
                    });
   return out;
-}
-
-std::uint64_t Profiler::thread_dropped(int tid) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (tid < 0 || static_cast<std::size_t>(tid) >= slots_.size()) return 0;
-  return slots_[tid]->ring_dropped;
 }
 
 bool Profiler::write_csv(const std::string& path) const {

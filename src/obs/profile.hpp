@@ -102,8 +102,6 @@ class Profiler {
   /// Surviving wall samples of thread `tid` (registration order), sorted
   /// by start time — the Chrome-trace wall-clock track source.
   std::vector<WallSample> thread_samples(int tid) const;
-  /// Samples overwritten on thread `tid`'s ring.
-  std::uint64_t thread_dropped(int tid) const;
 
   /// Per-stage profile CSV: stage,calls,threads,total_ns,mean_ns.
   /// Returns false when the file cannot be opened or a write fails
@@ -122,7 +120,6 @@ class Profiler {
     std::vector<WallSample> ring;
     std::size_t ring_capacity = 0;
     std::size_t ring_head = 0;
-    std::uint64_t ring_dropped = 0;
   };
 
   ThreadSlot& slot();

@@ -69,10 +69,10 @@ struct QecoolConfig {
   int test_fault = kFaultNone;
 
   static constexpr int kFaultNone = 0;
-  /// OnlineStepper::checkpoint()'s snapshot drops the deepest resident
-  /// layer from its stored-layer count — a cold-path bug only the
-  /// checkpoint arm's snapshot-vs-engine comparison can see.
-  static constexpr int kFaultCheckpointSnapshot = 1;
+  /// OnlineStepper::pause() counts the pause as an accepted round — a
+  /// cold-path bug only the checkpoint arm (the one arm that pauses) can
+  /// see, as a rounds_stepped() drift from the baseline arm.
+  static constexpr int kFaultPauseRound = 1;
   /// run() under-reports consumed cycles by one whenever it did work — an
   /// accounting bug the invariant probe's conservation check catches.
   static constexpr int kFaultCycleReport = 2;

@@ -97,12 +97,8 @@ class QecoolEngine {
   /// Stored layers currently in the Reg queues.
   int stored_layers() const { return m_; }
 
-  /// Accumulated data-qubit correction from all Syndrome signals so far,
-  /// in packed form (the in-memory Pauli frame).
-  const PackedBits& correction_packed() const { return correction_; }
-
-  /// Byte-per-bit copy of the accumulated correction (cold-path bridge
-  /// for scoring and tests).
+  /// Byte-per-bit copy of the accumulated data-qubit correction from all
+  /// Syndrome signals so far (cold-path bridge for scoring and tests).
   BitVec correction() const { return correction_.to_bits(); }
 
   /// Total working cycles since construction.

@@ -10,7 +10,6 @@ OnlineStepper::OnlineStepper(const PlanarLattice& lattice,
                              const OnlineConfig& config)
     : engine_(lattice, config.engine),
       clean_(static_cast<std::size_t>(lattice.num_checks())),
-      per_round_(config.cycles_per_round),
       test_fault_(config.engine.test_fault) {
   if (!std::isfinite(config.cycles_per_round)) {
     throw std::invalid_argument(
@@ -71,45 +70,23 @@ std::uint64_t OnlineStepper::spend(double cycles) {
   return consumed;
 }
 
-bool OnlineStepper::step(const PackedBits& layer) {
-  if (!push(layer)) return false;
-  spend(per_round_);
-  return true;
-}
-
-bool OnlineStepper::step(const BitVec& layer) {
-  if (!push(layer)) return false;
-  spend(per_round_);
-  return true;
-}
-
-StepperCheckpoint OnlineStepper::checkpoint() {
+void OnlineStepper::pause() {
   if (paused_) {
-    throw std::logic_error("online stepper: checkpoint() while paused");
+    throw std::logic_error("online stepper: pause() while paused");
   }
   if (overflow_) {
-    throw std::logic_error("online stepper: checkpoint() after overflow");
+    throw std::logic_error("online stepper: pause() after overflow");
   }
   paused_ = true;
-  StepperCheckpoint cp;
-  cp.correction = engine_.correction();
-  cp.rounds_accepted = rounds_;
-  cp.stored_layers = engine_.stored_layers();
-  // Planted snapshot bug for the fuzz self-check (docs/fuzzing.md): the
-  // snapshot drops the deepest resident layer. Only the checkpoint arm
-  // compares a snapshot against the live engine.
-  if (test_fault_ == QecoolConfig::kFaultCheckpointSnapshot &&
-      cp.stored_layers > 0) {
-    --cp.stored_layers;
-  }
-  cp.popped_layers = engine_.popped_layers();
-  cp.total_cycles = engine_.total_cycles();
-  return cp;
+  // Planted bug for the fuzz self-check (docs/fuzzing.md): the pause counts
+  // as an accepted round. Only the checkpoint arm pauses, so only it sees
+  // rounds_stepped() drift from the baseline.
+  if (test_fault_ == QecoolConfig::kFaultPauseRound) ++rounds_;
 }
 
 void OnlineStepper::resume() {
   if (!paused_) {
-    throw std::logic_error("online stepper: resume() without checkpoint()");
+    throw std::logic_error("online stepper: resume() without pause()");
   }
   paused_ = false;
 }
@@ -130,13 +107,15 @@ OnlineResult run_online(const PlanarLattice& lattice,
                         const OnlineConfig& config) {
   OnlineStepper stepper(lattice, config);
   for (const auto& layer : history.difference) {
-    if (!stepper.step(layer)) break;
+    if (!stepper.push(layer)) break;
+    stepper.spend(config.cycles_per_round);
   }
   if (!stepper.overflowed()) {
     // Keep the QEC cycle running on clean layers until the queues drain.
     for (int extra = 0; extra < config.max_drain_rounds; ++extra) {
       if (stepper.drained()) break;
-      if (!stepper.step_clean()) break;
+      if (!stepper.push_clean()) break;
+      stepper.spend(config.cycles_per_round);
     }
   }
   return stepper.result();

@@ -50,20 +50,6 @@ struct OnlineResult {
   bool failed_operationally() const { return overflow || !drained; }
 };
 
-/// Snapshot of a lane's accumulated decode state, taken by
-/// OnlineStepper::checkpoint() when the pool admission controller freezes
-/// a lane's logical clock (src/stream/admission.hpp). It captures the
-/// patch the lane has committed so far, so a host could read it out while
-/// the lane is paused; the live engine keeps the backlog and continues
-/// draining under whatever service it receives.
-struct StepperCheckpoint {
-  BitVec correction;               ///< accumulated data-qubit patch
-  int rounds_accepted = 0;         ///< layers pushed before the pause
-  int stored_layers = 0;           ///< Reg backlog at checkpoint time
-  int popped_layers = 0;           ///< layers fully decoded so far
-  std::uint64_t total_cycles = 0;  ///< working cycles consumed so far
-};
-
 /// Incremental per-round driver of one on-line engine: push a layer, spend
 /// the round's cycle budget, repeat. run_online() is a loop over this; the
 /// streaming decode service (src/stream) holds one stepper per lane and
@@ -72,15 +58,16 @@ struct StepperCheckpoint {
 /// Push and spend are separate operations: a lane served by a shared
 /// engine pool receives a full, partial, or zero budget each round, so the
 /// service pushes the arriving layer unconditionally and grants cycles
-/// only when the scheduler assigns the lane an engine. step() bundles the
-/// two for the dedicated one-engine-per-lane case.
+/// only when the scheduler assigns the lane an engine. A dedicated engine
+/// (run_online) spends config.cycles_per_round after every push.
 ///
-/// checkpoint()/resume() freeze and thaw the lane's logical clock for the
-/// pool admission controller: a paused stepper rejects push() (no new
+/// pause()/resume() freeze and thaw the lane's logical clock for the pool
+/// admission controller: a paused stepper rejects push() (no new
 /// measurement layers are admitted — calling it is a logic error, not an
-/// overflow) but still accepts spend(), so the backlog drains. A
-/// checkpoint()/resume() pair with no intervening activity is a perfect
-/// no-op: all subsequent behaviour is identical to never having paused.
+/// overflow) but still accepts spend(), so the backlog drains. The patch
+/// so far stays readable through engine().correction(). A pause()/resume()
+/// pair with no intervening activity is a perfect no-op: all subsequent
+/// behaviour is identical to never having paused.
 class OnlineStepper {
  public:
   /// Throws std::invalid_argument when config.cycles_per_round is NaN or
@@ -116,19 +103,11 @@ class OnlineStepper {
   /// for sojourn latency (src/stream/qos.hpp). 0 before any spend.
   int last_spend_pops() const { return last_spend_pops_; }
 
-  /// push() + spend() of this round's configured budget — the dedicated
-  /// engine behaviour. Returns false when the Reg queues overflow.
-  bool step(const PackedBits& layer);
-  bool step(const BitVec& layer);
-
-  /// Streams an all-zero layer (the drain phase after the last real round).
-  bool step_clean() { return step(clean_); }
-
-  /// Freezes the logical clock (admission pause) and returns the
-  /// checkpointed accumulated patch. While paused, push() throws and
-  /// spend() keeps draining the backlog. Throws std::logic_error when
-  /// already paused or after overflow (there is nothing left to save).
-  StepperCheckpoint checkpoint();
+  /// Freezes the logical clock (admission pause). While paused, push()
+  /// throws and spend() keeps draining the backlog. Throws
+  /// std::logic_error when already paused or after overflow (the lane is
+  /// dead; there is no clock left to freeze).
+  void pause();
 
   /// Thaws a paused stepper: the lane's logical clock runs again and
   /// push() is accepted. Throws std::logic_error when not paused.
@@ -171,7 +150,6 @@ class OnlineStepper {
 
   QecoolEngine engine_;
   PackedBits clean_;
-  double per_round_ = 0.0;  ///< <= 0: unconstrained.
   double carry_ = 0.0;      ///< fractional budget carried across rounds.
   bool overflow_ = false;
   bool paused_ = false;     ///< logical clock frozen by admission control.

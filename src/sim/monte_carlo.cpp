@@ -69,16 +69,15 @@ int shard_trials(int trials, int shards, int shard) {
 }
 
 /// Decodes one history with one variant and scores it into `result`;
-/// `owned` is the shard's instance of a batch variant without `shared`.
+/// `owned` is the shard's instance of a batch variant.
 void score(const PairedVariant& variant, Decoder* owned,
            const PlanarLattice& lattice, const SyndromeHistory& history,
            ExperimentResult& result) {
   ++result.trials;
   DecodeResult decode;
   if (!variant.online) {
-    Decoder& decoder = owned ? *owned : *variant.shared;
-    decode = decoder.decode(lattice, history);
-    if (const MatchStats* stats = decoder.match_stats()) {
+    decode = owned->decode(lattice, history);
+    if (const MatchStats* stats = owned->match_stats()) {
       result.matches.merge(*stats);
     }
   } else {
@@ -102,7 +101,6 @@ void score(const PairedVariant& variant, Decoder* owned,
 std::vector<ExperimentResult> run_paired_experiment(
     const ExperimentConfig& config, const std::vector<PairedVariant>& variants) {
   int most_trials = 0;
-  bool sequential = false;
   for (const PairedVariant& variant : variants) {
     if (variant.trials < 1) {
       throw std::invalid_argument("experiment: variant '" + variant.label +
@@ -110,7 +108,6 @@ std::vector<ExperimentResult> run_paired_experiment(
                                   std::to_string(variant.trials));
     }
     most_trials = std::max(most_trials, variant.trials);
-    sequential |= !variant.online && variant.shared;
   }
   const PlanarLattice lattice(config.distance);
   const NoiseParams params{config.p_data, config.p_meas, config.rounds};
@@ -118,10 +115,10 @@ std::vector<ExperimentResult> run_paired_experiment(
   const std::size_t count = variants.size();
   // parts[shard * count + v]: variant v's counters over one shard.
   std::vector<ExperimentResult> parts(static_cast<std::size_t>(shards) * count);
-  parallel_for(shards, sequential ? 1 : config.threads, [&](int shard) {
+  parallel_for(shards, config.threads, [&](int shard) {
     std::vector<std::unique_ptr<Decoder>> owned(count);
     for (std::size_t v = 0; v < count; ++v) {
-      if (!variants[v].online && !variants[v].shared) {
+      if (!variants[v].online) {
         owned[v] = variants[v].make();
       }
     }
@@ -150,13 +147,6 @@ ExperimentResult run_memory_experiment(const DecoderMaker& make,
                                        const ExperimentConfig& config) {
   return run_paired_experiment(
       config, {{.label = "memory", .trials = config.trials, .make = make}})[0];
-}
-
-ExperimentResult run_memory_experiment(Decoder& decoder,
-                                       const ExperimentConfig& config) {
-  return run_paired_experiment(
-      config,
-      {{.label = "memory", .trials = config.trials, .shared = &decoder}})[0];
 }
 
 ExperimentResult run_online_experiment(const ExperimentConfig& config,

@@ -80,13 +80,11 @@ struct ExperimentResult {
 using DecoderMaker = std::function<std::unique_ptr<Decoder>()>;
 
 /// One decoder of a paired experiment: on-line QECOOL when `online` is set,
-/// else the caller-owned `shared` instance (all shards then run on the
-/// calling thread), else one instance per shard from `make`.
+/// else one instance per shard from `make`.
 struct PairedVariant {
   std::string label;  ///< names the variant in errors
   int trials = 0;
   std::optional<OnlineConfig> online = std::nullopt;
-  Decoder* shared = nullptr;
   DecoderMaker make = nullptr;
 };
 
@@ -100,13 +98,10 @@ struct PairedVariant {
 std::vector<ExperimentResult> run_paired_experiment(
     const ExperimentConfig& config, const std::vector<PairedVariant>& variants);
 
-/// One-variant paired experiments. The DecoderMaker overload gives each
-/// shard its own instance (parallel up to config.threads); the Decoder&
-/// overload runs the same shards on the calling thread with one instance,
-/// bit-identical to it; run_online_experiment runs on-line QECOOL.
+/// One-variant paired experiments. run_memory_experiment gives each shard
+/// its own instance from `make` (parallel up to config.threads);
+/// run_online_experiment runs on-line QECOOL.
 ExperimentResult run_memory_experiment(const DecoderMaker& make,
-                                       const ExperimentConfig& config);
-ExperimentResult run_memory_experiment(Decoder& decoder,
                                        const ExperimentConfig& config);
 ExperimentResult run_online_experiment(const ExperimentConfig& config,
                                        const OnlineConfig& online);

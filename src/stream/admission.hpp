@@ -14,11 +14,11 @@
 //    the PR 3 behaviour byte for byte: the next push overflows and the
 //    lane dies. "pause" is graceful load shedding: instead of pushing
 //    into a full queue, the admission controller freezes the lane's
-//    logical clock (OnlineStepper::checkpoint() — the accumulated patch
-//    is checkpointed and no further layers are admitted), lets the
-//    backlog drain through whatever engine service the lane receives,
-//    and re-admits it (OnlineStepper::resume()) once its queue depth
-//    falls to the low-water mark. Paused lanes are non-schedulable for
+//    logical clock (OnlineStepper::pause() — no further layers are
+//    admitted; the patch so far stays in the engine), lets the backlog
+//    drain through whatever engine service the lane receives, and
+//    re-admits it (OnlineStepper::resume()) once its queue depth falls
+//    to the low-water mark. Paused lanes are non-schedulable for
 //    state-aware policies (ScheduleView::paused); engines the policy
 //    leaves idle are granted to paused lanes, deepest queue first, so a
 //    paused lane always eventually drains and resumes.
@@ -76,7 +76,7 @@ struct AdmissionConfig {
   int interval = 0;
 
   /// Admission-controlled modes: the service runs the pause/drain/resume
-  /// machinery (per-lane trace cursors, checkpoint()/resume()).
+  /// machinery (per-lane trace cursors, pause()/resume()).
   bool pause() const { return mode != Mode::kOverflow; }
   /// Pause decisions come from the CoDel latency law, not depth marks.
   bool codel() const { return mode == Mode::kCodel; }

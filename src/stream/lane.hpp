@@ -102,8 +102,7 @@ struct Lane {
             codel.should_pause(round, qos.head_age(round), out.depth);
         out.pause = by_codel || out.depth >= admission.high_water;
         if (out.pause) {
-          // Freezes the clock; the service needs no patch snapshot.
-          (void)stepper.checkpoint();
+          stepper.pause();
           ++telemetry.pauses;
           if (track) {
             track->emit_at(round, obs::EventKind::kPause, depth,

@@ -151,8 +151,7 @@ class StreamObserver {
       : engines_(resolved.engines), dump_armed_(!config.obs.dump_dir.empty()) {
     if (resolved.trace) {
       outcome.tracer = std::make_shared<obs::Tracer>(
-          lanes, engines_,
-          static_cast<std::size_t>(std::max(1, config.obs.trace_ring)));
+          lanes, engines_, static_cast<std::size_t>(config.obs.trace_ring));
       tracer_ = outcome.tracer.get();
     }
     if (config.obs.profile) {
@@ -752,13 +751,25 @@ ResolvedStream resolve_stream(const StreamConfig& config, int lanes,
   if (!std::isfinite(config.budget_w)) {
     throw std::invalid_argument("stream: budget_w must be finite");
   }
+  // Each bounds a loop or sizes a buffer: a negative drain bound would cut
+  // trace rounds short, and an empty window or ring means nothing.
+  const auto at_least = [](const char* field, int value, int floor) {
+    if (value < floor) {
+      throw std::invalid_argument("stream: " + std::string(field) +
+                                  " must be >= " + std::to_string(floor) +
+                                  ", got " + std::to_string(value));
+    }
+  };
+  at_least("max_drain_rounds", config.max_drain_rounds, 0);
+  at_least("obs.metrics_window", config.obs.metrics_window, 1);
+  at_least("obs.trace_ring", config.obs.trace_ring, 1);
   ResolvedStream resolved;
   // A postmortem bundle needs the event trace and the metrics heartbeat;
   // profiling and SLOs stay opt-in.
   const bool dump = !config.obs.dump_dir.empty();
   resolved.trace = config.obs.trace || dump;
   resolved.metrics = config.obs.metrics || dump;
-  resolved.metrics_window = std::max(1, config.obs.metrics_window);
+  resolved.metrics_window = config.obs.metrics_window;
   // Resolve the engine, policy, and admission specs before any lane (or
   // thread) exists so a typo fails loudly up front.
   resolved.engine = online_engine_config(config.engine);

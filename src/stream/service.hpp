@@ -47,13 +47,14 @@ namespace qec {
 struct StreamObsConfig {
   /// Record the per-track event trace (StreamOutcome::tracer).
   bool trace = false;
-  /// Per-track ring capacity in events; the ring is a flight recorder —
-  /// once full the oldest events are overwritten and counted as dropped.
+  /// Per-track ring capacity in events (>= 1); the ring is a flight
+  /// recorder — once full the oldest events are overwritten and counted
+  /// as dropped.
   int trace_ring = 1 << 14;
   /// Maintain the windowed metrics registry (StreamOutcome::metrics).
   bool metrics = false;
-  /// Rounds per metrics window (counters are window deltas, gauges are
-  /// sampled at window close, histograms reset per window).
+  /// Rounds per metrics window (>= 1; counters are window deltas, gauges
+  /// are sampled at window close, histograms reset per window).
   int metrics_window = 64;
   /// Wall-clock self-profiling (obs/profile.hpp, StreamOutcome::profiler):
   /// the one obs feature outside the determinism contract. Its CSV, prof_*
@@ -84,7 +85,8 @@ struct StreamConfig {
   /// accumulate; <= 0 = unconstrained). See cycles_per_microsecond().
   double cycles_per_round = 0.0;
 
-  /// Clean rounds pushed after the trace ends before giving up on a lane.
+  /// Clean rounds pushed after the trace ends before giving up on a lane
+  /// (>= 0).
   int max_drain_rounds = 1000;
 
   /// Decoder engines in the shared pool (K); <= 0 means one per lane

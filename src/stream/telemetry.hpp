@@ -57,7 +57,7 @@ struct LaneTelemetry {
   int served_rounds = 0;    ///< rounds granted a pool engine
   int starved_rounds = 0;   ///< rounds denied an engine while backlogged
   int paused_rounds = 0;    ///< rounds spent frozen by admission control
-  int pauses = 0;           ///< admission pauses (checkpoint() calls)
+  int pauses = 0;           ///< admission pauses (pause() calls)
   int resumes = 0;          ///< admission re-admissions (resume() calls)
   int popped_layers = 0;
   std::uint64_t total_cycles = 0;

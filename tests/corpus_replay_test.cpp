@@ -135,16 +135,16 @@ FuzzConfig self_check_config(int fault) {
   return config;
 }
 
-TEST(FuzzSelfCheck, PlantedCheckpointSnapshotBugIsFoundAndShrunk) {
-  // kFaultCheckpointSnapshot makes checkpoint()'s snapshot drop the
-  // deepest resident layer — a cold-path bug invisible to everything
-  // except the checkpoint arm, the one oracle that compares a snapshot
-  // against the live engine. The fuzzer must find a violating trace
-  // within a bounded run and the minimizer must shrink it hard.
+TEST(FuzzSelfCheck, PlantedPauseRoundBugIsFoundAndShrunk) {
+  // kFaultPauseRound makes pause() count the pause as an accepted round —
+  // a cold-path bug invisible to everything except the checkpoint arm,
+  // the one oracle that pauses, whose rounds_stepped() then drifts from
+  // the baseline arm's. The fuzzer must find a violating trace within a
+  // bounded run and the minimizer must shrink it hard.
   const FuzzStats stats =
-      run_fuzzer(self_check_config(QecoolConfig::kFaultCheckpointSnapshot));
+      run_fuzzer(self_check_config(QecoolConfig::kFaultPauseRound));
   ASSERT_TRUE(stats.found_failure())
-      << "the oracle battery cannot see a planted checkpoint bug";
+      << "the oracle battery cannot see a planted pause bug";
   const FuzzFailure& failure = stats.failures.front();
   EXPECT_NE(failure.summary.find("checkpoint"), std::string::npos)
       << failure.summary;
@@ -153,7 +153,7 @@ TEST(FuzzSelfCheck, PlantedCheckpointSnapshotBugIsFoundAndShrunk) {
 
   // The reproducer is real: it fails with the fault, passes without.
   OracleConfig with_fault = replay_config(4.0);
-  with_fault.fault = QecoolConfig::kFaultCheckpointSnapshot;
+  with_fault.fault = QecoolConfig::kFaultPauseRound;
   EXPECT_FALSE(run_oracles(failure.minimized, with_fault).ok());
   EXPECT_TRUE(run_oracles(failure.minimized, replay_config(4.0)).ok());
 }

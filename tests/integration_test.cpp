@@ -7,6 +7,7 @@
 
 #include "aqec/aqec_decoder.hpp"
 #include "decoder/decoder.hpp"
+#include "decoder/registry.hpp"
 #include "mwpm/mwpm_decoder.hpp"
 #include "noise/phenomenological.hpp"
 #include "qecool/online_runner.hpp"
@@ -100,8 +101,7 @@ TEST(OnlineVsBatch, AgreeAtUnlimitedBudgetOnAggregate) {
   // in accuracy (slightly worse by construction, never wildly off).
   const int trials = 300;
   const auto cfg = phenomenological_config(5, 0.01, trials, 5150);
-  BatchQecoolDecoder batch;
-  const auto rb = run_memory_experiment(batch, cfg);
+  const auto rb = run_memory_experiment(decoder_maker("qecool"), cfg);
   OnlineConfig online;  // unlimited budget
   const auto ro = run_online_experiment(cfg, online);
   EXPECT_LE(static_cast<double>(rb.failures),

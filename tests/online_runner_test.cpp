@@ -174,12 +174,14 @@ TEST(OnlineRunner, StepperMatchesRunOnline) {
 
     OnlineStepper stepper(lat, config);
     for (const auto& layer : h.difference) {
-      if (!stepper.step(layer)) break;
+      if (!stepper.push(layer)) break;
+      stepper.spend(config.cycles_per_round);
     }
     for (int extra = 0;
          !stepper.overflowed() && extra < config.max_drain_rounds; ++extra) {
       if (stepper.drained()) break;
-      stepper.step_clean();
+      if (!stepper.push_clean()) break;
+      stepper.spend(config.cycles_per_round);
     }
     const auto stepped = stepper.result();
     ASSERT_EQ(direct.overflow, stepped.overflow);
@@ -187,35 +189,6 @@ TEST(OnlineRunner, StepperMatchesRunOnline) {
     ASSERT_EQ(direct.correction, stepped.correction);
     ASSERT_EQ(direct.total_cycles, stepped.total_cycles);
     ASSERT_EQ(direct.layer_cycles, stepped.layer_cycles);
-  }
-}
-
-TEST(OnlineRunner, PushSpendDecompositionMatchesStep) {
-  // step() must be exactly push() + spend(configured budget): driving the
-  // two halves by hand — the shared-pool service's calling convention —
-  // reproduces the bundled stepper cycle for cycle, fractional carry
-  // included.
-  const PlanarLattice lat(7);
-  Xoshiro256ss rng(21);
-  OnlineConfig config;
-  config.cycles_per_round = 150.25;
-  for (int trial = 0; trial < 5; ++trial) {
-    const auto h = sample_history(lat, {0.02, 0.02, 7}, rng);
-    OnlineStepper bundled(lat, config);
-    OnlineStepper split(lat, config);
-    for (const auto& layer : h.difference) {
-      const bool stepped = bundled.step(layer);
-      const bool pushed = split.push(layer);
-      ASSERT_EQ(stepped, pushed);
-      if (!pushed) break;
-      split.spend(config.cycles_per_round);
-    }
-    const auto a = bundled.result();
-    const auto b = split.result();
-    ASSERT_EQ(a.overflow, b.overflow);
-    ASSERT_EQ(a.correction, b.correction);
-    ASSERT_EQ(a.total_cycles, b.total_cycles);
-    ASSERT_EQ(a.layer_cycles, b.layer_cycles);
   }
 }
 

@@ -8,8 +8,6 @@
 
 #include "common/stats.hpp"
 #include "decoder/registry.hpp"
-#include "mwpm/mwpm_decoder.hpp"
-#include "qecool/qecool_decoder.hpp"
 #include "sim/executor.hpp"
 #include "sim/monte_carlo.hpp"
 
@@ -147,25 +145,15 @@ TEST(ShardedMemory, ParallelMatchesSequentialBitForBit) {
   expect_same(sequential, parallel);
 }
 
-TEST(ShardedMemory, SingleInstanceOverloadMatchesMakerOverload) {
-  ExperimentConfig config = phenomenological_config(5, 0.02, 160, 3);
-  config.shards = 4;
-  config.threads = 4;
-  BatchQecoolDecoder decoder;
-  const auto shared_instance = run_memory_experiment(decoder, config);
-  const auto per_shard = run_memory_experiment(decoder_maker("qecool"), config);
-  expect_same(shared_instance, per_shard);
-}
-
 TEST(ShardedMemory, DefaultConfigIsTheLegacySingleStream) {
   // threads = 1, shards = 0 must resolve to exactly one shard whose stream
   // is the un-jumped mixed seed — the pre-sharding sequential behaviour.
   ExperimentConfig config = phenomenological_config(5, 0.02, 100, 5);
   EXPECT_EQ(resolve_shards(config), 1);
-  MwpmDecoder decoder;
-  const auto implicit = run_memory_experiment(decoder, config);
+  const auto mwpm = decoder_maker("mwpm");
+  const auto implicit = run_memory_experiment(mwpm, config);
   config.shards = 1;
-  const auto explicit_one = run_memory_experiment(decoder, config);
+  const auto explicit_one = run_memory_experiment(mwpm, config);
   expect_same(implicit, explicit_one);
 }
 
@@ -175,9 +163,9 @@ TEST(ShardedMemory, ShardCountChangesTheSampledStreams) {
   ExperimentConfig one = phenomenological_config(5, 0.03, 400, 9);
   ExperimentConfig many = one;
   many.shards = 8;
-  MwpmDecoder decoder;
-  const auto a = run_memory_experiment(decoder, one);
-  const auto b = run_memory_experiment(decoder, many);
+  const auto mwpm = decoder_maker("mwpm");
+  const auto a = run_memory_experiment(mwpm, one);
+  const auto b = run_memory_experiment(mwpm, many);
   EXPECT_EQ(a.trials, b.trials);
   EXPECT_TRUE(a.failures != b.failures || a.matches.total() != b.matches.total());
 }

@@ -365,13 +365,14 @@ TEST(QecoolEngineDigest, OutputsPinnedAcrossConfigs) {
                 config.engine.record_trace = trial % 7 == 0;
                 OnlineStepper stepper(lat, config);
                 for (const auto& layer : h.difference) {
-                  if (!stepper.step(layer)) break;
+                  if (!stepper.push(layer)) break;
+                  stepper.spend(budget);
                 }
                 for (int extra = 0; extra < config.max_drain_rounds &&
                                     !stepper.overflowed() &&
                                     !stepper.drained();
                      ++extra) {
-                  stepper.step_clean();
+                  if (stepper.push_clean()) stepper.spend(budget);
                 }
                 const OnlineResult r = stepper.result();
                 mix_into(digest, r.overflow ? 1 : 0);
@@ -430,10 +431,14 @@ TEST(QecoolEngineFastPath, ZeroWindowsCountedAndCacheCountersStayZero) {
   Xoshiro256ss rng(7);
   const auto h = sample_history(lat, {0.03, 0.03, 5}, rng);
   OnlineStepper stepper(lat, config);
-  for (const auto& layer : h.difference) ASSERT_TRUE(stepper.step(layer));
+  for (const auto& layer : h.difference) {
+    ASSERT_TRUE(stepper.push(layer));
+    stepper.spend(config.cycles_per_round);
+  }
   for (int extra = 0; extra < config.max_drain_rounds && !stepper.drained();
        ++extra) {
-    stepper.step_clean();
+    ASSERT_TRUE(stepper.push_clean());
+    stepper.spend(config.cycles_per_round);
   }
   ASSERT_TRUE(stepper.drained());
   EXPECT_GT(stepper.result().matches.total(), 0u);

@@ -3,8 +3,7 @@
 
 #include <cmath>
 
-#include "mwpm/mwpm_decoder.hpp"
-#include "qecool/qecool_decoder.hpp"
+#include "decoder/registry.hpp"
 #include "sim/monte_carlo.hpp"
 #include "sim/threshold.hpp"
 
@@ -62,19 +61,19 @@ TEST(MonteCarlo, ConfigHelpers) {
 }
 
 TEST(MonteCarlo, DeterministicForSameSeed) {
-  MwpmDecoder dec;
+  const auto mwpm = decoder_maker("mwpm");
   const auto cfg = phenomenological_config(5, 0.02, 200, 99);
-  const auto a = run_memory_experiment(dec, cfg);
-  const auto b = run_memory_experiment(dec, cfg);
+  const auto a = run_memory_experiment(mwpm, cfg);
+  const auto b = run_memory_experiment(mwpm, cfg);
   EXPECT_EQ(a.failures, b.failures);
 }
 
 TEST(MonteCarlo, DifferentSeedsGiveDifferentSamples) {
-  MwpmDecoder dec;
+  const auto mwpm = decoder_maker("mwpm");
   const auto a =
-      run_memory_experiment(dec, phenomenological_config(5, 0.03, 300, 1));
+      run_memory_experiment(mwpm, phenomenological_config(5, 0.03, 300, 1));
   const auto b =
-      run_memory_experiment(dec, phenomenological_config(5, 0.03, 300, 2));
+      run_memory_experiment(mwpm, phenomenological_config(5, 0.03, 300, 2));
   // Not a hard guarantee, but with 300 trials at p = 0.03 a collision of
   // failure counts AND identical CI bounds would be a seeding bug.
   EXPECT_TRUE(a.failures != b.failures || a.ci.upper != b.ci.upper ||
@@ -82,26 +81,23 @@ TEST(MonteCarlo, DifferentSeedsGiveDifferentSamples) {
 }
 
 TEST(MonteCarlo, ZeroNoiseNeverFails) {
-  BatchQecoolDecoder dec;
   ExperimentConfig cfg = phenomenological_config(5, 0.0, 50);
-  const auto r = run_memory_experiment(dec, cfg);
+  const auto r = run_memory_experiment(decoder_maker("qecool"), cfg);
   EXPECT_EQ(r.failures, 0u);
   EXPECT_DOUBLE_EQ(r.logical_error_rate, 0.0);
 }
 
 TEST(MonteCarlo, FailureRateWithinCi) {
-  MwpmDecoder dec;
-  const auto r =
-      run_memory_experiment(dec, phenomenological_config(5, 0.03, 500));
+  const auto r = run_memory_experiment(decoder_maker("mwpm"),
+                                       phenomenological_config(5, 0.03, 500));
   EXPECT_GE(r.logical_error_rate, r.ci.lower);
   EXPECT_LE(r.logical_error_rate, r.ci.upper);
   EXPECT_EQ(r.trials, 500u);
 }
 
 TEST(MonteCarlo, QecoolCollectsMatchStats) {
-  BatchQecoolDecoder dec;
-  const auto r =
-      run_memory_experiment(dec, phenomenological_config(5, 0.05, 100));
+  const auto r = run_memory_experiment(decoder_maker("qecool"),
+                                       phenomenological_config(5, 0.05, 100));
   EXPECT_GT(r.matches.total(), 0u);
 }
 

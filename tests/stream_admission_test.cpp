@@ -1,6 +1,6 @@
 // Tests for power-aware pool admission control (src/stream/admission.*):
 // spec parsing fails loudly, the power model caps the pool at the budget,
-// checkpoint()/resume() round-trip on OnlineStepper, admission=pause keeps
+// pause()/resume() round-trip on OnlineStepper, admission=pause keeps
 // a bursty lane alive that admission=overflow loses, admission=overflow
 // stays byte-identical to the PR 3 goldens, and pause-mode outcomes are
 // thread-count invariant.
@@ -209,7 +209,7 @@ TEST(Admission, CheckpointResumeRoundTripIsANoOp) {
   OnlineConfig online;
   online.cycles_per_round = 30;
 
-  // Two identical steppers fed the same stream; one checkpoint/resume
+  // Two identical steppers fed the same stream; one pause/resume
   // round-trips mid-stream. All subsequent behaviour must be identical.
   OnlineStepper plain(lattice, online);
   OnlineStepper paused(lattice, online);
@@ -217,22 +217,26 @@ TEST(Admission, CheckpointResumeRoundTripIsANoOp) {
   layer[2] = layer[9] = 1;
 
   for (int round = 0; round < 4; ++round) {
-    EXPECT_TRUE(plain.step(layer));
-    EXPECT_TRUE(paused.step(layer));
+    EXPECT_TRUE(plain.push(layer));
+    plain.spend(online.cycles_per_round);
+    EXPECT_TRUE(paused.push(layer));
+    paused.spend(online.cycles_per_round);
   }
 
-  const StepperCheckpoint cp = paused.checkpoint();
+  paused.pause();
   EXPECT_TRUE(paused.paused());
-  EXPECT_EQ(cp.rounds_accepted, paused.rounds_stepped());
-  EXPECT_EQ(cp.stored_layers, paused.engine().stored_layers());
-  EXPECT_EQ(cp.correction, paused.engine().correction());
-  EXPECT_EQ(cp.total_cycles, paused.engine().total_cycles());
+  EXPECT_EQ(paused.rounds_stepped(), plain.rounds_stepped());
+  EXPECT_EQ(paused.engine().stored_layers(), plain.engine().stored_layers());
+  EXPECT_EQ(paused.engine().correction(), plain.engine().correction());
+  EXPECT_EQ(paused.engine().total_cycles(), plain.engine().total_cycles());
   paused.resume();
   EXPECT_FALSE(paused.paused());
 
   for (int round = 0; round < 40; ++round) {
-    EXPECT_TRUE(plain.step_clean());
-    EXPECT_TRUE(paused.step_clean());
+    EXPECT_TRUE(plain.push_clean());
+    plain.spend(online.cycles_per_round);
+    EXPECT_TRUE(paused.push_clean());
+    paused.spend(online.cycles_per_round);
     if (plain.drained() && paused.drained()) break;
   }
   const OnlineResult a = plain.result();
@@ -241,12 +245,13 @@ TEST(Admission, CheckpointResumeRoundTripIsANoOp) {
   EXPECT_EQ(a.total_cycles, b.total_cycles);
   EXPECT_EQ(a.layer_cycles, b.layer_cycles);
   EXPECT_EQ(a.drained, b.drained);
+  EXPECT_EQ(plain.rounds_stepped(), paused.rounds_stepped());
 }
 
 TEST(Admission, CheckpointDrainResumeContinuesCorrectly) {
   const PlanarLattice lattice(5);
   OnlineConfig online;
-  online.cycles_per_round = 0;  // unconstrained step budget for the tail
+  online.cycles_per_round = 0;  // unconstrained spend budget for the tail
   BitVec layer(static_cast<std::size_t>(lattice.num_checks()), 0);
   layer[0] = layer[5] = 1;
 
@@ -262,11 +267,11 @@ TEST(Admission, CheckpointDrainResumeContinuesCorrectly) {
     EXPECT_TRUE(frozen.push(layer));
     frozen.spend(10);
   }
-  const StepperCheckpoint cp = frozen.checkpoint();
-  EXPECT_GT(cp.stored_layers, 0);
+  frozen.pause();
+  EXPECT_GT(frozen.engine().stored_layers(), 0);
   // While paused: pushes are a logic error, spends drain the backlog.
   EXPECT_THROW(frozen.push(layer), std::logic_error);
-  EXPECT_THROW(frozen.checkpoint(), std::logic_error);
+  EXPECT_THROW(frozen.pause(), std::logic_error);
   const std::uint64_t before = frozen.engine().total_cycles();
   for (int round = 0; round < 8; ++round) frozen.spend(10);
   EXPECT_GT(frozen.engine().total_cycles(), before)
@@ -276,14 +281,17 @@ TEST(Admission, CheckpointDrainResumeContinuesCorrectly) {
   EXPECT_THROW(frozen.resume(), std::logic_error);
 
   for (int round = 0; round < 60; ++round) {
-    EXPECT_TRUE(reference.step_clean());
-    EXPECT_TRUE(frozen.step_clean());
+    EXPECT_TRUE(reference.push_clean());
+    reference.spend(online.cycles_per_round);
+    EXPECT_TRUE(frozen.push_clean());
+    frozen.spend(online.cycles_per_round);
     if (reference.drained() && frozen.drained()) break;
   }
   EXPECT_TRUE(reference.drained());
   EXPECT_TRUE(frozen.drained());
   EXPECT_EQ(reference.result().correction, frozen.result().correction);
   EXPECT_EQ(reference.result().total_cycles, frozen.result().total_cycles);
+  EXPECT_EQ(reference.rounds_stepped(), frozen.rounds_stepped());
 }
 
 /// One bursty lane among quiet ones (the PR 3 rescue scenario, turned up

@@ -302,6 +302,14 @@ TEST(StreamService, ResolveStreamAndRunStreamThrowTheSameMessages) {
          c.budget_w = std::numeric_limits<double>::infinity();
        },
        "stream: budget_w must be finite"},
+      {"negative drain bound",
+       [](StreamConfig& c) { c.max_drain_rounds = -5; },
+       "stream: max_drain_rounds must be >= 0, got -5"},
+      {"empty metrics window",
+       [](StreamConfig& c) { c.obs.metrics_window = 0; },
+       "stream: obs.metrics_window must be >= 1, got 0"},
+      {"empty trace ring", [](StreamConfig& c) { c.obs.trace_ring = 0; },
+       "stream: obs.trace_ring must be >= 1, got 0"},
       {"budget without a clock",
        [](StreamConfig& c) {
          c.cycles_per_round = 0.0;

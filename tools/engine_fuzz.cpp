@@ -14,7 +14,7 @@
 //                     same seeds in-process).
 //
 // CI runs: engine_fuzz --time-budget=30 --seed=1 (must find nothing) and
-// engine_fuzz --iters=N --inject-fault=checkpoint-snapshot --expect-failure
+// engine_fuzz --iters=N --inject-fault=pause-round --expect-failure
 // (the harness self-check: a planted bug must be found).
 #include <cstdio>
 #include <filesystem>
@@ -48,7 +48,7 @@ constexpr const char* kOptions =
     "  --corpus=DIR         extra seed traces (*.qtrc) to start from\n"
     "  --out=DIR            write failing inputs + minimized reproducers here\n"
     "  --no-minimize        keep failing inputs unshrunk\n"
-    "  --inject-fault=NAME  plant a test-only bug: checkpoint-snapshot |\n"
+    "  --inject-fault=NAME  plant a test-only bug: pause-round |\n"
     "                       cycle-report (harness self-check)\n"
     "  --expect-failure     exit 0 iff the fuzz run FOUND a failure\n"
     "  --replay=DIR         replay mode: run every *.qtrc in DIR\n"
@@ -59,12 +59,10 @@ constexpr const char* kOptions =
 
 int parse_fault(const std::string& name) {
   if (name.empty() || name == "none") return qec::QecoolConfig::kFaultNone;
-  if (name == "checkpoint-snapshot") {
-    return qec::QecoolConfig::kFaultCheckpointSnapshot;
-  }
+  if (name == "pause-round") return qec::QecoolConfig::kFaultPauseRound;
   if (name == "cycle-report") return qec::QecoolConfig::kFaultCycleReport;
   throw std::invalid_argument("unknown --inject-fault=" + name +
-                              " (checkpoint-snapshot | cycle-report | none)");
+                              " (pause-round | cycle-report | none)");
 }
 
 std::vector<qec::fuzz::FuzzSeedSpec> build_seeds(const qec::CliArgs& args) {
