@@ -4,6 +4,7 @@
 //
 //   fig4a_threshold_batch [--trials=400] [--dmax=13] [--fast] [--threads=N]
 //                         [--csv=fig4a.csv]
+#include <climits>
 #include <cstdio>
 #include <vector>
 
@@ -28,7 +29,8 @@ int main(int argc, char** argv) try {
   }
   const int base_trials =
       qec::trials_override(args, args.get_flag("fast") ? 120 : 400);
-  const int dmax = static_cast<int>(args.get_int_or("dmax", 13));
+  // The grid starts at d = 5, so a smaller --dmax would run nothing.
+  const int dmax = qec::int_flag_in(args, "dmax", 13, 5, INT_MAX);
   const int threads = qec::threads_override(args, 1);
   const std::string csv = args.get_or("csv", "");
   qec::reject_unread(args);

@@ -6,6 +6,7 @@
 // other thv choices; DESIGN.md section 5).
 //
 //   fig4b_vertical_propagation [--trials=300] [--dmax=13]
+#include <climits>
 #include <cstdio>
 #include <vector>
 
@@ -26,7 +27,8 @@ int main(int argc, char** argv) try {
     return 0;
   }
   const int trials = qec::trials_override(args, 300);
-  const int dmax = static_cast<int>(args.get_int_or("dmax", 13));
+  // The grid starts at d = 5, so a smaller --dmax would run nothing.
+  const int dmax = qec::int_flag_in(args, "dmax", 13, 5, INT_MAX);
   qec::reject_unread(args);
 
   qec::bench::print_header(
@@ -41,6 +43,7 @@ int main(int argc, char** argv) try {
 
   const qec::DecoderMaker batch_qecool = qec::decoder_maker("qecool");
   qec::MatchStats hist_at_pth;  // histogram snapshot near p = 0.01
+  int hist_d = 5;               // the largest distance sampled
   for (int d = 5; d <= dmax; d += 2) {
     std::vector<std::string> row = {std::to_string(d)};
     for (double p : ps) {
@@ -52,7 +55,10 @@ int main(int argc, char** argv) try {
                     static_cast<double>(r.matches.total())
               : 0.0;
       row.push_back(qec::TextTable::sci(proportion, 2));
-      if (d == dmax && p == 0.01) hist_at_pth = r.matches;
+      if (p == 0.01) {
+        hist_at_pth = r.matches;
+        hist_d = d;
+      }
     }
     table.add_row(row);
     std::fprintf(stderr, "  d=%d done\n", d);
@@ -61,7 +67,7 @@ int main(int argc, char** argv) try {
 
   std::printf("\nvertical-propagation histogram at d=%d, p=0.01 "
               "(ablation for thv):\n",
-              dmax);
+              hist_d);
   qec::TextTable hist({"dt (planes)", "matchings", "fraction"});
   const double total = static_cast<double>(hist_at_pth.total());
   for (std::size_t dt = 0; dt < hist_at_pth.vertical_hist.size(); ++dt) {

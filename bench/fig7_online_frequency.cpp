@@ -7,6 +7,7 @@
 //
 //   fig7_online_frequency [--trials=400] [--dmax=13] [--threads=N]
 //                         [--csv=fig7.csv]
+#include <climits>
 #include <cstdio>
 #include <vector>
 
@@ -29,7 +30,8 @@ int main(int argc, char** argv) try {
     return 0;
   }
   const int trials = qec::trials_override(args, 400);
-  const int dmax = static_cast<int>(args.get_int_or("dmax", 13));
+  // The grid starts at d = 5, so a smaller --dmax would run nothing.
+  const int dmax = qec::int_flag_in(args, "dmax", 13, 5, INT_MAX);
   const int threads = qec::threads_override(args, 1);
   const std::string csv = args.get_or("csv", "");
   qec::reject_unread(args);

@@ -72,7 +72,7 @@ int main(int argc, char** argv) try {
   }
 
   // Keep the QEC cycle running on clean layers until the queues drain.
-  const qec::BitVec clean(static_cast<std::size_t>(lattice.num_checks()), 0);
+  const qec::PackedBits clean(static_cast<std::size_t>(lattice.num_checks()));
   int extra = 0;
   while (!(engine.all_clear() && engine.stored_layers() == 0) && extra < 64) {
     engine.push_layer(clean);

@@ -7,6 +7,8 @@
 //   ./threshold_sweep "--decoder=qecool:reg_depth=4" [--mode=3d|2d]
 //                     [--dmin=5 --dmax=9] [--trials=500] [--threads=N]
 //                     [--pmin=0.004 --pmax=0.04 --points=7] [--csv=out.csv]
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -39,11 +41,13 @@ int main(int argc, char** argv) try {
   const std::string spec = args.get_or("decoder", "qecool");
   const bool three_d = args.get_or("mode", "3d") == "3d";
   const int dmin = static_cast<int>(args.get_int_or("dmin", 5));
-  const int dmax = static_cast<int>(args.get_int_or("dmax", 9));
+  // An empty distance range or p grid would run nothing.
+  const int dmax =
+      qec::int_flag_in(args, "dmax", std::max(dmin, 9), dmin, INT_MAX);
   const int trials = qec::trials_override(args, 500);
   const double pmin = args.get_double_or("pmin", three_d ? 0.004 : 0.03);
   const double pmax = args.get_double_or("pmax", three_d ? 0.04 : 0.13);
-  const int points = static_cast<int>(args.get_int_or("points", 7));
+  const int points = qec::int_flag_in(args, "points", 7, 1, INT_MAX);
   const int threads = qec::threads_override(args, 1);
   const std::string csv = args.get_or("csv", "");
   qec::reject_unread(args);

@@ -159,15 +159,22 @@ int report_failure(const char* program, const std::exception& error) {
   return 1;
 }
 
-int trials_override(const CliArgs& args, int fallback) {
-  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
-  if (const auto raw = args.get("trials")) {
-    const std::int64_t trials = args.get_int_or("trials", fallback);
-    if (trials < 1 || trials > kMax) {
-      malformed("trials", *raw, "not in [1, 2147483647]");
-    }
-    return static_cast<int>(trials);
+int int_flag_in(const CliArgs& args, std::string_view name, int fallback,
+                int lo, int hi) {
+  const auto raw = args.get(name);
+  if (!raw) return fallback;
+  const std::int64_t value = args.get_int_or(name, fallback);
+  if (value < lo || value > hi) {
+    const std::string range =
+        "not in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    malformed(name, *raw, range.c_str());
   }
+  return static_cast<int>(value);
+}
+
+int trials_override(const CliArgs& args, int fallback) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  if (args.get("trials")) return int_flag_in(args, "trials", fallback, 1, kMax);
   if (const char* env = std::getenv("QECOOL_TRIALS")) {
     char* end = nullptr;
     const long long v = std::strtoll(env, &end, 10);

@@ -92,6 +92,12 @@ std::optional<std::string> optional_value_flag(const CliArgs& args,
 ///   catch (const std::exception& e) { return qec::report_failure("x", e); }
 int report_failure(const char* program, const std::exception& error);
 
+/// Reads the integer flag --name, or `fallback` when it is absent. A value
+/// that is malformed or outside [lo, hi] throws std::invalid_argument
+/// naming the flag and its raw value.
+int int_flag_in(const CliArgs& args, std::string_view name, int fallback,
+                int lo, int hi);
+
 /// Reads trial-count override from --trials or env QECOOL_TRIALS, falling
 /// back to `fallback`. A --trials that is malformed or outside
 /// [1, INT_MAX] throws std::invalid_argument naming the flag and its raw

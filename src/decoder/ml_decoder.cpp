@@ -26,7 +26,6 @@ DecodeResult MaximumLikelihoodDecoder::decode(const PlanarLattice& lattice,
 
   // Bit-pack the parity structure: per qubit, the mask of checks it flips
   // and whether it crosses the logical cut.
-  const int num_checks = lattice.num_checks();
   std::vector<std::uint32_t> check_mask(static_cast<std::size_t>(n), 0);
   std::vector<std::uint8_t> logical_mask(static_cast<std::size_t>(n), 0);
   for (int q = 0; q < n; ++q) {
@@ -38,12 +37,12 @@ DecodeResult MaximumLikelihoodDecoder::decode(const PlanarLattice& lattice,
   for (int r = 0; r < lattice.distance(); ++r) {
     logical_mask[static_cast<std::size_t>(lattice.horizontal_qubit(r, 0))] = 1;
   }
+  // The final measured syndrome: the XOR of every difference layer.
   std::uint32_t target = 0;
-  const BitVec& syndrome = history.measured.back();
-  for (int chk = 0; chk < num_checks; ++chk) {
-    if (syndrome[static_cast<std::size_t>(chk)]) {
-      target |= std::uint32_t{1} << static_cast<unsigned>(chk);
-    }
+  for (const PackedBits& layer : history.difference) {
+    layer.for_each_set([&](std::size_t chk) {
+      target ^= std::uint32_t{1} << static_cast<unsigned>(chk);
+    });
   }
 
   // Enumerate all error patterns via Gray code so each step flips one

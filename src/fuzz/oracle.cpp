@@ -162,7 +162,7 @@ class InvariantProbe : public EngineProbe {
   std::vector<std::string> violations_;
 };
 
-enum class Arm { kBaseline, kCheckpoint, kUnpacked };
+enum class Arm { kBaseline, kCheckpoint };
 
 const char* arm_name(Arm arm) {
   switch (arm) {
@@ -170,8 +170,6 @@ const char* arm_name(Arm arm) {
       return "baseline";
     case Arm::kCheckpoint:
       return "checkpoint";
-    case Arm::kUnpacked:
-      return "unpacked";
   }
   return "?";
 }
@@ -226,13 +224,9 @@ LaneRun run_lane(const PlanarLattice& lattice, const SyndromeTrace& trace,
 
   for (int round = 0; round < trace.rounds(); ++round) {
     maybe_checkpoint();
-    bool pushed;
-    if (arm == Arm::kUnpacked) {
-      pushed = stepper.push(trace.layer(lane, round).to_bits());
-    } else {
-      pushed = stepper.push(trace.layer(lane, round));
+    if (!stepper.push(trace.layer(lane, round))) {
+      break;  // Reg overflow: terminal, the lane is dead
     }
-    if (!pushed) break;  // Reg overflow: terminal, the lane is dead
     stepper.spend(online.cycles_per_round);
     run.outcome.pops_per_round.push_back(stepper.last_spend_pops());
     observe(stepper.last_spend_pops());
@@ -338,10 +332,6 @@ OracleReport run_oracles(const SyndromeTrace& trace,
       compare(run_lane(lattice, trace, lane, config, Arm::kCheckpoint,
                        &report.features),
               Arm::kCheckpoint);
-    }
-    if (config.arm_unpacked) {
-      compare(run_lane(lattice, trace, lane, config, Arm::kUnpacked, nullptr),
-              Arm::kUnpacked);
     }
     if (report.divergences.size() >= 32) break;  // plenty to minimize on
   }

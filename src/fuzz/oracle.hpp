@@ -8,8 +8,6 @@
 //   checkpoint  a pause()/resume() pair with no intervening activity is a
 //               perfect no-op (the admission-control contract of
 //               section 9).
-//   unpacked    the byte-per-bit push path equals the packed hot path —
-//               the PR 6 datapath-equivalence contract.
 //   bitops      the configured popcount/ctz backend agrees with the
 //               portable SWAR reference on every trace word (plus edge
 //               words) — the backend-equivalence contract of section 11.
@@ -34,8 +32,7 @@ namespace qec::fuzz {
 
 /// One oracle disagreement or invariant violation.
 struct Divergence {
-  std::string oracle;  ///< "checkpoint", "unpacked", "bitops",
-                       ///< "invariant"
+  std::string oracle;  ///< "checkpoint", "bitops", "invariant"
   int lane = -1;       ///< -1 for trace-level oracles (bitops)
   std::string detail;
 };
@@ -51,7 +48,6 @@ struct OracleConfig {
   int checkpoint_min_depth = 2;
 
   bool arm_checkpoint = true;
-  bool arm_unpacked = true;
   bool arm_bitops = true;
 
   /// Test-only planted bug (QecoolConfig::kFault*), plumbed into every

@@ -5,16 +5,13 @@
 namespace qec {
 
 std::vector<Defect> collect_defects(const PlanarLattice& lattice,
-                                    const std::vector<BitVec>& difference) {
+                                    const std::vector<PackedBits>& difference) {
   std::vector<Defect> defects;
   for (int t = 0; t < static_cast<int>(difference.size()); ++t) {
-    const auto& layer = difference[static_cast<std::size_t>(t)];
-    for (int idx = 0; idx < lattice.num_checks(); ++idx) {
-      if (layer[static_cast<std::size_t>(idx)]) {
-        const CheckCoord c = lattice.check_coord(idx);
-        defects.push_back(Defect{c.row, c.col, t});
-      }
-    }
+    difference[static_cast<std::size_t>(t)].for_each_set([&](std::size_t idx) {
+      const CheckCoord c = lattice.check_coord(static_cast<int>(idx));
+      defects.push_back(Defect{c.row, c.col, t});
+    });
   }
   return defects;
 }

@@ -21,9 +21,10 @@ struct Defect {
   friend bool operator==(const Defect&, const Defect&) = default;
 };
 
-/// Extracts the defect list from a history's difference syndromes.
+/// Extracts the defect list from a history's difference syndromes, in
+/// (t, check) order: matching tie-breaks depend on it.
 std::vector<Defect> collect_defects(const PlanarLattice& lattice,
-                                    const std::vector<BitVec>& difference);
+                                    const std::vector<PackedBits>& difference);
 
 /// L1 space-time separation used as the matching weight.
 int defect_distance(const Defect& a, const Defect& b);

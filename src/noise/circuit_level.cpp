@@ -37,7 +37,8 @@ SyndromeHistory sample_circuit_history(const PlanarLattice& lattice,
 
   SyndromeHistory history;
   history.final_error.assign(static_cast<std::size_t>(lattice.num_data()), 0);
-  history.measured.reserve(static_cast<std::size_t>(params.rounds) + 1);
+  std::vector<BitVec> measured;
+  measured.reserve(static_cast<std::size_t>(params.rounds) + 1);
 
   std::vector<std::uint8_t> ancilla(static_cast<std::size_t>(lattice.num_checks()),
                                     0);
@@ -97,11 +98,11 @@ SyndromeHistory sample_circuit_history(const PlanarLattice& lattice,
           ancilla[static_cast<std::size_t>(chk)] ^
           static_cast<std::uint8_t>(rng.bernoulli(p)));
     }
-    history.measured.push_back(std::move(meas));
+    measured.push_back(std::move(meas));
   }
   // Final perfect round.
-  history.measured.push_back(lattice.syndrome(history.final_error));
-  history.difference = difference_syndromes(history.measured);
+  measured.push_back(lattice.syndrome(history.final_error));
+  history.difference = difference_syndromes(measured);
   return history;
 }
 

@@ -9,12 +9,13 @@ TwoSectorHistory sample_depolarizing_history(const PlanarLattice& lattice,
                                              Xoshiro256ss& rng) {
   if (params.rounds < 1) throw std::invalid_argument("rounds must be >= 1");
   TwoSectorHistory history;
-  auto init_sector = [&](SyndromeHistory& sector) {
-    sector.final_error.assign(static_cast<std::size_t>(lattice.num_data()), 0);
-    sector.measured.reserve(static_cast<std::size_t>(params.rounds) + 1);
-  };
-  init_sector(history.x);
-  init_sector(history.z);
+  SyndromeHistory* const sectors[] = {&history.x, &history.z};
+  std::vector<BitVec> measured[2];  // per sector, packed once at the end
+  for (int s = 0; s < 2; ++s) {
+    sectors[s]->final_error.assign(
+        static_cast<std::size_t>(lattice.num_data()), 0);
+    measured[s].reserve(static_cast<std::size_t>(params.rounds) + 1);
+  }
 
   for (int t = 0; t < params.rounds; ++t) {
     for (int q = 0; q < lattice.num_data(); ++q) {
@@ -34,17 +35,17 @@ TwoSectorHistory sample_depolarizing_history(const PlanarLattice& lattice,
           break;
       }
     }
-    for (SyndromeHistory* sector : {&history.x, &history.z}) {
-      BitVec meas = lattice.syndrome(sector->final_error);
+    for (int s = 0; s < 2; ++s) {
+      BitVec meas = lattice.syndrome(sectors[s]->final_error);
       for (auto& bit : meas) {
         bit ^= static_cast<std::uint8_t>(rng.bernoulli(params.p_meas));
       }
-      sector->measured.push_back(std::move(meas));
+      measured[s].push_back(std::move(meas));
     }
   }
-  for (SyndromeHistory* sector : {&history.x, &history.z}) {
-    sector->measured.push_back(lattice.syndrome(sector->final_error));
-    sector->difference = difference_syndromes(sector->measured);
+  for (int s = 0; s < 2; ++s) {
+    measured[s].push_back(lattice.syndrome(sectors[s]->final_error));
+    sectors[s]->difference = difference_syndromes(measured[s]);
   }
   return history;
 }

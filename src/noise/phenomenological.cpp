@@ -96,48 +96,27 @@ SyndromeHistory sample_history(const PlanarLattice& lattice,
   PhenomenologicalSampler sampler(lattice, params, rng);
   SyndromeHistory history;
   const auto total = static_cast<std::size_t>(sampler.total_rounds());
-  history.measured.reserve(total);
   history.difference.reserve(total);
   for (std::size_t t = 0; t < total; ++t) {
-    history.difference.push_back(sampler.next().to_bits());
-    history.measured.push_back(sampler.measured().to_bits());
+    history.difference.push_back(sampler.next());
   }
   history.final_error = sampler.data_error().to_bits();
   return history;
 }
 
-std::vector<BitVec> difference_syndromes(const std::vector<BitVec>& measured) {
-  std::vector<BitVec> diff;
+std::vector<PackedBits> difference_syndromes(
+    const std::vector<BitVec>& measured) {
+  std::vector<PackedBits> diff;
   diff.reserve(measured.size());
   for (std::size_t t = 0; t < measured.size(); ++t) {
-    if (t == 0) {
-      diff.push_back(measured[0]);
-    } else {
-      diff.push_back(xor_of(measured[t], measured[t - 1]));
-    }
+    diff.push_back(PackedBits::from_bits(
+        t == 0 ? measured[0] : xor_of(measured[t], measured[t - 1])));
   }
   return diff;
 }
 
-std::vector<BitVec> accumulate_differences(
-    const std::vector<BitVec>& difference) {
-  std::vector<BitVec> measured;
-  measured.reserve(difference.size());
-  for (std::size_t t = 0; t < difference.size(); ++t) {
-    if (t == 0) {
-      measured.push_back(difference[0]);
-    } else {
-      measured.push_back(xor_of(difference[t], measured[t - 1]));
-    }
-  }
-  return measured;
-}
-
-std::vector<PackedBits> packed_layers(const std::vector<BitVec>& layers) {
-  std::vector<PackedBits> packed;
-  packed.reserve(layers.size());
-  for (const auto& layer : layers) packed.push_back(PackedBits::from_bits(layer));
-  return packed;
+std::vector<PackedBits> packed_layers(const std::vector<PackedBits>& layers) {
+  return layers;
 }
 
 int defect_count(const SyndromeHistory& history) {

@@ -5,8 +5,8 @@
 // paper sets p_data = p_meas = p.
 //
 // A SyndromeHistory carries both what the decoder is allowed to see (the
-// measured syndromes) and the ground truth needed to score the trial (the
-// accumulated physical error).
+// packed difference syndromes) and the ground truth needed to score the
+// trial (the accumulated physical error).
 #pragma once
 
 #include <cstdint>
@@ -30,16 +30,14 @@ struct NoiseParams {
 
 struct SyndromeHistory {
   /// Total stored rounds = params.rounds + 1 (the final perfect round).
-  int total_rounds() const { return static_cast<int>(measured.size()); }
+  int total_rounds() const { return static_cast<int>(difference.size()); }
 
-  /// measured[t][check]: the syndrome value reported by the hardware in
-  /// round t (cumulative parity of the error so far, XOR measurement noise).
-  std::vector<BitVec> measured;
-
-  /// difference[t][check] = measured[t] XOR measured[t-1] (measured[-1]=0):
-  /// the defect indicator each decoder actually matches on, and the value
-  /// QECOOL Units push into their Reg queues.
-  std::vector<BitVec> difference;
+  /// difference[t] bit `check` = measured[t] XOR measured[t-1]
+  /// (measured[-1] = 0), where measured[t] is the syndrome the hardware
+  /// reported in round t: the defect indicator each decoder matches on, and
+  /// the layer QECOOL Units push into their Reg queues. The measured
+  /// syndrome of round t is the XOR of difference[0..t].
+  std::vector<PackedBits> difference;
 
   /// Ground truth: accumulated data error after the last round.
   BitVec final_error;
@@ -100,25 +98,23 @@ class PhenomenologicalSampler {
   PackedBits difference_;
 };
 
-/// Samples one memory-experiment history (PhenomenologicalSampler unpacked
-/// into the byte-per-bit shapes the Monte Carlo decoders take).
+/// Samples one memory-experiment history: each of the sampler's packed
+/// difference layers is copied word for word, and the final data error is
+/// unpacked once for scoring.
 SyndromeHistory sample_history(const PlanarLattice& lattice,
                                const NoiseParams& params, Xoshiro256ss& rng);
 
-/// Computes difference syndromes from a measured-syndrome sequence (exposed
-/// for tests and for decoders fed with externally generated data).
-std::vector<BitVec> difference_syndromes(const std::vector<BitVec>& measured);
+/// Packs the difference syndromes of a measured-syndrome sequence
+/// (difference[t] = measured[t] XOR measured[t-1]): the bridge from the
+/// byte-per-bit samplers (circuit-level, depolarizing) and tests to a
+/// SyndromeHistory.
+std::vector<PackedBits> difference_syndromes(
+    const std::vector<BitVec>& measured);
 
-/// Inverse of difference_syndromes: rebuilds the measured-syndrome sequence
-/// as the running XOR of the difference layers. Syndrome traces (see
-/// src/stream/trace.hpp) persist only differences — this is how a replayed
-/// lane recovers a full SyndromeHistory for scoring.
-std::vector<BitVec> accumulate_differences(
-    const std::vector<BitVec>& difference);
-
-/// Packs a byte-per-bit layer sequence (the bridge from sample_history
-/// output into the packed trace payload).
-std::vector<PackedBits> packed_layers(const std::vector<BitVec>& layers);
+/// Residue kept only so perfbench/ still builds: returns a copy of
+/// `layers`, which are packed already. The benchmark's next change reads
+/// history.difference directly and deletes this.
+std::vector<PackedBits> packed_layers(const std::vector<PackedBits>& layers);
 
 /// Total number of defects (set difference-syndrome bits) in a history.
 int defect_count(const SyndromeHistory& history);

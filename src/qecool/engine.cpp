@@ -66,20 +66,6 @@ bool QecoolEngine::push_layer(const PackedBits& difference_layer) {
   return true;
 }
 
-bool QecoolEngine::push_layer(const BitVec& difference_layer) {
-  if (difference_layer.size() != static_cast<std::size_t>(rows_ * cols_)) {
-    throw std::invalid_argument("push_layer: layer size != num_checks");
-  }
-  if (m_ == reg_capacity_) {  // buffer overflow
-    if (probe_) probe_->on_push(false, m_, reg_capacity_);
-    return false;
-  }
-  reg_[static_cast<std::size_t>(m_)].assign_bits(difference_layer);
-  ++m_;
-  if (probe_) probe_->on_push(true, m_, reg_capacity_);
-  return true;
-}
-
 bool QecoolEngine::all_clear() const {
   for (int t = 0; t < m_; ++t) {
     if (reg_[static_cast<std::size_t>(t)].any()) return false;

@@ -77,11 +77,9 @@ class QecoolEngine {
   /// Appends one difference-syndrome layer to every Unit's Reg. Returns
   /// false when the Reg queues are full (buffer overflow — the failure mode
   /// of Fig 7); the layer is dropped in that case. Throws
-  /// std::invalid_argument when the layer size is not num_checks(). The
-  /// packed overload is the streamed hot path (one word copy per 64
-  /// Units); the byte-per-bit overload packs the layer into its slot.
+  /// std::invalid_argument when the layer size is not num_checks(). One
+  /// word copy per 64 Units.
   bool push_layer(const PackedBits& difference_layer);
-  bool push_layer(const BitVec& difference_layer);
 
   /// Executes controller work for at most `budget` cycles (use kUnlimited
   /// to run until there is nothing left to do). Returns cycles consumed.

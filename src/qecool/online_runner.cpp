@@ -17,31 +17,18 @@ OnlineStepper::OnlineStepper(const PlanarLattice& lattice,
   }
 }
 
-bool OnlineStepper::note_push(bool accepted) {
-  if (!accepted) {
-    overflow_ = true;
-    return false;
-  }
-  ++rounds_;
-  return true;
-}
-
 bool OnlineStepper::push(const PackedBits& layer) {
   if (paused_) {
     throw std::logic_error(
         "online stepper: push() while paused — resume() first");
   }
   if (overflow_) return false;
-  return note_push(engine_.push_layer(layer));
-}
-
-bool OnlineStepper::push(const BitVec& layer) {
-  if (paused_) {
-    throw std::logic_error(
-        "online stepper: push() while paused — resume() first");
+  if (!engine_.push_layer(layer)) {
+    overflow_ = true;
+    return false;
   }
-  if (overflow_) return false;
-  return note_push(engine_.push_layer(layer));
+  ++rounds_;
+  return true;
 }
 
 std::uint64_t OnlineStepper::spend(double cycles) {

@@ -78,11 +78,8 @@ class OnlineStepper {
   /// Returns false when the Reg queues overflow — a terminal state; later
   /// calls are no-ops returning false. Throws std::logic_error while
   /// paused: a frozen logical clock produces no layers. Throws
-  /// std::invalid_argument when the layer size is not num_checks(). The
-  /// packed overload is the streamed hot path (the trace hands out packed
-  /// layers); the byte-per-bit overload serves the offline loop and tests.
+  /// std::invalid_argument when the layer size is not num_checks().
   bool push(const PackedBits& layer);
-  bool push(const BitVec& layer);
 
   /// Pushes an all-zero layer (the drain phase after the last real round).
   bool push_clean() { return push(clean_); }
@@ -145,9 +142,6 @@ class OnlineStepper {
   OnlineResult result() const;
 
  private:
-  /// Shared overflow/round bookkeeping behind both push overloads.
-  bool note_push(bool accepted);
-
   QecoolEngine engine_;
   PackedBits clean_;
   double carry_ = 0.0;      ///< fractional budget carried across rounds.

@@ -185,11 +185,6 @@ void SyndromeTrace::set_layer(int lane, int round, const PackedBits& layer) {
   layers_[layer_index(lane, round)].copy_from(layer);
 }
 
-void SyndromeTrace::set_layer(int lane, int round, const BitVec& layer) {
-  if (layer.size() != header_.checks) bad_trace("layer size mismatch");
-  layers_[layer_index(lane, round)].assign_bits(layer);
-}
-
 const BitVec& SyndromeTrace::final_error(int lane) const {
   return final_error_.at(static_cast<std::size_t>(lane));
 }
@@ -212,14 +207,9 @@ void SyndromeTrace::set_lane(int lane, const SyndromeHistory& history) {
 }
 
 SyndromeHistory SyndromeTrace::history(int lane) const {
-  // Cold path: the replay-scoring bridge unpacks to the byte-per-bit
-  // SyndromeHistory shape the offline decoders and scorers consume.
   SyndromeHistory h;
   h.difference.reserve(header_.rounds);
-  for (int t = 0; t < rounds(); ++t) {
-    h.difference.push_back(layer(lane, t).to_bits());
-  }
-  h.measured = accumulate_differences(h.difference);
+  for (int t = 0; t < rounds(); ++t) h.difference.push_back(layer(lane, t));
   h.final_error = final_error(lane);
   return h;
 }

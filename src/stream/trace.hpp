@@ -27,8 +27,8 @@
 // words straight from the payload bytes. Up to d=14 a layer's words live
 // inside its PackedBits, so the rounds x lanes layers are one contiguous
 // allocation with no per-layer heap block. The streamed hot path (layer()
-// -> OnlineStepper::push -> engine Reg) never unpacks byte-per-bit; only
-// history() — the cold replay-scoring bridge — converts back to BitVec.
+// -> OnlineStepper::push -> engine Reg) never unpacks byte-per-bit, and
+// history() copies the packed layers out as they are.
 //
 // The slab is raw storage that constructs each slot exactly once, where
 // its value is known: zero-filled by the public constructor, copied from
@@ -95,18 +95,17 @@ class SyndromeTrace {
   const PackedBits& layer(int lane, int round) const;
   /// Word-copies into the existing slot (no reallocation).
   void set_layer(int lane, int round, const PackedBits& layer);
-  void set_layer(int lane, int round, const BitVec& layer);
 
   /// Ground-truth accumulated data error of `lane` (sized data_qubits).
   const BitVec& final_error(int lane) const;
   void set_final_error(int lane, BitVec error);
 
-  /// Copies one recorded lane into the trace (history.difference must hold
-  /// exactly rounds() layers).
+  /// Copies one recorded lane's packed layers into their slots
+  /// (history.difference must hold exactly rounds() layers).
   void set_lane(int lane, const SyndromeHistory& history);
 
-  /// Reconstructs `lane` as a SyndromeHistory (measured syndromes rebuilt
-  /// via accumulate_differences) — what replay hands to the scoring path.
+  /// Copies `lane`'s packed slots out as a SyndromeHistory — what replay
+  /// hands to the offline decoders and the scoring path.
   SyndromeHistory history(int lane) const;
 
   /// Serializes to `path`; throws TraceError when the file cannot be

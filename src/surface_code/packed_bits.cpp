@@ -50,7 +50,9 @@ void PackedBits::steal(PackedBits& other) noexcept {
 
 PackedBits PackedBits::from_bits(std::span<const std::uint8_t> bits) {
   PackedBits packed(bits.size());
-  packed.assign_bits(bits);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) packed.set(i);
+  }
   return packed;
 }
 
@@ -81,35 +83,6 @@ void PackedBits::assign_bytes(const std::uint8_t* bytes) {
 }
 
 void PackedBits::clear_all() { std::fill_n(data(), num_words(), 0); }
-
-void PackedBits::assign_bits(std::span<const std::uint8_t> bits) {
-  assert(bits.size() == bits_);
-  // One word per 64 bytes, branch-free; the short last word leaves its
-  // tail bits zero. On little-endian hosts eight bytes at a time: fold
-  // each byte's bits into its lowest bit (any nonzero byte reads as 1),
-  // then one multiply gathers byte k's bit into bit k of the top byte.
-  constexpr bool kLittle = std::endian::native == std::endian::little;
-  std::uint64_t* words = data();
-  for (std::size_t w = 0, n = num_words(); w < n; ++w) {
-    const std::uint8_t* src = bits.data() + w * 64;
-    const std::size_t count = std::min<std::size_t>(64, bits_ - w * 64);
-    std::uint64_t word = 0;
-    std::size_t j = 0;
-    for (; kLittle && j + 8 <= count; j += 8) {
-      std::uint64_t x;
-      std::memcpy(&x, src + j, sizeof x);
-      x |= x >> 4;
-      x |= x >> 2;
-      x |= x >> 1;
-      x &= 0x0101010101010101ULL;
-      word |= ((x * 0x0102040810204080ULL) >> 56) << j;
-    }
-    for (; j < count; ++j) {
-      word |= static_cast<std::uint64_t>(src[j] != 0) << j;
-    }
-    words[w] = word;
-  }
-}
 
 void PackedBits::copy_from(const PackedBits& other) {
   assert(other.bits_ == bits_);

@@ -163,9 +163,6 @@ class PackedBits {
   /// All bits -> 0 (size unchanged).
   void clear_all();
 
-  /// Overwrites with a same-sized byte-per-bit vector (no reallocation).
-  void assign_bits(std::span<const std::uint8_t> bits);
-
   /// Word-copy of a same-sized source (no reallocation).
   void copy_from(const PackedBits& other);
 

@@ -91,15 +91,13 @@ DecodeResult UnionFindDecoder::decode(const PlanarLattice& lattice,
 
   bool any_defect = false;
   for (int t = 0; t < layers; ++t) {
-    const auto& layer = history.difference[static_cast<std::size_t>(t)];
-    for (int check = 0; check < graph.checks; ++check) {
-      if (layer[static_cast<std::size_t>(check)]) {
-        const int v = graph.vertex(t, check);
-        defect[static_cast<std::size_t>(v)] = 1;
-        clusters.toggle_parity(v);
-        any_defect = true;
-      }
-    }
+    history.difference[static_cast<std::size_t>(t)].for_each_set(
+        [&](std::size_t check) {
+          const int v = graph.vertex(t, static_cast<int>(check));
+          defect[static_cast<std::size_t>(v)] = 1;
+          clusters.toggle_parity(v);
+          any_defect = true;
+        });
   }
 
   DecodeResult result;

@@ -31,16 +31,20 @@ TEST(CircuitNoise, FinalRoundIsPerfect) {
   const PlanarLattice lat(5);
   Xoshiro256ss rng(2);
   const auto h = sample_circuit_history(lat, {0.01, 5, 1.0}, rng);
-  EXPECT_EQ(h.measured.back(), lat.syndrome(h.final_error));
+  // The last measured layer, the XOR of every difference layer, must
+  // equal the true syndrome of the final error.
+  PackedBits measured(static_cast<std::size_t>(lat.num_checks()));
+  for (const auto& layer : h.difference) measured ^= layer;
+  EXPECT_EQ(measured.to_bits(), lat.syndrome(h.final_error));
 }
 
 TEST(CircuitNoise, DifferenceTelescopes) {
   const PlanarLattice lat(5);
   Xoshiro256ss rng(3);
   const auto h = sample_circuit_history(lat, {0.02, 5, 1.0}, rng);
-  BitVec acc(static_cast<std::size_t>(lat.num_checks()), 0);
+  PackedBits acc(static_cast<std::size_t>(lat.num_checks()));
   for (const auto& layer : h.difference) xor_into(layer, acc);
-  EXPECT_EQ(acc, h.measured.back());
+  EXPECT_EQ(acc.to_bits(), lat.syndrome(h.final_error));
 }
 
 TEST(CircuitNoise, LocationCountsAreConsistent) {
@@ -115,7 +119,7 @@ TEST(CircuitNoise, DeterministicGivenRng) {
   const auto ha = sample_circuit_history(lat, {0.01, 5, 1.0}, a);
   const auto hb = sample_circuit_history(lat, {0.01, 5, 1.0}, b);
   EXPECT_EQ(ha.final_error, hb.final_error);
-  EXPECT_EQ(ha.measured, hb.measured);
+  EXPECT_EQ(ha.difference, hb.difference);
 }
 
 }  // namespace

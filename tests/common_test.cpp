@@ -373,6 +373,23 @@ TEST(Cli, TrialsOverrideRejectsOutOfRange) {
   unsetenv("QECOOL_TRIALS");
 }
 
+// A range bound that leaves nothing to run (a distance range below the
+// grid's first distance, zero grid points) fails naming the flag.
+TEST(Cli, IntFlagInRejectsValuesOutsideTheRange) {
+  const char* argv[] = {"prog", "--dmax=3", "--points=0", "--dmin=7"};
+  CliArgs args(4, argv);
+  try {
+    int_flag_in(args, "dmax", 13, 5, 99);
+    ADD_FAILURE() << "--dmax=3 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "--dmax=3: not in [5, 99]");
+  }
+  EXPECT_THROW(int_flag_in(args, "points", 7, 1, 99), std::invalid_argument);
+  EXPECT_EQ(int_flag_in(args, "dmin", 5, 2, 7), 7);
+  EXPECT_EQ(int_flag_in(args, "absent", 42, 50, 60), 42)
+      << "an absent flag takes the fallback unchecked";
+}
+
 TEST(Cli, SecondsFlagTakesAnOptionalUnit) {
   const char* argv[] = {"prog", "--a=30s", "--b=2.5", "--c=0"};
   CliArgs args(4, argv);

@@ -67,8 +67,8 @@ TEST(CorpusReplay, CorpusIsPresent) {
 
 TEST(CorpusReplay, EveryEntryPassesAllOracles) {
   // The replay matrix: unconstrained and budgeted service rates. Every
-  // arm disagreement — packed/unpacked, checkpoint/resume,
-  // invariants, bit-op backends — fails the entry.
+  // arm disagreement — checkpoint/resume, invariants, bit-op
+  // backends — fails the entry.
   ASSERT_FALSE(corpus_paths().empty());
   for (const double cycles : {0.0, 4.0}) {
     const ReplayReport report =

@@ -86,10 +86,10 @@ TEST(Depolarizing, HistoriesAreInternallyConsistent) {
   Xoshiro256ss rng(5);
   const auto h = sample_depolarizing_history(lat, {0.02, 0.01, 7}, rng);
   for (const SyndromeHistory* sector : {&h.x, &h.z}) {
-    BitVec acc(static_cast<std::size_t>(lat.num_checks()), 0);
-    for (const auto& layer : sector->difference) xor_into(layer, acc);
-    EXPECT_EQ(acc, sector->measured.back());
-    EXPECT_EQ(sector->measured.back(), lat.syndrome(sector->final_error));
+    // The last measured layer is the XOR of every difference layer.
+    PackedBits measured(static_cast<std::size_t>(lat.num_checks()));
+    for (const auto& layer : sector->difference) xor_into(layer, measured);
+    EXPECT_EQ(measured.to_bits(), lat.syndrome(sector->final_error));
   }
 }
 

@@ -8,10 +8,11 @@
 namespace qec {
 namespace {
 
-BitVec layer_with(const PlanarLattice& lat, std::vector<CheckCoord> coords) {
-  BitVec layer(static_cast<std::size_t>(lat.num_checks()), 0);
+PackedBits layer_with(const PlanarLattice& lat,
+                      std::vector<CheckCoord> coords) {
+  PackedBits layer(static_cast<std::size_t>(lat.num_checks()));
   for (const auto& c : coords) {
-    layer[static_cast<std::size_t>(lat.check_index(c.row, c.col))] = 1;
+    layer.set(static_cast<std::size_t>(lat.check_index(c.row, c.col)));
   }
   return layer;
 }

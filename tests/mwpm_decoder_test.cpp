@@ -14,8 +14,7 @@ SyndromeHistory history_from_error(const PlanarLattice& lat,
                                    const BitVec& error) {
   SyndromeHistory h;
   h.final_error = error;
-  h.measured = {lat.syndrome(error), lat.syndrome(error)};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({lat.syndrome(error), lat.syndrome(error)});
   return h;
 }
 
@@ -71,8 +70,7 @@ TEST(MwpmDecoder, MeasurementErrorOnlyNeedsNoDataCorrection) {
   BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
   BitVec flipped = clean;
   flipped[7] = 1;
-  h.measured = {clean, flipped, clean, clean};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({clean, flipped, clean, clean});
   MwpmDecoder dec;
   const auto r = dec.decode(lat, h);
   EXPECT_TRUE(is_zero(r.correction));
@@ -92,8 +90,7 @@ TEST(MwpmDecoder, MatchesDefectsAcrossTime) {
   masked[static_cast<std::size_t>(left_check)] ^= 1;
   SyndromeHistory h;
   h.final_error = err;
-  h.measured = {masked, synd, synd};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({masked, synd, synd});
   MwpmDecoder dec;
   const auto r = dec.decode(lat, h);
   EXPECT_TRUE(residual_syndrome_free(lat, h, r));

@@ -19,13 +19,43 @@
 namespace qec {
 namespace {
 
+/// measured[t]: the syndrome reported in round t, the XOR of the
+/// difference layers 0..t.
+std::vector<BitVec> measured_layers(const SyndromeHistory& h) {
+  std::vector<BitVec> measured;
+  PackedBits acc(h.difference.front().size());
+  for (const auto& layer : h.difference) {
+    acc ^= layer;
+    measured.push_back(acc.to_bits());
+  }
+  return measured;
+}
+
+/// Replays `params` from `rng`'s state through the sampler itself and
+/// checks that every stored layer of `h` is the sampler's word-for-word,
+/// that the prefix XOR of the layers is the sampler's measured syndrome,
+/// and that the final error is the sampler's data error.
+void expect_sampler_layers(const PlanarLattice& lat, const NoiseParams& params,
+                           Xoshiro256ss rng, const SyndromeHistory& h) {
+  PhenomenologicalSampler sampler(lat, params, rng);
+  ASSERT_EQ(h.total_rounds(), sampler.total_rounds());
+  PackedBits acc(static_cast<std::size_t>(lat.num_checks()));
+  for (int t = 0; t < h.total_rounds(); ++t) {
+    const PackedBits& layer = sampler.next();
+    ASSERT_EQ(h.difference[static_cast<std::size_t>(t)], layer) << "t=" << t;
+    acc ^= h.difference[static_cast<std::size_t>(t)];
+    ASSERT_EQ(acc, sampler.measured()) << "t=" << t;
+  }
+  EXPECT_EQ(h.final_error, sampler.data_error().to_bits());
+}
+
 TEST(Noise, NoNoiseGivesCleanHistory) {
   const PlanarLattice lat(5);
   Xoshiro256ss rng(1);
   const auto h = sample_history(lat, {0.0, 0.0, 5}, rng);
   EXPECT_EQ(h.total_rounds(), 6);  // 5 noisy + 1 perfect
   EXPECT_TRUE(is_zero(h.final_error));
-  for (const auto& layer : h.measured) EXPECT_TRUE(is_zero(layer));
+  for (const auto& layer : measured_layers(h)) EXPECT_TRUE(is_zero(layer));
   EXPECT_EQ(defect_count(h), 0);
 }
 
@@ -41,16 +71,16 @@ TEST(Noise, FinalRoundIsPerfect) {
   Xoshiro256ss rng(2);
   const auto h = sample_history(lat, {0.05, 0.05, 5}, rng);
   // Last measured layer must equal the true syndrome of the final error.
-  EXPECT_EQ(h.measured.back(), lat.syndrome(h.final_error));
+  EXPECT_EQ(measured_layers(h).back(), lat.syndrome(h.final_error));
 }
 
 TEST(Noise, DifferenceTelescopesToFinalMeasurement) {
   const PlanarLattice lat(7);
   Xoshiro256ss rng(3);
-  const auto h = sample_history(lat, {0.03, 0.03, 7}, rng);
-  BitVec acc(static_cast<std::size_t>(lat.num_checks()), 0);
-  for (const auto& layer : h.difference) xor_into(layer, acc);
-  EXPECT_EQ(acc, h.measured.back());
+  const NoiseParams params{0.03, 0.03, 7};
+  const Xoshiro256ss start = rng;
+  const auto h = sample_history(lat, params, rng);
+  expect_sampler_layers(lat, params, start, h);
 }
 
 TEST(Noise, MeasurementNoiseOnlyLeavesDataClean) {
@@ -60,7 +90,7 @@ TEST(Noise, MeasurementNoiseOnlyLeavesDataClean) {
   EXPECT_TRUE(is_zero(h.final_error));
   // With no data errors, every defect comes in a vertical pair: the total
   // per-check defect parity over all layers must be even.
-  BitVec acc(static_cast<std::size_t>(lat.num_checks()), 0);
+  PackedBits acc(static_cast<std::size_t>(lat.num_checks()));
   for (const auto& layer : h.difference) xor_into(layer, acc);
   EXPECT_TRUE(is_zero(acc));
   // And with p_meas = 0.2 over 10 rounds some defects must exist.
@@ -73,10 +103,11 @@ TEST(Noise, DataNoiseCreatesMatchingSyndrome) {
   const auto h = sample_history(lat, {0.1, 0.0, 3}, rng);
   // With perfect measurement, every measured layer is the true syndrome of
   // the accumulated error — in particular each is a valid syndrome.
-  for (const auto& layer : h.measured) {
+  const std::vector<BitVec> measured = measured_layers(h);
+  for (const auto& layer : measured) {
     EXPECT_EQ(layer.size(), static_cast<std::size_t>(lat.num_checks()));
   }
-  EXPECT_EQ(h.measured.back(), lat.syndrome(h.final_error));
+  EXPECT_EQ(measured.back(), lat.syndrome(h.final_error));
 }
 
 TEST(Noise, DeterministicGivenRngState) {
@@ -85,7 +116,7 @@ TEST(Noise, DeterministicGivenRngState) {
   const auto a = sample_history(lat, {0.02, 0.02, 5}, rng1);
   const auto b = sample_history(lat, {0.02, 0.02, 5}, rng2);
   EXPECT_EQ(a.final_error, b.final_error);
-  EXPECT_EQ(a.measured, b.measured);
+  EXPECT_EQ(measured_layers(a), measured_layers(b));
   EXPECT_EQ(a.difference, b.difference);
 }
 
@@ -109,9 +140,9 @@ TEST(Noise, DifferenceSyndromesStandalone) {
   std::vector<BitVec> measured = {{0, 1, 0}, {1, 1, 0}, {1, 0, 0}};
   const auto diff = difference_syndromes(measured);
   ASSERT_EQ(diff.size(), 3u);
-  EXPECT_EQ(diff[0], (BitVec{0, 1, 0}));
-  EXPECT_EQ(diff[1], (BitVec{1, 0, 0}));
-  EXPECT_EQ(diff[2], (BitVec{0, 1, 0}));
+  EXPECT_EQ(diff[0].to_bits(), (BitVec{0, 1, 0}));
+  EXPECT_EQ(diff[1].to_bits(), (BitVec{1, 0, 0}));
+  EXPECT_EQ(diff[2].to_bits(), (BitVec{0, 1, 0}));
 }
 
 TEST(Noise, RejectsBadParametersNamingTheField) {
@@ -285,7 +316,8 @@ TEST(SkipSampler, UnitProbabilityFlipsEverythingEveryRound) {
     if (t < rounds) {
       for (auto& bit : expected) bit ^= 1;  // every measurement flips
     }
-    EXPECT_EQ(h.measured[static_cast<std::size_t>(t)], expected) << "t=" << t;
+    EXPECT_EQ(measured_layers(h)[static_cast<std::size_t>(t)], expected)
+        << "t=" << t;
   }
   EXPECT_EQ(h.final_error, ones);  // odd number of noisy rounds
 }
@@ -310,9 +342,9 @@ std::string saved_bytes(const SyndromeTrace& trace, const char* name) {
   return bytes;
 }
 
-// record_trace writes packed layers straight into the trace; the byte
-// path (sample_history) unpacks the same sampler, so with equal RNG state
-// they must agree bit for bit.
+// record_trace writes packed layers straight into the trace, and
+// sample_history copies the same sampler's layers, so with equal RNG
+// state they must agree bit for bit.
 TEST(SkipSampler, RecordTraceEqualsPackedSampleHistory) {
   const StreamConfig config = small_stream();
   const SyndromeTrace trace = record_trace(config);
@@ -321,10 +353,9 @@ TEST(SkipSampler, RecordTraceEqualsPackedSampleHistory) {
     Xoshiro256ss rng = lane_rng(config, lane, config.rounds);
     const auto h =
         sample_history(lat, {config.p, config.p, config.rounds}, rng);
-    const auto packed = packed_layers(h.difference);
-    ASSERT_EQ(static_cast<int>(packed.size()), trace.rounds());
+    ASSERT_EQ(h.total_rounds(), trace.rounds());
     for (int t = 0; t < trace.rounds(); ++t) {
-      EXPECT_EQ(trace.layer(lane, t), packed[static_cast<std::size_t>(t)])
+      EXPECT_EQ(trace.layer(lane, t), h.difference[static_cast<std::size_t>(t)])
           << "lane " << lane << " round " << t;
     }
     EXPECT_EQ(trace.final_error(lane), h.final_error) << "lane " << lane;
@@ -361,19 +392,18 @@ TEST_P(NoiseSweep, HistoriesAreInternallyConsistent) {
   const PlanarLattice lat(d);
   Xoshiro256ss rng(1000u + static_cast<unsigned>(d));
   for (int trial = 0; trial < 20; ++trial) {
+    const Xoshiro256ss start = rng;
     const auto h = sample_history(lat, {0.02, 0.02, d}, rng);
     ASSERT_EQ(h.total_rounds(), d + 1);
     ASSERT_EQ(static_cast<int>(h.final_error.size()), lat.num_data());
     // Difference layers must reconstruct measured layers by prefix XOR.
-    BitVec acc(static_cast<std::size_t>(lat.num_checks()), 0);
-    for (int t = 0; t < h.total_rounds(); ++t) {
-      xor_into(h.difference[static_cast<std::size_t>(t)], acc);
-      ASSERT_EQ(acc, h.measured[static_cast<std::size_t>(t)]) << "t=" << t;
-    }
+    expect_sampler_layers(lat, {0.02, 0.02, d}, start, h);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Distances, NoiseSweep, ::testing::Values(3, 5, 7, 9),
+// d = 15: 210 checks, so its layers live on the heap.
+INSTANTIATE_TEST_SUITE_P(Distances, NoiseSweep,
+                         ::testing::Values(3, 5, 7, 9, 15),
                          ::testing::PrintToStringParamName());
 
 }  // namespace

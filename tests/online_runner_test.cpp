@@ -145,7 +145,7 @@ TEST(OnlineRunner, IntegerBudgetMatchesLegacyPerRoundGrant) {
       }
       engine.run(300);
     }
-    const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
+    const PackedBits clean(static_cast<std::size_t>(lat.num_checks()));
     for (int extra = 0; !overflow && extra < config.max_drain_rounds;
          ++extra) {
       if (engine.all_clear() && engine.stored_layers() == 0) break;
@@ -200,7 +200,7 @@ TEST(OnlineRunner, ZeroBudgetRoundsAccumulateBacklog) {
   OnlineConfig config;
   config.cycles_per_round = 64;
   OnlineStepper stepper(lat, config);
-  const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
+  const PackedBits clean(static_cast<std::size_t>(lat.num_checks()));
   for (int round = 1; round <= config.engine.reg_depth; ++round) {
     ASSERT_TRUE(stepper.push(clean));
     EXPECT_EQ(stepper.engine().stored_layers(), round);
@@ -219,7 +219,7 @@ TEST(OnlineRunner, FractionalSpendCarriesDeficitAcrossGrants) {
   const PlanarLattice lat(5);
   OnlineConfig config;  // budget irrelevant: spend() is driven by hand
   OnlineStepper stepper(lat, config);
-  const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
+  const PackedBits clean(static_cast<std::size_t>(lat.num_checks()));
   // Build enough backlog that clean base layers are poppable work.
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(stepper.push(clean));
   EXPECT_EQ(stepper.spend(0.5), 0u) << "half a cycle buys nothing yet";
@@ -261,8 +261,7 @@ TEST(OnlineRunner, ZeroDefectHistoryDrainsWithoutMatches) {
   const PlanarLattice lat(7);
   SyndromeHistory h;
   const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
-  h.measured.assign(8, clean);
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes(std::vector<BitVec>(8, clean));
   h.final_error.assign(static_cast<std::size_t>(lat.num_data()), 0);
 
   OnlineConfig config;
@@ -299,8 +298,7 @@ TEST(OnlineRunner, OnlineAndBatchAgreeOnIsolatedErrors) {
   h.final_error[static_cast<std::size_t>(q)] = 1;
   const BitVec synd = lat.syndrome(h.final_error);
   const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
-  h.measured = {clean, synd, synd, synd, synd};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({clean, synd, synd, synd, synd});
 
   OnlineConfig config;
   config.cycles_per_round = 2000;

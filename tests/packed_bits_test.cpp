@@ -59,20 +59,18 @@ TEST(PackedBits, RoundTripsByteVectorsAtAwkwardSizes) {
   }
 }
 
-TEST(PackedBits, AssignBitsReadsEveryNonzeroByteAsOne) {
-  // assign_bits packs eight bytes per step: each single-bit byte value,
-  // at every lane of the step and across word tails, must read as 1,
-  // and must not leak into its neighbours.
+TEST(PackedBits, FromBitsReadsEveryNonzeroByteAsOne) {
+  // Each single-bit byte value, at every position and across word tails,
+  // must read as 1, and must not leak into its neighbours.
   std::mt19937 rng(5);
   for (std::size_t n : kSizes) {
-    PackedBits packed(n);
     for (int trial = 0; trial < 20; ++trial) {
       BitVec raw = random_bits(n, rng, 0.3);
       for (auto& b : raw) {
         if (b) b = static_cast<std::uint8_t>(1u << (rng() % 8));
       }
       if (trial == 0) std::fill(raw.begin(), raw.end(), 0xff);
-      packed.assign_bits(raw);
+      const PackedBits packed = PackedBits::from_bits(raw);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(packed.test(i), raw[i] != 0) << "size " << n << " bit " << i;
       }
@@ -176,10 +174,9 @@ TEST(PackedBits, AssignAndCopyReuseStorage) {
   for (std::size_t n : {std::size_t{72}, std::size_t{100}}) {
     const BitVec a = random_bits(n, rng);
     const BitVec b = random_bits(n, rng);
-    PackedBits packed(n);
-    packed.assign_bits(a);
+    PackedBits packed = PackedBits::from_bits(a);
     EXPECT_EQ(packed.to_bits(), a);
-    packed.assign_bits(b);
+    packed = PackedBits::from_bits(b);
     EXPECT_EQ(packed.to_bits(), b);
     PackedBits other(n);
     other.copy_from(packed);

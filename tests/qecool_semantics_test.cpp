@@ -11,10 +11,11 @@
 namespace qec {
 namespace {
 
-BitVec layer_with(const PlanarLattice& lat, std::vector<CheckCoord> coords) {
-  BitVec layer(static_cast<std::size_t>(lat.num_checks()), 0);
+PackedBits layer_with(const PlanarLattice& lat,
+                      std::vector<CheckCoord> coords) {
+  PackedBits layer(static_cast<std::size_t>(lat.num_checks()));
   for (const auto& c : coords) {
-    layer[static_cast<std::size_t>(lat.check_index(c.row, c.col))] = 1;
+    layer.set(static_cast<std::size_t>(lat.check_index(c.row, c.col)));
   }
   return layer;
 }
@@ -77,11 +78,11 @@ TEST(QecoolRouting, CorrectionIsSyndromeValidForRandomPairs) {
     const BitVec synd = lat.syndrome(engine.correction());
     const auto& stats = engine.match_stats();
     if (stats.pair_matches == 1 && stats.boundary_matches == 0) {
-      EXPECT_EQ(synd, layer_with(lat, {{r1, c1}, {r2, c2}}));
+      EXPECT_EQ(synd, layer_with(lat, {{r1, c1}, {r2, c2}}).to_bits());
     } else {
       // Two boundary matches: each defect cleared separately.
       EXPECT_EQ(stats.boundary_matches, 2u);
-      EXPECT_EQ(synd, layer_with(lat, {{r1, c1}, {r2, c2}}));
+      EXPECT_EQ(synd, layer_with(lat, {{r1, c1}, {r2, c2}}).to_bits());
     }
   }
 }
@@ -96,7 +97,7 @@ TEST(QecoolRace, ThreeDefectsResolveDeterministically) {
   engine.push_layer(layer_with(lat, {{2, 2}, {2, 1}, {3, 2}}));
   engine.run(QecoolEngine::kUnlimited);
   const BitVec synd = lat.syndrome(engine.correction());
-  EXPECT_EQ(synd, layer_with(lat, {{2, 2}, {2, 1}, {3, 2}}));
+  EXPECT_EQ(synd, layer_with(lat, {{2, 2}, {2, 1}, {3, 2}}).to_bits());
   EXPECT_TRUE(engine.all_clear());
   EXPECT_EQ(engine.match_stats().pair_matches, 1u);
   EXPECT_EQ(engine.match_stats().boundary_matches, 1u);
@@ -151,7 +152,7 @@ TEST(QecoolConfigKnobs, CycleCostsScaleReportedWork) {
   costly.cycles.pass_overhead = 10;
   costly.cycles.pop = 10;
   QecoolEngine a(lat, cheap), b(lat, costly);
-  const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
+  const PackedBits clean(static_cast<std::size_t>(lat.num_checks()));
   a.push_layer(clean);
   b.push_layer(clean);
   a.run(QecoolEngine::kUnlimited);

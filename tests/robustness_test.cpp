@@ -49,21 +49,19 @@ TEST(EnginePush, WrongSizeLayerThrows) {
   const auto big_checks = static_cast<std::size_t>(big.num_checks());
   for (const std::size_t size : {big_checks, checks - 1, std::size_t{0}}) {
     EXPECT_THROW(engine.push_layer(PackedBits(size)), std::invalid_argument);
-    EXPECT_THROW(engine.push_layer(BitVec(size, 1)), std::invalid_argument);
   }
   EXPECT_EQ(engine.stored_layers(), 0);
 
   OnlineConfig online;
   OnlineStepper stepper(lat, online);
   EXPECT_THROW(stepper.push(PackedBits(big_checks)), std::invalid_argument);
-  EXPECT_THROW(stepper.push(BitVec(big_checks, 1)), std::invalid_argument);
   EXPECT_EQ(stepper.rounds_stepped(), 0);
   EXPECT_FALSE(stepper.overflowed());
 
   // Right-sized layers still go in.
   EXPECT_TRUE(engine.push_layer(PackedBits(checks)));
-  EXPECT_TRUE(engine.push_layer(BitVec(checks, 0)));
-  EXPECT_TRUE(stepper.push(BitVec(checks, 0)));
+  EXPECT_TRUE(engine.push_layer(PackedBits(checks)));
+  EXPECT_TRUE(stepper.push(PackedBits(checks)));
   EXPECT_EQ(engine.stored_layers(), 2);
 }
 
@@ -80,11 +78,11 @@ TEST(EngineFuzz, RandomPushesAndBudgetsNeverBreakInvariants) {
 
     for (int step = 0; step < 30; ++step) {
       if (rng.below(2)) {
-        BitVec layer(static_cast<std::size_t>(lat.num_checks()), 0);
+        PackedBits layer(static_cast<std::size_t>(lat.num_checks()));
         // Push a random even-ish defect layer.
         const int defects = static_cast<int>(rng.below(5));
         for (int k = 0; k < defects; ++k) {
-          layer[rng.below(static_cast<std::uint64_t>(lat.num_checks()))] ^= 1;
+          layer.flip(rng.below(static_cast<std::uint64_t>(lat.num_checks())));
         }
         engine.push_layer(layer);  // overflow allowed; must not corrupt
       } else {
@@ -106,7 +104,7 @@ TEST(EngineFuzz, PopAttributionCoversAllPops) {
   config.thv = -1;
   config.reg_depth = 10;
   QecoolEngine engine(lat, config);
-  const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
+  const PackedBits clean(static_cast<std::size_t>(lat.num_checks()));
   for (int i = 0; i < 10; ++i) engine.push_layer(clean);
   engine.run(QecoolEngine::kUnlimited);
   EXPECT_EQ(engine.popped_layers(), 10);

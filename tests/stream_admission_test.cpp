@@ -213,8 +213,9 @@ TEST(Admission, CheckpointResumeRoundTripIsANoOp) {
   // round-trips mid-stream. All subsequent behaviour must be identical.
   OnlineStepper plain(lattice, online);
   OnlineStepper paused(lattice, online);
-  BitVec layer(static_cast<std::size_t>(lattice.num_checks()), 0);
-  layer[2] = layer[9] = 1;
+  PackedBits layer(static_cast<std::size_t>(lattice.num_checks()));
+  layer.set(2);
+  layer.set(9);
 
   for (int round = 0; round < 4; ++round) {
     EXPECT_TRUE(plain.push(layer));
@@ -252,8 +253,9 @@ TEST(Admission, CheckpointDrainResumeContinuesCorrectly) {
   const PlanarLattice lattice(5);
   OnlineConfig online;
   online.cycles_per_round = 0;  // unconstrained spend budget for the tail
-  BitVec layer(static_cast<std::size_t>(lattice.num_checks()), 0);
-  layer[0] = layer[5] = 1;
+  PackedBits layer(static_cast<std::size_t>(lattice.num_checks()));
+  layer.set(0);
+  layer.set(5);
 
   // Reference: push + spend with no pause.
   OnlineStepper reference(lattice, online);
@@ -309,11 +311,11 @@ SyndromeTrace bursty_trace(int lanes, int rounds, int bursty_lane) {
   header.data_qubits = static_cast<std::uint32_t>(lattice.num_data());
   SyndromeTrace trace(header);
   for (int round = 4; round < rounds - 6 && round < 24; ++round) {
-    BitVec layer(static_cast<std::size_t>(lattice.num_checks()), 0);
+    PackedBits layer(static_cast<std::size_t>(lattice.num_checks()));
     for (const int check : {0, 3, 9, 14, 16, 19}) {
-      layer[static_cast<std::size_t>(check)] = 1;
+      layer.set(static_cast<std::size_t>(check));
     }
-    trace.set_layer(bursty_lane, round, std::move(layer));
+    trace.set_layer(bursty_lane, round, layer);
   }
   return trace;
 }

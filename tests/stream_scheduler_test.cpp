@@ -419,11 +419,11 @@ SyndromeTrace bursty_trace(int lanes, int rounds, int bursty_lane) {
   // even number of identical layers keeps the stream consistent with the
   // all-zero ground-truth final error).
   for (int round = 4; round < rounds - 6 && round < 24; ++round) {
-    BitVec layer(static_cast<std::size_t>(lattice.num_checks()), 0);
+    PackedBits layer(static_cast<std::size_t>(lattice.num_checks()));
     for (const int check : {0, 3, 9, 14, 16, 19}) {
-      layer[static_cast<std::size_t>(check)] = 1;
+      layer.set(static_cast<std::size_t>(check));
     }
-    trace.set_layer(bursty_lane, round, std::move(layer));
+    trace.set_layer(bursty_lane, round, layer);
   }
   return trace;
 }

@@ -61,10 +61,10 @@ TEST(MatchingGraph, DefectDistanceIsAMetric) {
 
 TEST(MatchingGraph, CollectDefectsFindsAllSetBits) {
   const PlanarLattice lat(5);
-  std::vector<BitVec> layers(3,
-                             BitVec(static_cast<std::size_t>(lat.num_checks()), 0));
-  layers[0][static_cast<std::size_t>(lat.check_index(1, 1))] = 1;
-  layers[2][static_cast<std::size_t>(lat.check_index(4, 3))] = 1;
+  std::vector<PackedBits> layers(
+      3, PackedBits(static_cast<std::size_t>(lat.num_checks())));
+  layers[0].set(static_cast<std::size_t>(lat.check_index(1, 1)));
+  layers[2].set(static_cast<std::size_t>(lat.check_index(4, 3)));
   const auto defects = collect_defects(lat, layers);
   ASSERT_EQ(defects.size(), 2u);
   EXPECT_EQ(defects[0], (Defect{1, 1, 0}));

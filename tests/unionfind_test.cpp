@@ -47,8 +47,7 @@ SyndromeHistory history_from_error(const PlanarLattice& lat,
                                    const BitVec& error) {
   SyndromeHistory h;
   h.final_error = error;
-  h.measured = {lat.syndrome(error), lat.syndrome(error)};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({lat.syndrome(error), lat.syndrome(error)});
   return h;
 }
 
@@ -72,8 +71,7 @@ TEST(UnionFindDecoder, MeasurementErrorOnlyNeedsNoDataCorrection) {
   BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
   BitVec flipped = clean;
   flipped[5] = 1;
-  h.measured = {clean, flipped, clean, clean};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({clean, flipped, clean, clean});
   UnionFindDecoder dec;
   const auto r = dec.decode(lat, h);
   EXPECT_TRUE(is_zero(r.correction));

@@ -78,8 +78,7 @@ TEST(WindowedMwpm, SingleErrorCommitsExactCorrection) {
   h.final_error[static_cast<std::size_t>(q)] = 1;
   const BitVec synd = lat.syndrome(h.final_error);
   const BitVec clean(static_cast<std::size_t>(lat.num_checks()), 0);
-  h.measured = {clean, synd, synd, synd, synd, synd, synd, synd};
-  h.difference = difference_syndromes(h.measured);
+  h.difference = difference_syndromes({clean, synd, synd, synd, synd, synd, synd, synd});
   WindowedMwpmDecoder dec({4, 2});
   const auto r = dec.decode(lat, h);
   EXPECT_EQ(r.correction, h.final_error);
