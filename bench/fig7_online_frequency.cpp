@@ -7,6 +7,7 @@
 //
 //   fig7_online_frequency [--trials=400] [--dmax=13] [--threads=N]
 //                         [--csv=fig7.csv]
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <vector>
@@ -105,7 +106,10 @@ int main(int argc, char** argv) try {
   shallow.engine.reg_depth = 4;
   ab_grid.variants.push_back(qec::online_variant("Reg=7", deep));
   ab_grid.variants.push_back(qec::online_variant("Reg=4", shallow));
-  for (int d = 9; d <= dmax; d += 2) ab_grid.distances.push_back(d);
+  // From d = 9, or from the largest distance run when --dmax is smaller,
+  // so the table always has a row.
+  const int ab_dmin = std::min(9, grid.distances.back());
+  for (int d = ab_dmin; d <= dmax; d += 2) ab_grid.distances.push_back(d);
   ab_grid.ps = {0.01};
   ab_grid.trials = trials;
   ab_grid.threads = threads;

@@ -94,9 +94,13 @@ bool CliArgs::get_flag(std::string_view name) const {
 namespace {
 
 [[noreturn]] void malformed(std::string_view name, const std::string& raw,
-                            const char* expected) {
+                            const std::string& expected) {
   throw std::invalid_argument("--" + std::string(name) + "=" + raw + ": " +
                               expected);
+}
+
+std::string range_text(int lo, int hi) {
+  return "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
 }
 
 }  // namespace
@@ -165,11 +169,26 @@ int int_flag_in(const CliArgs& args, std::string_view name, int fallback,
   if (!raw) return fallback;
   const std::int64_t value = args.get_int_or(name, fallback);
   if (value < lo || value > hi) {
-    const std::string range =
-        "not in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
-    malformed(name, *raw, range.c_str());
+    malformed(name, *raw, "not in " + range_text(lo, hi));
   }
   return static_cast<int>(value);
+}
+
+std::vector<int> int_list_flag_in(const CliArgs& args, std::string_view name,
+                                  std::string_view fallback, int lo, int hi) {
+  const std::string raw = args.get_or(name, fallback);
+  const std::string expected = "not a list of integers in " + range_text(lo, hi);
+  std::vector<int> values;
+  for (const auto& item : split_list(raw)) {
+    char* end = nullptr;
+    const long long value = std::strtoll(item.c_str(), &end, 10);
+    if (end == item.c_str() || *end != '\0' || value < lo || value > hi) {
+      malformed(name, raw, expected);
+    }
+    values.push_back(static_cast<int>(value));
+  }
+  if (values.empty()) malformed(name, raw, expected);
+  return values;
 }
 
 int trials_override(const CliArgs& args, int fallback) {

@@ -98,6 +98,13 @@ int report_failure(const char* program, const std::exception& error);
 int int_flag_in(const CliArgs& args, std::string_view name, int fallback,
                 int lo, int hi);
 
+/// Reads the comma-separated integer list flag --name, or parses
+/// `fallback` when it is absent. A list that is empty or holds an item
+/// that is malformed or outside [lo, hi] throws std::invalid_argument
+/// naming the flag and its raw value.
+std::vector<int> int_list_flag_in(const CliArgs& args, std::string_view name,
+                                  std::string_view fallback, int lo, int hi);
+
 /// Reads trial-count override from --trials or env QECOOL_TRIALS, falling
 /// back to `fallback`. A --trials that is malformed or outside
 /// [1, INT_MAX] throws std::invalid_argument naming the flag and its raw

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fuzz/mutate.hpp"
 #include "sim/executor.hpp"
 #include "stream/service.hpp"
 
@@ -64,12 +65,6 @@ std::string seed_file_name(const FuzzSeedSpec& spec) {
 
 namespace {
 
-/// In-memory corpus entry: the trace plus its fitness when admitted.
-struct CorpusEntry {
-  SyndromeTrace trace;
-  int fresh_cells = 0;
-};
-
 std::string save_trace(const SyndromeTrace& trace, const std::string& dir,
                        const std::string& name) {
   if (dir.empty()) return {};
@@ -95,18 +90,17 @@ FuzzStats run_fuzzer(const FuzzConfig& config) {
 
   // The window-boundary mutation operator aligns against the engine shape
   // the oracles actually run.
-  MutatorConfig mutator_config = config.mutator;
-  mutator_config.reg_depth = config.oracle.online.engine.reg_depth;
-  mutator_config.thv = config.oracle.online.engine.thv;
-  TraceMutator mutator(config.rng_seed, mutator_config);
+  const QecoolConfig& engine = config.oracle.online.engine;
+  TraceMutator mutator(config.rng_seed, {engine.reg_depth, engine.thv});
   Xoshiro256ss& rng = mutator.rng();
 
   FuzzStats stats;
-  CoverageMap coverage;
-  std::vector<CorpusEntry> corpus;
+  std::vector<SyndromeTrace> corpus;
 
-  const auto ingest = [&](SyndromeTrace trace, int iteration) -> bool {
-    OracleReport report = run_oracles(trace, config.oracle);
+  // Runs the oracles on `trace`; a failure is minimized, saved and
+  // recorded. Returns true when the trace failed.
+  const auto check = [&](const SyndromeTrace& trace, int iteration) -> bool {
+    const OracleReport report = run_oracles(trace, config.oracle);
     ++stats.oracle_runs;
     if (!report.ok()) {
       FuzzFailure failure;
@@ -133,31 +127,30 @@ FuzzStats run_fuzzer(const FuzzConfig& config) {
       stats.failures.push_back(std::move(failure));
       return true;
     }
-    const int fresh = coverage.merge(report.features);
-    if ((fresh > 0 || iteration < 0) &&
-        static_cast<int>(corpus.size()) < config.max_corpus) {
-      corpus.push_back({std::move(trace), fresh});
-    }
     return false;
   };
 
-  // Initial corpus: the recorded seed matrix plus any on-disk traces.
-  // Seeds are always admitted (iteration < 0) — a parent pool must exist
-  // even if the first seed saturates the early coverage cells.
+  // The corpus: the recorded seed matrix plus any on-disk traces, checked
+  // once (iteration -1). Passing entries become the fixed parent pool.
+  const auto admit = [&](SyndromeTrace trace) -> bool {
+    if (check(trace, -1)) return true;
+    corpus.push_back(std::move(trace));
+    return false;
+  };
   const std::vector<FuzzSeedSpec> seeds =
       config.seeds.empty() ? default_seed_matrix() : config.seeds;
   for (const auto& spec : seeds) {
-    if (ingest(record_seed(spec), -1)) break;
+    if (admit(record_seed(spec))) break;
   }
   for (const auto& path : list_corpus(config.corpus_dir)) {
     if (static_cast<int>(stats.failures.size()) >= config.max_failures) break;
-    ingest(SyndromeTrace::load(path), -1);
+    admit(SyndromeTrace::load(path));
   }
   if (corpus.empty() && stats.failures.empty()) {
     throw std::runtime_error("run_fuzzer: empty initial corpus");
   }
 
-  // The AFL loop: pick a parent, mutate, run, keep what's interesting.
+  // The blind loop: pick a parent, mutate, run the oracles.
   int iteration = 0;
   while (static_cast<int>(stats.failures.size()) < config.max_failures &&
          !corpus.empty()) {
@@ -165,27 +158,25 @@ FuzzStats run_fuzzer(const FuzzConfig& config) {
     if (config.time_budget_s > 0.0 && elapsed() >= config.time_budget_s) break;
 
     const std::size_t pick = rng.below(corpus.size());
-    SyndromeTrace child = corpus[pick].trace;
+    SyndromeTrace child = corpus[pick];
 
     // Occasionally cross with a same-geometry sibling, then stack a few
     // point mutations (AFL havoc-style).
     if (corpus.size() > 1 && rng.below(8) == 0) {
       const std::size_t donor =
           (pick + 1 + rng.below(corpus.size() - 1)) % corpus.size();
-      mutator.splice(child, corpus[donor].trace);
+      mutator.splice(child, corpus[donor]);
     }
     const int stack = 1 + static_cast<int>(rng.below(4));
     for (int i = 0; i < stack; ++i) {
       mutator.mutate(child);
     }
 
-    ingest(std::move(child), iteration);
+    check(child, iteration);
     ++iteration;
   }
 
   stats.iterations = iteration;
-  stats.corpus_size = static_cast<int>(corpus.size());
-  stats.coverage_cells = coverage.covered();
   stats.elapsed_s = elapsed();
   return stats;
 }

@@ -1,12 +1,12 @@
-// Coverage-guided engine fuzzer (DESIGN.md section 14, docs/fuzzing.md):
-// the AFL loop over QTRC traces. Seeds come from record_trace() (valid
-// noise at a few (d, p) points) plus any on-disk corpus; each iteration
-// picks a corpus parent, applies a few defect-pattern mutations
-// (fuzz/mutate.hpp) or a splice with a same-geometry sibling, and runs the
-// differential-oracle battery (fuzz/oracle.hpp). Inputs that light up new
-// engine-state coverage cells join the corpus; inputs that diverge are
-// shrunk by the delta-debugging minimizer (fuzz/minimize.hpp) and written
-// out as loader-valid .qtrc reproducers for the CI corpus_replay_test.
+// Blind-mutation engine fuzzer (DESIGN.md section 14, docs/fuzzing.md).
+// The corpus is fixed: the seeds recorded by record_trace() (valid noise at
+// a few (d, p) points) plus any on-disk traces, and it never grows. Each
+// iteration picks a corpus parent, splices it with a same-geometry sibling
+// 1 time in 8, stacks 1-4 defect-pattern mutations (fuzz/mutate.hpp) and
+// runs the differential-oracle battery (fuzz/oracle.hpp). Inputs that
+// diverge are shrunk by the delta-debugging minimizer (fuzz/minimize.hpp)
+// and written out as loader-valid .qtrc reproducers for the CI
+// corpus_replay_test.
 //
 // Determinism: one Xoshiro256ss stream drives parent choice and every
 // mutation, so (seeds, rng_seed, max_iterations) fully determine the run —
@@ -19,9 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "fuzz/coverage.hpp"
 #include "fuzz/minimize.hpp"
-#include "fuzz/mutate.hpp"
 #include "fuzz/oracle.hpp"
 #include "stream/trace.hpp"
 
@@ -70,12 +68,6 @@ struct FuzzConfig {
   /// Stop after this many distinct failures (a diverging engine fails
   /// everywhere; piles of near-identical reproducers help nobody).
   int max_failures = 4;
-  /// In-memory corpus cap; beyond it, low-fitness entries stop being added.
-  int max_corpus = 256;
-
-  /// Engine-shape hints for the window-boundary mutation operator; kept in
-  /// sync with oracle.online.engine by run_fuzzer.
-  MutatorConfig mutator;
 };
 
 /// One divergence-producing input, as saved.
@@ -91,8 +83,6 @@ struct FuzzFailure {
 
 struct FuzzStats {
   int iterations = 0;
-  int corpus_size = 0;
-  int coverage_cells = 0;
   std::uint64_t oracle_runs = 0;
   std::vector<FuzzFailure> failures;
   double elapsed_s = 0.0;

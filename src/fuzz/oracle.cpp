@@ -9,6 +9,11 @@
 namespace qec::fuzz {
 namespace {
 
+/// Occupancy at which the checkpoint arm inserts a pause()/resume() no-op
+/// pair before the round's push, so the pause lands on input-dependent
+/// Reg states.
+constexpr int kCheckpointMinDepth = 2;
+
 /// Everything a lane run produces that the arms must agree on.
 struct LaneOutcome {
   bool overflow = false;
@@ -63,16 +68,13 @@ std::string describe_mismatch(const LaneOutcome& a, const LaneOutcome& b) {
   return out.str();
 }
 
-/// EngineProbe asserting the structural invariants and feeding controller
-/// coverage. Violations accumulate as strings; the harness drains them
-/// into the report after each lane run.
+/// EngineProbe asserting the structural invariants. Violations accumulate
+/// as strings; the harness drains them into the report after each lane
+/// run.
 class InvariantProbe : public EngineProbe {
  public:
-  InvariantProbe(int reg_depth, int nlimit, int rows, FeatureSet* features)
-      : reg_depth_(reg_depth),
-        nlimit_(nlimit),
-        rows_(rows),
-        features_(features) {}
+  InvariantProbe(int reg_depth, int nlimit, int rows)
+      : reg_depth_(reg_depth), nlimit_(nlimit), rows_(rows) {}
 
   void on_push(bool accepted, int stored_layers, int reg_depth) override {
     if (stored_layers > reg_depth) {
@@ -134,11 +136,6 @@ class InvariantProbe : public EngineProbe {
       fail("post-run row " + std::to_string(row) + " out of [0, " +
            std::to_string(rows_) + "]");
     }
-    if (features_) {
-      features_->add(Feature::kController,
-                     static_cast<std::uint32_t>(base_depth) * 64u +
-                         static_cast<std::uint32_t>(hop_limit & 63));
-    }
   }
 
   std::vector<std::string> take_violations() {
@@ -155,7 +152,6 @@ class InvariantProbe : public EngineProbe {
   int reg_depth_;
   int nlimit_;
   int rows_;
-  FeatureSet* features_;
   std::uint64_t pushes_ = 0;
   std::uint64_t pops_ = 0;
   std::uint64_t last_total_ = 0;
@@ -183,43 +179,21 @@ struct LaneRun {
 /// round (mirroring run_online / the streaming service), then clean drain
 /// rounds up to the bound.
 LaneRun run_lane(const PlanarLattice& lattice, const SyndromeTrace& trace,
-                 int lane, const OracleConfig& config, Arm arm,
-                 FeatureSet* features) {
+                 int lane, const OracleConfig& config, Arm arm) {
   OnlineConfig online = config.online;
   online.engine.test_fault = config.fault;
   LaneRun run;
   OnlineStepper stepper(lattice, online);
   InvariantProbe probe(online.engine.reg_depth,
                        stepper.engine().hop_limit_bound(),
-                       lattice.check_rows(), features);
+                       lattice.check_rows());
   stepper.set_probe(&probe);
-
-  int prev_m = 0;
-  const auto observe = [&](int pops) {
-    const int m = stepper.engine().stored_layers();
-    if (features) {
-      features->add(Feature::kOccupancy, static_cast<std::uint32_t>(m));
-      features->add(Feature::kOccupancyEdge,
-                    static_cast<std::uint32_t>(prev_m) * 16u +
-                        static_cast<std::uint32_t>(m));
-      const int slack = online.engine.reg_depth - m;
-      features->add(Feature::kProximity,
-                    static_cast<std::uint32_t>(slack < 3 ? slack : 3));
-      features->add(Feature::kPops,
-                    static_cast<std::uint32_t>(pops < 7 ? pops : 7));
-    }
-    prev_m = m;
-  };
 
   const auto maybe_checkpoint = [&] {
     if (arm != Arm::kCheckpoint || stepper.overflowed()) return;
-    const int m = stepper.engine().stored_layers();
-    if (m < config.checkpoint_min_depth) return;
+    if (stepper.engine().stored_layers() < kCheckpointMinDepth) return;
     stepper.pause();
     stepper.resume();
-    if (features) {
-      features->add(Feature::kPause, static_cast<std::uint32_t>(m));
-    }
   };
 
   for (int round = 0; round < trace.rounds(); ++round) {
@@ -229,7 +203,6 @@ LaneRun run_lane(const PlanarLattice& lattice, const SyndromeTrace& trace,
     }
     stepper.spend(online.cycles_per_round);
     run.outcome.pops_per_round.push_back(stepper.last_spend_pops());
-    observe(stepper.last_spend_pops());
   }
   if (!stepper.overflowed()) {
     for (int extra = 0; extra < online.max_drain_rounds; ++extra) {
@@ -238,7 +211,6 @@ LaneRun run_lane(const PlanarLattice& lattice, const SyndromeTrace& trace,
       if (!stepper.push_clean()) break;
       stepper.spend(online.cycles_per_round);
       run.outcome.pops_per_round.push_back(stepper.last_spend_pops());
-      observe(stepper.last_spend_pops());
     }
   }
 
@@ -255,11 +227,6 @@ LaneRun run_lane(const PlanarLattice& lattice, const SyndromeTrace& trace,
   run.outcome.boundary_matches = result.matches.boundary_matches;
   run.outcome.vertical_hist = result.matches.vertical_hist;
   run.violations = probe.take_violations();
-  if (features) {
-    features->add(Feature::kLaneEnd,
-                  (run.outcome.overflow ? 1u : 0u) |
-                      (run.outcome.drained ? 2u : 0u));
-  }
   return run;
 }
 
@@ -312,26 +279,20 @@ OracleReport run_oracles(const SyndromeTrace& trace,
   report.lanes = trace.lanes();
   const PlanarLattice lattice(static_cast<int>(trace.header().distance));
 
-  if (config.arm_bitops) check_bitops(trace, report);
+  check_bitops(trace, report);
 
   for (int lane = 0; lane < trace.lanes(); ++lane) {
-    const LaneRun baseline = run_lane(lattice, trace, lane, config,
-                                      Arm::kBaseline, &report.features);
+    const LaneRun baseline =
+        run_lane(lattice, trace, lane, config, Arm::kBaseline);
     report_violations(report, baseline, Arm::kBaseline, lane);
 
-    const auto compare = [&](const LaneRun& other, Arm arm) {
-      report_violations(report, other, arm, lane);
-      const std::string detail =
-          describe_mismatch(baseline.outcome, other.outcome);
-      if (!detail.empty()) {
-        report.divergences.push_back({arm_name(arm), lane, detail});
-      }
-    };
-
-    if (config.arm_checkpoint) {
-      compare(run_lane(lattice, trace, lane, config, Arm::kCheckpoint,
-                       &report.features),
-              Arm::kCheckpoint);
+    const LaneRun checkpoint =
+        run_lane(lattice, trace, lane, config, Arm::kCheckpoint);
+    report_violations(report, checkpoint, Arm::kCheckpoint, lane);
+    const std::string detail =
+        describe_mismatch(baseline.outcome, checkpoint.outcome);
+    if (!detail.empty()) {
+      report.divergences.push_back({"checkpoint", lane, detail});
     }
     if (report.divergences.size() >= 32) break;  // plenty to minimize on
   }
@@ -339,11 +300,8 @@ OracleReport run_oracles(const SyndromeTrace& trace,
 }
 
 std::string summarize_report(const OracleReport& report) {
+  if (report.ok()) return "ok";
   std::ostringstream out;
-  if (report.ok()) {
-    out << "ok, " << report.features.count() << " features";
-    return out.str();
-  }
   out << report.divergences.size() << " divergence(s):";
   for (std::size_t i = 0; i < report.divergences.size() && i < 3; ++i) {
     const Divergence& d = report.divergences[i];

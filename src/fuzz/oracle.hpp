@@ -16,15 +16,11 @@
 //               without a prior push, consumed <= budget, the cycle
 //               counter advances by exactly what run() reports, and the
 //               resumable controller position stays in range.
-//
-// Alongside the verdict, the harness extracts the engine-state coverage
-// features (fuzz/coverage.hpp) that drive the fuzzer's feedback loop.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "fuzz/coverage.hpp"
 #include "qecool/online_runner.hpp"
 #include "stream/trace.hpp"
 
@@ -42,14 +38,6 @@ struct OracleConfig {
   /// bound shared by every arm.
   OnlineConfig online;
 
-  /// Occupancy at which the checkpoint arm inserts a pause()/resume()
-  /// no-op pair before the round's push — input-dependent, so pause
-  /// transitions show up in coverage. <= 0 pairs on every round.
-  int checkpoint_min_depth = 2;
-
-  bool arm_checkpoint = true;
-  bool arm_bitops = true;
-
   /// Test-only planted bug (QecoolConfig::kFault*), plumbed into every
   /// arm's engine config — the mutation-testing self-check that proves
   /// the oracles can detect what they claim to detect.
@@ -60,8 +48,6 @@ struct OracleConfig {
 
 struct OracleReport {
   std::vector<Divergence> divergences;
-  /// Engine-state features the run touched (baseline + arms).
-  FeatureSet features;
   int lanes = 0;
 
   bool ok() const { return divergences.empty(); }
@@ -72,7 +58,7 @@ struct OracleReport {
 OracleReport run_oracles(const SyndromeTrace& trace,
                          const OracleConfig& config);
 
-/// One-line summary of a report ("ok, 17 features" or "3 divergences:
+/// One-line summary of a report ("ok" or "3 divergences:
 /// checkpoint@lane2 ..."), for tool output.
 std::string summarize_report(const OracleReport& report);
 

@@ -76,6 +76,12 @@ struct QecoolConfig {
   /// run() under-reports consumed cycles by one whenever it did work — an
   /// accounting bug the invariant probe's conservation check catches.
   static constexpr int kFaultCycleReport = 2;
+  /// The same under-report, but only when the Reg ends the run full and
+  /// holding at least kFaultFullRegDefects resident defects: a state no
+  /// trace of the fuzz seed matrix reaches, so only a mutated input can
+  /// show it to the invariant probe.
+  static constexpr int kFaultFullRegReport = 3;
+  static constexpr int kFaultFullRegDefects = 32;
 };
 
 }  // namespace qec

@@ -282,14 +282,31 @@ std::uint64_t QecoolEngine::run(std::uint64_t budget) {
       consumed = run_scan(budget);
     }
   }
-  // Planted accounting bug for the fuzz self-check (docs/fuzzing.md): the
-  // cycle counter advanced by `consumed` but the caller is told one less.
-  // The invariant probe's conservation check must flag the discrepancy.
-  if (config_.test_fault == QecoolConfig::kFaultCycleReport && consumed > 0) {
-    --consumed;
+  // Planted accounting bugs for the fuzz self-check (docs/fuzzing.md);
+  // one branch on the hot path, the faults themselves are out of line.
+  if (config_.test_fault != QecoolConfig::kFaultNone) {
+    consumed = apply_test_fault(consumed);
   }
   if (probe_) {
     probe_->on_run(budget, consumed, cycles_, m_, b_, c_, row_);
+  }
+  return consumed;
+}
+
+std::uint64_t QecoolEngine::apply_test_fault(std::uint64_t consumed) const {
+  // The cycle counter advanced by `consumed` but the caller is told one
+  // less; the invariant probe's conservation check must flag it.
+  if (consumed == 0) return consumed;
+  if (config_.test_fault == QecoolConfig::kFaultCycleReport) {
+    return consumed - 1;
+  }
+  if (config_.test_fault == QecoolConfig::kFaultFullRegReport &&
+      m_ == reg_capacity_) {
+    int defects = 0;
+    for (int t = 0; t < m_; ++t) {
+      defects += reg_[static_cast<std::size_t>(t)].popcount();
+    }
+    if (defects >= QecoolConfig::kFaultFullRegDefects) return consumed - 1;
   }
   return consumed;
 }

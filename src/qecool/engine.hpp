@@ -125,7 +125,7 @@ class QecoolEngine {
   /// tracing costs the pop path one branch.
   void set_obs_track(obs::Track* track) { obs_track_ = track; }
 
-  /// Invariant/coverage hook (qecool/probe.hpp): when set, every push,
+  /// Invariant hook (qecool/probe.hpp): when set, every push,
   /// pop, and run() fires the probe. Null disables; a disabled probe
   /// costs each site one branch, following the obs hook precedent.
   void set_probe(EngineProbe* probe) { probe_ = probe; }
@@ -178,6 +178,9 @@ class QecoolEngine {
   /// Analytic emulation of run_scan when every resident layer is clear:
   /// bulk row skips and pops, identical charges, no per-word Reg scans.
   std::uint64_t run_all_clear(std::uint64_t budget);
+  /// The planted test faults of QecoolConfig::test_fault, applied to
+  /// run()'s reported cycles (fuzz self-check only).
+  std::uint64_t apply_test_fault(std::uint64_t consumed) const;
 
   const PlanarLattice& lattice_;
   QecoolConfig config_;

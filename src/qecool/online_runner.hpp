@@ -122,7 +122,7 @@ class OnlineStepper {
   /// perfbench/ still builds (see DecodeCache). Does nothing.
   void set_decode_cache(DecodeCache*) {}
 
-  /// Invariant/coverage hook (qecool/probe.hpp): forwards the probe to the
+  /// Invariant hook (qecool/probe.hpp): forwards the probe to the
   /// engine. The fuzz oracle harness attaches one per lane. Null disables.
   void set_probe(EngineProbe* probe) { engine_.set_probe(probe); }
 

@@ -390,6 +390,28 @@ TEST(Cli, IntFlagInRejectsValuesOutsideTheRange) {
       << "an absent flag takes the fallback unchecked";
 }
 
+TEST(Cli, IntListFlagInRejectsMalformedOrOutOfRangeItems) {
+  const char* argv[] = {"prog", "--a=5,9", "--b=5.5", "--c=1e10",
+                        "--d=5,x", "--e=", "--f=1"};
+  CliArgs args(7, argv);
+  EXPECT_EQ(int_list_flag_in(args, "a", "7", 2, 1000),
+            (std::vector<int>{5, 9}));
+  EXPECT_EQ(int_list_flag_in(args, "absent", "3,5", 2, 1000),
+            (std::vector<int>{3, 5}));
+  try {
+    int_list_flag_in(args, "b", "5", 2, 1000);
+    ADD_FAILURE() << "--b=5.5 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--b=5.5: not a list of integers in [2, 1000]");
+  }
+  for (const char* name : {"c", "d", "e", "f"}) {
+    EXPECT_THROW(int_list_flag_in(args, name, "5", 2, 1000),
+                 std::invalid_argument)
+        << "--" << name;
+  }
+}
+
 TEST(Cli, SecondsFlagTakesAnOptionalUnit) {
   const char* argv[] = {"prog", "--a=30s", "--b=2.5", "--c=0"};
   CliArgs args(4, argv);

@@ -1,4 +1,4 @@
-// Coverage-guided engine fuzzer CLI (src/fuzz, docs/fuzzing.md). Three
+// Blind-mutation engine fuzzer CLI (src/fuzz, docs/fuzzing.md). Four
 // modes:
 //
 //   fuzz (default)    mutate defect patterns inside valid QTRC traces and
@@ -14,8 +14,9 @@
 //                     same seeds in-process).
 //
 // CI runs: engine_fuzz --time-budget=30 --seed=1 (must find nothing) and
-// engine_fuzz --iters=N --inject-fault=pause-round --expect-failure
-// (the harness self-check: a planted bug must be found).
+// engine_fuzz --iters=N --inject-fault=NAME --expect-failure for each
+// planted fault (the harness self-check: a planted bug must be found).
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
@@ -32,7 +33,7 @@
 namespace {
 
 constexpr const char* kSummary =
-    "coverage-guided differential fuzzer for the on-line QECOOL engine";
+    "differential fuzzer for the on-line QECOOL engine";
 
 constexpr const char* kOptions =
     "  --time-budget=0      fuzz wall-clock budget in seconds (0: iters only)\n"
@@ -49,7 +50,8 @@ constexpr const char* kOptions =
     "  --out=DIR            write failing inputs + minimized reproducers here\n"
     "  --no-minimize        keep failing inputs unshrunk\n"
     "  --inject-fault=NAME  plant a test-only bug: pause-round |\n"
-    "                       cycle-report (harness self-check)\n"
+    "                       cycle-report | full-reg-report (harness\n"
+    "                       self-check)\n"
     "  --expect-failure     exit 0 iff the fuzz run FOUND a failure\n"
     "  --replay=DIR         replay mode: run every *.qtrc in DIR\n"
     "  --threads=1          replay worker threads\n"
@@ -61,21 +63,27 @@ int parse_fault(const std::string& name) {
   if (name.empty() || name == "none") return qec::QecoolConfig::kFaultNone;
   if (name == "pause-round") return qec::QecoolConfig::kFaultPauseRound;
   if (name == "cycle-report") return qec::QecoolConfig::kFaultCycleReport;
-  throw std::invalid_argument("unknown --inject-fault=" + name +
-                              " (pause-round | cycle-report | none)");
+  if (name == "full-reg-report") {
+    return qec::QecoolConfig::kFaultFullRegReport;
+  }
+  throw std::invalid_argument(
+      "unknown --inject-fault=" + name +
+      " (pause-round | cycle-report | full-reg-report | none)");
 }
 
 std::vector<qec::fuzz::FuzzSeedSpec> build_seeds(const qec::CliArgs& args) {
-  const auto distances = qec::split_doubles(args.get_or("d", "5,9"));
+  // Distances span what the trace loader accepts; a trace stores
+  // rounds + 1 layers, so rounds stops one short of INT_MAX.
+  const auto distances = qec::int_list_flag_in(args, "d", "5,9", 2, 1000);
   const auto ps = qec::split_doubles(args.get_or("p", "1e-4,3e-3"));
-  const int lanes = static_cast<int>(args.get_int_or("lanes", 2));
-  const int rounds = static_cast<int>(args.get_int_or("rounds", 12));
+  const int lanes = qec::int_flag_in(args, "lanes", 2, 1, INT_MAX);
+  const int rounds = qec::int_flag_in(args, "rounds", 12, 1, INT_MAX - 1);
   std::vector<qec::fuzz::FuzzSeedSpec> seeds;
   int i = 0;
-  for (const double d : distances) {
+  for (const int d : distances) {
     for (const double p : ps) {
       qec::fuzz::FuzzSeedSpec spec;
-      spec.distance = static_cast<int>(d);
+      spec.distance = d;
       spec.p = p;
       spec.lanes = lanes;
       spec.rounds = rounds;
@@ -89,7 +97,7 @@ std::vector<qec::fuzz::FuzzSeedSpec> build_seeds(const qec::CliArgs& args) {
 qec::fuzz::OracleConfig build_oracle(const qec::CliArgs& args) {
   qec::fuzz::OracleConfig oracle;
   oracle.online.cycles_per_round = args.get_double_or("cycles", 4.0);
-  oracle.online.engine.thv = static_cast<int>(args.get_int_or("thv", 3));
+  oracle.online.engine.thv = qec::int_flag_in(args, "thv", 3, -1, INT_MAX);
   oracle.fault = parse_fault(args.get_or("inject-fault", ""));
   return oracle;
 }
@@ -173,8 +181,9 @@ int main(int argc, char** argv) try {
   qec::fuzz::FuzzConfig config;
   config.seeds = build_seeds(args);
   config.oracle = build_oracle(args);
-  config.rng_seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
-  config.max_iterations = static_cast<int>(args.get_int_or("iters", 0));
+  config.rng_seed = static_cast<std::uint64_t>(
+      qec::int_flag_in(args, "seed", 1, 0, INT_MAX));
+  config.max_iterations = qec::int_flag_in(args, "iters", 0, 0, INT_MAX);
   config.time_budget_s = qec::seconds_flag(args, "time-budget", 0.0);
   if (config.max_iterations <= 0 && config.time_budget_s <= 0.0) {
     config.time_budget_s = 30.0;  // the CI smoke default
@@ -192,12 +201,9 @@ int main(int argc, char** argv) try {
   if (!save_dir.empty()) return run_save_corpus(save_dir, config);
 
   const auto stats = qec::fuzz::run_fuzzer(config);
-  std::printf(
-      "fuzz: %d iterations in %.1fs, %llu oracle runs, corpus %d, "
-      "%d coverage cells\n",
-      stats.iterations, stats.elapsed_s,
-      static_cast<unsigned long long>(stats.oracle_runs), stats.corpus_size,
-      stats.coverage_cells);
+  std::printf("fuzz: %d iterations in %.1fs, %llu oracle runs\n",
+              stats.iterations, stats.elapsed_s,
+              static_cast<unsigned long long>(stats.oracle_runs));
   for (const auto& failure : stats.failures) {
     std::printf("FAILURE (iteration %d): %s\n", failure.iteration,
                 failure.summary.c_str());
