@@ -13,7 +13,7 @@
 // outcomes are unaffected by --threads; only wall-clock is.
 #include <chrono>
 #include <cstdio>
-#include <stdexcept>
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -76,9 +76,9 @@ int main(int argc, char** argv) {
         "stop being cheap?");
 
     const auto lane_counts =
-        split_doubles(args.get_or("lanes", "64,256,1024,4096"));
-    const auto clocks_mhz = split_doubles(args.get_or("mhz", "10,40,160"));
-    const auto p_list = split_doubles(args.get_or("p", "0.01"));
+        qec::int_list_flag_in(args, "lanes", "64,256,1024,4096", 1, INT_MAX);
+    const auto clocks_mhz = split_doubles("mhz", args.get_or("mhz", "10,40,160"));
+    const auto p_list = split_doubles("p", args.get_or("p", "0.01"));
     const std::string csv_path = args.get_or("csv", "");
     qec::reject_unread(args);
     // Check and resolve every (p, lanes, clock) cell before the first
@@ -89,14 +89,11 @@ int main(int argc, char** argv) {
     };
     std::vector<Cell> cells;
     for (const double p : p_list) {
-      for (const double lanes : lane_counts) {
-        if (lanes < 1 || lanes != static_cast<int>(lanes)) {
-          throw std::invalid_argument("--lanes entries must be integers >= 1");
-        }
+      for (const int lanes : lane_counts) {
         for (const double mhz : clocks_mhz) {
           qec::StreamConfig config = base;
           config.p = p;
-          config.lanes = static_cast<int>(lanes);
+          config.lanes = lanes;
           config.cycles_per_round = qec::cycles_per_microsecond(mhz * 1e6);
           qec::validate_record(config);
           qec::resolve_stream(config, config.lanes, base.distance);
@@ -109,8 +106,8 @@ int main(int argc, char** argv) {
                         "rounds", "record_ms", "replay_ms",
                         "streamed_lane_rounds", "us_per_lane_round",
                         "lane_rounds_per_sec", "overflow_lanes",
-                        "failed_lanes", "failed_frac", "cache_zero_rounds",
-                        "cache_zero_pushes"});
+                        "failed_lanes", "failed_frac", "zero_rounds",
+                        "zero_pushes"});
 
     qec::TextTable table({"lanes", "p", "mhz", "K", "replay ms",
                           "us/lane-round", "lane-rounds/s", "failed"});

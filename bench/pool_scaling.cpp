@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
         "Pool scaling: K shared decoder engines serving N lanes",
         "failed-lane fraction over K/N x clock, per scheduling policy");
 
-    const auto clocks_mhz = split_doubles(args.get_or("mhz", "10,40,160"));
+    const auto clocks_mhz = split_doubles("mhz", args.get_or("mhz", "10,40,160"));
     const auto policies =
         split_specs(args.get_or("policies", "round_robin,least_loaded"));
     const auto admissions = split_specs(args.get_or("admission", "overflow"));
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
     if (const auto fixed = args.get_int("engines")) {
       pool_sizes.push_back(static_cast<int>(*fixed));
     } else {
-      for (const double f : split_doubles(fractions)) {
+      for (const double f : split_doubles("fractions", fractions)) {
         const int k = std::clamp(
             static_cast<int>(std::lround(f * base.lanes)), 1, base.lanes);
         if (pool_sizes.empty() || pool_sizes.back() != k) pool_sizes.push_back(k);

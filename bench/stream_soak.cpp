@@ -49,9 +49,6 @@ constexpr const char* kOptions =
     "                        pause[:high=H,low=L] |\n"
     "                        codel[:target=T,interval=I] (rounds)\n"
     "  --budget-w=0          4-K power budget in watts; > 0 caps K\n"
-    "  --cache-csv=FILE      per-lane decode-cache counter CSV (all-zero\n"
-    "                        fast-path counters; the service attaches no\n"
-    "                        cache)\n"
     "  --seed=2021           trace RNG seed\n"
     "  --drain=1000          max drain rounds after the trace ends\n"
     "  --threads=1           worker threads (0 = all cores; never changes "
@@ -110,7 +107,6 @@ int main(int argc, char** argv) {
     const std::string csv = args.get_or("csv", "");
     const std::string sched_csv = args.get_or("sched-csv", "");
     const std::string timeline_csv = args.get_or("timeline-csv", "");
-    const std::string cache_csv = args.get_or("cache-csv", "");
     const std::string latency_csv = args.get_or("latency-csv", "");
     qec::reject_unread(args);
 
@@ -224,11 +220,6 @@ int main(int argc, char** argv) {
       if (!timeline_csv.empty() &&
           !report_written(outcome.telemetry.write_timeline_csv(timeline_csv),
                           "round timeline", timeline_csv)) {
-        return 1;
-      }
-      if (!cache_csv.empty() &&
-          !report_written(outcome.telemetry.write_cache_csv(cache_csv),
-                          "decode-cache report", cache_csv)) {
         return 1;
       }
       if (!latency_csv.empty() &&

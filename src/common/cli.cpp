@@ -206,7 +206,8 @@ int trials_override(const CliArgs& args, int fallback) {
 
 int threads_override(const CliArgs& args, int fallback) {
   if (args.get("threads")) {
-    return static_cast<int>(args.get_int_or("threads", fallback));
+    return int_flag_in(args, "threads", fallback, 0,
+                       std::numeric_limits<int>::max());
   }
   if (const char* env = std::getenv("QECOOL_THREADS")) {
     char* end = nullptr;
@@ -244,7 +245,8 @@ std::vector<std::string> split_list(const std::string& text) {
   return items;
 }
 
-std::vector<double> split_doubles(const std::string& text) {
+std::vector<double> split_doubles(std::string_view name,
+                                  const std::string& text) {
   std::vector<double> values;
   for (const auto& item : split_list(text)) {
     std::size_t used = 0;
@@ -254,9 +256,7 @@ std::vector<double> split_doubles(const std::string& text) {
     } catch (const std::exception&) {
       used = 0;
     }
-    if (used != item.size()) {
-      throw std::invalid_argument("not a number in list: '" + item + "'");
-    }
+    if (used != item.size()) malformed(name, text, "not a number in list");
     values.push_back(value);
   }
   return values;

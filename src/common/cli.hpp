@@ -113,9 +113,10 @@ std::vector<int> int_list_flag_in(const CliArgs& args, std::string_view name,
 int trials_override(const CliArgs& args, int fallback);
 
 /// Reads worker-thread override from --threads or env QECOOL_THREADS,
-/// falling back to `fallback`; a malformed --threads throws like
-/// get_int_or. 0 means "all hardware threads"; results are
-/// thread-count independent (the sweep driver fixes the shard schedule).
+/// falling back to `fallback`; a --threads that is malformed or outside
+/// [0, INT_MAX] throws like int_flag_in. 0 means "all hardware threads";
+/// results are thread-count independent (the sweep driver fixes the shard
+/// schedule).
 int threads_override(const CliArgs& args, int fallback = 1);
 
 /// Reads a duration flag "--name=SECONDS" with an optional trailing 's'
@@ -128,8 +129,10 @@ double seconds_flag(const CliArgs& args, std::string_view name,
 /// Splits a list flag's value "a,b,c" into items, dropping empty segments.
 std::vector<std::string> split_list(const std::string& text);
 
-/// Parses a comma-separated list of numbers; throws std::invalid_argument
-/// naming the first non-numeric item.
-std::vector<double> split_doubles(const std::string& text);
+/// Parses the comma-separated list of numbers `text`, the value of flag
+/// --name; a non-numeric item throws std::invalid_argument naming the flag
+/// and its raw value ("--p=x: not a number in list").
+std::vector<double> split_doubles(std::string_view name,
+                                  const std::string& text);
 
 }  // namespace qec

@@ -1,12 +1,10 @@
-// Fast-path counters of the QECOOL engine, in the schema the decode-window
-// cache once exported (DESIGN.md section 13 records the cache's removal).
+// Residue of the removed decode-window cache (DESIGN.md section 13), kept
+// only because perfbench/ still reads it. The benchmark change that drops
+// perfbench's cache metrics deletes this header.
 //
-// The engine keeps two all-zero shortcuts that never needed a cache: a run
-// over all-clean resident layers is charged analytically (zero_rounds), and
-// an all-zero pushed layer claims its Reg slot without a word copy
-// (zero_pushes). The hit/miss/install/eviction/bypass counters always read
-// 0; they stay so the cache CSV, the `cache_*` metrics columns and the
-// lane-scaling exports keep their column set.
+// Only zero_rounds and zero_pushes ever move: the engine's two all-zero
+// fast paths (QecoolEngine::zero_rounds(), zero_pushes()). The
+// hit/miss/install/eviction/bypass counters always read 0.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +37,7 @@ struct DecodeCacheStats {
   }
 };
 
-/// Inert residue of the removed cache, kept only so perfbench/ still
-/// builds; nothing in src/ uses it. The follow-up benchmark change that
-/// drops perfbench's cache branch removes it together with
+/// Inert: nothing in src/ uses it. It goes with
 /// OnlineStepper::set_decode_cache and QecoolConfig::cache.
 class DecodeCache {
  public:

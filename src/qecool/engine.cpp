@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
+#include "qecool/decode_cache.hpp"
 #include "qecool/probe.hpp"
 
 namespace qec {
@@ -56,7 +57,7 @@ bool QecoolEngine::push_layer(const PackedBits& difference_layer) {
     // All-zero layer (the overwhelmingly common case near threshold, and
     // every drain round): slots at or past m_ are already all-zero, so
     // claiming the slot is the whole push.
-    ++cache_stats_.zero_pushes;
+    ++zero_pushes_;
     ++m_;
   } else {
     reg_[static_cast<std::size_t>(m_)].copy_from(difference_layer);
@@ -276,7 +277,7 @@ std::uint64_t QecoolEngine::run(std::uint64_t budget) {
     if (all_clear()) {
       // All resident layers clean: the scan would only skip rows and pop —
       // emulate those charges analytically.
-      ++cache_stats_.zero_rounds;
+      ++zero_rounds_;
       consumed = run_all_clear(budget);
     } else {
       consumed = run_scan(budget);
@@ -448,6 +449,13 @@ std::uint64_t QecoolEngine::run_scan(std::uint64_t budget) {
     }
   }
   return spent;
+}
+
+DecodeCacheStats QecoolEngine::cache_stats() const {
+  DecodeCacheStats stats;
+  stats.zero_rounds = zero_rounds_;
+  stats.zero_pushes = zero_pushes_;
+  return stats;
 }
 
 }  // namespace qec

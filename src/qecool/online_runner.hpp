@@ -14,6 +14,8 @@
 
 namespace qec {
 
+class DecodeCache;  // qecool/decode_cache.hpp — see set_decode_cache
+
 struct OnlineConfig {
   QecoolConfig engine;  ///< thv = 3, reg_depth = 7 by default (the paper's).
 

@@ -39,9 +39,7 @@ struct LaneRound {
   bool served = false;      ///< spent an engine grant
   int pops = 0;             ///< layers the grant fully decoded
   int depth = 0;            ///< stored layers after the round
-  std::uint64_t cycles = 0;       ///< cycles the grant consumed
-  std::uint64_t zero_rounds = 0;  ///< engine fast-path counter deltas
-  std::uint64_t zero_pushes = 0;
+  std::uint64_t cycles = 0;  ///< cycles the grant consumed
 };
 
 struct Lane {
@@ -125,9 +123,6 @@ struct Lane {
                 obs::LogHistogram* sojourn = nullptr) {
     LaneRound out;
     const QecoolEngine& engine = stepper.engine();
-    const DecodeCacheStats& cache = engine.cache_stats();
-    const std::uint64_t zero_rounds = cache.zero_rounds;
-    const std::uint64_t zero_pushes = cache.zero_pushes;
     const auto emit_depth = [&](obs::EventKind kind, std::uint16_t arg = 0) {
       if (track) {
         track->emit(kind, static_cast<std::uint64_t>(engine.stored_layers()),
@@ -177,8 +172,6 @@ struct Lane {
     if (static_cast<std::size_t>(out.depth) < hist.size()) {
       ++hist[static_cast<std::size_t>(out.depth)];
     }
-    out.zero_rounds = cache.zero_rounds - zero_rounds;
-    out.zero_pushes = cache.zero_pushes - zero_pushes;
     return out;
   }
 
@@ -199,7 +192,8 @@ struct Lane {
     t.layer_cycles = ValueCounts(engine.layer_cycles());
     t.sojourn_rounds = qos.table();
     t.matches = engine.match_stats();
-    t.cache = engine.cache_stats();
+    t.cache.zero_rounds = engine.zero_rounds();
+    t.cache.zero_pushes = engine.zero_pushes();
     if (t.drained) {
       SyndromeHistory truth;
       truth.final_error = trace.final_error(t.lane);

@@ -67,8 +67,7 @@ class RecordAllocError final : public std::bad_alloc {
 /// The metrics counters a lane block counts itself. Serves, starves and
 /// overflows are not among them: they are read off the merged round.
 enum LaneCounter : std::size_t {
-  kPushes, kDrainPushes, kPops, kPauses, kResumes, kCacheZeroRounds,
-  kCacheZeroPushes, kLaneCounters
+  kPushes, kDrainPushes, kPops, kPauses, kResumes, kLaneCounters
 };
 using LaneCounts = std::array<std::uint64_t, kLaneCounters>;
 
@@ -116,15 +115,6 @@ StreamMetrics register_stream_metrics(obs::MetricsRegistry& metrics,
   m.overflowed = metrics.add_gauge("overflowed_lanes");
   m.depth = metrics.add_histogram("depth");
   m.sojourn = metrics.add_histogram("sojourn");
-  // The decode-cache columns: only the all-zero fast-path counters move;
-  // the others stay registered (at zero) to keep the CSV schema.
-  for (const char* name : {"cache_hits", "cache_misses", "cache_installs",
-                           "cache_evictions"}) {
-    metrics.add_counter(name);
-  }
-  m.lane[kCacheZeroRounds] = metrics.add_counter("cache_zero_rounds");
-  m.lane[kCacheZeroPushes] = metrics.add_counter("cache_zero_pushes");
-  metrics.add_counter("cache_bypasses");
   // Wall-clock nanoseconds per stage and window, only when profiling: the
   // one part of the CSV outside the byte-identical contract. trace_export
   // runs after the run, so its column stays 0 (the profile CSV has it).
@@ -620,8 +610,6 @@ class PoolScheduler {
       counts[kPushes] += did.pushed && did.real;
       counts[kDrainPushes] += did.pushed && !did.real;
       counts[kPops] += static_cast<std::uint64_t>(did.pops);
-      counts[kCacheZeroRounds] += did.zero_rounds;
-      counts[kCacheZeroPushes] += did.zero_pushes;
       if (hist) hist->depth.observe(static_cast<std::uint64_t>(did.depth));
       if (did.served) {
         EngineTally& engine =
@@ -748,6 +736,10 @@ ResolvedStream resolve_stream(const StreamConfig& config, int lanes,
   if (!std::isfinite(config.cycles_per_round)) {
     throw std::invalid_argument("stream: cycles_per_round must be finite");
   }
+  if (config.cycles_per_round < 0) {
+    throw std::invalid_argument(
+        "stream: cycles_per_round must be >= 0 (0 = unconstrained)");
+  }
   if (!std::isfinite(config.budget_w)) {
     throw std::invalid_argument("stream: budget_w must be finite");
   }
@@ -761,6 +753,7 @@ ResolvedStream resolve_stream(const StreamConfig& config, int lanes,
     }
   };
   at_least("max_drain_rounds", config.max_drain_rounds, 0);
+  at_least("engines", config.engines, 0);  // 0: one engine per lane
   at_least("obs.metrics_window", config.obs.metrics_window, 1);
   at_least("obs.trace_ring", config.obs.trace_ring, 1);
   ResolvedStream resolved;
@@ -788,7 +781,7 @@ ResolvedStream resolve_stream(const StreamConfig& config, int lanes,
     register_stream_metrics(schema, config.obs.profile);
     obs::SloEngine(*resolved.slo).attach(schema, nullptr);
   }
-  int engines = config.engines <= 0 ? lanes : config.engines;
+  int engines = config.engines == 0 ? lanes : config.engines;
 
   // A positive budget_w caps K at the largest pool whose modelled ERSFQ
   // dissipation fits the 4-K stage (Table V); the clock sets the watts.

@@ -82,15 +82,16 @@ struct StreamConfig {
   std::string engine = "qecool";
 
   /// Decoder cycles granted per measurement interval (fractional budgets
-  /// accumulate; <= 0 = unconstrained). See cycles_per_microsecond().
+  /// accumulate; 0 = unconstrained, < 0 is rejected). See
+  /// cycles_per_microsecond().
   double cycles_per_round = 0.0;
 
   /// Clean rounds pushed after the trace ends before giving up on a lane
   /// (>= 0).
   int max_drain_rounds = 1000;
 
-  /// Decoder engines in the shared pool (K); <= 0 means one per lane
-  /// (K == N). Must end up in [1, lanes].
+  /// Decoder engines in the shared pool (K); 0 means one per lane
+  /// (K == N), and a negative K is rejected. Must end up in [1, lanes].
   int engines = 0;
 
   /// Lane-to-engine scheduling policy spec (make_scheduler_policy):

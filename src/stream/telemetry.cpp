@@ -226,25 +226,6 @@ bool StreamTelemetry::write_latency_csv(const std::string& path) const {
   return csv.flush();
 }
 
-bool StreamTelemetry::write_cache_csv(const std::string& path) const {
-  CsvWriter csv(path, {"lane", "distance", "p", "engine", "cache", "hits",
-                       "misses", "hit_rate", "installs", "evictions",
-                       "zero_rounds", "zero_pushes", "bypasses"});
-  if (!csv.ok()) return false;
-
-  const auto emit = [&](const DecodeCacheStats& s, const std::string& label) {
-    csv.add_row({label, std::to_string(distance), fmt_double(p), engine,
-                 cache, std::to_string(s.hits), std::to_string(s.misses),
-                 fmt_double(s.hit_rate(), "%.4f"), std::to_string(s.installs),
-                 std::to_string(s.evictions), std::to_string(s.zero_rounds),
-                 std::to_string(s.zero_pushes), std::to_string(s.bypasses)});
-  };
-
-  for (const auto& lane : lanes) emit(lane.cache, std::to_string(lane.lane));
-  emit(aggregate().cache, "all");
-  return csv.flush();
-}
-
 bool StreamTelemetry::write_timeline_csv(const std::string& path) const {
   CsvWriter csv(path, {"round", "phase", "live", "served", "starved",
                        "paused", "overflowed", "depth_sum", "depth_mean",

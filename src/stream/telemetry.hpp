@@ -72,8 +72,9 @@ struct LaneTelemetry {
   /// admission control (stream/qos.hpp LatencyTracker), as exact counts.
   ValueCounts sojourn_rounds;
   MatchStats matches;
-  /// The lane engine's fast-path counters in the decode-cache export
-  /// schema: only zero_rounds and zero_pushes move; the rest read 0.
+  /// The lane engine's all-zero fast-path totals (zero_rounds,
+  /// zero_pushes). Held in the removed cache's struct only because
+  /// perfbench/ reads it; its other fields stay 0.
   DecodeCacheStats cache;
 
   /// A lane fails when it overflowed, failed to drain, or drained to a
@@ -135,9 +136,6 @@ struct StreamTelemetry {
   std::string engine = "qecool";
   std::string policy = "dedicated";
   std::string admission = "overflow";  ///< admission spec
-  /// Decode-cache column of the cache CSV: always "off" (there is no
-  /// cache; the column keeps the export schema).
-  std::string cache = "off";
   int engines = 0;   ///< pool size K
   double watts = 0.0;     ///< modelled pool dissipation (0: clock unknown)
   double budget_w = 0.0;  ///< configured power budget (<= 0: uncapped)
@@ -189,12 +187,6 @@ struct StreamTelemetry {
   /// rounds over the lane's decoded trace layers — paused lanes included
   /// (their samples span the freeze). See docs/streaming.md §3.4.
   bool write_latency_csv(const std::string& path) const;
-
-  /// Decode-cache report: one row per lane plus a final "all" aggregate
-  /// row with hit/miss/install/evict counters (always 0), the hit rate,
-  /// and the all-zero fast-path counters.
-  /// write_csv's column set is frozen, so the cache columns live here.
-  bool write_cache_csv(const std::string& path) const;
 };
 
 }  // namespace qec

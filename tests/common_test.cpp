@@ -373,6 +373,36 @@ TEST(Cli, TrialsOverrideRejectsOutOfRange) {
   unsetenv("QECOOL_TRIALS");
 }
 
+// A negative thread count fails naming the flag. threads_override only
+// parses the flag: these cases start no thread.
+TEST(Cli, ThreadsOverrideRejectsOutOfRange) {
+  for (const char* raw : {"-1", "-3", "2147483648"}) {
+    const std::string flag = std::string("--threads=") + raw;
+    const char* argv[] = {"prog", flag.c_str()};
+    try {
+      threads_override(CliArgs(2, argv), 1);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), flag + ": not in [0, 2147483647]");
+    }
+  }
+  const char* argv[] = {"prog", "--threads=0"};
+  EXPECT_EQ(threads_override(CliArgs(2, argv), 1), 0);
+}
+
+TEST(Cli, SplitDoublesNamesTheFlag) {
+  EXPECT_EQ(split_doubles("mhz", "10,,40.5"), (std::vector<double>{10, 40.5}));
+  for (const char* raw : {"x", "0.1,x", "1e-3,2q"}) {
+    try {
+      split_doubles("p", raw);
+      ADD_FAILURE() << raw << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "--p=" + std::string(raw) + ": not a number in list");
+    }
+  }
+}
+
 // A range bound that leaves nothing to run (a distance range below the
 // grid's first distance, zero grid points) fails naming the flag.
 TEST(Cli, IntFlagInRejectsValuesOutsideTheRange) {

@@ -413,18 +413,18 @@ TEST(QecoolEngineDigest, OutputsPinnedAcrossConfigs) {
   EXPECT_EQ(digest, 0xe9f0f16161324dabULL);
 }
 
-// The all-zero fast paths need no cache: a clean window is charged
-// analytically (zero_rounds) and a clean push claims its slot without a
-// word copy (zero_pushes). The removed cache's own counters never move.
-TEST(QecoolEngineFastPath, ZeroWindowsCountedAndCacheCountersStayZero) {
+// The all-zero fast paths: a clean window is charged analytically
+// (zero_rounds) and a clean push claims its slot without a word copy
+// (zero_pushes).
+TEST(QecoolEngineFastPath, ZeroWindowsAndZeroPushesAreCounted) {
   const PlanarLattice lat(5);
   QecoolEngine clean(lat, QecoolConfig{});
   const PackedBits zero(static_cast<std::size_t>(lat.num_checks()));
   ASSERT_TRUE(clean.push_layer(zero));
   ASSERT_TRUE(clean.push_layer(zero));
-  EXPECT_EQ(clean.cache_stats().zero_pushes, 2u);
+  EXPECT_EQ(clean.zero_pushes(), 2u);
   EXPECT_GT(clean.run(QecoolEngine::kUnlimited), 0u);
-  EXPECT_EQ(clean.cache_stats().zero_rounds, 1u);
+  EXPECT_EQ(clean.zero_rounds(), 1u);
   EXPECT_EQ(clean.stored_layers(), 0);
 
   OnlineConfig config;
@@ -443,14 +443,8 @@ TEST(QecoolEngineFastPath, ZeroWindowsCountedAndCacheCountersStayZero) {
   }
   ASSERT_TRUE(stepper.drained());
   EXPECT_GT(stepper.result().matches.total(), 0u);
-  const DecodeCacheStats& stats = stepper.engine().cache_stats();
-  EXPECT_GT(stats.zero_rounds, 0u);
-  EXPECT_GT(stats.zero_pushes, 0u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.installs, 0u);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.bypasses, 0u);
+  EXPECT_GT(stepper.engine().zero_rounds(), 0u);
+  EXPECT_GT(stepper.engine().zero_pushes(), 0u);
 }
 
 TEST(MatchStatsTest, RecordAndMerge) {

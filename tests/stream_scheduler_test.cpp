@@ -578,9 +578,9 @@ std::string export_digest(const char* name, Write&& write) {
   return hex;
 }
 
-/// The nine export digests of one run, in a fixed order: telemetry,
-/// schedule, timeline, latency and cache CSVs, metrics CSV, SLO CSV,
-/// Prometheus snapshot, Chrome trace JSON.
+/// The eight export digests of one run, in a fixed order: telemetry,
+/// schedule, timeline and latency CSVs, metrics CSV, SLO CSV, Prometheus
+/// snapshot, Chrome trace JSON.
 std::string export_digests(const StreamOutcome& o) {
   const StreamTelemetry& t = o.telemetry;
   std::string out;
@@ -591,8 +591,6 @@ std::string export_digests(const StreamOutcome& o) {
                        [&](auto& p) { return t.write_timeline_csv(p); });
   out += export_digest("pin_l.csv",
                        [&](auto& p) { return t.write_latency_csv(p); });
-  out += export_digest("pin_c.csv",
-                       [&](auto& p) { return t.write_cache_csv(p); });
   out += export_digest("pin_m.csv",
                        [&](auto& p) { return o.metrics->write_csv(p); });
   out += export_digest("pin_slo.csv",
@@ -651,77 +649,77 @@ std::string export_matrix(int threads) {
 
 constexpr const char* kPinnedExportDigests =
     "bursty dedicated overflow 4e5b0f149115843c"
-    " 6d0f7fc1a753332c 3c6ab17169a37c74 6ca5048791d9f20c 5abce3b2d48b32b5"
-    " fe7aca6ec68a4fae 43a6a39539b507a7 2a76a49ce2bc6f78 346c977bbf7cbf1c\n"
+    " 6d0f7fc1a753332c 3c6ab17169a37c74 6ca5048791d9f20c 18d54fbdebcba558"
+    " 43a6a39539b507a7 80e971c366db748e 346c977bbf7cbf1c\n"
     "bursty dedicated pause 4e5b0f149115843c"
-    " 437eda8fa56b3676 3c6ab17169a37c74 a7a9e6e1557d7c9c 5abce3b2d48b32b5"
-    " fe7aca6ec68a4fae 43a6a39539b507a7 2a76a49ce2bc6f78 346c977bbf7cbf1c\n"
+    " 437eda8fa56b3676 3c6ab17169a37c74 a7a9e6e1557d7c9c 18d54fbdebcba558"
+    " 43a6a39539b507a7 80e971c366db748e 346c977bbf7cbf1c\n"
     "bursty dedicated codel 4e5b0f149115843c"
-    " e3c51e0f68032153 3c6ab17169a37c74 7d8a75544af6460b 5abce3b2d48b32b5"
-    " fe7aca6ec68a4fae 43a6a39539b507a7 2a76a49ce2bc6f78 6790c2ccef604785\n"
+    " e3c51e0f68032153 3c6ab17169a37c74 7d8a75544af6460b 18d54fbdebcba558"
+    " 43a6a39539b507a7 80e971c366db748e 6790c2ccef604785\n"
     "bursty round_robin overflow d586fbeaed671bf0"
-    " dc67a59c66e09cee 32fb4f19597864a0 eb6a163f4bdfe92e 065f9d361eeea1a2"
-    " 6133fc3adb4b62fd b22719a187678b75 bb0050c5cd0c3504 66d6cca3f0f9bc49\n"
+    " dc67a59c66e09cee 32fb4f19597864a0 eb6a163f4bdfe92e a30a8dfcf04992eb"
+    " b22719a187678b75 c0049282d292e437 66d6cca3f0f9bc49\n"
     "bursty round_robin pause 78cd8b074aeca0ac"
-    " 321ce0c9eedf29dc b6462f48bb0a7818 47bd9d5c82918fe0 8649884c91339804"
-    " fe180be229b3ebf5 e2b18201a4f84c75 16c89401d8a5c9e6 57cee8873cfcbe43\n"
+    " 321ce0c9eedf29dc b6462f48bb0a7818 47bd9d5c82918fe0 1ea3603d8b8fe3c7"
+    " e2b18201a4f84c75 f85b37be2b890b2f 57cee8873cfcbe43\n"
     "bursty round_robin codel 5dc93bcdd5aab649"
-    " 500a1640cfc42548 7efca358f084e7cf 61bda9f9151bbe5c 8649884c91339804"
-    " 4cb2220da6f64ee8 e83ac2cff9074891 443fbd3c7315527a f3782659d606d7d9\n"
+    " 500a1640cfc42548 7efca358f084e7cf 61bda9f9151bbe5c 6f28ed6b5f98699e"
+    " e83ac2cff9074891 e5e3cf30fde3e64b f3782659d606d7d9\n"
     "bursty least_loaded overflow d8fc69aeed94bcd5"
-    " 19833e6f64b282dd 1110d8b2c34dbf58 a5a3b3568798e174 31eb9a8ef5e5a844"
-    " 7e20847e6e8526a1 53022b89fdf53683 1668fdab3c2a904d 3d4d18f364f3c5c9\n"
+    " 19833e6f64b282dd 1110d8b2c34dbf58 a5a3b3568798e174 db454999122cbdd7"
+    " 53022b89fdf53683 eed6774348a10462 3d4d18f364f3c5c9\n"
     "bursty least_loaded pause d8fc69aeed94bcd5"
-    " 8455f4eabab0a74f 1110d8b2c34dbf58 168d83d4bec9fe22 31eb9a8ef5e5a844"
-    " 7e20847e6e8526a1 53022b89fdf53683 1668fdab3c2a904d 3d4d18f364f3c5c9\n"
+    " 8455f4eabab0a74f 1110d8b2c34dbf58 168d83d4bec9fe22 db454999122cbdd7"
+    " 53022b89fdf53683 eed6774348a10462 3d4d18f364f3c5c9\n"
     "bursty least_loaded codel 18e27d2b11cfe8f2"
-    " 760e8ab01815111c ccebdadb46181541 80742d8c24a6e2d7 b40fbc6c0fe2ca38"
-    " b27c8cd380e9a06d 2c498b3d35a54417 aa1a83df92ee77d6 8fb3ad7f16b0e26e\n"
+    " 760e8ab01815111c ccebdadb46181541 80742d8c24a6e2d7 cd00c74647166fcc"
+    " 2c498b3d35a54417 a1576470d76c56ab 8fb3ad7f16b0e26e\n"
     "bursty fq overflow b3a579335c841367"
-    " 45a4a092b303174e a409fc9f95150520 45ca9c4531658e4d 401d0f031938ecda"
-    " 0954a091fa75398b 883ced938599b4de d80d1397ada33870 efcaae2b1cf6544f\n"
+    " 45a4a092b303174e a409fc9f95150520 45ca9c4531658e4d 81651c26bc234765"
+    " 883ced938599b4de f0046101af4dfaed efcaae2b1cf6544f\n"
     "bursty fq pause 508f173005885b5e"
-    " dc43d244b0904200 845ce21265f1b2bc 968732c8be5ad2f4 387acda07df54f99"
-    " 08db8a8afc12707d 50fda57a3239c23f 434398052ebfba48 e428d13ad49e11a5\n"
+    " dc43d244b0904200 845ce21265f1b2bc 968732c8be5ad2f4 441dfc256487638e"
+    " 50fda57a3239c23f 969bb0687ab09277 e428d13ad49e11a5\n"
     "bursty fq codel 92e8d0d7b243543a"
-    " 2457d3f9f59f951f 268813065dd8dbfc cf80af6b7e4894e5 387acda07df54f99"
-    " d9d1f2e734175136 e2c3408e81391088 b1f99dd3bccb256c 4204d30397b979c4\n"
+    " 2457d3f9f59f951f 268813065dd8dbfc cf80af6b7e4894e5 4c187e4a7e1eadf5"
+    " e2c3408e81391088 d9eaf7a4c072283f 4204d30397b979c4\n"
     "lone dedicated overflow 767645f746712bba"
-    " 2482ba54455aacce d9dc20d15d1ed1cd a1bcf1ddac9dfabd dfd49e54b08fa8a2"
-    " b5201d4a545d57e4 8f8939be4477393a f64d1624f6c18f6d fda3337db95efe88\n"
+    " 2482ba54455aacce d9dc20d15d1ed1cd a1bcf1ddac9dfabd 4f61aa0879561ca8"
+    " 8f8939be4477393a 3d277b20d4f19c90 fda3337db95efe88\n"
     "lone dedicated pause 1c052db8e8a3b56a"
-    " f0159fe10012575d 5a580a3f04b0790d 0c567ddd318a4363 022c47f0fc1bd80c"
-    " 5f721660f0318084 11a990cb20661d31 f836db7d777b6a3f 8a9e929c62144cf1\n"
+    " f0159fe10012575d 5a580a3f04b0790d 0c567ddd318a4363 1e468f2eb5bc5827"
+    " 11a990cb20661d31 655722f3a773cbcf 8a9e929c62144cf1\n"
     "lone dedicated codel 38365e01ac1544a2"
-    " 15819f75a7a4359b a73e0f79242e8203 54bb2c951a9bfc01 9a4248362310984e"
-    " 6fb5261d20ca25c8 d3775ecf3fd28735 aaf4e56df302afe0 c672dd9540daa1e0\n"
+    " 15819f75a7a4359b a73e0f79242e8203 54bb2c951a9bfc01 4175c0efd2cf44d4"
+    " d3775ecf3fd28735 fa59bb1c814d92d7 c672dd9540daa1e0\n"
     "lone round_robin overflow 767645f746712bba"
-    " ae0135cfa71ecbdc d9dc20d15d1ed1cd 12186ff6d1e21165 dfd49e54b08fa8a2"
-    " b5201d4a545d57e4 8f8939be4477393a f64d1624f6c18f6d fda3337db95efe88\n"
+    " ae0135cfa71ecbdc d9dc20d15d1ed1cd 12186ff6d1e21165 4f61aa0879561ca8"
+    " 8f8939be4477393a 3d277b20d4f19c90 fda3337db95efe88\n"
     "lone round_robin pause 1c052db8e8a3b56a"
-    " 0e8717b354bf5fbb 5a580a3f04b0790d a2e2169bcf47d227 022c47f0fc1bd80c"
-    " 5f721660f0318084 11a990cb20661d31 f836db7d777b6a3f 8a9e929c62144cf1\n"
+    " 0e8717b354bf5fbb 5a580a3f04b0790d a2e2169bcf47d227 1e468f2eb5bc5827"
+    " 11a990cb20661d31 655722f3a773cbcf 8a9e929c62144cf1\n"
     "lone round_robin codel 38365e01ac1544a2"
-    " f2aafb7c8e7284d9 a73e0f79242e8203 db6e1c6a41eb85d5 9a4248362310984e"
-    " 6fb5261d20ca25c8 d3775ecf3fd28735 aaf4e56df302afe0 c672dd9540daa1e0\n"
+    " f2aafb7c8e7284d9 a73e0f79242e8203 db6e1c6a41eb85d5 4175c0efd2cf44d4"
+    " d3775ecf3fd28735 fa59bb1c814d92d7 c672dd9540daa1e0\n"
     "lone least_loaded overflow 767645f746712bba"
-    " e3a5d5dea826baaa d9dc20d15d1ed1cd 197a2dd5c8672309 dfd49e54b08fa8a2"
-    " b5201d4a545d57e4 8f8939be4477393a f64d1624f6c18f6d fda3337db95efe88\n"
+    " e3a5d5dea826baaa d9dc20d15d1ed1cd 197a2dd5c8672309 4f61aa0879561ca8"
+    " 8f8939be4477393a 3d277b20d4f19c90 fda3337db95efe88\n"
     "lone least_loaded pause 1c052db8e8a3b56a"
-    " c27e9b638b0e1673 5a580a3f04b0790d 36748d6c930665b9 022c47f0fc1bd80c"
-    " 5f721660f0318084 11a990cb20661d31 f836db7d777b6a3f 8a9e929c62144cf1\n"
+    " c27e9b638b0e1673 5a580a3f04b0790d 36748d6c930665b9 1e468f2eb5bc5827"
+    " 11a990cb20661d31 655722f3a773cbcf 8a9e929c62144cf1\n"
     "lone least_loaded codel 38365e01ac1544a2"
-    " afc2730ba54653cf a73e0f79242e8203 37bb50b91f5d252d 9a4248362310984e"
-    " 6fb5261d20ca25c8 d3775ecf3fd28735 aaf4e56df302afe0 c672dd9540daa1e0\n"
+    " afc2730ba54653cf a73e0f79242e8203 37bb50b91f5d252d 4175c0efd2cf44d4"
+    " d3775ecf3fd28735 fa59bb1c814d92d7 c672dd9540daa1e0\n"
     "lone fq overflow 767645f746712bba"
-    " 4038448c1c3884f7 47cf042bea78947c 7bfbb3e9c8bb5c0d dfd49e54b08fa8a2"
-    " 18b744416e9c0ba1 8f8939be4477393a 5e8dfdebf997404a 78335937ad4d6039\n"
+    " 4038448c1c3884f7 47cf042bea78947c 7bfbb3e9c8bb5c0d 8fad513df7752ccd"
+    " 8f8939be4477393a 90a41e80c6c4ba65 78335937ad4d6039\n"
     "lone fq pause 1c052db8e8a3b56a"
-    " d1b6c5817d86cd7a e93008f14eec9338 9c5d368e1abfe861 022c47f0fc1bd80c"
-    " 013380514e7de2d1 11a990cb20661d31 b405cdc559a4f842 d4fbe5eae4ff470d\n"
+    " d1b6c5817d86cd7a e93008f14eec9338 9c5d368e1abfe861 822cb245ff5ffa0e"
+    " 11a990cb20661d31 49a227c47f1cc2e0 d4fbe5eae4ff470d\n"
     "lone fq codel 38365e01ac1544a2"
-    " 0987100375dc2296 498200e5aece2296 4a80bb94da91a6ed 9a4248362310984e"
-    " e1f8663c3e533c97 d3775ecf3fd28735 d70774c2ac779cdd a4ceec810a6810a2\n";
+    " 0987100375dc2296 498200e5aece2296 4a80bb94da91a6ed 4d3d29c04e636583"
+    " d3775ecf3fd28735 474001cc8edd06d0 a4ceec810a6810a2\n";
 
 TEST(StreamScheduler, EveryExportIsPinned) {
   const std::string one = export_matrix(1);
@@ -804,12 +802,10 @@ TEST(StreamScheduler, MultiBlockSharedPoolExportsArePinned) {
   } cells[] = {
       {"fq", "codel",
        " 8daa98e8c185c2cb 7dfe01918c2a846c 021f292d751fd0d3 3fd53fe489a9c024"
-       " 82fbde49684de354 f775da47c754266a 735ed8c34ee36f10 6ef2c32c0f73b93a"
-       " 87df2a31c3560561"},
+       " a000002d45c749bc 735ed8c34ee36f10 03e5812bd555b87d 87df2a31c3560561"},
       {"round_robin", "pause",
        " f86c793413d96c92 4089e8e8d685df74 9adb61a14cc0de66 cd3e130527864660"
-       " c30b108a874cdd3d d9f561b218a6b994 b8088d4b5681b280 bb4c0f3e319b52d3"
-       " 6a1035c6c5bdc200"},
+       " bebd2f1c699f27f9 b8088d4b5681b280 857731613409faf0 6a1035c6c5bdc200"},
   };
   for (const auto& cell : cells) {
     StreamConfig c = config;

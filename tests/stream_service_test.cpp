@@ -160,6 +160,55 @@ TEST(StreamService, MatchesSingleLaneRunOnline) {
   }
 }
 
+// A lane's all-zero fast-path totals are its engine's at run end: on a
+// dedicated stream they equal those of run_online's loop over the lane's
+// history, at a clock where every lane drains and at one where 2 of the 6
+// lanes overflow.
+TEST(StreamService, LaneZeroFastPathCountsMatchRunOnline) {
+  const PlanarLattice lattice(5);
+  for (const auto& [cycles, overflowed] : {std::pair{400.0, 0}, {10.0, 2}}) {
+    StreamConfig config = base_config();
+    config.p = 0.005;
+    config.rounds = 24;
+    config.cycles_per_round = cycles;
+    const auto trace = record_trace(config);
+    const auto outcome = run_stream(trace, config);
+    EXPECT_EQ(outcome.overflow_lanes, overflowed) << cycles;
+    OnlineConfig online;
+    online.cycles_per_round = cycles;
+    online.max_drain_rounds = config.max_drain_rounds;
+    std::uint64_t zero_rounds = 0, zero_pushes = 0;
+    for (int lane = 0; lane < trace.lanes(); ++lane) {
+      // run_online's loop, spelled out to read the engine's counters.
+      const SyndromeHistory history = trace.history(lane);
+      OnlineStepper stepper(lattice, online);
+      for (const auto& layer : history.difference) {
+        if (!stepper.push(layer)) break;
+        stepper.spend(cycles);
+      }
+      for (int extra = 0; !stepper.overflowed() && !stepper.drained() &&
+                          extra < online.max_drain_rounds;
+           ++extra) {
+        if (!stepper.push_clean()) break;
+        stepper.spend(cycles);
+      }
+      const OnlineResult direct = run_online(lattice, history, online);
+      ASSERT_EQ(stepper.result().total_cycles, direct.total_cycles);
+      ASSERT_EQ(stepper.overflowed(), direct.overflow);
+      const auto& t = outcome.telemetry.lanes[static_cast<std::size_t>(lane)];
+      EXPECT_EQ(t.overflow, direct.overflow) << "lane " << lane;
+      EXPECT_EQ(t.cache.zero_rounds, stepper.engine().zero_rounds())
+          << "lane " << lane << " at " << cycles << " cycles";
+      EXPECT_EQ(t.cache.zero_pushes, stepper.engine().zero_pushes())
+          << "lane " << lane << " at " << cycles << " cycles";
+      zero_rounds += t.cache.zero_rounds;
+      zero_pushes += t.cache.zero_pushes;
+    }
+    EXPECT_GT(zero_rounds, 0u) << cycles;
+    EXPECT_GT(zero_pushes, 0u) << cycles;
+  }
+}
+
 TEST(StreamService, TelemetryAccountingIsConsistent) {
   const StreamConfig config = base_config();
   const auto outcome = run_stream(config);
@@ -269,7 +318,7 @@ TEST(StreamService, RejectsNonFiniteCycleBudgetNamingTheField) {
           << e.what();
     }
   }
-  // Unconstrained (<= 0) and finite budgets still run.
+  // Unconstrained (0) and finite budgets still run.
   StreamConfig config = valid;
   config.cycles_per_round = 0.0;
   EXPECT_NO_THROW(run_stream(trace, config));
@@ -302,6 +351,10 @@ TEST(StreamService, ResolveStreamAndRunStreamThrowTheSameMessages) {
          c.budget_w = std::numeric_limits<double>::infinity();
        },
        "stream: budget_w must be finite"},
+      {"negative clock", [](StreamConfig& c) { c.cycles_per_round = -5; },
+       "stream: cycles_per_round must be >= 0 (0 = unconstrained)"},
+      {"negative pool size", [](StreamConfig& c) { c.engines = -2; },
+       "stream: engines must be >= 0, got -2"},
       {"negative drain bound",
        [](StreamConfig& c) { c.max_drain_rounds = -5; },
        "stream: max_drain_rounds must be >= 0, got -5"},
@@ -356,8 +409,7 @@ TEST(StreamService, ResolveStreamAndRunStreamThrowTheSameMessages) {
       {"unknown slo metric", [](StreamConfig& c) { c.obs.slo = "nope<1"; },
        "bad slo spec: unknown metric(s) 'nope' — known metrics: pushes, "
        "drain_pushes, pops, serves, starves, overflows, pauses, resumes, "
-       "cache_hits, cache_misses, cache_installs, cache_evictions, "
-       "cache_zero_rounds, cache_zero_pushes, cache_bypasses, slo_ok, "
+       "slo_ok, "
        "slo_warning, slo_page, live_lanes, paused_lanes, overflowed_lanes, "
        "depth_count, depth_p50, depth_p95, depth_p99, depth_max, "
        "sojourn_count, sojourn_p50, sojourn_p95, sojourn_p99, sojourn_max"},
@@ -409,7 +461,7 @@ TEST(StreamService, RegDepthSpecShapesDepthHistogram) {
   }
 }
 
-TEST(DecodeCacheStream, CleanStreamRidesTheZeroFastPathWithoutACache) {
+TEST(StreamService, CleanStreamRidesTheZeroFastPath) {
   StreamConfig config;
   config.lanes = 8;
   config.distance = 5;
@@ -418,13 +470,9 @@ TEST(DecodeCacheStream, CleanStreamRidesTheZeroFastPathWithoutACache) {
   config.seed = 11;
   config.cycles_per_round = 300;
   const auto outcome = run_stream(config);
-  EXPECT_EQ(outcome.telemetry.cache, "off");
-  const DecodeCacheStats stats = outcome.telemetry.aggregate().cache;
-  EXPECT_GT(stats.zero_rounds, 0u);
-  EXPECT_GT(stats.zero_pushes, 0u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.installs, 0u);
+  const auto all = outcome.telemetry.aggregate();
+  EXPECT_GT(all.cache.zero_rounds, 0u);
+  EXPECT_GT(all.cache.zero_pushes, 0u);
   EXPECT_EQ(outcome.failed_lanes, 0);
 }
 

@@ -75,7 +75,7 @@ std::vector<qec::fuzz::FuzzSeedSpec> build_seeds(const qec::CliArgs& args) {
   // Distances span what the trace loader accepts; a trace stores
   // rounds + 1 layers, so rounds stops one short of INT_MAX.
   const auto distances = qec::int_list_flag_in(args, "d", "5,9", 2, 1000);
-  const auto ps = qec::split_doubles(args.get_or("p", "1e-4,3e-3"));
+  const auto ps = qec::split_doubles("p", args.get_or("p", "1e-4,3e-3"));
   const int lanes = qec::int_flag_in(args, "lanes", 2, 1, INT_MAX);
   const int rounds = qec::int_flag_in(args, "rounds", 12, 1, INT_MAX - 1);
   std::vector<qec::fuzz::FuzzSeedSpec> seeds;
